@@ -1,0 +1,337 @@
+"""Target sets on the positive axis and rescaled-index occurrence counting.
+
+An interval union S collects finitely many bounded intervals with rational
+endpoints and explicit closedness.  For a word measure mu_w the index set
+
+    J = { i >= 1 : i * mu_w in S }
+
+selects the sequence positions whose rescaled index lands in S; counting
+occurrences of the word at those positions is the point-process statistic
+studied by the experiment runners.
+
+J is kept as a short list of integer ranges (one per interval of S), never
+materialized unless small, so index sets of size ~1e7 stay cheap.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from numbers import Rational
+from typing import Callable, Sequence
+
+import numpy as np
+
+from .errors import ResourceError
+
+# Relative width of the float guard band around interval endpoints; products
+# i*mu_w landing inside the band are re-evaluated at 50 decimal digits.
+GUARD_REL = 1e-12
+_HP_DPS = 50
+
+MATERIALIZE_LIMIT = 10**7
+
+
+def parse_endpoint(value) -> Fraction:
+    """Exact rational endpoint from int, Fraction, float or string.
+
+    Strings accept 'p/q' and decimal forms; floats convert to their exact
+    binary value.
+    """
+    if isinstance(value, bool):
+        raise ValueError("endpoint must be a number")
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("endpoint must be finite")
+        return Fraction(value)
+    if isinstance(value, str):
+        return Fraction(value.strip())
+    raise ValueError(f"cannot parse endpoint {value!r}")
+
+
+@dataclass(frozen=True)
+class Interval:
+    lo: Fraction
+    hi: Fraction
+    lo_closed: bool
+    hi_closed: bool
+
+    def __post_init__(self):
+        if self.lo < 0:
+            raise ValueError("interval endpoints must be nonnegative")
+        if self.lo > self.hi:
+            raise ValueError("interval needs lo <= hi")
+        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
+            raise ValueError("degenerate interval must be closed on both sides")
+
+    @property
+    def length(self) -> Fraction:
+        return self.hi - self.lo
+
+    def contains(self, v) -> bool:
+        if v < self.lo or v > self.hi:
+            return False
+        if v == self.lo and not self.lo_closed:
+            return False
+        if v == self.hi and not self.hi_closed:
+            return False
+        return True
+
+    def label(self) -> str:
+        return (("[" if self.lo_closed else "(") + str(self.lo) + ", "
+                + str(self.hi) + ("]" if self.hi_closed else ")"))
+
+
+def _merge(intervals: list[Interval]) -> tuple[Interval, ...]:
+    if not intervals:
+        return ()
+    ivs = sorted(intervals, key=lambda t: (t.lo, not t.lo_closed))
+    out = [ivs[0]]
+    for iv in ivs[1:]:
+        cur = out[-1]
+        touches = iv.lo < cur.hi or (iv.lo == cur.hi and (iv.lo_closed or cur.hi_closed))
+        if touches:
+            if (iv.hi, iv.hi_closed) > (cur.hi, cur.hi_closed):
+                out[-1] = Interval(cur.lo, iv.hi, cur.lo_closed, iv.hi_closed)
+        else:
+            out.append(iv)
+    return tuple(out)
+
+
+class IntervalUnion:
+    """Canonical finite union of bounded intervals with rational endpoints."""
+
+    def __init__(self, intervals: Sequence[Interval]):
+        self.intervals = _merge(list(intervals))
+        self.m = len(self.intervals)
+        self.total_length = sum((iv.length for iv in self.intervals), Fraction(0))
+        self.sup = max((iv.hi for iv in self.intervals), default=Fraction(0))
+
+    @classmethod
+    def from_spec(cls, spec) -> "IntervalUnion":
+        """Build from a list of {lo, hi, lo_closed, hi_closed} mappings or tuples."""
+        ivs = []
+        for idx, item in enumerate(spec):
+            try:
+                if isinstance(item, dict):
+                    iv = Interval(
+                        parse_endpoint(item["lo"]),
+                        parse_endpoint(item["hi"]),
+                        bool(item.get("lo_closed", False)),
+                        bool(item.get("hi_closed", True)),
+                    )
+                else:
+                    lo, hi, lc, hc = item
+                    iv = Interval(parse_endpoint(lo), parse_endpoint(hi), bool(lc), bool(hc))
+            except (KeyError, ValueError, TypeError) as exc:
+                raise ValueError(f"interval [{idx}]: {exc}") from exc
+            ivs.append(iv)
+        return cls(ivs)
+
+    def contains(self, v) -> bool:
+        return any(iv.contains(v) for iv in self.intervals)
+
+    def label(self) -> str:
+        return " u ".join(iv.label() for iv in self.intervals) if self.intervals else "{}"
+
+    def to_spec(self) -> list[dict]:
+        return [
+            {"lo": str(iv.lo), "hi": str(iv.hi),
+             "lo_closed": iv.lo_closed, "hi_closed": iv.hi_closed}
+            for iv in self.intervals
+        ]
+
+    def __eq__(self, other):
+        return isinstance(other, IntervalUnion) and self.intervals == other.intervals
+
+    def __hash__(self):
+        return hash(self.intervals)
+
+
+def unit_interval() -> IntervalUnion:
+    """The default target set (0, 1]."""
+    return IntervalUnion([Interval(Fraction(0), Fraction(1), False, True)])
+
+
+@dataclass(frozen=True)
+class IndexSet:
+    """J as inclusive integer ranges, one per interval of S (empty ranges dropped)."""
+
+    ranges: tuple[tuple[int, int], ...]
+    count: int
+    mu_w: object  # Fraction (exact path) or float
+
+    def is_empty(self) -> bool:
+        return self.count == 0
+
+    def max_index(self) -> int:
+        return max((b for _, b in self.ranges), default=0)
+
+    def min_index(self) -> int:
+        return min((a for a, _ in self.ranges), default=0)
+
+    def indices(self) -> np.ndarray:
+        if self.count > MATERIALIZE_LIMIT:
+            raise ResourceError(f"index set of size {self.count} exceeds materialization guard")
+        if not self.ranges:
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate([np.arange(a, b + 1, dtype=np.int64) for a, b in self.ranges])
+
+    def clipped(self, max_i: int) -> "IndexSet":
+        """J intersected with [1, max_i] (same mu_w)."""
+        rs = tuple((a, min(b, max_i)) for a, b in self.ranges if a <= max_i)
+        return IndexSet(rs, sum(b - a + 1 for a, b in rs), self.mu_w)
+
+
+def _hp_decide(i: int, bound: Fraction, mu_high: Callable[[int], object], side: str) -> bool:
+    """Re-evaluate i*mu vs bound at high precision. side in {'gt','ge','lt','le'}."""
+    import mpmath
+
+    with mpmath.workdps(_HP_DPS):
+        prod = mpmath.mpf(i) * mu_high(_HP_DPS)
+        b = mpmath.mpf(bound.numerator) / mpmath.mpf(bound.denominator)
+        if side == "gt":
+            return prod > b
+        if side == "ge":
+            return prod >= b
+        if side == "lt":
+            return prod < b
+        return prod <= b
+
+
+def _first_index_float(bound: Fraction, mu: float, closed: bool,
+                       mu_high: Callable | None) -> int:
+    """Smallest i >= 1 with i*mu >(=) bound, float path with guard band."""
+    bf = float(bound)
+    i = max(1, math.floor(bf / mu) - 1 if mu > 0 else 1)
+    while True:
+        prod = i * mu
+        near = abs(prod - bf) <= GUARD_REL * max(1.0, abs(bf))
+        if near and mu_high is not None:
+            ok = _hp_decide(i, bound, mu_high, "ge" if closed else "gt")
+        else:
+            ok = (prod >= bf) if closed else (prod > bf)
+        if ok:
+            return i
+        i += 1
+
+
+def _last_index_float(bound: Fraction, mu: float, closed: bool,
+                      mu_high: Callable | None) -> int:
+    """Largest i >= 0 with i*mu <(=) bound, float path with guard band."""
+    bf = float(bound)
+    i = math.floor(bf / mu) + 2 if mu > 0 else 0
+    while i > 0:
+        prod = i * mu
+        near = abs(prod - bf) <= GUARD_REL * max(1.0, abs(bf))
+        if near and mu_high is not None:
+            ok = _hp_decide(i, bound, mu_high, "le" if closed else "lt")
+        else:
+            ok = (prod <= bf) if closed else (prod < bf)
+        if ok:
+            return i
+        i -= 1
+    return 0
+
+
+def j_set(mu_w, S: IntervalUnion, mu_high: Callable | None = None) -> IndexSet:
+    """Index set J = {i >= 1 : i * mu_w in S}.
+
+    ``mu_w`` may be an exact Rational (exact integer arithmetic throughout) or
+    a float; in the float case products within a relative guard band of an
+    endpoint are re-decided at 50-digit precision through ``mu_high``, a
+    callable ``dps -> high-precision mu``.
+    """
+    if isinstance(mu_w, Rational) and not isinstance(mu_w, float):
+        mu = Fraction(mu_w)
+        if mu <= 0:
+            raise ValueError("mu_w must be positive")
+        ranges = []
+        for iv in S.intervals:
+            lo_q = iv.lo / mu
+            hi_q = iv.hi / mu
+            a = math.ceil(lo_q) if iv.lo_closed else math.floor(lo_q) + 1
+            b = math.floor(hi_q) if iv.hi_closed else math.ceil(hi_q) - 1
+            a = max(a, 1)
+            if b >= a:
+                ranges.append((a, b))
+        return IndexSet(tuple(ranges), sum(b - a + 1 for a, b in ranges), mu)
+
+    mu = float(mu_w)
+    if not (mu > 0):
+        raise ValueError("mu_w must be positive")
+    ranges = []
+    for iv in S.intervals:
+        a = _first_index_float(iv.lo, mu, iv.lo_closed, mu_high)
+        b = _last_index_float(iv.hi, mu, iv.hi_closed, mu_high)
+        if b >= a:
+            ranges.append((a, b))
+    return IndexSet(tuple(ranges), sum(b - a + 1 for a, b in ranges), mu)
+
+
+def required_prefix_length(word_len: int, J: IndexSet) -> int:
+    """Sequence prefix length needed to evaluate every indicator indexed by J."""
+    if J.is_empty():
+        return 0
+    return J.max_index() + word_len - 1
+
+
+@dataclass(frozen=True)
+class CountSample:
+    """Occurrence count of one word over (the available part of) its index set."""
+
+    count: int
+    word: tuple
+    mu_w: object
+    index_count: int
+    prefix_len_used: int
+    truncated: bool
+
+
+def count_word_occurrences(x: np.ndarray, w: Sequence[int],
+                           ranges: Sequence[tuple[int, int]]) -> int:
+    """Occurrences of w in x (1-indexed starts) over inclusive index ranges.
+
+    Ranges must already be clipped so windows fit inside x.
+    """
+    w = np.asarray(w, dtype=x.dtype)
+    k = len(w)
+    total = 0
+    for a, b in ranges:
+        n = b - a + 1
+        if n <= 0:
+            continue
+        acc = np.ones(n, dtype=bool)
+        base = a - 1
+        for j in range(k):
+            acc &= x[base + j: base + j + n] == w[j]
+        total += int(np.count_nonzero(acc))
+    return total
+
+
+def count_occurrences(x_prefix: Sequence[int], w: Sequence[int], J: IndexSet) -> CountSample:
+    """Count occurrences of w at positions i in J within the given prefix.
+
+    Positions whose window does not fit in the prefix are skipped and the
+    sample is flagged truncated.
+    """
+    x = np.asarray(x_prefix, dtype=np.int64)
+    w = tuple(int(s) for s in w)
+    k = len(w)
+    if k == 0:
+        raise ValueError("empty word")
+    max_start = len(x) - k + 1
+    truncated = J.max_index() > max_start
+    usable = J.clipped(max_start)
+    cnt = count_word_occurrences(x, w, usable.ranges)
+    return CountSample(
+        count=cnt,
+        word=w,
+        mu_w=J.mu_w,
+        index_count=J.count,
+        prefix_len_used=len(x),
+        truncated=truncated,
+    )

@@ -1,0 +1,202 @@
+"""Poisson reference laws, distances, and limit-law diagnostics.
+
+Provides the Poisson pmf (log-space, no overflow), bounded-functional
+averages with controlled tail truncation, total-variation distances in both
+common normalizations, a Chen-Stein-type bracket for the Poisson distance of
+an occurrence count, and the two-condition point-process limit check
+(expectation bound plus void probability) used by the experiment runners.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
+
+import numpy as np
+
+from .errors import InsufficientDataError
+from .rng import uniform_block
+
+
+def poisson_pmf(lam: float, j: int) -> float:
+    """P(Poisson(lam) = j), exact at the degenerate lam = 0 boundary."""
+    if lam < 0:
+        raise ValueError("lam must be nonnegative")
+    if j < 0:
+        return 0.0
+    if lam == 0.0:
+        return 1.0 if j == 0 else 0.0
+    return math.exp(-lam + j * math.log(lam) - math.lgamma(j + 1))
+
+
+def poisson_pmf_vector(lam: float, j_max: int) -> np.ndarray:
+    """pmf values for j = 0..j_max as an array."""
+    return np.array([poisson_pmf(lam, j) for j in range(j_max + 1)])
+
+
+def poisson_avg(lam: float, h: Callable[[int], float], tail_tol: float = 1e-12) -> float:
+    """E[h(N)] for N ~ Poisson(lam) and |h| <= 1, truncated once the
+    remaining pmf mass drops below tail_tol (the truncation error is below
+    tail_tol in absolute value)."""
+    if lam < 0:
+        raise ValueError("lam must be nonnegative")
+    if tail_tol <= 0:
+        raise ValueError("tail_tol must be positive")
+    total = 0.0
+    covered = 0.0
+    j = 0
+    while covered < 1.0 - tail_tol:
+        p = poisson_pmf(lam, j)
+        total += p * h(j)
+        covered += p
+        j += 1
+        if j > 100 + 100 * int(lam + 1):
+            break
+    return total
+
+
+def histogram_j_max(lam: float) -> int:
+    """Report truncation level: 10 + 10*ceil(lam); counts above it fold into
+    a single overflow bucket at j_max + 1."""
+    return 10 + 10 * math.ceil(lam)
+
+
+def fold_histogram(counts: Sequence[int], j_max: int) -> dict[int, int]:
+    """Frequency table of integer samples with values > j_max folded into
+    the overflow bucket j_max + 1."""
+    out: dict[int, int] = {}
+    for c in counts:
+        c = int(c)
+        if c < 0:
+            raise ValueError("counts are nonnegative")
+        key = c if c <= j_max else j_max + 1
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+def poisson_reference(lam: float, j_max: int) -> dict[int, float]:
+    """Poisson(lam) folded the same way: exact tail mass in the overflow bucket."""
+    ref = {j: poisson_pmf(lam, j) for j in range(j_max + 1)}
+    ref[j_max + 1] = max(0.0, 1.0 - math.fsum(ref.values()))
+    return ref
+
+
+def tv_distance(p: Mapping[int, float], q: Mapping[int, float],
+                check_normalization: bool = True) -> float:
+    """Set-convention total variation (1/2) sum |p_j - q_j| over the union
+    support.  The functional convention is exactly twice this value."""
+    for name, dist in (("first", p), ("second", q)):
+        if any(v < 0 for v in dist.values()):
+            raise ValueError(f"{name} distribution has a negative mass")
+        if check_normalization and abs(math.fsum(dist.values()) - 1.0) > 1e-9:
+            raise ValueError(f"{name} distribution must sum to 1 within 1e-9")
+    keys = set(p) | set(q)
+    return 0.5 * math.fsum(abs(p.get(j, 0.0) - q.get(j, 0.0)) for j in keys)
+
+
+def poisson_param_shift(lam: float, t: float, h: Callable[[int], float],
+                        tail_tol: float = 1e-12) -> float:
+    """|E_lam[h] - E_t[h]| for |h| <= 1; certified <= 2|lam - t|."""
+    gap = abs(poisson_avg(lam, h, tail_tol) - poisson_avg(t, h, tail_tol))
+    bound = 2.0 * abs(lam - t) + 1e-9
+    if gap > bound:
+        raise RuntimeError(f"parameter-shift bound violated: {gap} > {bound}")
+    return gap
+
+
+def chen_stein_bracket(lam: float, variance: float, n: int) -> float:
+    """Poisson-distance majorant shape min(lam^-1/2, 1) * (var - lam
+    + (lam+1)^2 ln(n)/n); the absolute constant in front is not modeled."""
+    if n < 3:
+        raise ValueError("need n >= 3 so ln(n)/n is decreasing")
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    return min(lam**-0.5, 1.0) * (variance - lam + (lam + 1.0) ** 2 * math.log(n) / n)
+
+
+@dataclass(frozen=True)
+class EmpiricalDistribution:
+    """Histogram summary of integer count samples."""
+
+    histogram: dict[int, int]
+    n: int
+    mean: float
+    variance: float
+    truncated_fraction: float
+
+    @classmethod
+    def from_counts(cls, counts: Sequence[int], truncated_fraction: float = 0.0):
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.size == 0:
+            return cls({}, 0, float("nan"), float("nan"), truncated_fraction)
+        if counts.min() < 0:
+            raise ValueError("counts are nonnegative")
+        hist: dict[int, int] = {}
+        vals, freqs = np.unique(counts, return_counts=True)
+        for v, f in zip(vals, freqs):
+            hist[int(v)] = int(f)
+        mean = float(counts.mean())
+        var = float(counts.var())
+        return cls(hist, int(counts.size), mean, var, truncated_fraction)
+
+    def probabilities(self) -> dict[int, float]:
+        if self.n == 0:
+            return {}
+        return {j: f / self.n for j, f in self.histogram.items()}
+
+
+def sample_poisson_counts(lam: float, n: int, seed: int) -> np.ndarray:
+    """Deterministic Poisson(lam) samples via inverse CDF on the counter
+    stream (used by harness self-tests)."""
+    if lam < 0:
+        raise ValueError("lam must be nonnegative")
+    j_hi = 20 + 20 * int(lam + 1)
+    cum = np.cumsum(poisson_pmf_vector(lam, j_hi))
+    u = uniform_block(seed, 0, n)
+    return np.searchsorted(cum, u, side="right").astype(np.int64)
+
+
+def kallenberg_check(counts_per_set: Sequence[Sequence[int]],
+                     set_sizes: Sequence[float],
+                     slack_per_set: Sequence[float] | None = None,
+                     min_samples: int = 100) -> list[dict]:
+    """Two-condition Poisson-limit diagnostic on count samples.
+
+    Per target set S (with |S| in ``set_sizes``): (1) the sample mean must
+    not exceed |S| by more than 3 standard errors plus the analytic slack,
+    and (2) the empirical void probability P(count = 0) must match e^{-|S|}
+    within 3 binomial standard errors.  Needs at least ``min_samples``
+    samples per set.
+    """
+    if len(counts_per_set) != len(set_sizes):
+        raise ValueError("one count collection per set size is required")
+    if slack_per_set is None:
+        slack_per_set = [0.0] * len(set_sizes)
+    results = []
+    for counts, size, slack in zip(counts_per_set, set_sizes, slack_per_set):
+        arr = np.asarray(counts, dtype=np.float64)
+        n = arr.size
+        if n < min_samples:
+            raise InsufficientDataError(
+                f"need at least {min_samples} samples per set, got {n}")
+        mean = float(arr.mean())
+        se_mean = float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        cond1 = mean <= size + 3.0 * se_mean + slack
+        p_void = poisson_pmf(size, 0) if size > 0 else 1.0
+        emp_void = float(np.count_nonzero(arr == 0) / n)
+        se_void = math.sqrt(p_void * (1.0 - p_void) / n)
+        cond2 = abs(emp_void - p_void) <= 3.0 * se_void
+        results.append({
+            "set_size": float(size),
+            "n": int(n),
+            "mean": mean,
+            "mean_se": se_mean,
+            "mean_slack": float(slack),
+            "condition1": "PASS" if cond1 else "FAIL",
+            "void_empirical": emp_void,
+            "void_target": p_void,
+            "void_se": se_void,
+            "condition2": "PASS" if cond2 else "FAIL",
+        })
+    return results

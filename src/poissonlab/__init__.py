@@ -24,9 +24,8 @@ from .oracles import (VarianceBreakdown, annealed_exact_expectation,
                       brute_force_distribution, dp_count_distribution,
                       exact_expectation, exact_pair_prob, exact_variance,
                       log_n_over_n_bound, period_class_measure)
-from .point_process import (CountSample, IndexSet, IntervalUnion,
-                            count_occurrences, count_word_occurrences, j_set,
-                            required_prefix_length, unit_interval)
+from .point_process import (IndexSet, IntervalUnion, count_word_occurrences,
+                            j_set, required_prefix_length, unit_interval)
 from .poisson_stats import (EmpiricalDistribution, chen_stein_bracket,
                             fold_histogram, histogram_j_max, kallenberg_check,
                             poisson_avg, poisson_param_shift, poisson_pmf,

@@ -8,15 +8,13 @@ statistical failure, 2 on configuration or resource problems.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from .errors import (ConfigError, InsufficientDataError, ResourceError,
                      UnsupportedModelError)
 from .experiments import (MODES, ConcentrationReport, GenericityReport,
                           MixingReport, OracleReport, QuenchedResult, execute,
-                          parse_config)
+                          parse_config, read_config_doc)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,18 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     return parser
-
-
-def _load_doc(path: str) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"$: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"$: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("$: expected a JSON object")
-    return doc
 
 
 def _fmt(v, digits: int = 6) -> str:
@@ -101,7 +87,7 @@ def _print_payload(payload) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        doc = _load_doc(args.config)
+        doc = read_config_doc(args.config)
         if doc.setdefault("mode", args.mode) != args.mode:
             raise ConfigError(
                 f"$.mode: config says {doc['mode']!r} but the "

@@ -24,19 +24,20 @@ import numpy as np
 from .errors import (ConfigError, InsufficientDataError, ResourceError,
                      UnsupportedModelError)
 from .measures import (GaussCFModel, IidModel, MarkovModel, Model,
-                       contraction_profile, cylinder_prob, cylinder_prob_exact,
-                       cylinder_prob_high, make_generator, mixing_profile,
-                       model_from_spec, model_to_spec, sample_word)
-from .mixing_concentration import (ConcentrationReport, EtaMatrix,
-                                   OccurrenceIndex, concentration_experiment,
-                                   delta_matrix, delta_norm, delta_norm_bound,
+                       contraction_profile, cylinder_prob_exact,
+                       cylinder_prob_guarded, make_generator, mixing_profile,
+                       model_from_spec, model_to_spec)
+from .mixing_concentration import (DELTA_NORM_MATRIX_CAP, ConcentrationReport,
+                                   EtaMatrix, OccurrenceIndex,
+                                   concentration_experiment, delta_matrix,
+                                   delta_norm, delta_norm_bound,
                                    eta_coefficients)
 from .oracles import (annealed_exact_expectation, brute_force_distribution,
                       dp_count_distribution, exact_expectation,
                       exact_pair_prob, exact_variance, log_n_over_n_bound,
                       period_class_measure)
-from .point_process import (IndexSet, IntervalUnion, count_occurrences, j_set,
-                            required_prefix_length)
+from .point_process import (IndexSet, IntervalUnion, count_word_occurrences,
+                            j_set, required_prefix_length)
 from .poisson_stats import (fold_histogram, histogram_j_max, kallenberg_check,
                             poisson_reference, sample_poisson_counts,
                             tv_distance)
@@ -44,8 +45,8 @@ from .rng import derive_seed, uniform_block
 from .words import enumerate_words, periods
 
 MODES = ("annealed", "quenched", "oracle", "concentration", "mixing")
-ANNEALED_SYMBOL_BUDGET = 2 * 10**9
-_BATCH_ELEMS = 1 << 23
+SYMBOL_BUDGET = 2 * 10**9  # symbols one annealed or quenched run may draw
+_BATCH_ELEMS = 1 << 23  # symbols per batch of annealed streams
 
 
 # ---------------------------------------------------------------------------
@@ -168,19 +169,21 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     t_grid_doc = doc.get("t_grid", [])
     if not isinstance(t_grid_doc, list) or any(
-            not isinstance(t, (int, float)) or isinstance(t, bool) or t <= 0
-            for t in t_grid_doc):
-        raise ConfigError("$.t_grid: expected a list of positive numbers")
+            not isinstance(t, (int, float)) or isinstance(t, bool)
+            or not 0 < t < math.inf for t in t_grid_doc):
+        raise ConfigError("$.t_grid: expected a list of positive finite numbers")
     functional = doc.get("functional", "phi1")
     if functional not in ("phi1", "phi2"):
         raise ConfigError("$.functional: expected 'phi1' or 'phi2'")
     j = _cfg_int(doc, "j", 0, lo=0)
     max_lag = _cfg_int(doc, "max_lag", 30, lo=1)
     truncations_doc = doc.get("truncations", [50, 100, 200])
+    # run_mixing builds a dense n x n dependency matrix per truncation
     if not isinstance(truncations_doc, list) or any(
-            not isinstance(t, int) or isinstance(t, bool) or t < 1
-            for t in truncations_doc):
-        raise ConfigError("$.truncations: expected a list of positive integers")
+            not isinstance(t, int) or isinstance(t, bool)
+            or not 1 <= t <= DELTA_NORM_MATRIX_CAP for t in truncations_doc):
+        raise ConfigError("$.truncations: expected a list of integers in "
+                          f"[1, {DELTA_NORM_MATRIX_CAP}]")
 
     if strict and mode in ("annealed", "quenched") and n_samples < 100:
         raise InsufficientDataError(
@@ -197,7 +200,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def read_config_doc(path: str | Path) -> dict:
+    """The JSON object in a config file, before validation."""
     p = Path(path)
     try:
         doc = json.loads(p.read_text())
@@ -205,7 +209,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"$: cannot read {p}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"$: invalid JSON: {exc}") from exc
-    return parse_config(doc)
+    if not isinstance(doc, dict):
+        raise ConfigError("$: expected a JSON object")
+    return doc
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    return parse_config(read_config_doc(path))
 
 
 # ---------------------------------------------------------------------------
@@ -318,75 +328,56 @@ def _genericity_report(cfg: ExperimentConfig, mode: str,
 
 
 # ---------------------------------------------------------------------------
-# word bookkeeping shared by the annealed and quenched runners
+# the counting pipeline shared by the annealed and quenched runners
+
+
+def _check_budget(symbols: int) -> None:
+    if symbols > SYMBOL_BUDGET:
+        raise ResourceError(
+            f"run would draw {symbols:.2e} symbols, over the budget of "
+            f"{SYMBOL_BUDGET:.0e}; reduce n_samples, n_x_replicas or n_cap")
+
+
+def _draw(model: Model, seeds: Sequence[int], length: int) -> np.ndarray:
+    """(len(seeds), length) symbol matrix: row r is the first ``length``
+    symbols of the stream with seed ``seeds[r]``, symbol for symbol as
+    ``make_generator(model, seeds[r]).take(length)``."""
+    if isinstance(model, IidModel) and model.probs is not None:
+        u = np.stack([uniform_block(sd, 0, length) for sd in seeds])
+        # the number of cumulative probabilities at or below u, as in take()
+        out = np.zeros(u.shape, dtype=np.min_scalar_type(len(model.probs) - 1))
+        for c in model._cum[:-1]:
+            out += u >= c
+        return out
+    return np.stack([make_generator(model, sd).take(length) for sd in seeds])
 
 
 @dataclass
 class _WordPlan:
     """Index sets per target set for one word, plus the prefix demand."""
 
-    mu: object
     js: tuple[IndexSet, ...]
     need: int
 
 
-def _plan_word(model: Model, w: tuple, sets: Sequence[IntervalUnion],
-               k: int) -> _WordPlan:
-    if isinstance(model, GaussCFModel):
-        mu = cylinder_prob(model, w)
-        high = lambda dps: cylinder_prob_high(model, w, dps)
+def _plan_words(model: Model, words: np.ndarray, sets: Sequence[IntervalUnion],
+                k: int) -> tuple[np.ndarray, list[_WordPlan]]:
+    """Each word's plan index and the distinct plans.
+
+    Words with equal cylinder measures share one plan.  Under an i.i.d.
+    model the measure depends only on the symbol counts, so words are keyed
+    by their sorted symbols; otherwise by the word itself.
+    """
+    keys = np.sort(words, axis=1) if isinstance(model, IidModel) else words
+    _, first, plan_of = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    plans = []
+    for i in first:
+        mu, high = cylinder_prob_guarded(model, words[i].tolist())
         js = tuple(j_set(mu, S, high) for S in sets)
-    else:
-        mu = cylinder_prob_exact(model, w)
-        js = tuple(j_set(mu, S) for S in sets)
-    need = max((required_prefix_length(k, J) for J in js), default=0)
-    return _WordPlan(mu, js, need)
-
-
-class _PlanCache:
-    def __init__(self, model: Model, sets: Sequence[IntervalUnion], k: int):
-        self.model = model
-        self.sets = sets
-        self.k = k
-        self._cache: dict[tuple, _WordPlan] = {}
-
-    def get(self, w: tuple) -> _WordPlan:
-        plan = self._cache.get(w)
-        if plan is None:
-            plan = _plan_word(self.model, w, self.sets, self.k)
-            self._cache[w] = plan
-        return plan
-
-
-def _iid_count_vector_plans(model: IidModel, words: np.ndarray,
-                            sets: Sequence[IntervalUnion], k: int):
-    """Group sampled words by symbol-count vector (the sufficient statistic
-    for the cylinder measure), computing each group's exact index sets once."""
-    s = len(model.probs)
-    keys = np.zeros(len(words), dtype=np.int64)
-    base = 1
-    for a in range(s):
-        keys += base * np.count_nonzero(words == a, axis=1)
-        base *= k + 1
-    plans: dict[int, _WordPlan] = {}
-    for key in np.unique(keys):
-        rest = int(key)
-        mu = Fraction(1)
-        for a in range(s):
-            rest, n_a = divmod(rest, k + 1)
-            mu *= model.symbol_prob(a) ** n_a
-        js = tuple(j_set(mu, S) for S in sets)
-        need = max((required_prefix_length(k, J) for J in js), default=0)
-        plans[int(key)] = _WordPlan(mu, js, need)
-    return keys, plans
-
-
-def _sample_word_matrix(model: IidModel, k: int, seeds: Sequence[int]) -> np.ndarray:
-    """First-k-symbol draws of many fresh generators, vectorized; matches
-    SequenceGenerator.take symbol for symbol."""
-    u = np.stack([uniform_block(sd, 0, k) for sd in seeds])
-    idx = np.searchsorted(model._cum, u, side="right")
-    return np.minimum(idx, len(model.probs) - 1).astype(np.int64)
+        plans.append(_WordPlan(js, max((required_prefix_length(k, J) for J in js),
+                                       default=0)))
+    return plan_of.reshape(-1), plans
 
 
 # ---------------------------------------------------------------------------
@@ -400,82 +391,32 @@ def run_annealed(cfg: ExperimentConfig) -> GenericityReport:
         raise ConfigError("$.mode: run_annealed needs mode 'annealed'")
     if cfg.strict and cfg.n_samples < 100:
         raise InsufficientDataError("$.n_samples: need >= 100 in strict mode")
-    model = cfg.model
-    fits_int64 = (model.alphabet_size is not None
-                  and cfg.k * math.log2(model.alphabet_size) < 62)
-    if isinstance(model, IidModel) and model.probs is not None and fits_int64:
-        counts, truncated = _annealed_iid_finite(cfg)
-    else:
-        counts, truncated = _annealed_generic(cfg)
+    model, k, n = cfg.model, cfg.k, cfg.n_samples
+    words = _draw(model, [derive_seed(cfg.seed, 1, i) for i in range(n)], k)
+    plan_of, plans = _plan_words(model, words, cfg.sets, k)
+    lengths = [min(plan.need, cfg.n_cap) for plan in plans]
+    _check_budget(sum(lengths[p] for p in plan_of.tolist()))
+
+    n_sets = len(cfg.sets)
+    counts = [np.zeros(n, dtype=np.int64) for _ in range(n_sets)]
+    truncated = [np.zeros(n, dtype=bool) for _ in range(n_sets)]
+    groups = np.split(np.argsort(plan_of, kind="stable"),
+                      np.cumsum(np.bincount(plan_of))[:-1])
+    for plan, length, members in zip(plans, lengths, groups):
+        if length == 0:  # every index set empty: counts stay 0, complete
+            continue
+        max_start = length - k + 1
+        ranges = [J.clipped(max_start).ranges for J in plan.js]
+        for si, J in enumerate(plan.js):
+            truncated[si][members] = J.max_index() > max_start
+        step = max(1, _BATCH_ELEMS // length)
+        for lo in range(0, len(members), step):
+            rows = members[lo: lo + step]
+            streams = _draw(model, [derive_seed(cfg.seed, 2, int(i)) for i in rows],
+                            length)
+            for si, rs in enumerate(ranges):
+                counts[si][rows] = count_word_occurrences(streams, words[rows], rs)
     return _genericity_report(cfg, "annealed", counts, truncated, None)
-
-
-def _annealed_iid_finite(cfg: ExperimentConfig):
-    model, k, n = cfg.model, cfg.k, cfg.n_samples
-    s = len(model.probs)
-    word_seeds = [derive_seed(cfg.seed, 1, i) for i in range(n)]
-    words = _sample_word_matrix(model, k, word_seeds)
-    keys, plans = _iid_count_vector_plans(model, words, cfg.sets, k)
-
-    n_sets = len(cfg.sets)
-    counts = [np.zeros(n, dtype=np.int64) for _ in range(n_sets)]
-    truncated = [np.zeros(n, dtype=bool) for _ in range(n_sets)]
-    powers = s ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    wcodes = words @ powers
-
-    for key, plan in plans.items():
-        members = np.flatnonzero(keys == key)
-        if plan.need == 0:  # every index set empty: counts stay 0, complete
-            continue
-        stream_len = min(plan.need, cfg.n_cap)
-        n_win = stream_len - k + 1
-        batch = max(16, min(1024, _BATCH_ELEMS // max(stream_len, 1)))
-        clipped = [J.clipped(n_win) for J in plan.js]
-        for lo in range(0, len(members), batch):
-            rows = members[lo: lo + batch]
-            u = np.stack([uniform_block(derive_seed(cfg.seed, 2, int(i)), 0, stream_len)
-                          for i in rows])
-            sym = np.minimum(np.searchsorted(model._cum, u, side="right"),
-                             s - 1).astype(np.int64)
-            codes = np.zeros((len(rows), n_win), dtype=np.int64)
-            for jj in range(k):
-                codes = codes * s + sym[:, jj: jj + n_win]
-            occ = codes == wcodes[rows, None]
-            for si, J in enumerate(clipped):
-                c = np.zeros(len(rows), dtype=np.int64)
-                for a, b in J.ranges:
-                    c += occ[:, a - 1: b].sum(axis=1)
-                counts[si][rows] = c
-        for si, J in enumerate(plan.js):
-            if required_prefix_length(k, J) > cfg.n_cap:
-                truncated[si][members] = True
-    return counts, truncated
-
-
-def _annealed_generic(cfg: ExperimentConfig):
-    model, k, n = cfg.model, cfg.k, cfg.n_samples
-    plans = _PlanCache(model, cfg.sets, k)
-    first = [sample_word(model, k, derive_seed(cfg.seed, 1, i)) for i in range(min(n, 32))]
-    est_need = max(min(plans.get(w).need, cfg.n_cap) for w in first)
-    if n * max(est_need, 1) > ANNEALED_SYMBOL_BUDGET:
-        raise ResourceError(
-            f"annealed run would draw about {n * est_need:.2e} symbols; "
-            "reduce n_samples or n_cap")
-    n_sets = len(cfg.sets)
-    counts = [np.zeros(n, dtype=np.int64) for _ in range(n_sets)]
-    truncated = [np.zeros(n, dtype=bool) for _ in range(n_sets)]
-    for i in range(n):
-        w = sample_word(model, k, derive_seed(cfg.seed, 1, i))
-        plan = plans.get(w)
-        if plan.need == 0:  # every index set empty: counts stay 0, complete
-            continue
-        use_len = min(plan.need, cfg.n_cap)
-        x = make_generator(model, derive_seed(cfg.seed, 2, i)).take(use_len)
-        for si, J in enumerate(plan.js):
-            sample = count_occurrences(x, w, J)
-            counts[si][i] = sample.count
-            truncated[si][i] = sample.truncated
-    return counts, truncated
 
 
 # ---------------------------------------------------------------------------
@@ -507,33 +448,21 @@ def run_quenched(cfg: ExperimentConfig) -> QuenchedResult:
 
 def _quenched_replica(cfg: ExperimentConfig, r: int) -> GenericityReport:
     model, k, n = cfg.model, cfg.k, cfg.n_samples
-    if isinstance(model, IidModel) and model.probs is not None:
-        seeds = [derive_seed(cfg.seed, 4, r, i) for i in range(n)]
-        words_matrix = _sample_word_matrix(model, k, seeds)
-        keys, key_plans = _iid_count_vector_plans(model, words_matrix, cfg.sets, k)
-        words = [tuple(int(v) for v in row) for row in words_matrix]
-        plan_of = lambda i: key_plans[int(keys[i])]
-    else:
-        plans = _PlanCache(model, cfg.sets, k)
-        words = [sample_word(model, k, derive_seed(cfg.seed, 4, r, i)) for i in range(n)]
-        plan_of = lambda i: plans.get(words[i])
-
-    max_need = max((plan_of(i).need for i in range(n)), default=k)
-    x_len = min(max(max_need, k), cfg.n_cap)
-    x = make_generator(model, derive_seed(cfg.seed, 3, r)).take(x_len)
-    index = OccurrenceIndex(np.asarray(x, dtype=np.int64), k, model.alphabet_size)
+    words = _draw(model, [derive_seed(cfg.seed, 4, r, i) for i in range(n)], k)
+    plan_of, plans = _plan_words(model, words, cfg.sets, k)
+    x_len = min(max(max(plan.need for plan in plans), k), cfg.n_cap)
+    _check_budget(cfg.n_x_replicas * x_len)
+    x = _draw(model, [derive_seed(cfg.seed, 3, r)], x_len)[0]
+    index = OccurrenceIndex(x, k, model.alphabet_size)
     max_start = x_len - k + 1
 
-    n_sets = len(cfg.sets)
-    counts = [np.zeros(n, dtype=np.int64) for _ in range(n_sets)]
-    truncated = [np.zeros(n, dtype=bool) for _ in range(n_sets)]
-    for i in range(n):
-        plan = plan_of(i)
-        for si, J in enumerate(plan.js):
-            usable = J.clipped(max_start)
-            counts[si][i] = index.count_in_ranges(words[i], usable.ranges) \
-                if usable.count else 0
-            truncated[si][i] = J.max_index() > max_start
+    clipped = [[J.clipped(max_start) for J in plan.js] for plan in plans]
+    beyond = np.array([[J.max_index() > max_start for J in plan.js] for plan in plans])
+    counts = [np.zeros(n, dtype=np.int64) for _ in cfg.sets]
+    truncated = [beyond[plan_of, si] for si in range(len(cfg.sets))]
+    for i, (w, p) in enumerate(zip(words.tolist(), plan_of.tolist())):
+        for si, J in enumerate(clipped[p]):
+            counts[si][i] = index.count_in_ranges(w, J.ranges) if J.count else 0
     return _genericity_report(cfg, "quenched", counts, truncated, r)
 
 
@@ -697,7 +626,8 @@ def run_oracle_suite(cfg: ExperimentConfig) -> OracleReport:
             b = log_n_over_n_bound(k_m, S, prof)
             vals.append((k_m, b))
         defined = [(k_m, b) for k_m, b in vals if b is not None]
-        assert defined, "majorant undefined over the whole range"
+        if not defined:
+            raise UnsupportedModelError("majorant undefined for every k in 2..39")
         for (k1, b1), (k2, b2) in zip(defined, defined[1:]):
             assert b2 <= b1 + 1e-15, f"majorant rose between k={k1} and k={k2}"
         first = next(k_m for k_m, b in vals if b is not None)

@@ -24,7 +24,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import ClassVar, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -328,12 +328,6 @@ def cf_continuants(w: Sequence[int]) -> tuple[int, int, int, int]:
     return p, q, pp, qq
 
 
-def gauss_interval(w: Sequence[int]) -> tuple[Fraction, Fraction]:
-    """Exact rational endpoints of the CF cylinder (unordered pair)."""
-    p, q, pp, qq = cf_continuants(w)
-    return Fraction(p, q), Fraction(p + pp, q + qq)
-
-
 def _gauss_log_ratio_ints(w: Sequence[int]) -> tuple[int, int]:
     """Integers (N, D) with cylinder measure = |log2(N/D)|, N/D in (1/2, 2)."""
     p, q, pp, qq = cf_continuants(w)
@@ -385,6 +379,19 @@ def cylinder_prob_high(model: Model, w: Sequence[int], dps: int = 50):
     v = cylinder_prob_exact(model, w)
     with mpmath.workdps(dps):
         return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
+
+
+def cylinder_prob_guarded(model: Model, w: Sequence[int]) -> tuple[object, Callable | None]:
+    """The cylinder measure as ``j_set`` takes it: ``(mu, mu_high)``.
+
+    Exact rational ``mu`` and no refinement for iid and Markov models; for
+    the CF model the float measure plus ``dps -> mu`` at that precision, for
+    the guard band around target-set endpoints.
+    """
+    if isinstance(model, GaussCFModel):
+        w = _check_word(model, w)
+        return gauss_cylinder_prob(w), lambda dps: gauss_cylinder_prob_high(w, dps)
+    return cylinder_prob_exact(model, w), None
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +523,6 @@ class SequenceGenerator:
 
 def make_generator(model: Model, seed: int) -> SequenceGenerator:
     return SequenceGenerator(model, seed)
-
-
-def next_symbol(gen: SequenceGenerator) -> int:
-    return gen.next()
 
 
 def sample_word(model: Model, k: int, seed: int) -> Word:

@@ -19,9 +19,9 @@ import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
 from .errors import ConfigError, UnsupportedModelError
-from .measures import (GaussCFModel, IidModel, MarkovModel, MixingProfile, Model,
+from .measures import (IidModel, MarkovModel, MixingProfile, Model,
                        SequenceGenerator, cylinder_prob, cylinder_prob_exact,
-                       cylinder_prob_high, make_generator, mixing_profile,
+                       cylinder_prob_guarded, make_generator, mixing_profile,
                        sample_word)
 from .point_process import IntervalUnion, j_set, required_prefix_length
 from .rng import derive_seed
@@ -530,12 +530,7 @@ def _phi_k_j_mc(x_gen, k, j, S, n_word_samples, word_seed, x_cap) -> PhiJEstimat
     truncated = 0
     for i in range(n_word_samples):
         w = sample_word(model, k, derive_seed(word_seed, i))
-        if isinstance(model, GaussCFModel):
-            mu = cylinder_prob(model, w)
-            high = lambda dps, _w=w: cylinder_prob_high(model, _w, dps)
-        else:
-            mu = cylinder_prob_exact(model, w)
-            high = None
+        mu, high = cylinder_prob_guarded(model, w)
         if mu == 0:
             used += 1
             hits += 1 if j == 0 else 0

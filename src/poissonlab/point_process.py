@@ -15,6 +15,7 @@ materialized unless small, so index sets of size ~1e7 stay cheap.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,8 @@ import numpy as np
 from .errors import ResourceError
 
 # Relative width of the float guard band around interval endpoints; products
-# i*mu_w landing inside the band are re-evaluated at 50 decimal digits.
+# i*mu_w landing inside the band are re-evaluated at (at least) 50 decimal
+# digits.
 GUARD_REL = 1e-12
 _HP_DPS = 50
 
@@ -186,55 +188,50 @@ class IndexSet:
         return IndexSet(rs, sum(b - a + 1 for a, b in rs), self.mu_w)
 
 
-def _hp_decide(i: int, bound: Fraction, mu_high: Callable[[int], object], side: str) -> bool:
-    """Re-evaluate i*mu vs bound at high precision. side in {'gt','ge','lt','le'}."""
+def _hp_below(i: int, bound: Fraction, mu_hp, inclusive: bool, dps: int) -> bool:
+    """i*mu <= bound (inclusive) or i*mu < bound, with mu at ``dps`` digits."""
     import mpmath
 
-    with mpmath.workdps(_HP_DPS):
-        prod = mpmath.mpf(i) * mu_high(_HP_DPS)
+    with mpmath.workdps(dps):
+        prod = mpmath.mpf(i) * mu_hp
         b = mpmath.mpf(bound.numerator) / mpmath.mpf(bound.denominator)
-        if side == "gt":
-            return prod > b
-        if side == "ge":
-            return prod >= b
-        if side == "lt":
-            return prod < b
-        return prod <= b
+        return prod <= b if inclusive else prod < b
 
 
-def _first_index_float(bound: Fraction, mu: float, closed: bool,
-                       mu_high: Callable | None) -> int:
-    """Smallest i >= 1 with i*mu >(=) bound, float path with guard band."""
+def _last_index_float(bound: Fraction, mu: float, inclusive: bool,
+                      mu_high: Callable | None, dps: int) -> int:
+    """Largest i >= 0 with i*mu <= bound (inclusive) or < bound, float path.
+
+    Products within the guard band of the bound are re-decided at ``dps``
+    digits.  The search starts at the float quotient bound/mu; when that
+    start lies in the band (a tiny mu, whose float quotient can be off by
+    many indices, or a bound close to a multiple of mu) it starts at the
+    high-precision quotient instead, so it settles within a step or two
+    either way.
+    """
+    import mpmath
+
     bf = float(bound)
-    i = max(1, math.floor(bf / mu) - 1 if mu > 0 else 1)
-    while True:
-        prod = i * mu
-        near = abs(prod - bf) <= GUARD_REL * max(1.0, abs(bf))
-        if near and mu_high is not None:
-            ok = _hp_decide(i, bound, mu_high, "ge" if closed else "gt")
-        else:
-            ok = (prod >= bf) if closed else (prod > bf)
-        if ok:
-            return i
+    band = GUARD_REL * max(1.0, abs(bf))
+
+    def near(i: int) -> bool:
+        return mu_high is not None and abs(i * mu - bf) <= band
+
+    def below(i: int) -> bool:
+        if near(i):
+            return _hp_below(i, bound, mu_high(dps), inclusive, dps)
+        return i * mu <= bf if inclusive else i * mu < bf
+
+    i = math.floor(bf / mu)
+    if near(i):
+        with mpmath.workdps(dps):
+            q = mpmath.mpf(bound.numerator) / mpmath.mpf(bound.denominator)
+            i = int(mpmath.floor(q / mu_high(dps)))
+    while below(i + 1):
         i += 1
-
-
-def _last_index_float(bound: Fraction, mu: float, closed: bool,
-                      mu_high: Callable | None) -> int:
-    """Largest i >= 0 with i*mu <(=) bound, float path with guard band."""
-    bf = float(bound)
-    i = math.floor(bf / mu) + 2 if mu > 0 else 0
-    while i > 0:
-        prod = i * mu
-        near = abs(prod - bf) <= GUARD_REL * max(1.0, abs(bf))
-        if near and mu_high is not None:
-            ok = _hp_decide(i, bound, mu_high, "le" if closed else "lt")
-        else:
-            ok = (prod <= bf) if closed else (prod < bf)
-        if ok:
-            return i
+    while i > 0 and not below(i):
         i -= 1
-    return 0
+    return i
 
 
 def j_set(mu_w, S: IntervalUnion, mu_high: Callable | None = None) -> IndexSet:
@@ -242,8 +239,9 @@ def j_set(mu_w, S: IntervalUnion, mu_high: Callable | None = None) -> IndexSet:
 
     ``mu_w`` may be an exact Rational (exact integer arithmetic throughout) or
     a float; in the float case products within a relative guard band of an
-    endpoint are re-decided at 50-digit precision through ``mu_high``, a
-    callable ``dps -> high-precision mu``.
+    endpoint are re-decided at 50-digit precision (more when indices pass
+    ~1e30) through ``mu_high``, a callable ``dps -> high-precision mu`` that
+    is evaluated at most once.
     """
     if isinstance(mu_w, Rational) and not isinstance(mu_w, float):
         mu = Fraction(mu_w)
@@ -263,10 +261,20 @@ def j_set(mu_w, S: IntervalUnion, mu_high: Callable | None = None) -> IndexSet:
     mu = float(mu_w)
     if not (mu > 0):
         raise ValueError("mu_w must be positive")
+    try:
+        top = math.floor(float(S.sup) / mu)
+    except OverflowError as exc:
+        raise ResourceError(f"index set of S = {S.label()} at mu = {mu:.3e} "
+                            "exceeds the float range") from exc
+    # neighbouring indices near the top must stay apart at that precision
+    dps = max(_HP_DPS, len(str(top)) + 20)
+    if mu_high is not None:
+        mu_high = functools.cache(mu_high)
     ranges = []
     for iv in S.intervals:
-        a = _first_index_float(iv.lo, mu, iv.lo_closed, mu_high)
-        b = _last_index_float(iv.hi, mu, iv.hi_closed, mu_high)
+        # first index past lo is one beyond the last index at or below it
+        a = _last_index_float(iv.lo, mu, not iv.lo_closed, mu_high, dps) + 1
+        b = _last_index_float(iv.hi, mu, iv.hi_closed, mu_high, dps)
         if b >= a:
             ranges.append((a, b))
     return IndexSet(tuple(ranges), sum(b - a + 1 for a, b in ranges), mu)
@@ -279,59 +287,26 @@ def required_prefix_length(word_len: int, J: IndexSet) -> int:
     return J.max_index() + word_len - 1
 
 
-@dataclass(frozen=True)
-class CountSample:
-    """Occurrence count of one word over (the available part of) its index set."""
+def count_word_occurrences(x: np.ndarray, w, ranges: Sequence[tuple[int, int]]):
+    """Occurrences of each row's word in its stream over inclusive index ranges.
 
-    count: int
-    word: tuple
-    mu_w: object
-    index_count: int
-    prefix_len_used: int
-    truncated: bool
-
-
-def count_word_occurrences(x: np.ndarray, w: Sequence[int],
-                           ranges: Sequence[tuple[int, int]]) -> int:
-    """Occurrences of w in x (1-indexed starts) over inclusive index ranges.
-
-    Ranges must already be clipped so windows fit inside x.
+    ``x`` is a (rows, length) symbol matrix and ``w`` the (rows, k) matrix of
+    the words sought, one per row; positions are 1-indexed window starts, and
+    the ranges must already be clipped so every window fits inside a row.
+    Returns the per-row counts.  A 1-D ``x`` with one word is the one-row
+    case and returns an int.
     """
-    w = np.asarray(w, dtype=x.dtype)
-    k = len(w)
-    total = 0
+    x = np.asarray(x)
+    rows = np.atleast_2d(x)
+    words = np.atleast_2d(np.asarray(w, dtype=x.dtype))
+    k = words.shape[1]
+    total = np.zeros(len(rows), dtype=np.int64)
     for a, b in ranges:
         n = b - a + 1
         if n <= 0:
             continue
-        acc = np.ones(n, dtype=bool)
-        base = a - 1
-        for j in range(k):
-            acc &= x[base + j: base + j + n] == w[j]
-        total += int(np.count_nonzero(acc))
-    return total
-
-
-def count_occurrences(x_prefix: Sequence[int], w: Sequence[int], J: IndexSet) -> CountSample:
-    """Count occurrences of w at positions i in J within the given prefix.
-
-    Positions whose window does not fit in the prefix are skipped and the
-    sample is flagged truncated.
-    """
-    x = np.asarray(x_prefix, dtype=np.int64)
-    w = tuple(int(s) for s in w)
-    k = len(w)
-    if k == 0:
-        raise ValueError("empty word")
-    max_start = len(x) - k + 1
-    truncated = J.max_index() > max_start
-    usable = J.clipped(max_start)
-    cnt = count_word_occurrences(x, w, usable.ranges)
-    return CountSample(
-        count=cnt,
-        word=w,
-        mu_w=J.mu_w,
-        index_count=J.count,
-        prefix_len_used=len(x),
-        truncated=truncated,
-    )
+        acc = rows[:, a - 1: a - 1 + n] == words[:, :1]
+        for j in range(1, k):
+            acc &= rows[:, a - 1 + j: a - 1 + j + n] == words[:, j: j + 1]
+        total += np.count_nonzero(acc, axis=1)
+    return int(total[0]) if x.ndim == 1 else total

@@ -75,25 +75,3 @@ def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     """Vectorized ``uniform_at``: float64 array of length ``count``."""
     return (raw_block(seed, start, count) >> _U64(11)).astype(np.float64) * 2.0**-53
 
-
-class CounterRng:
-    """Thin stateful cursor over the counter-based stream of one seed."""
-
-    __slots__ = ("seed", "pos")
-
-    def __init__(self, seed: int, pos: int = 0):
-        self.seed = seed & MASK64
-        self.pos = pos
-
-    def next_uniform(self) -> float:
-        u = uniform_at(self.seed, self.pos)
-        self.pos += 1
-        return u
-
-    def uniforms(self, count: int) -> np.ndarray:
-        block = uniform_block(self.seed, self.pos, count)
-        self.pos += count
-        return block
-
-    def skip(self, count: int) -> None:
-        self.pos += count

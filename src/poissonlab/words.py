@@ -68,13 +68,3 @@ def enumerate_words(alphabet_size: int, k: int) -> Iterator[Word]:
         )
     return iter(product(range(alphabet_size), repeat=k))
 
-
-def word_to_str(w: Sequence[int]) -> str:
-    return ",".join(str(s) for s in as_word(w))
-
-
-def word_from_str(s: str) -> Word:
-    s = s.strip()
-    if not s:
-        return ()
-    return as_word(int(part) for part in s.split(","))

@@ -1,8 +1,9 @@
 """Experiment runners: config validation, runner equivalence, artifacts, CLI.
 
-The annealed fast path is cross-checked against a literal per-pair reference
-loop with identical seed derivations, so the batched counting has an
-independent witness.
+The annealed runner (words planned together, streams drawn in batches and
+scanned by one vectorized kernel) is cross-checked against a literal
+per-sample, per-position reference loop with identical seed derivations, so
+the batched counting has an independent witness.
 """
 
 import json
@@ -13,18 +14,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from poissonlab.errors import (ConfigError, InsufficientDataError)
+from poissonlab.errors import ConfigError, InsufficientDataError
 from poissonlab.experiments import (default_n_cap, execute, parse_config,
                                     poisson_self_test, run_annealed,
                                     run_mixing, run_oracle_suite, run_quenched)
-from poissonlab.measures import (GaussCFModel, IidModel, make_generator,
-                                 model_from_spec, sample_word)
-from poissonlab.point_process import count_occurrences, j_set
+from poissonlab.measures import (GaussCFModel, IidModel, cylinder_prob_exact,
+                                 make_generator, model_from_spec, sample_word)
+from poissonlab.point_process import j_set, required_prefix_length
 from poissonlab.poisson_stats import fold_histogram
 from poissonlab.rng import derive_seed
 
 FAIR_SPEC = {"type": "iid", "probs": ["1/2", "1/2"]}
 BIASED_SPEC = {"type": "iid", "probs": ["3/4", "1/4"]}
+THREE_SPEC = {"type": "iid", "probs": ["1/2", "1/3", "1/6"]}
 MARKOV_SPEC = {"type": "markov",
                "transition": [["9/10", "1/10"], ["1/5", "4/5"]]}
 
@@ -72,6 +74,9 @@ class TestParseConfig:
         (_doc(functional="phi3"), "$.functional"),
         (_doc(truncations=[0]), "$.truncations"),
         (_doc(strict="yes"), "$.strict"),
+        (_doc(t_grid=[float("nan"), 5.0]), "$.t_grid"),
+        (_doc(t_grid=[float("inf")]), "$.t_grid"),
+        (_doc(truncations=[50, 2001]), "$.truncations"),
     ])
     def test_error_paths(self, doc, needle):
         with pytest.raises(ConfigError) as err:
@@ -105,37 +110,37 @@ class TestDefaultNCap:
 
 class TestAnnealed:
     def _reference_counts(self, cfg):
-        """Literal per-pair loop with the same seed labels as the runner."""
+        """Literal per-sample, per-position loop with the runner's seed labels."""
         out = np.zeros(cfg.n_samples, dtype=np.int64)
         trunc = np.zeros(cfg.n_samples, dtype=bool)
-        S = cfg.sets[0]
+        S, k = cfg.sets[0], cfg.k
         for i in range(cfg.n_samples):
-            w = sample_word(cfg.model, cfg.k, derive_seed(cfg.seed, 1, i))
-            mu = None
-            from poissonlab.measures import cylinder_prob_exact
-            mu = cylinder_prob_exact(cfg.model, w)
-            if mu == 0:
-                continue
-            J = j_set(mu, S)
+            w = sample_word(cfg.model, k, derive_seed(cfg.seed, 1, i))
+            J = j_set(cylinder_prob_exact(cfg.model, w), S)
             if J.is_empty():
                 continue
-            from poissonlab.point_process import required_prefix_length
-            need = min(required_prefix_length(cfg.k, J), cfg.n_cap)
-            x = make_generator(cfg.model, derive_seed(cfg.seed, 2, i)).take(need)
-            sample = count_occurrences(x, w, J)
-            out[i] = sample.count
-            trunc[i] = sample.truncated
+            need = min(required_prefix_length(k, J), cfg.n_cap)
+            x = make_generator(cfg.model, derive_seed(cfg.seed, 2, i)).take(need).tolist()
+            for a, b in J.ranges:
+                for pos in range(a, b + 1):
+                    if pos + k - 1 > len(x):
+                        trunc[i] = True
+                    elif tuple(x[pos - 1: pos - 1 + k]) == w:
+                        out[i] += 1
         return out, trunc
 
-    @pytest.mark.parametrize("model_spec", [FAIR_SPEC, BIASED_SPEC])
+    @pytest.mark.parametrize("model_spec", [FAIR_SPEC, BIASED_SPEC, THREE_SPEC, MARKOV_SPEC])
     def test_fast_path_matches_reference_loop(self, model_spec):
-        cfg = parse_config(_doc(model=model_spec, k=5, n_samples=150))
+        # n_cap = 60 truncates every model's rarer words except the fair coin's
+        cfg = parse_config(_doc(model=model_spec, k=5, n_samples=150, n_cap=60))
         rep = run_annealed(cfg)
         ref_counts, ref_trunc = self._reference_counts(cfg)
-        want = fold_histogram(ref_counts[~ref_trunc].tolist(), rep.sets[0].j_max)
-        assert rep.sets[0].histogram == want
-        assert rep.sets[0].n_truncated == int(ref_trunc.sum())
-        assert rep.sets[0].n_used + rep.sets[0].n_truncated == cfg.n_samples
+        sr = rep.sets[0]
+        assert sr.histogram == fold_histogram(ref_counts[~ref_trunc].tolist(), sr.j_max)
+        assert sr.truncated_histogram == fold_histogram(ref_counts[ref_trunc].tolist(), sr.j_max)
+        assert sr.n_truncated == int(ref_trunc.sum())
+        assert sr.n_used + sr.n_truncated == cfg.n_samples
+        assert (sr.n_truncated > 0) == (model_spec is not FAIR_SPEC)
 
     def test_fair_has_no_truncation(self):
         # dyadic mu: every word needs the same prefix, under the default cap
@@ -147,7 +152,7 @@ class TestAnnealed:
     def test_markov_generic_path(self):
         # rho = 0.9 converges slowly in k, so the systematic distance at
         # k = 6 is about 0.14 with the full index coverage; this exercises
-        # the per-pair path, not the limit
+        # Markov stream drawing and counting, not the limit
         cfg = parse_config(_doc(model=MARKOV_SPEC, k=6, n_samples=400,
                                 tv_tolerance=0.25, n_cap=400000))
         rep = run_annealed(cfg)
@@ -224,6 +229,13 @@ class TestOracleMode:
         assert "variance_dual_path" in names
         assert "count_law_tv_decay" in names
         assert all(row.status == "PASS" for row in rep.rows)
+
+    def test_undefined_majorant_is_skipped(self):
+        cfg = parse_config(_doc(mode="oracle", k=4, sets=[[["0", "1e-30", False, True]]]))
+        rep = run_oracle_suite(cfg)
+        statuses = {row.name: row.status for row in rep.rows}
+        assert statuses["scan_length_majorant"] == "SKIP"
+        assert rep.passed
 
     def test_gauss_suite_skips_rational_only_rows(self):
         cfg = parse_config(_doc(mode="oracle", model={"type": "gauss_cf"}))
@@ -348,6 +360,17 @@ class TestCli:
         r = self._run("oracle", "--config", cfg_path)
         assert r.returncode == 2
         assert "$.mode" in r.stderr
+
+    @pytest.mark.parametrize("mode,model", [
+        ("annealed", FAIR_SPEC), ("annealed", MARKOV_SPEC), ("quenched", FAIR_SPEC),
+    ])
+    def test_symbol_budget_is_exit_two(self, tmp_path, mode, model):
+        huge = [[["0", "1e300", False, True]]]
+        cfg_path = self._write(tmp_path / "c.json", _doc(mode=mode, model=model, sets=huge))
+        r = self._run(mode, "--config", cfg_path)
+        assert r.returncode == 2
+        assert "error:" in r.stderr and "budget" in r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_missing_file(self):
         r = self._run("annealed", "--config", "/nonexistent/x.json")

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poissonlab import point_process
 from poissonlab.errors import ResourceError
-from poissonlab.point_process import (IntervalUnion, count_occurrences,
-                                      count_word_occurrences, j_set,
-                                      required_prefix_length, unit_interval)
+from poissonlab.measures import GaussCFModel, cylinder_prob, cylinder_prob_high
+from poissonlab.point_process import (IntervalUnion, count_word_occurrences,
+                                      j_set, required_prefix_length,
+                                      unit_interval)
 
 
 class TestIntervalUnion:
@@ -121,6 +123,50 @@ class TestJSet:
         J = j_set(float(mu), unit_interval(), lambda dps: mu)
         assert J.ranges == ((1, 3),)
 
+    def test_float_guard_band_tiny_cylinder(self, monkeypatch):
+        # the float quotient 1/mu of these CF cylinders is off by thousands of
+        # indices; the boundary comes from one 50-digit quotient instead
+        decide = point_process._hp_below
+        decisions = []
+
+        def counted(*args):
+            decisions.append(args[0])
+            return decide(*args)
+
+        monkeypatch.setattr(point_process, "_hp_below", counted)
+        model = GaussCFModel()
+        for w, last in [((100000, 1, 1, 1, 1, 1, 1, 10000), 117170620088692532340),
+                        ((300000, 1, 1, 1, 1, 1, 1, 10000), 1054519898209733408612)]:
+            evaluations = []
+
+            def high(dps, w=w):
+                evaluations.append(dps)
+                return cylinder_prob_high(model, w, dps)
+
+            decisions.clear()
+            J = j_set(cylinder_prob(model, w), unit_interval(), high)
+            assert J.ranges == ((1, last),)
+            assert len(evaluations) == 1
+            assert len(decisions) <= 4
+
+    def test_float_guard_band_far_endpoint(self):
+        # indices near 1e40 are resolved at more than 50 digits; a set past
+        # the float range is a resource error, not a hang or a traceback
+        import mpmath
+
+        model = GaussCFModel()
+        w = (3, 7, 2)
+        mu = cylinder_prob(model, w)
+        S = IntervalUnion.from_spec([("0", "1e40", False, True)])
+        J = j_set(mu, S, lambda dps: cylinder_prob_high(model, w, dps))
+        (a, b), = J.ranges
+        with mpmath.workdps(100):
+            mu_hp = cylinder_prob_high(model, w, 100)
+            assert a == 1 and b * mu_hp <= 10**40 < (b + 1) * mu_hp
+        with pytest.raises(ResourceError):
+            j_set(mu, IntervalUnion.from_spec([("0", "1e400", False, True)]),
+                  lambda dps: cylinder_prob_high(model, w, dps))
+
     def test_sandwich_randomized_exact(self):
         rng = random.Random(987)
         for _ in range(2000):
@@ -153,15 +199,24 @@ class TestCounting:
         assert count_word_occurrences(x, (1, 1), [(1, 6)]) == 1
         assert count_word_occurrences(x, (0, 1), [(1, 2), (5, 6)]) == 2
 
-    def test_count_occurrences_flags_truncation(self):
-        x = np.array([0, 1, 0, 1], dtype=np.int64)
-        J = j_set(Fraction(1, 4), unit_interval())  # needs prefix length 5
-        sample = count_occurrences(x, (0, 1), J)
-        assert sample.truncated
-        assert sample.count == 2  # starts 1 and 3 fit
-        full = count_occurrences(np.array([0, 1, 0, 1, 0], dtype=np.int64), (0, 1), J)
-        assert not full.truncated
-        assert full.count == 2
+    def test_count_word_occurrences_rows(self):
+        # each row is scanned for its own word
+        x = np.array([[0, 1, 0, 1, 0], [1, 1, 1, 0, 1], [0, 1, 0, 1, 0]], dtype=np.uint8)
+        w = np.array([[0, 1], [1, 1], [1, 0]], dtype=np.uint8)
+        assert count_word_occurrences(x, w, [(1, 4)]).tolist() == [2, 2, 2]
+        assert count_word_occurrences(x, w, [(2, 3)]).tolist() == [1, 1, 1]
+        assert count_word_occurrences(x, w, []).tolist() == [0, 0, 0]
+
+    def test_count_word_occurrences_matches_literal_scan(self):
+        rng = np.random.default_rng(4)
+        ranges = [(1, 50), (90, 300)]
+        for k in (1, 3, 70):  # 70 binary symbols overflow an int64 window code
+            x = rng.integers(0, 2, size=(6, 300 + k - 1), dtype=np.uint8)
+            w = x[:, 10: 10 + k].copy()
+            want = [sum(1 for a, b in ranges for i in range(a, b + 1)
+                        if tuple(row[i - 1: i - 1 + k]) == tuple(word))
+                    for row, word in zip(x.tolist(), w.tolist())]
+            assert count_word_occurrences(x, w, ranges).tolist() == want
 
     def test_materialization_guard(self):
         J = j_set(Fraction(1, 10**8), unit_interval())

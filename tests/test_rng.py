@@ -5,8 +5,8 @@ from pathlib import Path
 
 import numpy as np
 
-from poissonlab.rng import (CounterRng, derive_seed, mix64, raw_block,
-                            uniform_at, uniform_block, value_at)
+from poissonlab.rng import (derive_seed, mix64, raw_block, uniform_at,
+                            uniform_block, value_at)
 
 DATA = Path(__file__).parent / "data"
 
@@ -70,12 +70,9 @@ def test_derive_seed_labels():
     assert derive_seed(43, 1) != a
 
 
-def test_counter_rng_stateless_restart():
-    r1 = CounterRng(5)
-    first = [r1.next_uniform() for _ in range(10)]
-    r2 = CounterRng(5)
-    again = [r2.next_uniform() for _ in range(10)]
-    assert first == again
+def test_uniform_block_chunks_equal_one_block():
+    chunks = [uniform_block(5, 0, 30), uniform_block(5, 30, 50), uniform_block(5, 80, 20)]
+    assert np.array_equal(np.concatenate(chunks), uniform_block(5, 0, 100))
 
 
 def test_disjoint_streams_differ():

@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from poissonlab.words import (as_word, enumerate_words, ext, overlap_merge,
-                              periods, word_from_str, word_to_str)
+from poissonlab.words import as_word, enumerate_words, ext, overlap_merge, periods
 
 
 def test_periods_examples():
@@ -38,11 +37,6 @@ def test_enumerate_words_count_and_order():
     assert ws[-1] == (1, 1, 1)
     assert len(set(ws)) == 8
     assert list(enumerate_words(3, 1)) == [(0,), (1,), (2,)]
-
-
-def test_word_str_roundtrip():
-    for w in [(0,), (1, 0, 1), (2, 0, 1)]:
-        assert word_from_str(word_to_str(w)) == w
 
 
 def test_as_word_validation():

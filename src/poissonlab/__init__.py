@@ -1,8 +1,8 @@
 """Simulation and verification laboratory for Poisson statistics of block
 occurrences in symbolic sequences (i.i.d., Markov, continued-fraction)."""
 
-from .errors import (ConfigError, InsufficientDataError, ResourceError,
-                     UnsupportedModelError)
+from .errors import (ConfigError, InsufficientDataError, InternalCheckError,
+                     ResourceError, UnsupportedModelError)
 from .experiments import (ExperimentConfig, GenericityReport, MixingReport,
                           OracleReport, QuenchedResult, QuenchedSummary,
                           execute, load_config, parse_config,

@@ -2,7 +2,8 @@
 
 One subcommand per experiment mode; each takes a JSON config plus an output
 directory, prints a human-readable summary, and exits 0 on pass, 1 on a
-statistical failure, 2 on configuration or resource problems.
+statistical failure, 2 on configuration or resource problems, and 3 when
+one of the package's own exact-identity or bound self-checks fails.
 """
 
 from __future__ import annotations
@@ -10,8 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (ConfigError, InsufficientDataError, ResourceError,
-                     UnsupportedModelError)
+from .errors import (ConfigError, InsufficientDataError, InternalCheckError,
+                     ResourceError, UnsupportedModelError)
 from .experiments import (MODES, ConcentrationReport, GenericityReport,
                           MixingReport, OracleReport, QuenchedResult, execute,
                           parse_config, read_config_doc)
@@ -102,6 +103,9 @@ def main(argv: list[str] | None = None) -> int:
             UnsupportedModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalCheckError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 3
     _print_payload(payload)
     if args.out is not None:
         print(f"reports written to {args.out}")

@@ -13,6 +13,10 @@ class ResourceError(RuntimeError):
     """An enumeration or scan guard would be exceeded."""
 
 
+class InternalCheckError(RuntimeError):
+    """A built-in self-check of an exact identity or analytic bound failed."""
+
+
 class UnsupportedModelError(ValueError):
     """Operation not defined for this measure model."""
 

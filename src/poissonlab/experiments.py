@@ -47,6 +47,7 @@ from .words import enumerate_words, periods
 MODES = ("annealed", "quenched", "oracle", "concentration", "mixing")
 SYMBOL_BUDGET = 2 * 10**9  # symbols one annealed or quenched run may draw
 _BATCH_ELEMS = 1 << 23  # symbols per batch of annealed streams
+HISTOGRAM_BINS_GUARD = 10**6  # count-histogram bins one target set may need
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +133,17 @@ def parse_config(doc: dict) -> ExperimentConfig:
     sets = []
     for i, item in enumerate(sets_doc):
         try:
-            sets.append(IntervalUnion.from_spec(item))
+            S = IntervalUnion.from_spec(item)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"$.sets[{i}]: {exc}") from exc
+        # the Poisson reference has one entry per count up to j_max; the
+        # first test keeps float(|S|) in range
+        if S.total_length > HISTOGRAM_BINS_GUARD \
+                or histogram_j_max(float(S.total_length)) > HISTOGRAM_BINS_GUARD:
+            raise ConfigError(
+                f"$.sets[{i}]: |S| is above {(HISTOGRAM_BINS_GUARD - 10) // 10}, so its "
+                f"count histogram would need more than {HISTOGRAM_BINS_GUARD} bins")
+        sets.append(S)
     if mode in ("annealed", "quenched", "concentration") and not sets:
         raise ConfigError("$.sets: at least one target set is required")
 

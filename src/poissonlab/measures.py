@@ -40,6 +40,9 @@ _LN2 = math.log(2.0)
 # past perturbs the digit law by O(sigma^64) ~ 1e-33, far below the 1e-16
 # resolution of the float CDF evaluation itself.
 RENORM_WINDOW = 64
+# take() draws the CF sampler's uniforms in blocks of this many, so a long
+# stream never holds more than one block of them as Python floats
+_CF_UNIFORM_BLOCK = 1 << 20
 
 
 def _to_fraction(x, what: str) -> Fraction:
@@ -430,7 +433,7 @@ class SequenceGenerator:
         if isinstance(model, MarkovModel):
             return self._markov_next()
         if isinstance(model, GaussCFModel):
-            return self._gauss_next()
+            return self._gauss_next(uniform_at(self.seed, self.emitted))
         return int(self.take(1)[0])
 
     # -- bulk path
@@ -447,6 +450,12 @@ class SequenceGenerator:
                 return np.minimum(idx, len(model.probs) - 1).astype(np.int64)
             return self._geometric_take(n)
         out = np.empty(n, dtype=np.int64)
+        if isinstance(model, GaussCFModel):
+            for lo in range(0, n, _CF_UNIFORM_BLOCK):
+                us = uniform_block(self.seed, self.emitted, min(_CF_UNIFORM_BLOCK, n - lo))
+                for i, u in enumerate(us.tolist(), start=lo):
+                    out[i] = self._gauss_next(u)
+            return out
         for i in range(n):
             out[i] = self.next()
         return out
@@ -477,8 +486,8 @@ class SequenceGenerator:
 
     # -- exact CF digit sampling
 
-    def _gauss_next(self) -> int:
-        u = uniform_at(self.seed, self.emitted)
+    def _gauss_next(self, u: float) -> int:
+        """Next CF digit from the uniform ``u`` at counter ``emitted``."""
         self.emitted += 1
         p, q, pp, qq = self._p, self._q, self._pp, self._qq
         A, B, C, D = pp + qq, p + q, qq, q

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
-from .errors import ConfigError, UnsupportedModelError
+from .errors import ConfigError, InternalCheckError, UnsupportedModelError
 from .measures import (IidModel, MarkovModel, MixingProfile, Model,
                        SequenceGenerator, cylinder_prob, cylinder_prob_exact,
                        cylinder_prob_guarded, make_generator, mixing_profile,
@@ -156,7 +156,7 @@ def delta_norm(delta: np.ndarray, tol: float = 1e-10) -> DeltaNormResult:
         if abs(new_lam - lam) <= tol * max(new_lam, 1e-300):
             return DeltaNormResult(math.sqrt(new_lam), n, it)
         lam = new_lam
-    raise RuntimeError("power iteration did not converge within 1e5 iterations")
+    raise InternalCheckError("power iteration did not converge within 1e5 iterations")
 
 
 def delta_norm_bound(profile: MixingProfile) -> float:
@@ -219,7 +219,7 @@ def _weights(k: int, S: IntervalUnion, profile: MixingProfile, factor: float,
     k_eff = max(profile.K, 1.0) ** 2
     bound = bound_poly * sup * k_eff * profile.rho**k
     if norm_sq > bound * (1.0 + 1e-9):
-        raise RuntimeError("weight norm exceeded its analytic majorant")
+        raise InternalCheckError("weight norm exceeded its analytic majorant")
     return LipschitzWeights(k, factor, cap, sup, values, norm_sq, bound, crossover)
 
 
@@ -275,7 +275,7 @@ def azuma_bound(c: LipschitzWeights | np.ndarray, eta: EtaMatrix) -> AzumaBound:
         dn = 1.0 + float(np.sum(lags))
     c_norm = float(np.linalg.norm(cv))
     if d_norm > dn * c_norm + 1e-9:
-        raise RuntimeError("coefficient bound exceeded the operator-norm product")
+        raise InternalCheckError("coefficient bound exceeded the operator-norm product")
     return AzumaBound(d, d_norm, dn)
 
 

@@ -10,6 +10,7 @@ whenever the model is rational.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ResourceError, UnsupportedModelError
+from .errors import InternalCheckError, ResourceError, UnsupportedModelError
 from .measures import (GaussCFModel, IidModel, MarkovModel, MixingProfile, Model,
                        contraction_profile, cylinder_prob, cylinder_prob_exact,
                        cylinder_prob_high, mixing_profile)
@@ -29,6 +30,7 @@ PREFIX_LEN_GUARD = 26
 PREFIX_STATES_GUARD = 1 << 26
 ANNEALED_ENUM_GUARD = 1 << 20
 PERIOD_ENUM_GUARD = 1 << 24
+_BLOCK_CODES = 1 << 20  # prefixes in the low block of the enumeration
 
 
 def _exact_mu(model: Model, w):
@@ -57,7 +59,7 @@ def exact_expectation(model: Model, w: Sequence[int], S: IntervalUnion):
     size = S.total_length if isinstance(mu, Fraction) else float(S.total_length)
     slack = 0 if isinstance(mu, Fraction) else 1e-9
     if abs(e - size) > S.m * mu + slack:
-        raise RuntimeError("index-count sandwich violated; endpoint handling is broken")
+        raise InternalCheckError("index-count sandwich violated; endpoint handling is broken")
     return e
 
 
@@ -187,22 +189,12 @@ def exact_variance(model: Model, w: Sequence[int], S: IntervalUnion) -> Variance
 # exhaustive enumeration
 
 
-def _decode_digits(codes: np.ndarray, s: int, L: int) -> np.ndarray:
-    out = np.empty((codes.size, L), dtype=np.int8)
-    for pos in range(L):
-        out[:, pos] = (codes // s ** (L - 1 - pos)) % s
-    return out
-
-
-def _occurrence_counts(digits: np.ndarray, w, starts: np.ndarray) -> np.ndarray:
-    k = len(w)
-    counts = np.zeros(digits.shape[0], dtype=np.int64)
-    for i in starts:
-        hit = np.ones(digits.shape[0], dtype=bool)
-        for j in range(k):
-            hit &= digits[:, i - 1 + j] == w[j]
-        counts += hit
-    return counts
+def _window_hits(rows: np.ndarray, pattern) -> np.ndarray:
+    """Columns of a position-major digit table whose rows spell ``pattern``."""
+    hit = rows[0] == pattern[0]
+    for row, sym in zip(rows[1:], pattern[1:]):
+        hit &= row == sym
+    return hit
 
 
 def brute_force_distribution(model: Model, w: Sequence[int],
@@ -210,9 +202,16 @@ def brute_force_distribution(model: Model, w: Sequence[int],
     """Exact law of the count over J by enumerating every prefix.
 
     Enumerates all alphabet^L prefixes of the required length L with their
-    exact rational probabilities (grouped by sufficient statistics, so the
-    rational arithmetic touches only distinct probability values).  Guards:
-    L <= 26 and alphabet^L <= 2^26; finite-alphabet rational models only.
+    exact rational probabilities, grouped by sufficient statistics (symbol
+    counts, or first symbol and transition counts) so the rational
+    arithmetic touches only distinct probability values.  Each prefix is a
+    high part (the first L - b positions) followed by a low block of the
+    last b positions, b the largest with alphabet^b <= 2^20.  The low
+    block's digit table, its inner window counts and its statistics are
+    built once; each high part then adds its own constants, the windows
+    straddling the split and the one transition across it, and the
+    prefixes are grouped with ``np.unique``.  Guards: L <= 26 and
+    alphabet^L <= 2^26; finite-alphabet rational models only.
     """
     w = as_word(w)
     k = len(w)
@@ -232,67 +231,104 @@ def brute_force_distribution(model: Model, w: Sequence[int],
         raise ResourceError(f"{s}**{L} prefixes exceed guard {PREFIX_STATES_GUARD}")
     starts = J.indices()
     j_cap = len(starts)
-
     uniform = isinstance(model, IidModel) and len(set(model.probs)) == 1
-    dist: dict[int, Fraction] = {}
-    agg: dict[int, int] = {}
-    chunk = 1 << 20
-    total_codes = s**L
-    for start_code in range(0, total_codes, chunk):
-        codes = np.arange(start_code, min(start_code + chunk, total_codes), dtype=np.int64)
-        digits = _decode_digits(codes, s, L)
-        counts = _occurrence_counts(digits, w, starts)
-        if uniform:
-            vals, freqs = np.unique(counts, return_counts=True)
-            for v, f in zip(vals, freqs):
-                agg[int(v)] = agg.get(int(v), 0) + int(f)
-            continue
-        if isinstance(model, IidModel):
-            key = np.zeros(codes.size, dtype=np.int64)
-            base = 1
-            for a in range(s):
-                key += base * np.count_nonzero(digits == a, axis=1)
-                base *= L + 1
+    markov = isinstance(model, MarkovModel)
+    if not uniform:
+        key_range = (L + 1) ** (s * s) * s if markov else (L + 1) ** s
+        if key_range * (j_cap + 1) >= 1 << 63:
+            raise ResourceError("enumeration key would overflow; reduce L or s")
+
+    b = 0
+    while b < L and s ** (b + 1) <= _BLOCK_CODES:
+        b += 1
+    h = L - b
+    # position-major digit table of the low block: row p is position h + p
+    dtype = np.min_scalar_type(s - 1)
+    symbols = np.arange(s, dtype=dtype)
+    low = np.empty((b, s**b), dtype=dtype)
+    for p in range(b):
+        low[p] = np.tile(np.repeat(symbols, s ** (b - 1 - p)), s**p)
+
+    # a window starting at 0-based position f < h counts when the high part
+    # spells w[:h - f] from f and the low block spells the rest of w (if any)
+    counts_low = np.zeros(s**b, dtype=np.int64)
+    high_windows = []  # (f, low-block hits of w[h - f:], or 1 when empty)
+    for f in (int(i) - 1 for i in starts):
+        if f >= h:
+            counts_low += _window_hits(low[f - h: f - h + k], w)
         else:
-            if (L + 1) ** (s * s) * s >= 1 << 63:
-                raise ResourceError("Markov enumeration key would overflow; reduce L or s")
-            key = np.zeros(codes.size, dtype=np.int64)
-            base = 1
-            left = digits[:, :-1]
-            right = digits[:, 1:]
-            for a in range(s):
-                for b in range(s):
-                    key += base * np.count_nonzero((left == a) & (right == b), axis=1)
-                    base *= L + 1
-            key = key * s + digits[:, 0]
-        combined = key * (j_cap + 1) + counts
-        vals, freqs = np.unique(combined, return_counts=True)
-        for v, f in zip(vals, freqs):
-            agg[int(v)] = agg.get(int(v), 0) + int(f)
+            tail = w[h - f:]
+            high_windows.append((f, _window_hits(low, tail) if tail else 1))
+
+    # sufficient statistic as a mixed-radix key, one digit (base L + 1) per
+    # symbol or per transition (a, c) at place a * s + c; the low block's
+    # keys are built by prepending one position at a time to the keys of
+    # the positions after it
+    if markov:
+        weights = np.array([[(L + 1) ** (a * s + c) for c in range(s)]
+                            for a in range(s)], dtype=np.int64)
+        key_low = np.zeros(s ** min(b, 1), dtype=np.int64)
+        for _ in range(b - 1):
+            key_low = (weights[:, :, None] + key_low.reshape(s, -1)).ravel()
+    elif not uniform:
+        weights = np.array([(L + 1) ** a for a in range(s)], dtype=np.int64)
+        key_low = np.zeros(1, dtype=np.int64)
+        for _ in range(b):
+            key_low = (weights[:, None] + key_low).ravel()
+
+    agg: dict[int, int] = {}
+    for high in itertools.product(range(s), repeat=h):
+        counts = counts_low
+        for f, hits in high_windows:
+            if high[f: f + k] == w[: h - f]:
+                counts = counts + hits
+        if uniform:
+            freqs = np.bincount(counts, minlength=j_cap + 1)
+            for v in np.flatnonzero(freqs):
+                agg[int(v)] = agg.get(int(v), 0) + int(freqs[v])
+            continue
+        if markov:
+            key = key_low + sum(int(weights[a, c]) for a, c in zip(high, high[1:]))
+            if h and b:
+                key += weights[high[-1]][low[0]]
+            key *= s
+            key += high[0] if h else low[0]
+        else:
+            key = key_low + sum(int(weights[a]) for a in high)
+        key *= j_cap + 1
+        key += counts
+        vals, freqs = np.unique(key, return_counts=True)
+        for v, f in zip(vals.tolist(), freqs.tolist()):
+            agg[v] = agg.get(v, 0) + f
 
     if uniform:
-        p_prefix = model.probs[0] ** L
-        for v, f in agg.items():
-            dist[v] = dist.get(v, Fraction(0)) + f * p_prefix
+        dist = {j: f * model.probs[0] ** L for j, f in agg.items()}
     else:
+        # integer weights over one common denominator: each probability is
+        # scaled by the lcm of the denominators of its kind
+        if markov:
+            probs = [model.transition[a][c] for a in range(s) for c in range(s)]
+            head_scale = math.lcm(*(p.denominator for p in model.pi))
+            heads = [int(p * head_scale) for p in model.pi]
+        else:
+            probs = [model.symbol_prob(a) for a in range(s)]
+        scale = math.lcm(*(p.denominator for p in probs))
+        powers = [[int(p * scale) ** n for n in range(L + 1)] for p in probs]
+        totals: dict[int, int] = {}
         for combined, f in agg.items():
             key, j = divmod(combined, j_cap + 1)
-            if isinstance(model, IidModel):
-                prob = Fraction(1)
-                for a in range(s):
-                    key, n_a = divmod(key, L + 1)
-                    prob *= model.symbol_prob(a) ** n_a
-            else:
+            if markov:
                 key, first = divmod(key, s)
-                prob = model.pi[first]
-                for a in range(s):
-                    for b in range(s):
-                        key, n_ab = key // (L + 1), key % (L + 1)
-                        prob *= model.transition[a][b] ** n_ab
-            dist[j] = dist.get(j, Fraction(0)) + f * prob
+                f *= heads[first]
+            for pw in powers:
+                key, n = divmod(key, L + 1)
+                f *= pw[n]
+            totals[j] = totals.get(j, 0) + f
+        denom = scale ** (L - 1) * head_scale if markov else scale**L
+        dist = {j: Fraction(t, denom) for j, t in totals.items()}
 
     if sum(dist.values()) != 1:
-        raise RuntimeError("enumeration lost mass; grouping is broken")
+        raise InternalCheckError("enumeration lost mass; grouping is broken")
     return dict(sorted(dist.items()))
 
 
@@ -423,7 +459,7 @@ def annealed_exact_expectation(model: Model, k: int, S: IntervalUnion) -> Fracti
     prof = contraction_profile(model)
     bound = S.m * prof.K * prof.rho**k
     if abs(float(total - S.total_length)) > bound * (1 + 1e-12) + 1e-15:
-        raise RuntimeError("annealed expectation drifted outside the sandwich bound")
+        raise InternalCheckError("annealed expectation drifted outside the sandwich bound")
     return total
 
 

@@ -189,7 +189,13 @@ class IndexSet:
 
 
 def _hp_below(i: int, bound: Fraction, mu_hp, inclusive: bool, dps: int) -> bool:
-    """i*mu <= bound (inclusive) or i*mu < bound, with mu at ``dps`` digits."""
+    """i*mu <= bound (inclusive) or i*mu < bound, with mu at ``dps`` digits.
+
+    An exact rational mu is decided exactly, so ties i*mu == bound fall on
+    the same side as on the exact path.
+    """
+    if isinstance(mu_hp, Fraction):
+        return i * mu_hp <= bound if inclusive else i * mu_hp < bound
     import mpmath
 
     with mpmath.workdps(dps):

@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, InternalCheckError
 from .rng import uniform_block
 
 
@@ -101,7 +101,7 @@ def poisson_param_shift(lam: float, t: float, h: Callable[[int], float],
     gap = abs(poisson_avg(lam, h, tail_tol) - poisson_avg(t, h, tail_tol))
     bound = 2.0 * abs(lam - t) + 1e-9
     if gap > bound:
-        raise RuntimeError(f"parameter-shift bound violated: {gap} > {bound}")
+        raise InternalCheckError(f"parameter-shift bound violated: {gap} > {bound}")
     return gap
 
 

@@ -365,12 +365,37 @@ class TestCli:
         ("annealed", FAIR_SPEC), ("annealed", MARKOV_SPEC), ("quenched", FAIR_SPEC),
     ])
     def test_symbol_budget_is_exit_two(self, tmp_path, mode, model):
-        huge = [[["0", "1e300", False, True]]]
+        # |S| = 1 far out: the histogram stays small, the streams do not
+        huge = [[[str(10**300), str(10**300 + 1), False, True]]]
         cfg_path = self._write(tmp_path / "c.json", _doc(mode=mode, model=model, sets=huge))
         r = self._run(mode, "--config", cfg_path)
         assert r.returncode == 2
         assert "error:" in r.stderr and "budget" in r.stderr
         assert "Traceback" not in r.stderr
+
+    def test_huge_target_set_is_exit_two(self, tmp_path):
+        huge = [[["0", "1e300", False, True]]]
+        cfg_path = self._write(tmp_path / "c.json", _doc(sets=huge, n_cap=1000))
+        r = subprocess.run([sys.executable, "-m", "poissonlab.cli", "annealed",
+                            "--config", cfg_path],
+                           capture_output=True, text=True, timeout=30)
+        assert r.returncode == 2
+        assert "error: $.sets[0]:" in r.stderr and "histogram" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_internal_check_failure_is_exit_three(self, tmp_path, monkeypatch, capsys):
+        from poissonlab import cli, oracles
+        from poissonlab.point_process import IndexSet
+
+        # a J of one index, where about |S|/mu are due, breaks the sandwich
+        monkeypatch.setattr(oracles, "j_set", lambda mu, S, mu_high=None:
+                            IndexSet(((1, 1),), 1, mu))
+        cfg_path = self._write(tmp_path / "c.json",
+                               _doc(mode="oracle", model=MARKOV_SPEC, k=4))
+        assert cli.main(["oracle", "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal check failed: index-count sandwich")
+        assert "Traceback" not in err
 
     def test_missing_file(self):
         r = self._run("annealed", "--config", "/nonexistent/x.json")

@@ -154,6 +154,22 @@ class TestGenerators:
             parts = np.concatenate([gen.take(30), gen.take(50), gen.take(20)])
             assert np.array_equal(whole, parts)
 
+    # 300 digits cross the RENORM_WINDOW re-base at 128 twice; a block of 7
+    # uniforms makes take() cross its own block boundaries too
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_cf_take_equals_next_calls(self, block, monkeypatch):
+        from poissonlab import measures
+        if block is not None:
+            monkeypatch.setattr(measures, "_CF_UNIFORM_BLOCK", block)
+        assert 300 > 2 * measures.RENORM_WINDOW
+        bulk = make_generator(GaussCFModel(), 2718)
+        scalar = make_generator(GaussCFModel(), 2718)
+        taken = bulk.take(300)
+        stepped = [scalar.next() for _ in range(300)]
+        assert taken.tolist() == stepped
+        assert bulk.emitted == scalar.emitted == 300
+        assert bulk.convergents() == scalar.convergents()
+
     def test_sample_word_is_prefix_of_stream(self):
         w = sample_word(FAIR, 6, 999)
         x = make_generator(FAIR, 999).take(6)

@@ -4,11 +4,13 @@ Every frozen constant below was produced by exhaustive enumeration over all
 prefixes of the required length and is therefore exact, not sampled.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+from poissonlab import oracles
 from poissonlab.errors import ResourceError, UnsupportedModelError
 from poissonlab.measures import (GaussCFModel, IidModel, MarkovModel,
                                  contraction_profile, cylinder_prob_exact,
@@ -26,6 +28,8 @@ FAIR = IidModel(probs=(Fraction(1, 2), Fraction(1, 2)))
 BIASED = IidModel(probs=(Fraction(3, 4), Fraction(1, 4)))
 CHAIN = MarkovModel(transition=((Fraction(9, 10), Fraction(1, 10)),
                                 (Fraction(1, 5), Fraction(4, 5))))
+THIRD = IidModel(probs=(Fraction(1, 3), Fraction(2, 3)))
+TRIPLE = IidModel(probs=(Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)))
 UNIT = unit_interval()
 HALF = IntervalUnion.from_spec([(0, Fraction(1, 2), False, True)])
 
@@ -187,6 +191,46 @@ class TestBruteForce:
         g = IidModel(tail_ratio=Fraction(1, 2))
         with pytest.raises(UnsupportedModelError):
             brute_force_distribution(g, (0, 1), UNIT)
+
+
+def _literal_distribution(model, w, S):
+    """Reference law: decode every prefix, scan its windows over J one by
+    one and weigh it by its own cylinder probability."""
+    k = len(w)
+    starts = j_set(cylinder_prob_exact(model, w), S).indices()
+    L = int(starts.max()) + k - 1
+    dist = {}
+    for prefix in itertools.product(range(model.alphabet_size), repeat=L):
+        j = sum(prefix[i - 1: i - 1 + k] == w for i in starts)
+        dist[j] = dist.get(j, Fraction(0)) + cylinder_prob_exact(model, prefix)
+    return dict(sorted(dist.items()))
+
+
+class TestEnumerationAgainstLiteralScan:
+    SETS = (UNIT, HALF, IntervalUnion.from_spec(
+        [("1/3", 1, True, True), (2, "5/2", False, False)]))
+
+    @pytest.mark.parametrize("model", [FAIR, THIRD, TRIPLE, CHAIN],
+                             ids=["fair", "third", "three_symbol", "markov"])
+    # the real low block holds every prefix at these lengths; a block of 8
+    # prefixes makes windows and one transition straddle the split, a block
+    # of 1 leaves every position in the high part
+    @pytest.mark.parametrize("block", [None, 8, 1])
+    def test_matches_literal_scan(self, model, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(oracles, "_BLOCK_CODES", block)
+        s = model.alphabet_size
+        checked = 0
+        for S in self.SETS:
+            for k in (1, 2, 3):
+                for w in enumerate_words(s, k):
+                    J = j_set(cylinder_prob_exact(model, w), S)
+                    if J.is_empty() or s ** required_prefix_length(k, J) > 2000:
+                        continue
+                    assert brute_force_distribution(model, w, S) \
+                        == _literal_distribution(model, w, S), (w, S.label())
+                    checked += 1
+        assert checked >= 10
 
 
 class TestDpDistribution:

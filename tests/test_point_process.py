@@ -123,6 +123,27 @@ class TestJSet:
         J = j_set(float(mu), unit_interval(), lambda dps: mu)
         assert J.ranges == ((1, 3),)
 
+    def test_float_guard_band_exact_rational_ties(self):
+        # endpoints are exact multiples of mu: 4 * mu = 248/73, 8 * mu = 496/73
+        mu = Fraction(62, 73)
+        S = IntervalUnion.from_spec([("248/73", "496/73", True, True)])
+        assert j_set(float(mu), S, lambda dps: mu).ranges == ((4, 8),)
+        assert j_set(mu, S).ranges == ((4, 8),)
+
+    def test_float_guard_band_ties_agree_with_exact_path(self):
+        import random
+        rnd = random.Random(2024)
+        for _ in range(300):
+            mu = Fraction(rnd.randint(1, 400), rnd.randint(1, 400))
+            lo = rnd.randint(0, 50)
+            hi = lo + rnd.randint(0, 50)
+            closed = (rnd.random() < 0.5, rnd.random() < 0.5)
+            if lo == hi:
+                closed = (True, True)
+            S = IntervalUnion.from_spec([(lo * mu, hi * mu) + closed])
+            assert j_set(float(mu), S, lambda dps: mu).ranges == j_set(mu, S).ranges, \
+                (mu, S.label())
+
     def test_float_guard_band_tiny_cylinder(self, monkeypatch):
         # the float quotient 1/mu of these CF cylinders is off by thousands of
         # indices; the boundary comes from one 50-digit quotient instead

@@ -38,6 +38,10 @@ PINS = [
       "n_cap": 20000}, "e110e3da22252fd1"),
     ({"mode": "quenched", "model": GAUSS, "k": 3, "n_samples": 200,
       "n_cap": 20000}, "2afa36809751f7c6"),
+    ({"mode": "quenched", "model": THREE, "k": 5, "n_samples": 300,
+      "n_x_replicas": 2, "sets": [HALF, QUARTERS]}, "97e215ad08030209"),
+    ({"mode": "quenched", "model": TAIL, "k": 3, "n_samples": 200,
+      "n_cap": 5000}, "b403a3ae1cd41ee3"),
 ]
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -41,7 +42,8 @@ from .point_process import (IndexSet, IntervalUnion, count_word_occurrences,
 from .poisson_stats import (fold_histogram, histogram_j_max, kallenberg_check,
                             poisson_reference, sample_poisson_counts,
                             tv_distance)
-from .rng import derive_seed, uniform_block
+from .rng import derive_seed, raw_chunks
+from .rng import uniform_block  # noqa: F401  (perfbench's tracer self-test wraps this binding)
 from .words import enumerate_words, periods
 
 MODES = ("annealed", "quenched", "oracle", "concentration", "mixing")
@@ -143,6 +145,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ConfigError(
                 f"$.sets[{i}]: |S| is above {(HISTOGRAM_BINS_GUARD - 10) // 10}, so its "
                 f"count histogram would need more than {HISTOGRAM_BINS_GUARD} bins")
+        if S.sup > sys.float_info.max:  # float(S.sup) would raise OverflowError
+            raise ConfigError(f"$.sets[{i}]: sup S is past the float range")
         sets.append(S)
     if mode in ("annealed", "quenched", "concentration") and not sets:
         raise ConfigError("$.sets: at least one target set is required")
@@ -161,6 +165,16 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if min_passing > n_x_replicas:
         raise ConfigError("$.min_passing_replicas: exceeds n_x_replicas")
 
+    floor = None  # heuristic n_cap floor sup S / (K rho^k) of a finite alphabet
+    if sets and not isinstance(model, GaussCFModel):
+        prof = contraction_profile(model)
+        scale = prof.K * prof.rho**k
+        for i, S in enumerate(sets):
+            # default_n_cap takes the ceiling of 10 sup S / (K rho^k)
+            if scale == 0.0 or not math.isfinite(10.0 * float(S.sup) / scale):
+                raise ConfigError(f"$.sets[{i}]: sup S / (K rho^k) at k={k} is past "
+                                  "the float range, so no stream length reaches it")
+        floor = max(float(S.sup) for S in sets) / scale
     warnings: list[str] = []
     if "n_cap" in doc:
         n_cap = _cfg_int(doc, "n_cap", None, lo=1)
@@ -168,13 +182,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         n_cap = default_n_cap(model, k, sets)
     if n_cap < k:
         raise ConfigError("$.n_cap: must be at least k")
-    if sets and not isinstance(model, GaussCFModel):
-        prof = contraction_profile(model)
-        floor = max(float(S.sup) for S in sets) / (prof.K * prof.rho**k)
-        if n_cap < floor:
-            warnings.append(
-                f"n_cap={n_cap} is below the heuristic floor {floor:.3g}; "
-                "expect truncated samples")
+    if floor is not None and n_cap < floor:
+        warnings.append(
+            f"n_cap={n_cap} is below the heuristic floor {floor:.3g}; "
+            "expect truncated samples")
 
     t_grid_doc = doc.get("t_grid", [])
     if not isinstance(t_grid_doc, list) or any(
@@ -347,18 +358,17 @@ def _check_budget(symbols: int) -> None:
             f"{SYMBOL_BUDGET:.0e}; reduce n_samples, n_x_replicas or n_cap")
 
 
-def _draw(model: Model, seeds: Sequence[int], length: int) -> np.ndarray:
+def _draw(model: Model, seeds: np.ndarray, length: int) -> np.ndarray:
     """(len(seeds), length) symbol matrix: row r is the first ``length``
     symbols of the stream with seed ``seeds[r]``, symbol for symbol as
     ``make_generator(model, seeds[r]).take(length)``."""
     if isinstance(model, IidModel) and model.probs is not None:
-        u = np.stack([uniform_block(sd, 0, length) for sd in seeds])
-        # the number of cumulative probabilities at or below u, as in take()
-        out = np.zeros(u.shape, dtype=np.min_scalar_type(len(model.probs) - 1))
-        for c in model._cum[:-1]:
-            out += u >= c
+        out = np.empty((len(seeds), length),
+                       dtype=np.min_scalar_type(len(model.probs) - 1))
+        for rows, cols, raw in raw_chunks(seeds, length):
+            model.symbols(raw, out[rows, cols])
         return out
-    return np.stack([make_generator(model, sd).take(length) for sd in seeds])
+    return np.stack([make_generator(model, sd).take(length) for sd in seeds.tolist()])
 
 
 @dataclass
@@ -389,6 +399,12 @@ def _plan_words(model: Model, words: np.ndarray, sets: Sequence[IntervalUnion],
     return plan_of.reshape(-1), plans
 
 
+def _plan_members(plan_of: np.ndarray) -> list[np.ndarray]:
+    """The ascending indices of the words of each plan."""
+    return np.split(np.argsort(plan_of, kind="stable"),
+                    np.cumsum(np.bincount(plan_of))[:-1])
+
+
 # ---------------------------------------------------------------------------
 # annealed
 
@@ -398,10 +414,8 @@ def run_annealed(cfg: ExperimentConfig) -> GenericityReport:
     target set's index positions, against the Poisson(|S|) law."""
     if cfg.mode != "annealed":
         raise ConfigError("$.mode: run_annealed needs mode 'annealed'")
-    if cfg.strict and cfg.n_samples < 100:
-        raise InsufficientDataError("$.n_samples: need >= 100 in strict mode")
     model, k, n = cfg.model, cfg.k, cfg.n_samples
-    words = _draw(model, [derive_seed(cfg.seed, 1, i) for i in range(n)], k)
+    words = _draw(model, derive_seed(cfg.seed, 1, np.arange(n)), k)
     plan_of, plans = _plan_words(model, words, cfg.sets, k)
     lengths = [min(plan.need, cfg.n_cap) for plan in plans]
     _check_budget(sum(lengths[p] for p in plan_of.tolist()))
@@ -409,9 +423,7 @@ def run_annealed(cfg: ExperimentConfig) -> GenericityReport:
     n_sets = len(cfg.sets)
     counts = [np.zeros(n, dtype=np.int64) for _ in range(n_sets)]
     truncated = [np.zeros(n, dtype=bool) for _ in range(n_sets)]
-    groups = np.split(np.argsort(plan_of, kind="stable"),
-                      np.cumsum(np.bincount(plan_of))[:-1])
-    for plan, length, members in zip(plans, lengths, groups):
+    for plan, length, members in zip(plans, lengths, _plan_members(plan_of)):
         if length == 0:  # every index set empty: counts stay 0, complete
             continue
         max_start = length - k + 1
@@ -421,8 +433,7 @@ def run_annealed(cfg: ExperimentConfig) -> GenericityReport:
         step = max(1, _BATCH_ELEMS // length)
         for lo in range(0, len(members), step):
             rows = members[lo: lo + step]
-            streams = _draw(model, [derive_seed(cfg.seed, 2, int(i)) for i in rows],
-                            length)
+            streams = _draw(model, derive_seed(cfg.seed, 2, rows), length)
             for si, rs in enumerate(ranges):
                 counts[si][rows] = count_word_occurrences(streams, words[rows], rs)
     return _genericity_report(cfg, "annealed", counts, truncated, None)
@@ -437,8 +448,6 @@ def run_quenched(cfg: ExperimentConfig) -> QuenchedResult:
     one report per x replica plus the pass summary."""
     if cfg.mode != "quenched":
         raise ConfigError("$.mode: run_quenched needs mode 'quenched'")
-    if cfg.strict and cfg.n_samples < 100:
-        raise InsufficientDataError("$.n_samples: need >= 100 in strict mode")
     reports = []
     for r in range(cfg.n_x_replicas):
         reports.append(_quenched_replica(cfg, r))
@@ -457,21 +466,22 @@ def run_quenched(cfg: ExperimentConfig) -> QuenchedResult:
 
 def _quenched_replica(cfg: ExperimentConfig, r: int) -> GenericityReport:
     model, k, n = cfg.model, cfg.k, cfg.n_samples
-    words = _draw(model, [derive_seed(cfg.seed, 4, r, i) for i in range(n)], k)
+    words = _draw(model, derive_seed(cfg.seed, 4, r, np.arange(n)), k)
     plan_of, plans = _plan_words(model, words, cfg.sets, k)
     x_len = min(max(max(plan.need for plan in plans), k), cfg.n_cap)
     _check_budget(cfg.n_x_replicas * x_len)
-    x = _draw(model, [derive_seed(cfg.seed, 3, r)], x_len)[0]
+    x = _draw(model, derive_seed(cfg.seed, 3, [r]), x_len)[0]
     index = OccurrenceIndex(x, k, model.alphabet_size)
     max_start = x_len - k + 1
 
-    clipped = [[J.clipped(max_start) for J in plan.js] for plan in plans]
-    beyond = np.array([[J.max_index() > max_start for J in plan.js] for plan in plans])
     counts = [np.zeros(n, dtype=np.int64) for _ in cfg.sets]
-    truncated = [beyond[plan_of, si] for si in range(len(cfg.sets))]
-    for i, (w, p) in enumerate(zip(words.tolist(), plan_of.tolist())):
-        for si, J in enumerate(clipped[p]):
-            counts[si][i] = index.count_in_ranges(w, J.ranges) if J.count else 0
+    truncated = [np.zeros(n, dtype=bool) for _ in cfg.sets]
+    for plan, members in zip(plans, _plan_members(plan_of)):
+        for si, J in enumerate(plan.js):
+            truncated[si][members] = J.max_index() > max_start
+            J = J.clipped(max_start)
+            if J.count:
+                counts[si][members] = index.count_in_ranges(words[members], J.ranges)
     return _genericity_report(cfg, "quenched", counts, truncated, r)
 
 

@@ -29,7 +29,7 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from .errors import UnsupportedModelError
-from .rng import MASK64, uniform_at, uniform_block
+from .rng import MASK64, raw_block, uniform_at, uniform_block
 from .words import Word, as_word
 
 _LN2 = math.log(2.0)
@@ -40,9 +40,9 @@ _LN2 = math.log(2.0)
 # past perturbs the digit law by O(sigma^64) ~ 1e-33, far below the 1e-16
 # resolution of the float CDF evaluation itself.
 RENORM_WINDOW = 64
-# take() draws the CF sampler's uniforms in blocks of this many, so a long
-# stream never holds more than one block of them as Python floats
-_CF_UNIFORM_BLOCK = 1 << 20
+# take() draws the Markov and CF samplers' uniforms in blocks of this many,
+# so a long stream never holds more than one block of them as Python floats
+_UNIFORM_BLOCK = 1 << 20
 
 
 def _to_fraction(x, what: str) -> Fraction:
@@ -124,6 +124,11 @@ class IidModel:
             self.probs = probs
             self._floats = np.array([float(p) for p in probs])
             self._cum = np.cumsum(self._floats)
+            # u >= c  <=>  (u * 2**53) >= ceil(c * 2**53)  <=>  raw >= that << 11,
+            # for u = (raw >> 11) * 2**-53; u < 1 never reaches 2**53
+            ceils = (math.ceil(c * 2.0**53) for c in self._cum[:-1])
+            self._thresholds = np.array([t << 11 for t in ceils if t < 1 << 53],
+                                        dtype=np.uint64)
         else:
             r = _to_fraction(self.tail_ratio, "tail_ratio")
             if not 0 < r < 1:
@@ -144,6 +149,19 @@ class IidModel:
                 raise ValueError(f"symbol {a} outside alphabet of size {len(self.probs)}")
             return self.probs[a]
         return (1 - self.tail_ratio) * self.tail_ratio**a
+
+    def symbols(self, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with the symbols that the raw stream values ``raw``
+        (``rng.value_at``) draw under a finite ``probs`` vector: the number of
+        cumulative probabilities, all but the last, at or below the uniform
+        ``(raw >> 11) * 2**-53``, compared as integers."""
+        if len(self._thresholds) == 0:
+            out[...] = 0
+            return out
+        np.greater_equal(raw, self._thresholds[0], out=out)
+        for t in self._thresholds[1:]:
+            out += raw >= t
+        return out
 
 
 def _stationary_exact(P: tuple[tuple[Fraction, ...], ...]) -> tuple[Fraction, ...]:
@@ -431,7 +449,7 @@ class SequenceGenerator:
     def next(self) -> int:
         model = self.model
         if isinstance(model, MarkovModel):
-            return self._markov_next()
+            return self._markov_next(uniform_at(self.seed, self.emitted))
         if isinstance(model, GaussCFModel):
             return self._gauss_next(uniform_at(self.seed, self.emitted))
         return int(self.take(1)[0])
@@ -444,20 +462,16 @@ class SequenceGenerator:
         model = self.model
         if isinstance(model, IidModel):
             if model.probs is not None:
-                u = uniform_block(self.seed, self.emitted, n)
+                raw = raw_block(self.seed, self.emitted, n)
                 self.emitted += n
-                idx = np.searchsorted(model._cum, u, side="right")
-                return np.minimum(idx, len(model.probs) - 1).astype(np.int64)
+                return model.symbols(raw, np.empty(n, dtype=np.int64))
             return self._geometric_take(n)
+        step = self._markov_next if isinstance(model, MarkovModel) else self._gauss_next
         out = np.empty(n, dtype=np.int64)
-        if isinstance(model, GaussCFModel):
-            for lo in range(0, n, _CF_UNIFORM_BLOCK):
-                us = uniform_block(self.seed, self.emitted, min(_CF_UNIFORM_BLOCK, n - lo))
-                for i, u in enumerate(us.tolist(), start=lo):
-                    out[i] = self._gauss_next(u)
-            return out
-        for i in range(n):
-            out[i] = self.next()
+        for lo in range(0, n, _UNIFORM_BLOCK):
+            us = uniform_block(self.seed, self.emitted, min(_UNIFORM_BLOCK, n - lo))
+            for i, u in enumerate(us.tolist(), start=lo):
+                out[i] = step(u)
         return out
 
     def _geometric_take(self, n: int) -> np.ndarray:
@@ -475,9 +489,9 @@ class SequenceGenerator:
             a -= step.astype(np.int64)
         return a
 
-    def _markov_next(self) -> int:
+    def _markov_next(self, u: float) -> int:
+        """Next state from the uniform ``u`` at counter ``emitted``."""
         model = self.model
-        u = uniform_at(self.seed, self.emitted)
         self.emitted += 1
         cum = model._pi_cum if self._state is None else model._row_cums[self._state]
         s = min(bisect_right(cum, u), model.alphabet_size - 1)

@@ -293,9 +293,13 @@ def mcdiarmid_tail(t: float, delta_norm_value: float, c_norm_sq: float) -> float
 class OccurrenceIndex:
     """Sorted index of the length-k windows of a symbol array.
 
-    Exact window codes when base**k fits comfortably in int64, otherwise a
-    wraparound polynomial hash whose candidate positions are verified
-    against the raw symbols, so counts are exact either way.
+    Windows are keyed by an exact code when base**k fits comfortably in
+    int64, otherwise by a wraparound polynomial hash.  Equal windows form
+    one run of the sorted order with their starts ascending, and the window
+    of run r at 0-based start p gets the key r * n_win + p, so the count of
+    a word's windows over a range of starts is two binary searches.  A word
+    is matched to its run by code and checked against the run's first
+    window, so counts are exact in hash mode too.
     """
 
     def __init__(self, x: np.ndarray, k: int, base: int | None):
@@ -310,50 +314,89 @@ class OccurrenceIndex:
             codes = np.zeros(n_win, dtype=np.int64)
             for j in range(k):
                 codes = codes * base + x[j: j + n_win]
-            self._base = base
+            self._powers = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
         else:
             xu = x.astype(np.uint64)
             codes = np.zeros(n_win, dtype=np.uint64)
             with np.errstate(over="ignore"):  # wraparound is the hash
                 for j in range(k):
                     codes = codes * HASH_MULT + xu[j: j + n_win]
-        self._order = np.argsort(codes, kind="stable")
-        self._sorted = codes[self._order]
+            self._powers = np.array([pow(int(HASH_MULT), k - 1 - j, 1 << 64)
+                                     for j in range(k)], dtype=np.uint64)
+        order = np.argsort(codes, kind="stable")
+        new = np.ones(n_win, dtype=bool)  # window starts a new run
+        new[1:] = codes[order[1:]] != codes[order[:-1]]
+        if not self.exact and self._differ(order, ~new).any():
+            # a hash collision: sort by (hash, window) so equal windows are one run
+            order = np.lexsort([x[j: j + n_win] for j in reversed(range(k))] + [codes])
+            new[1:] = codes[order[1:]] != codes[order[:-1]]
+            new |= self._differ(order, ~new)
+        self._keys = (np.cumsum(new) - 1) * n_win + order
+        self._codes = codes[order[new]]  # per run, sorted
+        self._first = order[new]         # per run, its first start
 
-    def _code_of(self, w: Sequence[int]):
+    def _differ(self, order: np.ndarray, same: np.ndarray) -> np.ndarray:
+        """Where ``same`` holds, whether the window at ``order[i]`` differs
+        from the one at ``order[i - 1]`` (``same[0]`` must be False)."""
+        i = np.flatnonzero(same)
+        out = np.zeros(len(order), dtype=bool)
+        for j in range(self.k):
+            out[i] |= self.x[order[i] + j] != self.x[order[i - 1] + j]
+        return out
+
+    def _words(self, words) -> np.ndarray:
+        words = np.asarray(words, dtype=np.int64)
+        if words.ndim not in (1, 2) or words.shape[-1] != self.k:
+            raise ValueError("word length mismatch")
+        return words
+
+    def _runs(self, words: np.ndarray) -> np.ndarray:
+        """The run of each row of the (n, k) ``words``, -1 if it does not occur."""
         if self.exact:
-            code = 0
-            for sym in w:
-                code = code * self._base + int(sym)
-            return np.int64(code)
-        code = np.uint64(0)
-        with np.errstate(over="ignore"):  # wraparound is the hash
-            for sym in w:
-                code = code * HASH_MULT + np.uint64(int(sym))
-        return code
+            codes = words @ self._powers
+        else:
+            codes = words.astype(np.uint64) @ self._powers  # wraps like the hash
+        lo = np.searchsorted(self._codes, codes, side="left")
+        hi = np.searchsorted(self._codes, codes, side="right")
+        runs = np.full(len(words), -1, dtype=np.int64)
+        span = np.arange(self.k)
+        # a code has more than one run only after a hash collision
+        for d in range(int((hi - lo).max(initial=0))):
+            cand = np.flatnonzero((runs < 0) & (hi - lo > d))
+            r = lo[cand] + d
+            match = (self.x[self._first[r, None] + span] == words[cand]).all(axis=1)
+            runs[cand[match]] = r[match]
+        return runs
+
+    def count_in_ranges(self, words, ranges: Sequence[tuple[int, int]]):
+        """Occurrences of each word at the 1-indexed starts in ``ranges``.
+
+        ``words`` is an (n, k) array, one word per row, and the result the
+        (n,) int64 array of counts; a single word (length-k sequence) gives
+        its count as an int.
+        """
+        words = self._words(words)
+        runs = self._runs(words.reshape(-1, self.k))
+        n_win = len(self._keys)
+        base = runs * n_win
+        total = np.zeros(len(runs), dtype=np.int64)
+        for a, b in ranges:
+            total += (np.searchsorted(self._keys, base + min(max(b, 0), n_win))
+                      - np.searchsorted(self._keys, base + min(max(a - 1, 0), n_win)))
+        total[runs < 0] = 0
+        return total if words.ndim == 2 else int(total[0])
 
     def positions(self, w: Sequence[int]) -> np.ndarray:
-        """1-indexed, ascending start positions of the word, exact."""
-        if len(w) != self.k:
-            raise ValueError("word length mismatch")
-        code = self._code_of(w)
-        lo = int(np.searchsorted(self._sorted, code, side="left"))
-        hi = int(np.searchsorted(self._sorted, code, side="right"))
-        pos = np.sort(self._order[lo:hi])
-        if not self.exact and len(pos):
-            w_arr = np.asarray(list(w), dtype=np.int64)
-            keep = np.fromiter(
-                (bool(np.array_equal(self.x[p: p + self.k], w_arr)) for p in pos),
-                dtype=bool, count=len(pos))
-            pos = pos[keep]
-        return pos + 1
-
-    def count_in_ranges(self, w: Sequence[int], ranges: Sequence[tuple[int, int]]) -> int:
-        pos = self.positions(w)
-        total = 0
-        for a, b in ranges:
-            total += int(np.searchsorted(pos, b + 1) - np.searchsorted(pos, a))
-        return total
+        """1-indexed, ascending start positions of one word, exact."""
+        words = self._words(w)
+        if words.ndim != 1:
+            raise ValueError("positions takes one word")
+        run = int(self._runs(words[None])[0])
+        if run < 0:
+            return np.zeros(0, dtype=np.int64)
+        n_win = len(self._keys)
+        lo, hi = np.searchsorted(self._keys, [run * n_win, (run + 1) * n_win])
+        return self._keys[lo:hi] - run * n_win + 1
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,10 @@ Independent substreams (x replicas, word samples, ...) come from
 ``derive_seed(root, *labels)``, which folds integer labels into a new seed
 through the same permutation with a distinct odd constant, so substreams
 never collide with the root stream by construction of the counter offsets.
+
+``raw_block``, ``uniform_block`` and ``derive_seed`` also take arrays of
+seeds or labels and then compute every stream in one numpy expression;
+``raw_chunks`` walks the streams of many seeds in fixed-size chunks.
 """
 
 from __future__ import annotations
@@ -45,12 +49,23 @@ def uniform_at(seed: int, index: int) -> float:
     return (value_at(seed, index) >> 11) * 2.0**-53
 
 
-def derive_seed(root: int, *labels: int) -> int:
+def derive_seed(root, *labels):
     """Derive an independent stream seed from integer labels.
 
     Used for replica / sample substreams: seed_i = derive_seed(root, i),
-    nested labels chain, e.g. derive_seed(root, replica, sample).
+    nested labels chain, e.g. derive_seed(root, replica, sample).  When the
+    root or a label is an array, the result is the uint64 array of the
+    seeds of every broadcast combination, each equal to the scalar result.
     """
+    if np.ndim(root) or any(np.ndim(lab) for lab in labels):
+        s = np.atleast_1d(_as_u64(root))
+        for lab in labels:
+            lab = np.atleast_1d(lab)
+            if np.any(lab < 0):
+                raise ValueError("stream labels must be nonnegative")
+            z = s ^ (lab.astype(np.uint64) + _U64(1)) * _U64(_SPLIT)
+            s = _mix_inplace(z, np.empty_like(z))
+        return s
     s = root & MASK64
     for lab in labels:
         if lab < 0:
@@ -59,19 +74,63 @@ def derive_seed(root: int, *labels: int) -> int:
     return s
 
 
-def raw_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized ``value_at`` for indices start..start+count-1 (uint64)."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = (_U64(seed & MASK64) + idx * _U64(GOLDEN)).astype(np.uint64)
-    z ^= z >> _U64(30)
+def _as_u64(seed) -> np.ndarray:
+    if isinstance(seed, (int, np.integer)):
+        return np.asarray(int(seed) & MASK64, dtype=np.uint64)
+    return np.asarray(seed, dtype=np.uint64)
+
+
+def _mix_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``mix64`` of every element of the uint64 array ``z``, in place;
+    ``tmp`` is scratch space of the same shape."""
+    np.right_shift(z, _U64(30), out=tmp)
+    z ^= tmp
     z *= _U64(0xBF58476D1CE4E5B9)
-    z ^= z >> _U64(27)
+    np.right_shift(z, _U64(27), out=tmp)
+    z ^= tmp
     z *= _U64(0x94D049BB133111EB)
-    z ^= z >> _U64(31)
+    np.right_shift(z, _U64(31), out=tmp)
+    z ^= tmp
     return z
 
 
-def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized ``uniform_at``: float64 array of length ``count``."""
+def raw_block(seed, start: int, count: int) -> np.ndarray:
+    """Vectorized ``value_at`` for indices start..start+count-1 (uint64).
+
+    ``seed`` may be an array of seeds; the result then has shape
+    ``seed.shape + (count,)``, one stream per seed.
+    """
+    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z = _as_u64(seed)[..., None] + idx * _U64(GOLDEN)
+    return _mix_inplace(z, np.empty_like(z))
+
+
+def uniform_block(seed, start: int, count: int) -> np.ndarray:
+    """Vectorized ``uniform_at``: float64 array of length ``count`` (one row
+    per seed when ``seed`` is an array)."""
     return (raw_block(seed, start, count) >> _U64(11)).astype(np.float64) * 2.0**-53
 
+
+def raw_chunks(seeds, length: int, chunk: int = 1 << 16):
+    """``raw_block(seeds, 0, length)`` in pieces of about ``chunk`` values.
+
+    Yields ``(rows, cols, block)`` where ``block`` equals
+    ``raw_block(seeds[rows], cols.start, cols.stop - cols.start)``: whole
+    rows while a row fits in a chunk, pieces of one row otherwise.  Every
+    block is a view of one buffer that the next chunk overwrites.
+    """
+    seeds = _as_u64(seeds)
+    width = max(1, min(length, chunk))
+    height = max(1, chunk // width)
+    step = np.arange(1, width + 1, dtype=np.uint64) * _U64(GOLDEN)
+    z = np.empty((min(height, len(seeds)), width), dtype=np.uint64)
+    tmp = np.empty_like(z)
+    for c0 in range(0, length, width):
+        cols = slice(c0, min(c0 + width, length))
+        # value(seed, c0 + i) = mix64(seed + c0 * GOLDEN + (i + 1) * GOLDEN)
+        shifted = seeds + _U64(c0 * GOLDEN & MASK64)
+        for r0 in range(0, len(seeds), height):
+            rows = slice(r0, min(r0 + height, len(seeds)))
+            block = z[: rows.stop - r0, : cols.stop - c0]
+            np.add(shifted[rows, None], step[: cols.stop - c0], out=block)
+            yield rows, cols, _mix_inplace(block, tmp[: block.shape[0], : block.shape[1]])

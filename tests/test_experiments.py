@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from poissonlab.errors import ConfigError, InsufficientDataError
-from poissonlab.experiments import (default_n_cap, execute, parse_config,
+from poissonlab.experiments import (_draw, default_n_cap, execute, parse_config,
                                     poisson_self_test, run_annealed,
                                     run_mixing, run_oracle_suite, run_quenched)
 from poissonlab.measures import (GaussCFModel, IidModel, cylinder_prob_exact,
@@ -219,6 +219,60 @@ class TestQuenched:
             != res.replicas[1].sets[0].histogram
 
 
+    @staticmethod
+    def _reference_counts(cfg, r):
+        """Literal per-word, per-position loop with the runner's seed labels."""
+        words = [sample_word(cfg.model, cfg.k, derive_seed(cfg.seed, 4, r, i))
+                 for i in range(cfg.n_samples)]
+        js = [[j_set(cylinder_prob_exact(cfg.model, w), S) for S in cfg.sets] for w in words]
+        need = max(required_prefix_length(cfg.k, J) for row in js for J in row)
+        x_len = min(max(need, cfg.k), cfg.n_cap)
+        x = make_generator(cfg.model, derive_seed(cfg.seed, 3, r)).take(x_len).tolist()
+        counts = np.zeros((len(cfg.sets), cfg.n_samples), dtype=np.int64)
+        trunc = np.zeros((len(cfg.sets), cfg.n_samples), dtype=bool)
+        for i, (w, row) in enumerate(zip(words, js)):
+            for si, J in enumerate(row):
+                for a, b in J.ranges:
+                    for pos in range(a, b + 1):
+                        if pos + cfg.k - 1 > x_len:
+                            trunc[si, i] = True
+                        elif tuple(x[pos - 1: pos - 1 + cfg.k]) == w:
+                            counts[si, i] += 1
+        return counts, trunc
+
+    # the geometric model has no finite base, so its index is hashed
+    @pytest.mark.parametrize("model_spec", [FAIR_SPEC, THREE_SPEC,
+                                            {"type": "iid", "tail_ratio": "1/2"}])
+    def test_matches_reference_loop(self, model_spec):
+        half = [["0", "1/2", False, True]]
+        quarters = [["0", "1/4", False, True], ["1/2", "3/4", False, True]]
+        cfg = parse_config(_doc(mode="quenched", model=model_spec, k=3, n_samples=150,
+                                n_x_replicas=2, sets=[half, quarters], n_cap=60))
+        res = run_quenched(cfg)
+        for r, rep in enumerate(res.replicas):
+            counts, trunc = self._reference_counts(cfg, r)
+            for si, sr in enumerate(rep.sets):
+                c, t = counts[si], trunc[si]
+                assert sr.histogram == fold_histogram(c[~t].tolist(), sr.j_max)
+                assert sr.truncated_histogram == fold_histogram(c[t].tolist(), sr.j_max)
+
+
+class TestDraw:
+    @pytest.mark.parametrize("model_spec", [FAIR_SPEC, BIASED_SPEC, THREE_SPEC,
+                                            {"type": "iid", "probs": ["1/2", "1/2", "0"]},
+                                            MARKOV_SPEC])
+    @pytest.mark.parametrize("length", [1, 14, 70000])
+    def test_rows_equal_take(self, model_spec, length):
+        model = model_from_spec(model_spec)
+        if length > 14 and model_spec is MARKOV_SPEC:
+            length = 3000  # the Markov sampler steps in Python
+        seeds = derive_seed(11, np.arange(5))
+        got = _draw(model, seeds, length)
+        assert got.shape == (5, length)
+        for row, seed in zip(got, seeds.tolist()):
+            assert np.array_equal(row, make_generator(model, seed).take(length))
+
+
 class TestOracleMode:
     def test_fair_suite_all_pass(self):
         cfg = parse_config(_doc(mode="oracle"))
@@ -381,6 +435,16 @@ class TestCli:
                            capture_output=True, text=True, timeout=30)
         assert r.returncode == 2
         assert "error: $.sets[0]:" in r.stderr and "histogram" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("sup,k", [(10**400, 5), (10**306, 5), (1, 1100)])
+    def test_far_supremum_is_exit_two(self, tmp_path, sup, k):
+        # past the float range: sup S itself, 10 sup S / (K rho^k), or K rho^k = 0
+        far = [[[str(sup), str(sup + 1), False, True]]]
+        cfg_path = self._write(tmp_path / "c.json", _doc(k=k, sets=far))
+        r = self._run("annealed", "--config", cfg_path)
+        assert r.returncode == 2
+        assert "error: $.sets[0]:" in r.stderr and "float range" in r.stderr
         assert "Traceback" not in r.stderr
 
     def test_internal_check_failure_is_exit_three(self, tmp_path, monkeypatch, capsys):

@@ -160,7 +160,7 @@ class TestGenerators:
     def test_cf_take_equals_next_calls(self, block, monkeypatch):
         from poissonlab import measures
         if block is not None:
-            monkeypatch.setattr(measures, "_CF_UNIFORM_BLOCK", block)
+            monkeypatch.setattr(measures, "_UNIFORM_BLOCK", block)
         assert 300 > 2 * measures.RENORM_WINDOW
         bulk = make_generator(GaussCFModel(), 2718)
         scalar = make_generator(GaussCFModel(), 2718)
@@ -169,6 +169,38 @@ class TestGenerators:
         assert taken.tolist() == stepped
         assert bulk.emitted == scalar.emitted == 300
         assert bulk.convergents() == scalar.convergents()
+
+    # a block of 7 uniforms makes take() cross its block boundaries
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_markov_take_equals_next_calls(self, block, monkeypatch):
+        from poissonlab import measures
+        if block is not None:
+            monkeypatch.setattr(measures, "_UNIFORM_BLOCK", block)
+        bulk = make_generator(CHAIN, 31)
+        scalar = make_generator(CHAIN, 31)
+        taken = np.concatenate([bulk.take(20), bulk.take(45)])
+        assert taken.tolist() == [scalar.next() for _ in range(65)]
+        assert bulk.emitted == scalar.emitted == 65
+
+    # below 1/2 a cumulative value can have bits under 2**-53 (1/3, 1/10)
+    @pytest.mark.parametrize("probs", [("1/2", "1/2"), ("1/2", "1/2", "0"),
+                                       ("1/2", "1/3", "1/6"), ("1/3", "2/3"),
+                                       ("1/10", "9/10"), ("0", "1"), ("1", "0")])
+    def test_iid_symbols_at_exact_boundaries(self, probs):
+        model = IidModel(probs=probs)
+        # raw values whose uniform is exactly each cumulative value, one ulp
+        # below it, and the extremes 0 and 1 - 2**-53
+        ms = {0, (1 << 53) - 1}
+        for c in model._cum:
+            m = math.ceil(c * 2.0**53)
+            ms.update(v for v in (m - 1, m) if 0 <= v < 1 << 53)
+        raw = np.array(sorted(ms), dtype=np.uint64) << np.uint64(11)
+        raw = np.concatenate([raw, raw | np.uint64(0x7FF)])  # low bits do not count
+        u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        expected = [sum(1 for c in model._cum[:-1] if ui >= c) for ui in u]
+        got = model.symbols(raw, np.empty(len(raw), dtype=np.int64))
+        assert got.tolist() == expected
+        assert got.max() < len(probs) - (probs[-1] == "0")
 
     def test_sample_word_is_prefix_of_stream(self):
         w = sample_word(FAIR, 6, 999)

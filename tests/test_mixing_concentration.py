@@ -305,12 +305,49 @@ class TestOccurrenceIndex:
             w = tuple(int(v) for v in rng.integers(0, 3, size=k))
             assert exact.positions(w).tolist() == hashed.positions(w).tolist()
 
+    @staticmethod
+    def _literal(x, k, w, ranges):
+        n_win = len(x) - k + 1
+        return sum(1 for a, b in ranges for p in range(max(a, 1), min(b, n_win) + 1)
+                   if x[p - 1: p - 1 + k].tolist() == list(w))
+
+    # "collide" makes the hash the plain symbol sum, so distinct windows
+    # share codes and only the comparison against x tells them apart
+    @pytest.mark.parametrize("mode", ["exact", "hash", "collide"])
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_batched_counts_match_literal_scan(self, mode, k, monkeypatch):
+        from poissonlab import mixing_concentration
+        if mode == "collide":
+            monkeypatch.setattr(mixing_concentration, "HASH_MULT", np.uint64(1))
+        rng = np.random.default_rng(k)
+        x = rng.integers(0, 3, size=120)
+        n_win = len(x) - k + 1
+        idx = OccurrenceIndex(x, k, 3 if mode == "exact" else None)
+        assert idx.exact == (mode == "exact")
+        words = np.concatenate([
+            [x[p: p + k] for p in (0, n_win - 1, 17)],  # first, last and some window
+            rng.integers(0, 3, size=(40, k)),           # present or absent
+            np.full((1, k), 3), np.full((1, k), -1),    # outside the alphabet
+        ])
+        for ranges in ([(1, n_win)], [(1, 1)], [(n_win, n_win)], [(n_win - 5, n_win + 40)],
+                       [(1, 10), (30, 31), (50, 90)], [(-4, 2), (60, 59)], []):
+            expected = [self._literal(x, k, w, ranges) for w in words]
+            got = idx.count_in_ranges(words, ranges)
+            assert got.dtype == np.int64 and got.tolist() == expected
+            assert [idx.count_in_ranges(tuple(w), ranges) for w in words[:5]] == expected[:5]
+        for w in words[:10]:
+            brute = [p + 1 for p in range(n_win) if x[p: p + k].tolist() == w.tolist()]
+            assert idx.positions(w).tolist() == brute
+        assert idx.count_in_ranges(np.zeros((0, k), dtype=np.int64), [(1, 5)]).tolist() == []
+
     def test_validation(self):
         with pytest.raises(ValueError):
             OccurrenceIndex(np.array([0, 1]), 3, 2)
         idx = OccurrenceIndex(np.array([0, 1, 0]), 2, 2)
         with pytest.raises(ValueError):
             idx.positions((0, 1, 0))
+        with pytest.raises(ValueError):
+            idx.count_in_ranges(np.zeros((4, 3), dtype=np.int64), [(1, 2)])
 
 
 class TestPhiScan:

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 
-from poissonlab.rng import (derive_seed, mix64, raw_block, uniform_at,
-                            uniform_block, value_at)
+import pytest
+
+from poissonlab.rng import (derive_seed, mix64, raw_block, raw_chunks,
+                            uniform_at, uniform_block, value_at)
 
 DATA = Path(__file__).parent / "data"
 
@@ -79,3 +81,39 @@ def test_disjoint_streams_differ():
     s1 = uniform_block(derive_seed(9, 0), 0, 32)
     s2 = uniform_block(derive_seed(9, 1), 0, 32)
     assert not np.array_equal(s1, s2)
+
+
+SEEDS = [0, 2**64 - 1, *np.random.default_rng(3).integers(0, 2**64, 6, dtype=np.uint64).tolist()]
+
+
+def test_raw_block_rows_match_scalar():
+    blk = raw_block(np.array(SEEDS, dtype=np.uint64), 1000, 9)
+    assert blk.shape == (len(SEEDS), 9)
+    for row, seed in zip(blk, SEEDS):
+        assert [int(v) for v in row] == [value_at(seed, 1000 + i) for i in range(9)]
+    u = uniform_block(np.array(SEEDS, dtype=np.uint64), 5, 4)
+    assert u[1].tolist() == [uniform_at(SEEDS[1], 5 + i) for i in range(4)]
+
+
+def test_derive_seed_arrays_match_scalar():
+    assert [int(v) for v in derive_seed(42, 3, np.arange(5))] \
+        == [derive_seed(42, 3, i) for i in range(5)]
+    assert [int(v) for v in derive_seed(np.array(SEEDS, dtype=np.uint64), 7, 2)] \
+        == [derive_seed(s, 7, 2) for s in SEEDS]
+    grid = derive_seed(9, np.arange(3)[:, None], np.arange(4))
+    assert grid.shape == (3, 4)
+    assert all(int(grid[a, b]) == derive_seed(9, a, b) for a in range(3) for b in range(4))
+    with pytest.raises(ValueError):
+        derive_seed(9, np.array([0, -1]))
+
+
+# rows that fit a chunk, rows longer than one, and chunks of one value
+@pytest.mark.parametrize("length,chunk", [(100, 1 << 16), (50, 120), (300, 64), (7, 1), (0, 8)])
+def test_raw_chunks_tile_the_block(length, chunk):
+    seeds = np.array(SEEDS, dtype=np.uint64)
+    whole = raw_block(seeds, 0, length)
+    got = np.zeros_like(whole)
+    for rows, cols, block in raw_chunks(seeds, length, chunk):
+        assert block.size <= max(chunk, 1)
+        got[rows, cols] = block
+    assert np.array_equal(got, whole)

@@ -42,13 +42,14 @@ from .point_process import (IndexSet, IntervalUnion, count_word_occurrences,
 from .poisson_stats import (fold_histogram, histogram_j_max, kallenberg_check,
                             poisson_reference, sample_poisson_counts,
                             tv_distance)
-from .rng import derive_seed, raw_chunks
+from .rng import derive_seed, raw_block
 from .rng import uniform_block  # noqa: F401  (perfbench's tracer self-test wraps this binding)
 from .words import enumerate_words, periods
 
 MODES = ("annealed", "quenched", "oracle", "concentration", "mixing")
 SYMBOL_BUDGET = 2 * 10**9  # symbols one annealed or quenched run may draw
 _BATCH_ELEMS = 1 << 23  # symbols per batch of annealed streams
+_DRAW_CHUNK = 1 << 16  # raw values per raw_block call of _draw
 HISTOGRAM_BINS_GUARD = 10**6  # count-histogram bins one target set may need
 
 
@@ -170,8 +171,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         prof = contraction_profile(model)
         scale = prof.K * prof.rho**k
         for i, S in enumerate(sets):
-            # default_n_cap takes the ceiling of 10 sup S / (K rho^k)
-            if scale == 0.0 or not math.isfinite(10.0 * float(S.sup) / scale):
+            # default_n_cap takes the ceiling of 10 sup S / (K rho^k); with an
+            # explicit n_cap an infinite floor only warns
+            if scale == 0.0 or ("n_cap" not in doc
+                                and not math.isfinite(10.0 * float(S.sup) / scale)):
                 raise ConfigError(f"$.sets[{i}]: sup S / (K rho^k) at k={k} is past "
                                   "the float range, so no stream length reaches it")
         floor = max(float(S.sup) for S in sets) / scale
@@ -365,8 +368,13 @@ def _draw(model: Model, seeds: np.ndarray, length: int) -> np.ndarray:
     if isinstance(model, IidModel) and model.probs is not None:
         out = np.empty((len(seeds), length),
                        dtype=np.min_scalar_type(len(model.probs) - 1))
-        for rows, cols, raw in raw_chunks(seeds, length):
-            model.symbols(raw, out[rows, cols])
+        # whole rows while a row fits in a chunk, pieces of one row otherwise
+        width = max(1, min(length, _DRAW_CHUNK))
+        height = max(1, _DRAW_CHUNK // width)
+        for r0 in range(0, len(seeds), height):
+            for c0 in range(0, length, width):
+                block = out[r0:r0 + height, c0:c0 + width]
+                model.symbols(raw_block(seeds[r0:r0 + height], c0, block.shape[1]), block)
         return out
     return np.stack([make_generator(model, sd).take(length) for sd in seeds.tolist()])
 

@@ -324,24 +324,28 @@ class OccurrenceIndex:
             self._powers = np.array([pow(int(HASH_MULT), k - 1 - j, 1 << 64)
                                      for j in range(k)], dtype=np.uint64)
         order = np.argsort(codes, kind="stable")
+        ranked = codes[order]
         new = np.ones(n_win, dtype=bool)  # window starts a new run
-        new[1:] = codes[order[1:]] != codes[order[:-1]]
+        np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
         if not self.exact and self._differ(order, ~new).any():
             # a hash collision: sort by (hash, window) so equal windows are one run
             order = np.lexsort([x[j: j + n_win] for j in reversed(range(k))] + [codes])
-            new[1:] = codes[order[1:]] != codes[order[:-1]]
             new |= self._differ(order, ~new)
         self._keys = (np.cumsum(new) - 1) * n_win + order
-        self._codes = codes[order[new]]  # per run, sorted
-        self._first = order[new]         # per run, its first start
+        self._codes = ranked[new]  # per run, sorted
+        self._first = order[new]   # per run, its first start
 
     def _differ(self, order: np.ndarray, same: np.ndarray) -> np.ndarray:
         """Where ``same`` holds, whether the window at ``order[i]`` differs
         from the one at ``order[i - 1]`` (``same[0]`` must be False)."""
         i = np.flatnonzero(same)
-        out = np.zeros(len(order), dtype=bool)
+        a, b = order[i], order[i - 1]
+        diff = np.zeros(len(i), dtype=bool)
         for j in range(self.k):
-            out[i] |= self.x[order[i] + j] != self.x[order[i - 1] + j]
+            xj = self.x[j:]
+            diff |= xj[a] != xj[b]
+        out = np.zeros(len(order), dtype=bool)
+        out[i] = diff
         return out
 
     def _words(self, words) -> np.ndarray:

@@ -16,8 +16,7 @@ through the same permutation with a distinct odd constant, so substreams
 never collide with the root stream by construction of the counter offsets.
 
 ``raw_block``, ``uniform_block`` and ``derive_seed`` also take arrays of
-seeds or labels and then compute every stream in one numpy expression;
-``raw_chunks`` walks the streams of many seeds in fixed-size chunks.
+seeds or labels and then compute every stream in one numpy expression.
 """
 
 from __future__ import annotations
@@ -109,28 +108,3 @@ def uniform_block(seed, start: int, count: int) -> np.ndarray:
     """Vectorized ``uniform_at``: float64 array of length ``count`` (one row
     per seed when ``seed`` is an array)."""
     return (raw_block(seed, start, count) >> _U64(11)).astype(np.float64) * 2.0**-53
-
-
-def raw_chunks(seeds, length: int, chunk: int = 1 << 16):
-    """``raw_block(seeds, 0, length)`` in pieces of about ``chunk`` values.
-
-    Yields ``(rows, cols, block)`` where ``block`` equals
-    ``raw_block(seeds[rows], cols.start, cols.stop - cols.start)``: whole
-    rows while a row fits in a chunk, pieces of one row otherwise.  Every
-    block is a view of one buffer that the next chunk overwrites.
-    """
-    seeds = _as_u64(seeds)
-    width = max(1, min(length, chunk))
-    height = max(1, chunk // width)
-    step = np.arange(1, width + 1, dtype=np.uint64) * _U64(GOLDEN)
-    z = np.empty((min(height, len(seeds)), width), dtype=np.uint64)
-    tmp = np.empty_like(z)
-    for c0 in range(0, length, width):
-        cols = slice(c0, min(c0 + width, length))
-        # value(seed, c0 + i) = mix64(seed + c0 * GOLDEN + (i + 1) * GOLDEN)
-        shifted = seeds + _U64(c0 * GOLDEN & MASK64)
-        for r0 in range(0, len(seeds), height):
-            rows = slice(r0, min(r0 + height, len(seeds)))
-            block = z[: rows.stop - r0, : cols.stop - c0]
-            np.add(shifted[rows, None], step[: cols.stop - c0], out=block)
-            yield rows, cols, _mix_inplace(block, tmp[: block.shape[0], : block.shape[1]])

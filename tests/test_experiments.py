@@ -272,6 +272,19 @@ class TestDraw:
         for row, seed in zip(got, seeds.tolist()):
             assert np.array_equal(row, make_generator(model, seed).take(length))
 
+    # rows that fit a chunk, rows longer than one, and chunks of one value
+    @pytest.mark.parametrize("length,chunk", [(50, 120), (300, 64), (7, 1), (14, 1 << 16)])
+    def test_chunks_tile_the_matrix(self, monkeypatch, length, chunk):
+        from poissonlab import experiments
+
+        model = model_from_spec(THREE_SPEC)
+        seeds = derive_seed(5, np.arange(7))
+        whole = _draw(model, seeds, length)
+        monkeypatch.setattr(experiments, "_DRAW_CHUNK", chunk)
+        assert np.array_equal(_draw(model, seeds, length), whole)
+        for row, seed in zip(whole, seeds.tolist()):
+            assert np.array_equal(row, make_generator(model, seed).take(length))
+
 
 class TestOracleMode:
     def test_fair_suite_all_pass(self):
@@ -446,6 +459,19 @@ class TestCli:
         assert r.returncode == 2
         assert "error: $.sets[0]:" in r.stderr and "float range" in r.stderr
         assert "Traceback" not in r.stderr
+
+    def test_far_supremum_with_explicit_n_cap_runs(self, tmp_path):
+        # an explicit n_cap needs no default, so an infinite floor only warns
+        far = [[[str(10**307), str(10**307 + 1), False, True]]]
+        cfg_path = self._write(tmp_path / "c.json", _doc(sets=far, n_cap=1000))
+        r = self._run("annealed", "--config", cfg_path, "--out", str(tmp_path / "out"))
+        assert r.returncode == 1  # every sample is truncated
+        assert "heuristic floor inf" in r.stderr + r.stdout
+        assert "Traceback" not in r.stderr
+        # K rho^k = 0 leaves no floor at all, whatever n_cap
+        cfg_path = self._write(tmp_path / "d.json", _doc(k=1100, n_cap=2000, sets=far))
+        r = self._run("annealed", "--config", cfg_path)
+        assert r.returncode == 2 and "error: $.sets[0]:" in r.stderr
 
     def test_internal_check_failure_is_exit_three(self, tmp_path, monkeypatch, capsys):
         from poissonlab import cli, oracles

@@ -7,8 +7,8 @@ import numpy as np
 
 import pytest
 
-from poissonlab.rng import (derive_seed, mix64, raw_block, raw_chunks,
-                            uniform_at, uniform_block, value_at)
+from poissonlab.rng import (derive_seed, mix64, raw_block, uniform_at,
+                            uniform_block, value_at)
 
 DATA = Path(__file__).parent / "data"
 
@@ -106,14 +106,3 @@ def test_derive_seed_arrays_match_scalar():
     with pytest.raises(ValueError):
         derive_seed(9, np.array([0, -1]))
 
-
-# rows that fit a chunk, rows longer than one, and chunks of one value
-@pytest.mark.parametrize("length,chunk", [(100, 1 << 16), (50, 120), (300, 64), (7, 1), (0, 8)])
-def test_raw_chunks_tile_the_block(length, chunk):
-    seeds = np.array(SEEDS, dtype=np.uint64)
-    whole = raw_block(seeds, 0, length)
-    got = np.zeros_like(whole)
-    for rows, cols, block in raw_chunks(seeds, length, chunk):
-        assert block.size <= max(chunk, 1)
-        got[rows, cols] = block
-    assert np.array_equal(got, whole)

@@ -396,15 +396,27 @@ def _plan_words(model: Model, words: np.ndarray, sets: Sequence[IntervalUnion],
     by their sorted symbols; otherwise by the word itself.
     """
     keys = np.sort(words, axis=1) if isinstance(model, IidModel) else words
-    _, first, plan_of = np.unique(keys, axis=0, return_index=True,
-                                  return_inverse=True)
+    first, plan_of = _distinct_rows(keys)
     plans = []
     for i in first:
         mu, high = cylinder_prob_guarded(model, words[i].tolist())
         js = tuple(j_set(mu, S, high) for S in sets)
         plans.append(_WordPlan(js, max((required_prefix_length(k, J) for J in js),
                                        default=0)))
-    return plan_of.reshape(-1), plans
+    return plan_of, plans
+
+
+def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, axis=0, return_index=True, return_inverse=True)[1:]``:
+    the first index of each distinct row, in lexicographic row order, and each
+    row's position in that order, from one stable lexsort of the columns."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
 
 
 def _plan_members(plan_of: np.ndarray) -> list[np.ndarray]:

@@ -14,8 +14,9 @@ exact integer continuant endpoints for the CF model, with a single float
 conversion at the very end (via log1p on an exact small ratio, so there is
 no cancellation for deep cylinders).  All sampling is driven by the
 counter-based stream in ``rng``; the CF sampler draws each digit from its
-exact conditional law given the current cylinder and never iterates the
-Gauss map in floating point, so there is no precision decay with n.
+exact conditional law given the digits before it, carried by two floats
+whose update contracts, so float error does not grow with n (it never
+iterates the expanding Gauss map).
 """
 
 from __future__ import annotations
@@ -29,17 +30,14 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from .errors import UnsupportedModelError
-from .rng import MASK64, raw_block, uniform_at, uniform_block
+from .rng import MASK64, raw_block, uniform_block
 from .words import Word, as_word
 
 _LN2 = math.log(2.0)
 
-# The CF sampler's continuant state is rebuilt from the most recent
-# RENORM_WINDOW digits once 2*RENORM_WINDOW have accumulated, keeping the
-# integers bounded.  Conditioning on the last 64 digits instead of the whole
-# past perturbs the digit law by O(sigma^64) ~ 1e-33, far below the 1e-16
-# resolution of the float CDF evaluation itself.
-RENORM_WINDOW = 64
+# CF digits are drawn from the one-ratio law once |delta| is below this
+# (SequenceGenerator._gauss_digits)
+_DEEP_DELTA = 1e-17
 # take() draws the Markov and CF samplers' uniforms in blocks of this many,
 # so a long stream never holds more than one block of them as Python floats
 _UNIFORM_BLOCK = 1 << 20
@@ -419,12 +417,6 @@ def cylinder_prob_guarded(model: Model, w: Sequence[int]) -> tuple[object, Calla
 # sequence generation
 
 
-def _signed_log2_ratio(N: int, D: int) -> float:
-    # log2(N/D) for positive integers with N/D within a factor ~2 of 1;
-    # the subtraction stays exact so deep cylinders lose no precision.
-    return math.log1p((N - D) / D) / _LN2
-
-
 class SequenceGenerator:
     """Deterministic sampler of one model's stationary symbol stream.
 
@@ -440,21 +432,12 @@ class SequenceGenerator:
         if isinstance(model, MarkovModel):
             self._state: int | None = None
         elif isinstance(model, GaussCFModel):
-            # continuants of the current (windowed) cylinder
-            self._p, self._q, self._pp, self._qq = 0, 1, 1, 0
-            self._recent: list[int] = []
-
-    # -- scalar path
+            # s = q_{n-1}/q_n and delta = (p_{n-1}+q_{n-1})/(p_n+q_n) - s for
+            # the cylinder of the digits so far (continuants as cf_continuants)
+            self._s, self._delta = 0.0, 1.0
 
     def next(self) -> int:
-        model = self.model
-        if isinstance(model, MarkovModel):
-            return self._markov_next(uniform_at(self.seed, self.emitted))
-        if isinstance(model, GaussCFModel):
-            return self._gauss_next(uniform_at(self.seed, self.emitted))
         return int(self.take(1)[0])
-
-    # -- bulk path
 
     def take(self, n: int) -> np.ndarray:
         if n < 0:
@@ -466,12 +449,12 @@ class SequenceGenerator:
                 self.emitted += n
                 return model.symbols(raw, np.empty(n, dtype=np.int64))
             return self._geometric_take(n)
-        step = self._markov_next if isinstance(model, MarkovModel) else self._gauss_next
+        step = self._markov_states if isinstance(model, MarkovModel) else self._gauss_digits
         out = np.empty(n, dtype=np.int64)
         for lo in range(0, n, _UNIFORM_BLOCK):
             us = uniform_block(self.seed, self.emitted, min(_UNIFORM_BLOCK, n - lo))
-            for i, u in enumerate(us.tolist(), start=lo):
-                out[i] = step(u)
+            self.emitted += len(us)
+            out[lo: lo + len(us)] = step(us.tolist())
         return out
 
     def _geometric_take(self, n: int) -> np.ndarray:
@@ -489,59 +472,76 @@ class SequenceGenerator:
             a -= step.astype(np.int64)
         return a
 
-    def _markov_next(self, u: float) -> int:
-        """Next state from the uniform ``u`` at counter ``emitted``."""
+    def _markov_states(self, us: list[float]) -> list[int]:
+        """The next states, one per uniform in ``us``."""
         model = self.model
-        self.emitted += 1
-        cum = model._pi_cum if self._state is None else model._row_cums[self._state]
-        s = min(bisect_right(cum, u), model.alphabet_size - 1)
+        last = model.alphabet_size - 1
+        out = []
+        s = self._state
+        for u in us:
+            cum = model._pi_cum if s is None else model._row_cums[s]
+            s = min(bisect_right(cum, u), last)
+            out.append(s)
         self._state = s
-        return s
+        return out
 
-    # -- exact CF digit sampling
+    def _gauss_digits(self, us: list[float]) -> list[int]:
+        """The next CF digits, one per uniform in ``us``, each from its exact
+        conditional law given the digits before it.
 
-    def _gauss_next(self, u: float) -> int:
-        """Next CF digit from the uniform ``u`` at counter ``emitted``."""
-        self.emitted += 1
-        p, q, pp, qq = self._p, self._q, self._pp, self._qq
-        A, B, C, D = pp + qq, p + q, qq, q
-        full = _signed_log2_ratio((A + B) * D, (C + D) * B)
-        thresh = 1.0 - u
-
-        def tail(ag: int) -> float:
-            # conditional P(digit >= ag) given the current cylinder
-            return _signed_log2_ratio((A + ag * B) * D, (C + ag * D) * B) / full
-
-        if tail(2) <= thresh:
-            d = 1
-        else:
-            hi = 4
-            while tail(hi) > thresh:
-                hi <<= 1
-                if hi > GaussCFModel.DIGIT_CAP:
-                    raise RuntimeError("CF digit search exceeded the 2**63 cap")
-            lo = hi >> 1
-            while hi - lo > 1:
-                mid = (lo + hi) >> 1
-                if tail(mid) <= thresh:
-                    hi = mid
+        Given the cylinder so far, the next digit is >= a with probability
+        tail(a) = log1p(delta/(a+s)) / log1p(delta/(1+s)), and the uniform u
+        draws (smallest a >= 2 with tail(a) <= 1-u) - 1.  The inverse
+        a = delta/expm1((1-u) log1p(delta/(1+s))) - s finds that a up to
+        rounding; stepping it up or down against the float comparison
+        tail(a) <= 1-u settles it.  delta shrinks like q_n^-2; once
+        |delta| < 1e-17, log1p(x) == x in float for every |x| <= |delta| and
+        the law is tail(a) = (1+s)/(a+s), with inverse (1+s)/(1-u) - s.  The
+        updates s' = 1/(d+s) and delta' = -delta/((d+s+delta)(d+s)) contract,
+        so float error does not grow along the stream.
+        """
+        log1p, expm1, ceil = math.log1p, math.expm1, math.ceil
+        s, delta = self._s, self._delta
+        out = []
+        us = iter(us)
+        if abs(delta) >= _DEEP_DELTA:
+            for u in us:
+                t = 1.0 - u
+                full = log1p(delta / (1.0 + s))
+                if log1p(delta / (2.0 + s)) / full <= t:
+                    d = 1
                 else:
-                    lo = mid
-            d = hi - 1
-
-        self._p, self._pp = d * p + pp, p
-        self._q, self._qq = d * q + qq, q
-        self._recent.append(d)
-        if len(self._recent) >= 2 * RENORM_WINDOW:
-            self._recent = self._recent[-RENORM_WINDOW:]
-            self._p, self._q, self._pp, self._qq = cf_continuants(self._recent)
-        return d
-
-    def convergents(self) -> tuple[int, int, int, int]:
-        """Current CF continuant state (p, q, p_prev, q_prev); CF model only."""
-        if not isinstance(self.model, GaussCFModel):
-            raise UnsupportedModelError("convergents exist for the CF model only")
-        return self._p, self._q, self._pp, self._qq
+                    # delta/(a+s) as delta * (1/a) / (1 + s/a): 1/a is a correctly
+                    # rounded int division, so the first digit (s = 0, delta = 1)
+                    # is decided exactly even past 2**53, where a + s rounds
+                    a = max(3, ceil(delta / expm1(t * full) - s))
+                    while log1p(delta * (1 / a) / (1.0 + s / a)) / full > t:
+                        a += 1
+                    while a > 3 and log1p(delta * (1 / (a - 1))
+                                          / (1.0 + s / (a - 1))) / full <= t:
+                        a -= 1
+                    d = a - 1
+                out.append(d)
+                ds = d + s
+                s, delta = 1.0 / ds, -delta / ((ds + delta) * ds)
+                if abs(delta) < _DEEP_DELTA:
+                    break
+        for u in us:
+            t = 1.0 - u
+            c = 1.0 + s
+            if c / (2.0 + s) <= t:
+                d = 1
+            else:
+                a = max(3, ceil(c / t - s))
+                while c / (a + s) > t:
+                    a += 1
+                while a > 3 and c / (a - 1 + s) <= t:
+                    a -= 1
+                d = a - 1
+            out.append(d)
+            s = 1.0 / (d + s)
+        self._s, self._delta = s, delta
+        return out
 
 
 def make_generator(model: Model, seed: int) -> SequenceGenerator:

@@ -10,13 +10,16 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poissonlab.errors import ConfigError, InsufficientDataError
-from poissonlab.experiments import (_draw, default_n_cap, execute, parse_config,
-                                    poisson_self_test, run_annealed,
+from poissonlab.experiments import (_distinct_rows, _draw, default_n_cap, execute,
+                                    parse_config, poisson_self_test, run_annealed,
                                     run_mixing, run_oracle_suite, run_quenched)
 from poissonlab.measures import (GaussCFModel, IidModel, cylinder_prob_exact,
                                  make_generator, model_from_spec, sample_word)
@@ -96,6 +99,55 @@ class TestParseConfig:
     def test_min_passing_default(self):
         cfg = parse_config(_doc(mode="quenched", n_x_replicas=10))
         assert cfg.min_passing_replicas == 9
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+_BAD_VALUES = [float("nan"), float("inf"), float("-inf"), -1, -0.5, 1e300, -1e300,
+               [], {}, "x", None, True]
+
+
+def _paths(node, path=()):
+    """Every key and index path below ``node``."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A shipped config with one to three values dropped, negated or replaced
+    by a wrong type, NaN, an infinity, a negative or huge number or []."""
+    doc = json.loads(draw(st.sampled_from(SHIPPED_CONFIGS)).read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        node = doc
+        for p in parents:
+            node = node[p]
+        how = draw(st.sampled_from(["drop", "negate", "replace"]))
+        if how == "drop":
+            del node[key]
+        elif how == "negate" and isinstance(node[key], (int, float)) \
+                and not isinstance(node[key], bool):
+            node[key] = -node[key]
+        else:
+            node[key] = draw(st.sampled_from(_BAD_VALUES))
+    return doc
+
+
+@given(mutated_configs())
+@settings(max_examples=400, deadline=None)
+def test_mutated_configs_parse_or_name_their_path(doc):
+    # the two refusals the CLI turns into exit 2; InsufficientDataError is
+    # the strict n_samples >= 100 check
+    try:
+        parse_config(doc)
+    except (ConfigError, InsufficientDataError) as exc:
+        assert str(exc).startswith("$."), str(exc)
 
 
 class TestDefaultNCap:
@@ -284,6 +336,26 @@ class TestDraw:
         assert np.array_equal(_draw(model, seeds, length), whole)
         for row, seed in zip(whole, seeds.tolist()):
             assert np.array_equal(row, make_generator(model, seed).take(length))
+
+
+def _cf_digit_matrix(n, k, seed):
+    return np.stack([make_generator(GaussCFModel(), derive_seed(seed, i)).take(k)
+                     for i in range(n)])
+
+
+@pytest.mark.parametrize("keys", [
+    np.random.default_rng(1).integers(0, 2, (3000, 14), dtype=np.uint8),
+    np.sort(np.random.default_rng(2).integers(0, 2, (12000, 14), dtype=np.uint8), axis=1),
+    np.random.default_rng(3).integers(0, 3, (2000, 6), dtype=np.uint8),
+    _cf_digit_matrix(200, 8, 7),
+    _cf_digit_matrix(300, 2, 8),
+    np.zeros((5, 3), dtype=np.uint8),
+])
+def test_distinct_rows_equal_np_unique(keys):
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    got_first, got_inverse = _distinct_rows(keys)
+    assert np.array_equal(got_first, first)
+    assert np.array_equal(got_inverse, inverse.reshape(-1))
 
 
 class TestOracleMode:

@@ -20,6 +20,7 @@ from poissonlab.measures import (GaussCFModel, IidModel, MarkovModel,
                                  markov_deviation_table, mixing_profile,
                                  model_from_spec, model_to_spec,
                                  psi_mixing_profile, sample_word)
+from poissonlab.rng import derive_seed, uniform_block
 
 FAIR = IidModel(probs=(Fraction(1, 2), Fraction(1, 2)))
 BIASED = IidModel(probs=(Fraction(3, 4), Fraction(1, 4)))
@@ -85,6 +86,125 @@ class TestMarkovModel:
         assert abs(np.mean(x == 0) - 2 / 3) < 0.01
 
 
+class _OracleCF:
+    """The CF sampler before the two-float state, kept as the reference: exact
+    integer continuants of the cylinder so far (rebuilt from the last 64
+    digits once 128 have accumulated), and the smallest a >= 2 with
+    tail(a) <= 1-u found by doubling and bisection."""
+
+    WINDOW = 64
+
+    def __init__(self):
+        self.p, self.q, self.pp, self.qq = 0, 1, 1, 0
+        self.recent = []
+
+    @staticmethod
+    def _log2_ratio(N, D):
+        return math.log1p((N - D) / D) / math.log(2.0)
+
+    def digit(self, u):
+        p, q, pp, qq = self.p, self.q, self.pp, self.qq
+        A, B, C, D = pp + qq, p + q, qq, q
+        full = self._log2_ratio((A + B) * D, (C + D) * B)
+        thresh = 1.0 - u
+
+        def tail(ag):
+            return self._log2_ratio((A + ag * B) * D, (C + ag * D) * B) / full
+
+        if tail(2) <= thresh:
+            d = 1
+        else:
+            hi = 4
+            while tail(hi) > thresh:
+                hi <<= 1
+            lo = hi >> 1
+            while hi - lo > 1:
+                mid = (lo + hi) >> 1
+                if tail(mid) <= thresh:
+                    hi = mid
+                else:
+                    lo = mid
+            d = hi - 1
+        self.p, self.pp = d * p + pp, p
+        self.q, self.qq = d * q + qq, q
+        self.recent.append(d)
+        if len(self.recent) >= 2 * self.WINDOW:
+            self.recent = self.recent[-self.WINDOW:]
+            self.p, self.q, self.pp, self.qq = cf_continuants(self.recent)
+        return d
+
+
+def _oracle_cf_digits(seed, n):
+    oracle = _OracleCF()
+    return [oracle.digit(u) for u in uniform_block(seed, 0, n).tolist()]
+
+
+class TestCFSamplerAgainstOracle:
+    # the shipped quenched_gauss stream and three others
+    @pytest.mark.parametrize("seed", [derive_seed(31416, 3, 0), 2024, 5, 2718])
+    def test_stream_equals_oracle(self, seed):
+        n = 20000
+        expected = _oracle_cf_digits(seed, n)
+        assert make_generator(GaussCFModel(), seed).take(n).tolist() == expected
+        gen = make_generator(GaussCFModel(), seed)
+        assert [gen.next() for _ in range(n)] == expected
+
+    def test_words_equal_oracle(self):
+        # words lie entirely in the first digits, where the two-ratio law holds
+        for i in range(300):
+            seed = derive_seed(4242, 1, i)
+            assert list(sample_word(GaussCFModel(), 8, seed)) == _oracle_cf_digits(seed, 8)
+
+    def test_first_digit_boundaries(self):
+        # first digit: tail(a) = log2((a+1)/a); uniforms one ulp either side
+        # of each 1 - tail(a) and on it, and the largest uniform 1 - 2**-53
+        us = [1.0 - 2.0**-53]
+        for a in range(2, 1001):
+            u0 = 1.0 - math.log1p(1 / a) / math.log(2.0)
+            us += [math.nextafter(u0, 0.0), u0, math.nextafter(u0, 1.0)]
+        up = down = 0
+        for u in us:
+            d = make_generator(GaussCFModel(), 0)._gauss_digits([u])[0]
+            assert d == _OracleCF().digit(u)
+            # the closed-form start of the settle, with s = 0 and delta = 1
+            start = max(3, math.ceil(1.0 / math.expm1((1.0 - u) * math.log1p(1.0))))
+            if d > 1:
+                up += start < d + 1
+                down += start > d + 1
+        # a = 2..50 alone only ever settles down; the first upward settles
+        # are near a = 230, 668 and 915
+        assert up > 0 and down > 0
+        top = make_generator(GaussCFModel(), 0)._gauss_digits([1.0 - 2.0**-53])[0]
+        assert 2**53 < top < GaussCFModel.DIGIT_CAP
+
+    def test_deep_digits_follow_the_float_rule(self):
+        # past |delta| < 1e-17 the digit is (smallest a >= 2 with
+        # (1+s)/(a+s) <= 1-u) - 1, compared in float; uniforms one ulp either
+        # side of each boundary and on it.  The inverse is rarely off here:
+        # in this state it settles up near a = 658 and 1202, down near 7 and 14
+        gen = make_generator(GaussCFModel(), 1)
+        gen.take(60)
+        s, delta = gen._s, gen._delta
+        assert abs(delta) < 1e-17
+        up = down = 0
+        for a in range(2, 1301):
+            u0 = 1.0 - (1.0 + s) / (a + s)
+            for u in (math.nextafter(u0, 0.0), u0, math.nextafter(u0, 1.0)):
+                gen._s = s
+                d = gen._gauss_digits([u])[0]
+                t = 1.0 - u
+                rule = max(2, a - 2)
+                assert rule == 2 or (1.0 + s) / (rule + s) > t
+                while (1.0 + s) / (rule + s) > t:
+                    rule += 1
+                assert d == rule - 1
+                if d > 1:
+                    start = max(3, math.ceil((1.0 + s) / t - s))
+                    up += start < d + 1
+                    down += start > d + 1
+        assert up > 0 and down > 0
+
+
 class TestGaussModel:
     def test_digit_probabilities_closed_form(self):
         # P(a1 = d) = log2((d+1)^2 / (d(d+2)))
@@ -130,12 +250,20 @@ class TestGaussModel:
         assert abs(freq1 - math.log2(4 / 3)) < 0.01
         assert abs(freq2 - math.log2(9 / 8)) < 0.008
 
-    def test_convergents_unimodular(self):
+    def test_float_state_tracks_exact_continuants(self):
+        # s = q_{n-1}/q_n and delta = (p_{n-1}+q_{n-1})/(p_n+q_n) - s of the
+        # digits emitted so far; delta is only used while |delta| >= 1e-17
         gen = make_generator(GaussCFModel(), 5)
-        gen.take(40)
-        p, q, pp, qq = gen.convergents()
-        assert abs(p * qq - pp * q) == 1
-        assert q > pp >= 0
+        digits = []
+        for _ in range(400):
+            digits.append(gen.next())
+            p, q, pp, qq = cf_continuants(digits)
+            s = Fraction(qq, q)
+            assert abs(gen._s - s) <= 1e-15 * s
+            if abs(gen._delta) >= 1e-17:
+                delta = Fraction(pp + qq, p + q) - s
+                assert abs(gen._delta - delta) <= 1e-12 * abs(delta)
+        assert abs(gen._delta) < 1e-17
 
 
 class TestGenerators:
@@ -154,21 +282,20 @@ class TestGenerators:
             parts = np.concatenate([gen.take(30), gen.take(50), gen.take(20)])
             assert np.array_equal(whole, parts)
 
-    # 300 digits cross the RENORM_WINDOW re-base at 128 twice; a block of 7
-    # uniforms makes take() cross its own block boundaries too
+    # a block of 7 uniforms makes take() cross its block boundaries, also
+    # while the first ~20 digits still use the two-ratio law
     @pytest.mark.parametrize("block", [None, 7])
     def test_cf_take_equals_next_calls(self, block, monkeypatch):
         from poissonlab import measures
         if block is not None:
             monkeypatch.setattr(measures, "_UNIFORM_BLOCK", block)
-        assert 300 > 2 * measures.RENORM_WINDOW
         bulk = make_generator(GaussCFModel(), 2718)
         scalar = make_generator(GaussCFModel(), 2718)
-        taken = bulk.take(300)
+        taken = np.concatenate([bulk.take(11), bulk.take(289)])
         stepped = [scalar.next() for _ in range(300)]
-        assert taken.tolist() == stepped
+        assert taken.tolist() == stepped == _oracle_cf_digits(2718, 300)
         assert bulk.emitted == scalar.emitted == 300
-        assert bulk.convergents() == scalar.convergents()
+        assert (bulk._s, bulk._delta) == (scalar._s, scalar._delta)
 
     # a block of 7 uniforms makes take() cross its block boundaries
     @pytest.mark.parametrize("block", [None, 7])

@@ -1,4 +1,4 @@
-"""Report pins: small annealed and quenched configs, one per model path.
+"""Report pins: small configs, one per model path and mode.
 
 Each config's ``report`` section is hashed as in the ROADMAP recipe (first
 16 hex digits of the sha256 of its canonical JSON) and must match the value
@@ -20,6 +20,7 @@ MARKOV = {"type": "markov", "transition": [["9/10", "1/10"], ["1/5", "4/5"]]}
 GAUSS = {"type": "gauss_cf"}
 HALF = [["0", "1/2", False, True]]
 QUARTERS = [["0", "1/4", False, True], ["1/2", "3/4", False, True]]
+T_GRID = [0.5, 2.0, 8.0, 20.0]
 
 PINS = [
     ({"mode": "annealed", "model": FAIR, "k": 8, "n_samples": 300},
@@ -42,6 +43,13 @@ PINS = [
       "n_x_replicas": 2, "sets": [HALF, QUARTERS]}, "97e215ad08030209"),
     ({"mode": "quenched", "model": TAIL, "k": 3, "n_samples": 200,
       "n_cap": 5000}, "b403a3ae1cd41ee3"),
+    ({"mode": "concentration", "model": FAIR, "k": 6, "n_samples": 200,
+      "functional": "phi1", "t_grid": T_GRID}, "4f36f876b431ce81"),
+    ({"mode": "concentration", "model": FAIR, "k": 6, "n_samples": 200,
+      "functional": "phi2", "t_grid": T_GRID}, "4cc999e6c8102c61"),
+    ({"mode": "concentration", "model": MARKOV, "k": 8, "n_samples": 200,
+      "functional": "phi1", "t_grid": T_GRID}, "91bd16845025dddd"),
+    ({"mode": "mixing", "model": MARKOV, "k": 8}, "f9933a58ea977949"),
 ]
 
 

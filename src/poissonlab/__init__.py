@@ -5,9 +5,9 @@ from .errors import (ConfigError, InsufficientDataError, InternalCheckError,
                      ResourceError, UnsupportedModelError)
 from .experiments import (ExperimentConfig, GenericityReport, MixingReport,
                           OracleReport, QuenchedResult, QuenchedSummary,
-                          execute, load_config, parse_config,
-                          poisson_self_test, run_annealed, run_concentration,
-                          run_mixing, run_oracle_suite, run_quenched)
+                          execute, load_config, parse_config, run_annealed,
+                          run_concentration, run_mixing, run_oracle_suite,
+                          run_quenched)
 from .measures import (GaussCFModel, IidModel, MarkovModel, SequenceGenerator,
                        contraction_profile, cylinder_prob,
                        cylinder_prob_exact, cylinder_prob_high,
@@ -26,11 +26,9 @@ from .oracles import (VarianceBreakdown, annealed_exact_expectation,
                       log_n_over_n_bound, period_class_measure)
 from .point_process import (IndexSet, IntervalUnion, count_word_occurrences,
                             j_set, required_prefix_length, unit_interval)
-from .poisson_stats import (EmpiricalDistribution, chen_stein_bracket,
-                            fold_histogram, histogram_j_max, kallenberg_check,
-                            poisson_avg, poisson_param_shift, poisson_pmf,
-                            poisson_reference, sample_poisson_counts,
-                            tv_distance)
+from .poisson_stats import (fold_histogram, histogram_j_max, kallenberg_check,
+                            poisson_pmf, poisson_reference,
+                            sample_poisson_counts, tv_distance)
 from .rng import derive_seed, uniform_at, uniform_block
 from .words import enumerate_words, ext, overlap_merge, periods
 
@@ -41,8 +39,8 @@ __all__ = [
     # experiments
     "ExperimentConfig", "GenericityReport", "MixingReport", "OracleReport",
     "QuenchedResult", "QuenchedSummary", "execute", "load_config",
-    "parse_config", "poisson_self_test", "run_annealed", "run_concentration",
-    "run_mixing", "run_oracle_suite", "run_quenched",
+    "parse_config", "run_annealed", "run_concentration", "run_mixing",
+    "run_oracle_suite", "run_quenched",
     # measures
     "GaussCFModel", "IidModel", "MarkovModel", "SequenceGenerator",
     "contraction_profile", "cylinder_prob", "cylinder_prob_exact",
@@ -62,10 +60,8 @@ __all__ = [
     "IndexSet", "IntervalUnion", "count_word_occurrences", "j_set",
     "required_prefix_length", "unit_interval",
     # poisson_stats
-    "EmpiricalDistribution", "chen_stein_bracket", "fold_histogram",
-    "histogram_j_max", "kallenberg_check", "poisson_avg",
-    "poisson_param_shift", "poisson_pmf", "poisson_reference",
-    "sample_poisson_counts", "tv_distance",
+    "fold_histogram", "histogram_j_max", "kallenberg_check", "poisson_pmf",
+    "poisson_reference", "sample_poisson_counts", "tv_distance",
     # rng
     "derive_seed", "uniform_at", "uniform_block",
     # words

@@ -28,11 +28,11 @@ from .measures import (GaussCFModel, IidModel, MarkovModel, Model,
                        contraction_profile, cylinder_prob_exact,
                        cylinder_prob_guarded, make_generator, mixing_profile,
                        model_from_spec, model_to_spec)
-from .mixing_concentration import (DELTA_NORM_MATRIX_CAP, ConcentrationReport,
-                                   EtaMatrix, OccurrenceIndex,
-                                   concentration_experiment, delta_matrix,
-                                   delta_norm, delta_norm_bound,
-                                   eta_coefficients)
+from .mixing_concentration import (DELTA_NORM_MATRIX_CAP, PHI2_EXACT_CAP,
+                                   ConcentrationReport, EtaMatrix,
+                                   OccurrenceIndex, concentration_experiment,
+                                   delta_matrix, delta_norm, delta_norm_bound,
+                                   eta_coefficients, phi2_enumerable)
 from .oracles import (annealed_exact_expectation, brute_force_distribution,
                       dp_count_distribution, exact_expectation,
                       exact_pair_prob, exact_variance, log_n_over_n_bound,
@@ -40,8 +40,7 @@ from .oracles import (annealed_exact_expectation, brute_force_distribution,
 from .point_process import (IndexSet, IntervalUnion, count_word_occurrences,
                             j_set, required_prefix_length)
 from .poisson_stats import (fold_histogram, histogram_j_max, kallenberg_check,
-                            poisson_reference, sample_poisson_counts,
-                            tv_distance)
+                            poisson_reference, tv_distance)
 from .rng import derive_seed, raw_block
 from .rng import uniform_block  # noqa: F401  (perfbench's tracer self-test wraps this binding)
 from .words import enumerate_words, periods
@@ -198,6 +197,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
     functional = doc.get("functional", "phi1")
     if functional not in ("phi1", "phi2"):
         raise ConfigError("$.functional: expected 'phi1' or 'phi2'")
+    if mode == "concentration":
+        if n_samples < 200:
+            raise ConfigError("$.n_samples: concentration mode needs >= 200 replicas")
+        if not t_grid_doc:
+            raise ConfigError("$.t_grid: concentration mode needs at least one threshold")
+        if functional == "phi2" and not phi2_enumerable(model, k):
+            raise ConfigError(
+                "$.functional: 'phi2' enumerates every word, so it needs a finite "
+                f"alphabet with alphabet_size**k <= {PHI2_EXACT_CAP}")
     j = _cfg_int(doc, "j", 0, lo=0)
     max_lag = _cfg_int(doc, "max_lag", 30, lo=1)
     truncations_doc = doc.get("truncations", [50, 100, 200])
@@ -690,8 +698,6 @@ def run_oracle_suite(cfg: ExperimentConfig) -> OracleReport:
 def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     if cfg.mode != "concentration":
         raise ConfigError("$.mode: run_concentration needs mode 'concentration'")
-    if not cfg.t_grid:
-        raise ConfigError("$.t_grid: required for concentration mode")
     return concentration_experiment(
         cfg.model, cfg.k, cfg.sets[0], cfg.t_grid, cfg.n_samples, cfg.seed,
         functional=cfg.functional, j=cfg.j, n_cap=cfg.n_cap)
@@ -755,24 +761,6 @@ def run_mixing(cfg: ExperimentConfig) -> MixingReport:
 
 
 # ---------------------------------------------------------------------------
-# harness self-test
-
-
-def poisson_self_test(lam: float, n: int, seed: int) -> dict:
-    """Feed synthetic Poisson counts through the histogram/TV pipeline; the
-    result must sit within 3 aggregate standard errors of zero TV."""
-    counts = sample_poisson_counts(lam, n, seed)
-    jm = histogram_j_max(lam)
-    hist = fold_histogram(counts.tolist(), jm)
-    emp = {j: c / n for j, c in hist.items()}
-    ref = poisson_reference(lam, jm)
-    tv = tv_distance(emp, ref)
-    se = 0.5 * math.fsum(math.sqrt(p * (1.0 - p) / n) for p in ref.values())
-    return {"tv": tv, "se": se, "threshold": 3.0 * se, "n": n,
-            "passed": tv <= 3.0 * se}
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 
@@ -799,10 +787,6 @@ def to_jsonable(obj):
         return {name: to_jsonable(getattr(obj, name))
                 for name in obj.__dataclass_fields__}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def canonical_json(payload) -> str:
-    return json.dumps(to_jsonable(payload), sort_keys=True, indent=2) + "\n"
 
 
 def write_report(out_dir: str | Path, payload, meta: dict | None = None) -> Path:

@@ -21,8 +21,7 @@ from scipy.special import zeta as _hurwitz_zeta
 from .errors import ConfigError, InternalCheckError, UnsupportedModelError
 from .measures import (IidModel, MarkovModel, MixingProfile, Model,
                        SequenceGenerator, cylinder_prob, cylinder_prob_exact,
-                       cylinder_prob_guarded, make_generator, mixing_profile,
-                       sample_word)
+                       make_generator, mixing_profile)
 from .point_process import IntervalUnion, j_set, required_prefix_length
 from .rng import derive_seed
 from .words import enumerate_words
@@ -492,39 +491,36 @@ def phi_k_S(x_gen: SequenceGenerator, k: int, S: IntervalUnion,
     return PhiScan(value, complete, skipped, N_cap)
 
 
+def phi2_enumerable(model: Model, k: int) -> bool:
+    """Whether phi_k_j_S can enumerate all words: a finite alphabet with
+    alphabet_size**k <= PHI2_EXACT_CAP (k is clipped so a huge k builds no
+    huge integer)."""
+    s = model.alphabet_size
+    return s is not None and s ** min(k, PHI2_EXACT_CAP.bit_length()) <= PHI2_EXACT_CAP
+
+
 @dataclass(frozen=True)
 class PhiJEstimate:
     estimate: float
-    se: float
-    exact: bool
     truncated_fraction: float
     n_used: int
 
 
 def phi_k_j_S(x_gen: SequenceGenerator, k: int, j: int, S: IntervalUnion,
-              n_word_samples: int, word_seed: int,
               x_cap: int = 10**7) -> PhiJEstimate:
     """Mass of {w : count of w in x over its index set equals j}.
 
-    Exact enumeration over all words when the alphabet is finite with
-    alphabet_size**k <= 2**16 (the estimate is then the exact mass of the
-    fully countable words; words whose index set needs a prefix beyond
-    x_cap are excluded and reported in truncated_fraction).  Otherwise a
-    Monte Carlo word sample with binomial standard error.
+    Exact enumeration over all words; it needs a finite alphabet with
+    alphabet_size**k <= 2**16.  The estimate is the exact mass of the fully
+    countable words; words whose index set needs a prefix beyond x_cap are
+    excluded and reported in truncated_fraction.
     """
     if j < 0:
         raise ValueError("j must be >= 0")
     model = x_gen.model
-    s = model.alphabet_size
-    if s is not None and s**k <= PHI2_EXACT_CAP:
-        return _phi_k_j_exact(x_gen, k, j, S, x_cap)
-    if n_word_samples < 100:
-        raise ConfigError("need at least 100 word samples")
-    return _phi_k_j_mc(x_gen, k, j, S, n_word_samples, word_seed, x_cap)
-
-
-def _phi_k_j_exact(x_gen, k, j, S, x_cap) -> PhiJEstimate:
-    model = x_gen.model
+    if not phi2_enumerable(model, k):
+        raise UnsupportedModelError(
+            "the level mass needs a finite alphabet with alphabet_size**k <= 2**16")
     s = model.alphabet_size
     words = []
     for w in enumerate_words(s, k):
@@ -553,49 +549,7 @@ def _phi_k_j_exact(x_gen, k, j, S, x_cap) -> PhiJEstimate:
     zero_mass = 1 - sum(mu for _, mu, _ in words)  # words of measure zero count 0
     if j == 0:
         hit_mass += zero_mass
-    return PhiJEstimate(float(hit_mass), 0.0, True, float(truncated_mass), n_used)
-
-
-def _phi_k_j_mc(x_gen, k, j, S, n_word_samples, word_seed, x_cap) -> PhiJEstimate:
-    model = x_gen.model
-    buf = np.asarray(x_gen.take(min(x_cap, 1 << 16)), dtype=np.int64)
-    index = OccurrenceIndex(buf, k, model.alphabet_size) if len(buf) >= k else None
-    index_len = len(buf)
-
-    def ensure(n: int) -> OccurrenceIndex:
-        nonlocal buf, index, index_len
-        if len(buf) < n:
-            extra = x_gen.take(n - len(buf))
-            buf = np.concatenate([buf, np.asarray(extra, dtype=np.int64)])
-        if index is None or index_len != len(buf):
-            index = OccurrenceIndex(buf, k, model.alphabet_size)
-            index_len = len(buf)
-        return index
-
-    hits = 0
-    used = 0
-    truncated = 0
-    for i in range(n_word_samples):
-        w = sample_word(model, k, derive_seed(word_seed, i))
-        mu, high = cylinder_prob_guarded(model, w)
-        if mu == 0:
-            used += 1
-            hits += 1 if j == 0 else 0
-            continue
-        J = j_set(mu, S, high)
-        need = required_prefix_length(k, J)
-        if need > x_cap:
-            truncated += 1
-            continue
-        count = ensure(max(need, k)).count_in_ranges(w, J.ranges) if J.count else 0
-        used += 1
-        if count == j:
-            hits += 1
-    if used == 0:
-        return PhiJEstimate(0.0, 0.0, False, 1.0, 0)
-    f = hits / used
-    se = math.sqrt(f * (1.0 - f) / used)
-    return PhiJEstimate(f, se, False, truncated / n_word_samples, used)
+    return PhiJEstimate(float(hit_mass), float(truncated_mass), n_used)
 
 
 # ---------------------------------------------------------------------------
@@ -667,11 +621,7 @@ def concentration_experiment(model: Model, k: int, S: IntervalUnion,
             values[r] = scan.value
             complete = complete and scan.complete
         else:
-            est = phi_k_j_S(gen, k, j, S, n_word_samples=100,
-                            word_seed=derive_seed(seed, 2, r), x_cap=n_cap)
-            if not est.exact:
-                raise UnsupportedModelError(
-                    "the level-mass experiment needs the exact enumeration path")
+            est = phi_k_j_S(gen, k, j, S, x_cap=n_cap)
             values[r] = est.estimate
             complete = complete and est.truncated_fraction == 0.0
 

@@ -1,21 +1,19 @@
 """Poisson reference laws, distances, and limit-law diagnostics.
 
-Provides the Poisson pmf (log-space, no overflow), bounded-functional
-averages with controlled tail truncation, total-variation distances in both
-common normalizations, a Chen-Stein-type bracket for the Poisson distance of
-an occurrence count, and the two-condition point-process limit check
+Provides the Poisson pmf (log-space, no overflow), the folded count
+histograms and their Poisson references, total-variation distances in both
+common normalizations, and the two-condition point-process limit check
 (expectation bound plus void probability) used by the experiment runners.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, InternalCheckError
+from .errors import InsufficientDataError
 from .rng import uniform_block
 
 
@@ -33,27 +31,6 @@ def poisson_pmf(lam: float, j: int) -> float:
 def poisson_pmf_vector(lam: float, j_max: int) -> np.ndarray:
     """pmf values for j = 0..j_max as an array."""
     return np.array([poisson_pmf(lam, j) for j in range(j_max + 1)])
-
-
-def poisson_avg(lam: float, h: Callable[[int], float], tail_tol: float = 1e-12) -> float:
-    """E[h(N)] for N ~ Poisson(lam) and |h| <= 1, truncated once the
-    remaining pmf mass drops below tail_tol (the truncation error is below
-    tail_tol in absolute value)."""
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    if tail_tol <= 0:
-        raise ValueError("tail_tol must be positive")
-    total = 0.0
-    covered = 0.0
-    j = 0
-    while covered < 1.0 - tail_tol:
-        p = poisson_pmf(lam, j)
-        total += p * h(j)
-        covered += p
-        j += 1
-        if j > 100 + 100 * int(lam + 1):
-            break
-    return total
 
 
 def histogram_j_max(lam: float) -> int:
@@ -93,57 +70,6 @@ def tv_distance(p: Mapping[int, float], q: Mapping[int, float],
             raise ValueError(f"{name} distribution must sum to 1 within 1e-9")
     keys = set(p) | set(q)
     return 0.5 * math.fsum(abs(p.get(j, 0.0) - q.get(j, 0.0)) for j in keys)
-
-
-def poisson_param_shift(lam: float, t: float, h: Callable[[int], float],
-                        tail_tol: float = 1e-12) -> float:
-    """|E_lam[h] - E_t[h]| for |h| <= 1; certified <= 2|lam - t|."""
-    gap = abs(poisson_avg(lam, h, tail_tol) - poisson_avg(t, h, tail_tol))
-    bound = 2.0 * abs(lam - t) + 1e-9
-    if gap > bound:
-        raise InternalCheckError(f"parameter-shift bound violated: {gap} > {bound}")
-    return gap
-
-
-def chen_stein_bracket(lam: float, variance: float, n: int) -> float:
-    """Poisson-distance majorant shape min(lam^-1/2, 1) * (var - lam
-    + (lam+1)^2 ln(n)/n); the absolute constant in front is not modeled."""
-    if n < 3:
-        raise ValueError("need n >= 3 so ln(n)/n is decreasing")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    return min(lam**-0.5, 1.0) * (variance - lam + (lam + 1.0) ** 2 * math.log(n) / n)
-
-
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    """Histogram summary of integer count samples."""
-
-    histogram: dict[int, int]
-    n: int
-    mean: float
-    variance: float
-    truncated_fraction: float
-
-    @classmethod
-    def from_counts(cls, counts: Sequence[int], truncated_fraction: float = 0.0):
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.size == 0:
-            return cls({}, 0, float("nan"), float("nan"), truncated_fraction)
-        if counts.min() < 0:
-            raise ValueError("counts are nonnegative")
-        hist: dict[int, int] = {}
-        vals, freqs = np.unique(counts, return_counts=True)
-        for v, f in zip(vals, freqs):
-            hist[int(v)] = int(f)
-        mean = float(counts.mean())
-        var = float(counts.var())
-        return cls(hist, int(counts.size), mean, var, truncated_fraction)
-
-    def probabilities(self) -> dict[int, float]:
-        if self.n == 0:
-            return {}
-        return {j: f / self.n for j, f in self.histogram.items()}
 
 
 def sample_poisson_counts(lam: float, n: int, seed: int) -> np.ndarray:

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from poissonlab.errors import ConfigError, InsufficientDataError
 from poissonlab.experiments import (_distinct_rows, _draw, default_n_cap, execute,
-                                    parse_config, poisson_self_test, run_annealed,
-                                    run_mixing, run_oracle_suite, run_quenched)
+                                    parse_config, run_annealed, run_mixing,
+                                    run_oracle_suite, run_quenched)
 from poissonlab.measures import (GaussCFModel, IidModel, cylinder_prob_exact,
                                  make_generator, model_from_spec, sample_word)
 from poissonlab.point_process import j_set, required_prefix_length
@@ -39,6 +39,11 @@ def _doc(**over):
            "n_samples": 120, "seed": 9}
     doc.update(over)
     return doc
+
+
+def _conc(**over):
+    return _doc(**dict({"mode": "concentration", "n_samples": 200, "t_grid": [1.0]},
+                       **over))
 
 
 class TestParseConfig:
@@ -80,6 +85,14 @@ class TestParseConfig:
         (_doc(t_grid=[float("nan"), 5.0]), "$.t_grid"),
         (_doc(t_grid=[float("inf")]), "$.t_grid"),
         (_doc(truncations=[50, 2001]), "$.truncations"),
+        (_conc(n_samples=150), "$.n_samples"),
+        (_conc(t_grid=[]), "$.t_grid"),
+        ({key: v for key, v in _conc().items() if key != "t_grid"}, "$.t_grid"),
+        (_conc(functional="phi2", model={"type": "gauss_cf"}), "$.functional"),
+        (_conc(functional="phi2", model={"type": "iid", "tail_ratio": "1/2"}),
+         "$.functional"),
+        (_conc(functional="phi2", k=17), "$.functional"),
+        (_conc(functional="phi2", k=1000), "$.functional"),
     ])
     def test_error_paths(self, doc, needle):
         with pytest.raises(ConfigError) as err:
@@ -103,7 +116,7 @@ class TestParseConfig:
 
 SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
 _BAD_VALUES = [float("nan"), float("inf"), float("-inf"), -1, -0.5, 1e300, -1e300,
-               [], {}, "x", None, True]
+               [], {}, "x", None, True, 150, "phi2"]
 
 
 def _paths(node, path=()):
@@ -118,7 +131,8 @@ def _paths(node, path=()):
 @st.composite
 def mutated_configs(draw):
     """A shipped config with one to three values dropped, negated or replaced
-    by a wrong type, NaN, an infinity, a negative or huge number or []."""
+    by a wrong type, NaN, an infinity, a negative or huge number, [], 150
+    (below the concentration replica floor, a long word) or "phi2"."""
     doc = json.loads(draw(st.sampled_from(SHIPPED_CONFIGS)).read_text())
     for _ in range(draw(st.integers(1, 3))):
         paths = list(_paths(doc))
@@ -414,12 +428,6 @@ class TestMixingMode:
         assert rep.analytic_bound > 1.0
 
 
-def test_poisson_self_test():
-    out = poisson_self_test(1.0, 50000, 2026)
-    assert out["passed"]
-    assert out["tv"] <= out["threshold"]
-
-
 class TestExecuteArtifacts:
     def test_report_and_csvs(self, tmp_path):
         cfg = parse_config(_doc(k=8, n_samples=400))
@@ -558,6 +566,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: internal check failed: index-count sandwich")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("over,needle", [
+        ({"model": {"type": "gauss_cf"}, "k": 3, "functional": "phi2"}, "$.functional"),
+        ({"n_samples": 150}, "$.n_samples"),
+        ({"t_grid": []}, "$.t_grid"),
+    ])
+    def test_concentration_refusals_are_exit_two(self, tmp_path, over, needle):
+        # refused while parsing, before any stream is drawn
+        cfg_path = self._write(tmp_path / "c.json", _conc(**over))
+        r = subprocess.run([sys.executable, "-m", "poissonlab.cli", "concentration",
+                            "--config", cfg_path], capture_output=True, text=True,
+                           timeout=30)
+        assert r.returncode == 2
+        assert f"error: {needle}:" in r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_missing_file(self):
         r = self._run("annealed", "--config", "/nonexistent/x.json")

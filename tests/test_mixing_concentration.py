@@ -23,8 +23,8 @@ from poissonlab.mixing_concentration import (EtaMatrix, OccurrenceIndex,
                                              eta_coefficients,
                                              lipschitz_weights_phi1,
                                              lipschitz_weights_phi2,
-                                             mcdiarmid_tail, phi_k_S,
-                                             phi_k_j_S)
+                                             mcdiarmid_tail, phi2_enumerable,
+                                             phi_k_S, phi_k_j_S)
 from poissonlab.point_process import IntervalUnion, unit_interval
 
 FAIR = IidModel(probs=(Fraction(1, 2), Fraction(1, 2)))
@@ -388,44 +388,37 @@ class TestPhiScan:
 class TestPhiJMass:
     def test_exact_alternating_example(self):
         gen = _FixedStream(FAIR, (0, 1))
-        est = phi_k_j_S(gen, 2, 0, UNIT, n_word_samples=0, word_seed=0)
-        assert est.exact
+        est = phi_k_j_S(gen, 2, 0, UNIT)
         # 01 and 10 each occur twice in their index windows; 00 and 11 never
         assert est.estimate == pytest.approx(0.5, abs=1e-15)
         assert est.truncated_fraction == 0.0
-        est2 = phi_k_j_S(_FixedStream(FAIR, (0, 1)), 2, 2, UNIT,
-                         n_word_samples=0, word_seed=0)
+        est2 = phi_k_j_S(_FixedStream(FAIR, (0, 1)), 2, 2, UNIT)
         assert est2.estimate == pytest.approx(0.5, abs=1e-15)
 
     def test_unreachable_count_has_no_mass(self):
-        est = phi_k_j_S(_FixedStream(FAIR, (0, 1)), 2, 7, UNIT,
-                        n_word_samples=0, word_seed=0)
+        est = phi_k_j_S(_FixedStream(FAIR, (0, 1)), 2, 7, UNIT)
         assert est.estimate == 0.0
 
     def test_empty_set_concentrates_at_zero(self):
         empty = IntervalUnion.from_spec([])
-        est = phi_k_j_S(_FixedStream(FAIR, (0, 1)), 2, 0, empty,
-                        n_word_samples=0, word_seed=0)
-        assert est.exact
+        est = phi_k_j_S(_FixedStream(FAIR, (0, 1)), 2, 0, empty)
         assert est.estimate == pytest.approx(1.0, abs=1e-15)
 
-    def test_mc_path_needs_samples(self):
-        gen = make_generator(GaussCFModel(), 8)
-        with pytest.raises(ConfigError):
-            phi_k_j_S(gen, 2, 0, UNIT, n_word_samples=50, word_seed=1)
+    @pytest.mark.parametrize("model,k", [
+        (GaussCFModel(), 2), (IidModel(tail_ratio=Fraction(1, 2)), 2),
+        (FAIR, 17), (FAIR, 10**6)])
+    def test_words_past_the_enumeration_cap_are_refused(self, model, k):
+        assert not phi2_enumerable(model, k)
+        with pytest.raises(UnsupportedModelError):
+            phi_k_j_S(make_generator(model, 8), k, 0, UNIT)
 
-    def test_mc_path_runs_on_gauss(self):
-        gen = make_generator(GaussCFModel(), 8)
-        est = phi_k_j_S(gen, 1, 0, UNIT, n_word_samples=150, word_seed=3,
-                        x_cap=20000)
-        assert not est.exact
-        assert 0.0 <= est.estimate <= 1.0
-        assert est.n_used > 0
+    def test_enumeration_cap_is_inclusive(self):
+        assert phi2_enumerable(FAIR, 16)
+        assert phi2_enumerable(CHAIN, 16)
 
     def test_negative_j_rejected(self):
         with pytest.raises(ValueError):
-            phi_k_j_S(_FixedStream(FAIR, (0, 1)), 2, -1, UNIT,
-                      n_word_samples=0, word_seed=0)
+            phi_k_j_S(_FixedStream(FAIR, (0, 1)), 2, -1, UNIT)
 
 
 class TestConcentrationExperiment:

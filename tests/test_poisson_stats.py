@@ -1,7 +1,6 @@
-"""Poisson reference laws, TV metric, and the two analytic brackets.
+"""Poisson reference laws, TV metric, histograms and the Kallenberg check.
 
-scipy.stats.poisson is the independent oracle for pmf values; the bracket
-formulas are pinned to hand-computed constants.
+scipy.stats.poisson is the independent oracle for pmf values.
 """
 
 import math
@@ -11,10 +10,8 @@ import pytest
 from scipy import stats
 
 from poissonlab.errors import InsufficientDataError
-from poissonlab.poisson_stats import (EmpiricalDistribution, chen_stein_bracket,
-                                      fold_histogram, histogram_j_max,
-                                      kallenberg_check, poisson_avg,
-                                      poisson_param_shift, poisson_pmf,
+from poissonlab.poisson_stats import (fold_histogram, histogram_j_max,
+                                      kallenberg_check, poisson_pmf,
                                       poisson_pmf_vector, poisson_reference,
                                       sample_poisson_counts, tv_distance)
 
@@ -40,14 +37,6 @@ class TestPmf:
     def test_zero_rate_is_point_mass(self):
         assert poisson_pmf(0.0, 0) == 1.0
         assert poisson_pmf(0.0, 3) == 0.0
-
-    def test_avg_of_indicator_is_pmf(self):
-        for j in (0, 4, 30):
-            got = poisson_avg(1.7, lambda n: 1.0 if n == j else 0.0)
-            assert got == pytest.approx(poisson_pmf(1.7, j), abs=1e-12)
-
-    def test_avg_of_identity_is_lambda(self):
-        assert poisson_avg(3.2, lambda n: float(n)) == pytest.approx(3.2, abs=1e-9)
 
 
 class TestTvDistance:
@@ -77,47 +66,6 @@ class TestTvDistance:
             tv_distance({0: 1.5, 1: -0.5}, {0: 1.0})
 
 
-class TestParamShift:
-    def test_zero_when_equal(self):
-        assert poisson_param_shift(1.3, 1.3, lambda n: float(n % 2)) == 0.0
-
-    def test_indicator_example(self):
-        got = poisson_param_shift(1.0, 1.1, lambda n: 1.0 if n == 0 else 0.0)
-        want = abs(math.exp(-1.0) - math.exp(-1.1))
-        assert got == pytest.approx(want, abs=1e-9)
-        assert got == pytest.approx(0.03501, abs=1e-4)
-        assert got <= 0.2
-
-    def test_constant_h_shifts_nothing(self):
-        assert poisson_param_shift(0.0, 2.0, lambda n: 1.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_bounded_by_twice_rate_gap(self):
-        # |E_lam h - E_t h| <= 2 |lam - t| for 0 <= h <= 1
-        rng = np.random.default_rng(7)
-        table = rng.random(64)
-        h = lambda n: float(table[min(n, 63)])
-        for _ in range(100):
-            lam = rng.uniform(0.0, 6.0)
-            t = rng.uniform(0.0, 6.0)
-            assert poisson_param_shift(lam, t, h) <= 2.0 * abs(lam - t) + 1e-9
-
-
-class TestChenSteinBracket:
-    def test_pinned_values(self):
-        assert chen_stein_bracket(1.0, 1.0, 3) == pytest.approx(1.4648, abs=2e-4)
-        assert chen_stein_bracket(4.0, 4.0, 10**6) == pytest.approx(1.727e-4, rel=2e-3)
-        assert chen_stein_bracket(1.0, 1.125, 4) == pytest.approx(1.5113, abs=2e-4)
-
-    def test_needs_three_points(self):
-        with pytest.raises(ValueError):
-            chen_stein_bracket(1.0, 1.0, 2)
-
-    def test_decreases_in_n(self):
-        vals = [chen_stein_bracket(2.0, 2.0, n) for n in (10, 100, 10**4, 10**6)]
-        for a, b in zip(vals, vals[1:]):
-            assert b < a
-
-
 class TestHistogramTools:
     def test_j_max_grows_with_rate(self):
         assert histogram_j_max(0.5) < histogram_j_max(5.0) < histogram_j_max(50.0)
@@ -136,15 +84,6 @@ class TestHistogramTools:
         assert sum(folded.values()) == 6
         with pytest.raises(ValueError):
             fold_histogram([-1], 3)
-
-    def test_empirical_distribution(self):
-        emp = EmpiricalDistribution.from_counts(np.array([0, 0, 1, 3]))
-        assert emp.n == 4
-        probs = emp.probabilities()
-        assert math.fsum(probs.values()) == pytest.approx(1.0)
-        assert probs[0] == pytest.approx(0.5)
-        assert emp.mean == pytest.approx(1.0)
-        assert EmpiricalDistribution.from_counts([]).n == 0
 
 
 class TestSampling:

@@ -592,9 +592,10 @@ def concentration_experiment(model: Model, k: int, S: IntervalUnion,
 
     Draws independent streams, evaluates the functional on each, centers at
     the empirical mean, and compares each tail frequency against
-    2 exp(-t^2 / (||Delta||^2 * 8 k^4 sup(S) K^2 rho^k)) (phi1) or the k^2
-    variant (phi2), flagging any exceedance beyond three binomial standard
-    errors where the bound is informative (< 1).
+    2 exp(-t^2 / (||Delta||^2 * B)), where B is the analytic majorant of the
+    functional's squared weight norm (``lipschitz_weights_phi1/phi2``: for
+    phi1, 8 k^4 sup(S) max(K, 1)^2 rho^k), flagging any exceedance beyond
+    three binomial standard errors where the bound is informative (< 1).
     """
     if n_replicas < 200:
         raise ConfigError("need at least 200 replicas")
@@ -611,6 +612,9 @@ def concentration_experiment(model: Model, k: int, S: IntervalUnion,
         else:
             n_cap = 10**4
     n_cap = max(n_cap, k)
+    weights = lipschitz_weights_phi1 if functional == "phi1" else lipschitz_weights_phi2
+    dn = delta_norm_bound(profile)
+    denominator = dn**2 * weights(k, S, profile).bound
 
     values = np.empty(n_replicas)
     complete = True
@@ -625,9 +629,6 @@ def concentration_experiment(model: Model, k: int, S: IntervalUnion,
             values[r] = est.estimate
             complete = complete and est.truncated_fraction == 0.0
 
-    poly = 8.0 * k**4 if functional == "phi1" else 8.0 * k**2
-    dn = delta_norm_bound(profile)
-    denominator = dn**2 * poly * sup * profile.K**2 * profile.rho**k
     mean = float(np.mean(values))
     std = float(np.std(values))
     dev = np.abs(values - mean)

@@ -582,6 +582,16 @@ class TestCli:
         assert f"error: {needle}:" in r.stderr
         assert "Traceback" not in r.stderr
 
+    def test_weight_norm_check_failure_is_exit_three(self, tmp_path, monkeypatch, capsys):
+        from poissonlab import cli, mixing_concentration
+
+        # a Hurwitz tail far too large pushes ||c||^2 past its analytic majorant
+        monkeypatch.setattr(mixing_concentration, "_hurwitz_zeta", lambda s, q: 1e6)
+        cfg_path = self._write(tmp_path / "c.json", _conc())
+        assert cli.main(["concentration", "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal check failed: weight norm")
+
     def test_missing_file(self):
         r = self._run("annealed", "--config", "/nonexistent/x.json")
         assert r.returncode == 2

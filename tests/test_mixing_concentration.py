@@ -213,6 +213,16 @@ class TestLipschitzWeights:
         with pytest.raises(ValueError):
             lipschitz_weights_phi1(0, UNIT, mixing_profile(FAIR))
 
+    @pytest.mark.parametrize("k", [4, 8, 12])
+    def test_contracting_chain_needs_the_max_k_one_majorant(self, k):
+        # the shipped chain has K < 1; its weight norm is above the
+        # 8 k^4 sup(S) K^2 rho^k form, so the majorant uses max(K, 1)^2
+        prof = mixing_profile(CHAIN)
+        assert prof.K < 1.0
+        w = lipschitz_weights_phi1(k, UNIT, prof)
+        assert w.norm_sq > 8.0 * k**4 * 1.0 * prof.K**2 * prof.rho**k
+        assert w.norm_sq <= w.bound
+
 
 class TestAzumaBound:
     def test_independent_case_identity(self):
@@ -425,7 +435,7 @@ class TestConcentrationExperiment:
     def test_uniform_model_report(self):
         rep = concentration_experiment(FAIR, 10, UNIT, [5.0, 30.0], 200, 77)
         # ||Delta|| bound is 1 for independent coordinates, so the
-        # denominator is 8 k^4 K^2 rho^k = 8e4 / 1024
+        # denominator is 8 k^4 max(K, 1)^2 rho^k = 8e4 / 1024
         assert rep.denominator == pytest.approx(78.125, abs=1e-9)
         assert rep.complete
         # the scan value is |S| up to float rounding at the last index,
@@ -452,3 +462,12 @@ class TestConcentrationExperiment:
         a = concentration_experiment(FAIR, 6, UNIT, [2.0], 200, 13)
         b = concentration_experiment(FAIR, 6, UNIT, [2.0], 200, 13)
         assert a == b
+
+    @pytest.mark.parametrize("functional,k,weights", [
+        ("phi1", 8, lipschitz_weights_phi1), ("phi2", 4, lipschitz_weights_phi2)])
+    def test_denominator_is_the_weight_majorant(self, functional, k, weights):
+        # one bound formula: ||Delta||^2 times the weights' analytic majorant
+        rep = concentration_experiment(CHAIN, k, UNIT, [2.0], 200, 5,
+                                       functional=functional)
+        prof = mixing_profile(CHAIN)
+        assert rep.denominator == delta_norm_bound(prof)**2 * weights(k, UNIT, prof).bound

@@ -48,7 +48,7 @@ PINS = [
     ({"mode": "concentration", "model": FAIR, "k": 6, "n_samples": 200,
       "functional": "phi2", "t_grid": T_GRID}, "4cc999e6c8102c61"),
     ({"mode": "concentration", "model": MARKOV, "k": 8, "n_samples": 200,
-      "functional": "phi1", "t_grid": T_GRID}, "91bd16845025dddd"),
+      "functional": "phi1", "t_grid": T_GRID}, "9be84cddc2f5a54e"),
     ({"mode": "mixing", "model": MARKOV, "k": 8}, "f9933a58ea977949"),
 ]
 

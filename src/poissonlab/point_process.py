@@ -215,6 +215,8 @@ def _last_index_float(bound: Fraction, mu: float, inclusive: bool,
     high-precision quotient instead, so it settles within a step or two
     either way.
     """
+    if bound == 0:
+        return 0  # i*mu > 0 = 0*mu for every i >= 1, exactly
     import mpmath
 
     bf = float(bound)

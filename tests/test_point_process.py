@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 from poissonlab import point_process
 from poissonlab.errors import ResourceError
-from poissonlab.measures import GaussCFModel, cylinder_prob, cylinder_prob_high
+from poissonlab.measures import (GaussCFModel, cylinder_prob, cylinder_prob_high,
+                                 sample_word)
 from poissonlab.point_process import (IntervalUnion, count_word_occurrences,
                                       j_set, required_prefix_length,
                                       unit_interval)
+from poissonlab.rng import derive_seed
 
 
 class TestIntervalUnion:
@@ -169,6 +171,46 @@ class TestJSet:
             assert J.ranges == ((1, last),)
             assert len(evaluations) == 1
             assert len(decisions) <= 4
+
+    def test_endpoint_zero_needs_no_high_precision(self, monkeypatch):
+        # 0 * mu = 0 exactly, so the endpoint 0 never consults mu_high; the
+        # ranges still match the exact path (rational mu) and a 60-digit
+        # quotient (CF words)
+        import mpmath
+
+        last_index = point_process._last_index_float
+        evaluations_at_zero = []
+
+        def spy(bound, mu, inclusive, mu_high, dps):
+            evaluations = []
+
+            def counted(d):
+                evaluations.append(d)
+                return mu_high(d)
+
+            i = last_index(bound, mu, inclusive, None if mu_high is None else counted, dps)
+            if bound == 0:
+                evaluations_at_zero.append(len(evaluations))
+            return i
+
+        monkeypatch.setattr(point_process, "_last_index_float", spy)
+        rnd = random.Random(2025)
+        for _ in range(300):
+            mu = Fraction(rnd.randint(1, 400), rnd.randint(1, 400))
+            S = IntervalUnion.from_spec(
+                [(0, rnd.randint(1, 50) * mu, rnd.random() < 0.5, rnd.random() < 0.5)])
+            assert j_set(float(mu), S, lambda dps: mu).ranges == j_set(mu, S).ranges, \
+                (mu, S.label())
+        model = GaussCFModel()
+        for i in range(2000):
+            w = sample_word(model, 8, derive_seed(2025, i))
+            J = j_set(cylinder_prob(model, w), unit_interval(),
+                      lambda dps, w=w: cylinder_prob_high(model, w, dps))
+            with mpmath.workdps(60):
+                last = int(mpmath.floor(1 / cylinder_prob_high(model, w, 60)))
+            assert J.ranges == (((1, last),) if last >= 1 else ()), w
+        assert len(evaluations_at_zero) == 2300
+        assert not any(evaluations_at_zero)
 
     def test_float_guard_band_far_endpoint(self):
         # indices near 1e40 are resolved at more than 50 digits; a set past

@@ -18,6 +18,9 @@ THREE = {"type": "iid", "probs": ["1/2", "1/3", "1/6"]}
 TAIL = {"type": "iid", "tail_ratio": "1/2"}
 MARKOV = {"type": "markov", "transition": [["9/10", "1/10"], ["1/5", "4/5"]]}
 GAUSS = {"type": "gauss_cf"}
+# zero diagonal: every word with a repeated symbol has measure zero
+ZERO_DIAG = {"type": "markov", "transition": [["0", "1/2", "1/2"], ["1/2", "0", "1/2"],
+                                              ["1/2", "1/2", "0"]]}
 HALF = [["0", "1/2", False, True]]
 QUARTERS = [["0", "1/4", False, True], ["1/2", "3/4", False, True]]
 T_GRID = [0.5, 2.0, 8.0, 20.0]
@@ -39,6 +42,8 @@ PINS = [
       "n_cap": 20000}, "e110e3da22252fd1"),
     ({"mode": "quenched", "model": GAUSS, "k": 3, "n_samples": 200,
       "n_cap": 20000}, "2afa36809751f7c6"),
+    ({"mode": "quenched", "model": GAUSS, "k": 3, "n_samples": 200,
+      "n_cap": 20000, "sets": [HALF, QUARTERS]}, "46b12dccc715eb35"),
     ({"mode": "quenched", "model": THREE, "k": 5, "n_samples": 300,
       "n_x_replicas": 2, "sets": [HALF, QUARTERS]}, "97e215ad08030209"),
     ({"mode": "quenched", "model": TAIL, "k": 3, "n_samples": 200,
@@ -49,6 +54,13 @@ PINS = [
       "functional": "phi2", "t_grid": T_GRID}, "4cc999e6c8102c61"),
     ({"mode": "concentration", "model": MARKOV, "k": 8, "n_samples": 200,
       "functional": "phi1", "t_grid": T_GRID}, "9be84cddc2f5a54e"),
+    # truncated: the report's `complete` is false
+    ({"mode": "concentration", "model": MARKOV, "k": 6, "n_samples": 200,
+      "functional": "phi2", "t_grid": T_GRID}, "3c0a1870192fb239"),
+    ({"mode": "concentration", "model": ZERO_DIAG, "k": 5, "n_samples": 200,
+      "functional": "phi2", "t_grid": T_GRID}, "8cd15a043d6a9b8e"),
+    ({"mode": "concentration", "model": ZERO_DIAG, "k": 5, "n_samples": 200,
+      "functional": "phi2", "t_grid": T_GRID, "j": 1}, "84f81a3b1a271d91"),
     ({"mode": "mixing", "model": MARKOV, "k": 8}, "f9933a58ea977949"),
 ]
 

@@ -14,12 +14,10 @@ from .measures import (GaussCFModel, IidModel, MarkovModel, SequenceGenerator,
                        make_generator, mixing_profile, model_from_spec,
                        model_to_spec, psi_mixing_profile, sample_word)
 from .mixing_concentration import (ConcentrationReport, EtaMatrix,
-                                   OccurrenceIndex, azuma_bound,
-                                   concentration_experiment, delta_matrix,
-                                   delta_norm, delta_norm_bound,
+                                   OccurrenceIndex, concentration_experiment,
+                                   delta_matrix, delta_norm, delta_norm_bound,
                                    eta_coefficients, lipschitz_weights_phi1,
-                                   lipschitz_weights_phi2, mcdiarmid_tail,
-                                   phi_k_S, phi_k_j_S)
+                                   lipschitz_weights_phi2, phi_k_S, phi_k_j_S)
 from .oracles import (VarianceBreakdown, annealed_exact_expectation,
                       brute_force_distribution, dp_count_distribution,
                       exact_expectation, exact_pair_prob, exact_variance,
@@ -47,10 +45,10 @@ __all__ = [
     "cylinder_prob_high", "make_generator", "mixing_profile",
     "model_from_spec", "model_to_spec", "psi_mixing_profile", "sample_word",
     # mixing_concentration
-    "ConcentrationReport", "EtaMatrix", "OccurrenceIndex", "azuma_bound",
+    "ConcentrationReport", "EtaMatrix", "OccurrenceIndex",
     "concentration_experiment", "delta_matrix", "delta_norm",
     "delta_norm_bound", "eta_coefficients", "lipschitz_weights_phi1",
-    "lipschitz_weights_phi2", "mcdiarmid_tail", "phi_k_S", "phi_k_j_S",
+    "lipschitz_weights_phi2", "phi_k_S", "phi_k_j_S",
     # oracles
     "VarianceBreakdown", "annealed_exact_expectation",
     "brute_force_distribution", "dp_count_distribution", "exact_expectation",

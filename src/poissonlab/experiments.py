@@ -26,19 +26,20 @@ from .errors import (ConfigError, InsufficientDataError, ResourceError,
                      UnsupportedModelError)
 from .measures import (GaussCFModel, IidModel, MarkovModel, Model,
                        contraction_profile, cylinder_prob_exact,
-                       cylinder_prob_guarded, make_generator, mixing_profile,
-                       model_from_spec, model_to_spec)
+                       make_generator, mixing_profile, model_from_spec,
+                       model_to_spec)
 from .mixing_concentration import (DELTA_NORM_MATRIX_CAP, PHI2_EXACT_CAP,
                                    ConcentrationReport, EtaMatrix,
-                                   OccurrenceIndex, concentration_experiment,
-                                   delta_matrix, delta_norm, delta_norm_bound,
+                                   OccurrenceIndex, _plan_words, _ranges_array,
+                                   concentration_experiment, delta_matrix,
+                                   delta_norm, delta_norm_bound,
                                    eta_coefficients, phi2_enumerable)
 from .oracles import (annealed_exact_expectation, brute_force_distribution,
                       dp_count_distribution, exact_expectation,
                       exact_pair_prob, exact_variance, log_n_over_n_bound,
                       period_class_measure)
-from .point_process import (IndexSet, IntervalUnion, count_word_occurrences,
-                            j_set, required_prefix_length)
+from .point_process import (IntervalUnion, count_word_occurrences, j_set,
+                            required_prefix_length)
 from .poisson_stats import (fold_histogram, histogram_j_max, kallenberg_check,
                             poisson_reference, tv_distance)
 from .rng import derive_seed, raw_block
@@ -120,6 +121,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("$.model: required")
     try:
         model = model_from_spec(doc["model"])
+        prof = contraction_profile(model)  # refuses a symbol or transition of probability 1
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"$.model: {exc}") from exc
     if "k" not in doc:
@@ -167,7 +169,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     floor = None  # heuristic n_cap floor sup S / (K rho^k) of a finite alphabet
     if sets and not isinstance(model, GaussCFModel):
-        prof = contraction_profile(model)
         scale = prof.K * prof.rho**k
         for i, S in enumerate(sets):
             # default_n_cap takes the ceiling of 10 sup S / (K rho^k); with an
@@ -387,46 +388,6 @@ def _draw(model: Model, seeds: np.ndarray, length: int) -> np.ndarray:
     return np.stack([make_generator(model, sd).take(length) for sd in seeds.tolist()])
 
 
-@dataclass
-class _WordPlan:
-    """Index sets per target set for one word, plus the prefix demand."""
-
-    js: tuple[IndexSet, ...]
-    need: int
-
-
-def _plan_words(model: Model, words: np.ndarray, sets: Sequence[IntervalUnion],
-                k: int) -> tuple[np.ndarray, list[_WordPlan]]:
-    """Each word's plan index and the distinct plans.
-
-    Words with equal cylinder measures share one plan.  Under an i.i.d.
-    model the measure depends only on the symbol counts, so words are keyed
-    by their sorted symbols; otherwise by the word itself.
-    """
-    keys = np.sort(words, axis=1) if isinstance(model, IidModel) else words
-    first, plan_of = _distinct_rows(keys)
-    plans = []
-    for i in first:
-        mu, high = cylinder_prob_guarded(model, words[i].tolist())
-        js = tuple(j_set(mu, S, high) for S in sets)
-        plans.append(_WordPlan(js, max((required_prefix_length(k, J) for J in js),
-                                       default=0)))
-    return plan_of, plans
-
-
-def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(keys, axis=0, return_index=True, return_inverse=True)[1:]``:
-    the first index of each distinct row, in lexicographic row order, and each
-    row's position in that order, from one stable lexsort of the columns."""
-    order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    starts = np.ones(len(keys), dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(keys), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    return order[starts], inverse
-
-
 def _plan_members(plan_of: np.ndarray) -> list[np.ndarray]:
     """The ascending indices of the words of each plan."""
     return np.split(np.argsort(plan_of, kind="stable"),
@@ -499,17 +460,15 @@ def _quenched_replica(cfg: ExperimentConfig, r: int) -> GenericityReport:
     x_len = min(max(max(plan.need for plan in plans), k), cfg.n_cap)
     _check_budget(cfg.n_x_replicas * x_len)
     x = _draw(model, derive_seed(cfg.seed, 3, [r]), x_len)[0]
-    index = OccurrenceIndex(x, k, model.alphabet_size)
+    index = OccurrenceIndex(x, k)
     max_start = x_len - k + 1
 
-    counts = [np.zeros(n, dtype=np.int64) for _ in cfg.sets]
-    truncated = [np.zeros(n, dtype=bool) for _ in cfg.sets]
-    for plan, members in zip(plans, _plan_members(plan_of)):
-        for si, J in enumerate(plan.js):
-            truncated[si][members] = J.max_index() > max_start
-            J = J.clipped(max_start)
-            if J.count:
-                counts[si][members] = index.count_in_ranges(words[members], J.ranges)
+    counts, truncated = [], []
+    for si in range(len(cfg.sets)):
+        js = [plan.js[si] for plan in plans]
+        truncated.append(np.array([J.max_index() > max_start for J in js])[plan_of])
+        ranges = _ranges_array([J.clipped(max_start) for J in js])
+        counts.append(index.count_in_ranges(words, ranges[plan_of]))
     return _genericity_report(cfg, "quenched", counts, truncated, r)
 
 

@@ -3,9 +3,10 @@
 Covers: exact per-lag mixing coefficients for Markov chains, the
 upper-triangular dependency matrix and its operator norm (power iteration
 plus the closed-form majorant), Lipschitz weight vectors with closed-form
-norms, Azuma-type coefficient bounds, McDiarmid tails, the two scanned
-functionals phi_k_S and phi_k_j_S, and the empirical concentration
-experiment that checks observed deviations against the analytic bound.
+norms, the word plans and the occurrence index that count many words in
+one stream, the two scanned functionals phi_k_S and phi_k_j_S, and the
+empirical concentration experiment that checks observed deviations against
+the analytic bound.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from scipy.special import zeta as _hurwitz_zeta
 
 from .errors import ConfigError, InternalCheckError, UnsupportedModelError
 from .measures import (IidModel, MarkovModel, MixingProfile, Model,
-                       SequenceGenerator, cylinder_prob, cylinder_prob_exact,
+                       SequenceGenerator, cylinder_prob, cylinder_prob_guarded,
                        make_generator, mixing_profile)
-from .point_process import IntervalUnion, j_set, required_prefix_length
+from .point_process import IndexSet, IntervalUnion, j_set, required_prefix_length
 from .rng import derive_seed
 from .words import enumerate_words
 
@@ -239,113 +240,83 @@ def lipschitz_weights_phi2(k: int, S: IntervalUnion, profile: MixingProfile,
 
 
 # ---------------------------------------------------------------------------
-# Azuma coefficients and McDiarmid tail
+# word plans and the occurrence index
 
 
-@dataclass(frozen=True)
-class AzumaBound:
-    d: np.ndarray
-    d_norm: float
-    delta_norm_used: float
+@dataclass
+class _WordPlan:
+    """Index sets per target set for one word, plus the prefix demand."""
+
+    js: tuple[IndexSet, ...]
+    need: int
 
 
-def azuma_bound(c: LipschitzWeights | np.ndarray, eta: EtaMatrix) -> AzumaBound:
-    """Coefficient bounds d_i = c_i + sum_{j>i} c_j eta_{j-i}.
+def _plan_words(model: Model, words: np.ndarray, sets: Sequence[IntervalUnion],
+                k: int) -> tuple[np.ndarray, list[_WordPlan]]:
+    """Each word's plan index and the distinct plans.
 
-    Asserts the norm inequality ||d|| <= ||Delta|| * ||c|| for the truncated
-    system (power-iteration norm up to the matrix cap, row-sum majorant
-    beyond it).
+    Words with equal cylinder measures share one plan.  Under an i.i.d.
+    model the measure depends only on the symbol counts, so words are keyed
+    by their sorted symbols; otherwise by the word itself.
     """
-    cv = c.values if isinstance(c, LipschitzWeights) else np.asarray(c, dtype=np.float64)
-    if cv.ndim != 1 or len(cv) == 0:
-        raise ValueError("need a nonempty weight vector")
-    if np.any(cv < 0):
-        raise ValueError("weights must be nonnegative")
-    n = len(cv)
-    lags = _extend_lags(np.asarray(eta.lags), max(n - 1, 0))
-    kernel = np.concatenate([[0.0], lags])  # kernel[m] = eta at lag m
-    conv = np.convolve(cv[::-1], kernel)
-    tail = conv[n - 1 - np.arange(n)]  # sum_m c_{i+m} eta_m
-    d = cv + tail
-    d_norm = float(np.linalg.norm(d))
-    if n <= DELTA_NORM_MATRIX_CAP:
-        dn = delta_norm(delta_matrix(eta, n)).value
-    else:
-        dn = 1.0 + float(np.sum(lags))
-    c_norm = float(np.linalg.norm(cv))
-    if d_norm > dn * c_norm + 1e-9:
-        raise InternalCheckError("coefficient bound exceeded the operator-norm product")
-    return AzumaBound(d, d_norm, dn)
+    keys = np.sort(words, axis=1) if isinstance(model, IidModel) else words
+    first, plan_of = _distinct_rows(keys)
+    plans = []
+    for i in first:
+        mu, high = cylinder_prob_guarded(model, words[i].tolist())
+        js = tuple(j_set(mu, S, high) for S in sets)
+        plans.append(_WordPlan(js, max((required_prefix_length(k, J) for J in js),
+                                       default=0)))
+    return plan_of, plans
 
 
-def mcdiarmid_tail(t: float, delta_norm_value: float, c_norm_sq: float) -> float:
-    """Two-sided tail bound min(1, 2 exp(-t^2 / (2 ||Delta||^2 ||c||^2)))."""
-    if t <= 0 or delta_norm_value <= 0 or c_norm_sq <= 0:
-        raise ValueError("inputs must be positive")
-    return min(1.0, 2.0 * math.exp(-(t * t) / (2.0 * delta_norm_value**2 * c_norm_sq)))
+def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, axis=0, return_index=True, return_inverse=True)[1:]``:
+    the first index of each distinct row, in lexicographic row order, and each
+    row's position in that order, from one stable lexsort of the columns."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
 
 
-# ---------------------------------------------------------------------------
-# occurrence index (code/hash lookup of word positions)
+def _ranges_array(js: Sequence[IndexSet]) -> np.ndarray:
+    """The (len(js), m, 2) array of each index set's ranges, padded with the
+    empty range (1, 0); the sets must be clipped to int64 indices."""
+    m = max((len(J.ranges) for J in js), default=0)
+    return np.array([list(J.ranges) + [(1, 0)] * (m - len(J.ranges)) for J in js],
+                    dtype=np.int64).reshape(len(js), m, 2)
 
 
 class OccurrenceIndex:
-    """Sorted index of the length-k windows of a symbol array.
+    """The length-k windows of a symbol array, hashed for word lookups.
 
-    Windows are keyed by an exact code when base**k fits comfortably in
-    int64, otherwise by a wraparound polynomial hash.  Equal windows form
-    one run of the sorted order with their starts ascending, and the window
-    of run r at 0-based start p gets the key r * n_win + p, so the count of
-    a word's windows over a range of starts is two binary searches.  A word
-    is matched to its run by code and checked against the run's first
-    window, so counts are exact in hash mode too.
+    Every window is keyed once by a wraparound polynomial hash.  A lookup
+    hashes its distinct words into a small sorted table, takes the windows
+    whose hash is in the table and checks each against its word symbol by
+    symbol, so counts are exact even where hashes collide.  Only these hits
+    are sorted, by the key slot * n_win + start, so the count of a word's
+    windows over a range of starts is two binary searches.
     """
 
-    def __init__(self, x: np.ndarray, k: int, base: int | None):
+    def __init__(self, x: np.ndarray, k: int):
         x = np.asarray(x, dtype=np.int64)
         if k < 1 or len(x) < k:
             raise ValueError("need k >= 1 and len(x) >= k")
         self.x = x
         self.k = k
         n_win = len(x) - k + 1
-        self.exact = base is not None and base**k < (1 << 62)
-        if self.exact:
-            codes = np.zeros(n_win, dtype=np.int64)
+        xu = x.view(np.uint64)
+        self._hashes = np.zeros(n_win, dtype=np.uint64)
+        with np.errstate(over="ignore"):  # wraparound is the hash
             for j in range(k):
-                codes = codes * base + x[j: j + n_win]
-            self._powers = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        else:
-            xu = x.astype(np.uint64)
-            codes = np.zeros(n_win, dtype=np.uint64)
-            with np.errstate(over="ignore"):  # wraparound is the hash
-                for j in range(k):
-                    codes = codes * HASH_MULT + xu[j: j + n_win]
-            self._powers = np.array([pow(int(HASH_MULT), k - 1 - j, 1 << 64)
-                                     for j in range(k)], dtype=np.uint64)
-        order = np.argsort(codes, kind="stable")
-        ranked = codes[order]
-        new = np.ones(n_win, dtype=bool)  # window starts a new run
-        np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-        if not self.exact and self._differ(order, ~new).any():
-            # a hash collision: sort by (hash, window) so equal windows are one run
-            order = np.lexsort([x[j: j + n_win] for j in reversed(range(k))] + [codes])
-            new |= self._differ(order, ~new)
-        self._keys = (np.cumsum(new) - 1) * n_win + order
-        self._codes = ranked[new]  # per run, sorted
-        self._first = order[new]   # per run, its first start
-
-    def _differ(self, order: np.ndarray, same: np.ndarray) -> np.ndarray:
-        """Where ``same`` holds, whether the window at ``order[i]`` differs
-        from the one at ``order[i - 1]`` (``same[0]`` must be False)."""
-        i = np.flatnonzero(same)
-        a, b = order[i], order[i - 1]
-        diff = np.zeros(len(i), dtype=bool)
-        for j in range(self.k):
-            xj = self.x[j:]
-            diff |= xj[a] != xj[b]
-        out = np.zeros(len(order), dtype=bool)
-        out[i] = diff
-        return out
+                self._hashes *= HASH_MULT
+                self._hashes += xu[j: j + n_win]
+        self._powers = np.array([pow(int(HASH_MULT), k - 1 - j, 1 << 64)
+                                 for j in range(k)], dtype=np.uint64)
 
     def _words(self, words) -> np.ndarray:
         words = np.asarray(words, dtype=np.int64)
@@ -353,40 +324,60 @@ class OccurrenceIndex:
             raise ValueError("word length mismatch")
         return words
 
-    def _runs(self, words: np.ndarray) -> np.ndarray:
-        """The run of each row of the (n, k) ``words``, -1 if it does not occur."""
-        if self.exact:
-            codes = words @ self._powers
-        else:
-            codes = words.astype(np.uint64) @ self._powers  # wraps like the hash
-        lo = np.searchsorted(self._codes, codes, side="left")
-        hi = np.searchsorted(self._codes, codes, side="right")
-        runs = np.full(len(words), -1, dtype=np.int64)
-        span = np.arange(self.k)
-        # a code has more than one run only after a hash collision
-        for d in range(int((hi - lo).max(initial=0))):
-            cand = np.flatnonzero((runs < 0) & (hi - lo > d))
-            r = lo[cand] + d
-            match = (self.x[self._first[r, None] + span] == words[cand]).all(axis=1)
-            runs[cand[match]] = r[match]
-        return runs
+    def _hits(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's slot in the table of the distinct rows of the (n, k)
+        ``words``, and the sorted keys slot * n_win + start (0-based) of the
+        windows equal to a row."""
+        hashes = words.astype(np.uint64) @ self._powers  # wraps like the hash
+        table, first, slot = np.unique(hashes, return_index=True, return_inverse=True)
+        if (words[first[slot]] != words).any():  # two distinct words share a hash
+            first, slot = _distinct_rows(words)
+            order = np.argsort(hashes[first], kind="stable")
+            first, slot = first[order], np.argsort(order)[slot]
+            table = hashes[first]
+        if not len(table):
+            return slot, np.zeros(0, dtype=np.int64)
+        h = self._hashes
+        at = np.searchsorted(table, h)
+        np.minimum(at, len(table) - 1, out=at)  # a hash past the table matches no slot
+        cand = np.flatnonzero(table[at] == h)
+        at = at[cand]
+        table_words = words[first]
+        keys = [np.zeros(0, dtype=np.int64)]
+        while len(cand):
+            ok = np.ones(len(cand), dtype=bool)
+            for j in range(self.k):
+                ok &= self.x[cand + j] == table_words[at, j]
+            keys.append(at[ok] * len(h) + cand[ok])
+            # under a hash collision the window's word may sit in a later slot
+            cand, at = cand[~ok], at[~ok] + 1
+            more = at < len(table)
+            cand, at = cand[more], at[more]
+            more = table[at] == h[cand]
+            cand, at = cand[more], at[more]
+        return slot, np.sort(np.concatenate(keys))
 
-    def count_in_ranges(self, words, ranges: Sequence[tuple[int, int]]):
+    def count_in_ranges(self, words, ranges):
         """Occurrences of each word at the 1-indexed starts in ``ranges``.
 
         ``words`` is an (n, k) array, one word per row, and the result the
         (n,) int64 array of counts; a single word (length-k sequence) gives
-        its count as an int.
+        its count as an int.  ``ranges`` lists inclusive (a, b) pairs shared
+        by every word, or is an (n, m, 2) array of each word's pairs; a pair
+        with b < a is empty.
         """
         words = self._words(words)
-        runs = self._runs(words.reshape(-1, self.k))
-        n_win = len(self._keys)
-        base = runs * n_win
-        total = np.zeros(len(runs), dtype=np.int64)
-        for a, b in ranges:
-            total += (np.searchsorted(self._keys, base + min(max(b, 0), n_win))
-                      - np.searchsorted(self._keys, base + min(max(a - 1, 0), n_win)))
-        total[runs < 0] = 0
+        rows = words.reshape(-1, self.k)
+        slot, keys = self._hits(rows)
+        n_win = len(self._hashes)
+        r = np.asarray(ranges, dtype=np.int64)
+        if r.ndim != 3:
+            r = np.broadcast_to(r.reshape(-1, 2), (len(rows), r.size // 2, 2))
+        lo = np.clip(r[:, :, 0] - 1, 0, n_win)
+        hi = np.clip(r[:, :, 1], lo, n_win)
+        base = (slot * n_win)[:, None]
+        total = (np.searchsorted(keys, base + hi)
+                 - np.searchsorted(keys, base + lo)).sum(axis=1)
         return total if words.ndim == 2 else int(total[0])
 
     def positions(self, w: Sequence[int]) -> np.ndarray:
@@ -394,12 +385,7 @@ class OccurrenceIndex:
         words = self._words(w)
         if words.ndim != 1:
             raise ValueError("positions takes one word")
-        run = int(self._runs(words[None])[0])
-        if run < 0:
-            return np.zeros(0, dtype=np.int64)
-        n_win = len(self._keys)
-        lo, hi = np.searchsorted(self._keys, [run * n_win, (run + 1) * n_win])
-        return self._keys[lo:hi] - run * n_win + 1
+        return self._hits(words[None])[1] + 1
 
 
 # ---------------------------------------------------------------------------
@@ -506,50 +492,57 @@ class PhiJEstimate:
     n_used: int
 
 
-def phi_k_j_S(x_gen: SequenceGenerator, k: int, j: int, S: IntervalUnion,
-              x_cap: int = 10**7) -> PhiJEstimate:
-    """Mass of {w : count of w in x over its index set equals j}.
+def _has_measure(model: Model, words: np.ndarray) -> np.ndarray:
+    """Whether each row of ``words`` has a positive cylinder measure (finite
+    i.i.d. and Markov models; a Markov chain's stationary vector is positive)."""
+    if isinstance(model, MarkovModel):
+        step = np.array(model.transition) > 0
+        return step[words[:, :-1], words[:, 1:]].all(axis=1)
+    return (np.array(model.probs) > 0)[words].all(axis=1)
+
+
+def phi_k_j_S(x_gens: Sequence[SequenceGenerator], k: int, j: int, S: IntervalUnion,
+              x_cap: int = 10**7) -> list[PhiJEstimate]:
+    """Mass of {w : count of w in x over its index set equals j}, per stream.
 
     Exact enumeration over all words; it needs a finite alphabet with
-    alphabet_size**k <= 2**16.  The estimate is the exact mass of the fully
-    countable words; words whose index set needs a prefix beyond x_cap are
-    excluded and reported in truncated_fraction.
+    alphabet_size**k <= 2**16.  The words are planned once for all streams
+    ``x_gens`` (generators of one model), and each stream is counted in one
+    index lookup.  The estimate is the exact mass of the fully countable
+    words; words whose index set needs a prefix beyond x_cap are excluded and
+    reported in truncated_fraction.
     """
     if j < 0:
         raise ValueError("j must be >= 0")
-    model = x_gen.model
+    model = x_gens[0].model
     if not phi2_enumerable(model, k):
         raise UnsupportedModelError(
             "the level mass needs a finite alphabet with alphabet_size**k <= 2**16")
-    s = model.alphabet_size
-    words = []
-    for w in enumerate_words(s, k):
-        mu = cylinder_prob_exact(model, w)
-        if mu == 0:
-            continue
-        J = j_set(mu, S)
-        words.append((w, mu, J))
-    needed = max((required_prefix_length(k, J) for _, _, J in words), default=0)
-    use_len = min(needed, x_cap)
-    hit_mass = Fraction(0)
-    truncated_mass = Fraction(0)
-    index = None
-    if use_len >= k:
-        x = np.asarray(x_gen.take(use_len), dtype=np.int64)
-        index = OccurrenceIndex(x, k, s)
-    n_used = 0
-    for w, mu, J in words:
-        if required_prefix_length(k, J) > use_len:
-            truncated_mass += mu
-            continue
-        n_used += 1
-        count = index.count_in_ranges(w, J.ranges) if (index and J.count) else 0
-        if count == j:
-            hit_mass += mu
-    zero_mass = 1 - sum(mu for _, mu, _ in words)  # words of measure zero count 0
-    if j == 0:
-        hit_mass += zero_mass
-    return PhiJEstimate(float(hit_mass), float(truncated_mass), n_used)
+    words = np.array(list(enumerate_words(model.alphabet_size, k)), dtype=np.int64)
+    words = words[_has_measure(model, words)]
+    plan_of, plans = _plan_words(model, words, [S], k)
+    use_len = min(max((plan.need for plan in plans), default=0), x_cap)
+    counted = np.array([plan.need <= use_len for plan in plans], dtype=bool)
+    js = [plan.js[0] for plan in plans]
+    # exact mass of each plan's words: a plan's words share one measure
+    sizes = np.bincount(plan_of, minlength=len(plans)).tolist()
+    mass = [J.mu_w * n for J, n in zip(js, sizes)]
+    truncated_mass = sum((m for m, c in zip(mass, counted) if not c), Fraction(0))
+    zero_mass = 1 - sum(mass)  # words of measure zero count 0
+    counted_words = counted[plan_of]
+    n_used = int(np.count_nonzero(counted_words))
+    ranges = _ranges_array([J.clipped(use_len - k + 1) for J in js])[plan_of]
+    out = []
+    for gen in x_gens:
+        counts = np.zeros(len(words), dtype=np.int64)
+        if use_len >= k:
+            counts = OccurrenceIndex(gen.take(use_len), k).count_in_ranges(words, ranges)
+        hits = np.bincount(plan_of[(counts == j) & counted_words], minlength=len(plans))
+        hit_mass = sum(J.mu_w * n for J, n in zip(js, hits.tolist()) if n)
+        if j == 0:
+            hit_mass += zero_mass
+        out.append(PhiJEstimate(float(hit_mass), float(truncated_mass), n_used))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -616,18 +609,15 @@ def concentration_experiment(model: Model, k: int, S: IntervalUnion,
     dn = delta_norm_bound(profile)
     denominator = dn**2 * weights(k, S, profile).bound
 
-    values = np.empty(n_replicas)
-    complete = True
-    for r in range(n_replicas):
-        gen = make_generator(model, derive_seed(seed, 1, r))
-        if functional == "phi1":
-            scan = phi_k_S(gen, k, S, n_cap)
-            values[r] = scan.value
-            complete = complete and scan.complete
-        else:
-            est = phi_k_j_S(gen, k, j, S, x_cap=n_cap)
-            values[r] = est.estimate
-            complete = complete and est.truncated_fraction == 0.0
+    gens = [make_generator(model, derive_seed(seed, 1, r)) for r in range(n_replicas)]
+    if functional == "phi1":
+        scans = [phi_k_S(gen, k, S, n_cap) for gen in gens]
+        values = np.array([scan.value for scan in scans])
+        complete = all(scan.complete for scan in scans)
+    else:
+        ests = phi_k_j_S(gens, k, j, S, x_cap=n_cap)
+        values = np.array([est.estimate for est in ests])
+        complete = all(est.truncated_fraction == 0.0 for est in ests)
 
     mean = float(np.mean(values))
     std = float(np.std(values))

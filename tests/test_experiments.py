@@ -18,12 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poissonlab.errors import ConfigError, InsufficientDataError
-from poissonlab.experiments import (_distinct_rows, _draw, default_n_cap, execute,
-                                    parse_config, run_annealed, run_mixing,
-                                    run_oracle_suite, run_quenched)
+from poissonlab.experiments import (_draw, default_n_cap, execute, parse_config,
+                                    run_annealed, run_mixing, run_oracle_suite,
+                                    run_quenched)
 from poissonlab.measures import (GaussCFModel, IidModel, cylinder_prob_exact,
-                                 make_generator, model_from_spec, sample_word)
-from poissonlab.point_process import j_set, required_prefix_length
+                                 cylinder_prob_guarded, make_generator,
+                                 model_from_spec, sample_word)
+from poissonlab.mixing_concentration import _distinct_rows
+from poissonlab.point_process import j_set, required_prefix_length, unit_interval
 from poissonlab.poisson_stats import fold_histogram
 from poissonlab.rng import derive_seed
 
@@ -32,6 +34,8 @@ BIASED_SPEC = {"type": "iid", "probs": ["3/4", "1/4"]}
 THREE_SPEC = {"type": "iid", "probs": ["1/2", "1/3", "1/6"]}
 MARKOV_SPEC = {"type": "markov",
                "transition": [["9/10", "1/10"], ["1/5", "4/5"]]}
+DEGENERATE_IID = {"type": "iid", "probs": ["1", "0"]}
+DEGENERATE_CHAIN = {"type": "markov", "transition": [["0", "1"], ["1/2", "1/2"]]}
 
 
 def _doc(**over):
@@ -93,6 +97,9 @@ class TestParseConfig:
          "$.functional"),
         (_conc(functional="phi2", k=17), "$.functional"),
         (_conc(functional="phi2", k=1000), "$.functional"),
+        # degenerate models: contraction_profile refuses them
+        (_doc(model=DEGENERATE_IID), "$.model"),
+        (_doc(model=DEGENERATE_CHAIN), "$.model"),
     ])
     def test_error_paths(self, doc, needle):
         with pytest.raises(ConfigError) as err:
@@ -306,7 +313,7 @@ class TestQuenched:
                             counts[si, i] += 1
         return counts, trunc
 
-    # the geometric model has no finite base, so its index is hashed
+    # the geometric model has an unbounded alphabet
     @pytest.mark.parametrize("model_spec", [FAIR_SPEC, THREE_SPEC,
                                             {"type": "iid", "tail_ratio": "1/2"}])
     def test_matches_reference_loop(self, model_spec):
@@ -321,6 +328,23 @@ class TestQuenched:
                 c, t = counts[si], trunc[si]
                 assert sr.histogram == fold_histogram(c[~t].tolist(), sr.j_max)
                 assert sr.truncated_histogram == fold_histogram(c[t].tolist(), sr.j_max)
+
+    def test_cf_word_past_int64_is_counted_over_the_clipped_stream(self, monkeypatch):
+        from poissonlab import experiments
+
+        word = np.array([10**6, 2, 10**6])
+        mu, high = cylinder_prob_guarded(GaussCFModel(), word.tolist())
+        assert j_set(mu, unit_interval(), high).max_index() > 2**63
+        stream = np.ones(50, dtype=np.int64)
+        stream[4:7] = stream[47:50] = word  # windows 5 and 48, the last one
+        monkeypatch.setattr(experiments, "_draw", lambda model, seeds, length:
+                            np.tile(word, (len(seeds), 1)) if length == 3
+                            else stream[None, :length])
+        cfg = parse_config(_doc(mode="quenched", model={"type": "gauss_cf"}, k=3,
+                                n_samples=100, n_cap=50))
+        (sr,) = experiments._quenched_replica(cfg, 0).sets
+        assert sr.n_used == 0 and sr.n_truncated == 100
+        assert sr.truncated_histogram == fold_histogram([2] * 100, sr.j_max)
 
 
 class TestDraw:
@@ -501,6 +525,17 @@ class TestCli:
         r = self._run("annealed", "--config", cfg_path)
         assert r.returncode == 2
         assert "error:" in r.stderr
+
+    def test_degenerate_models_are_exit_two_in_every_mode(self, tmp_path, capsys):
+        from poissonlab import cli
+
+        for i, model in enumerate((DEGENERATE_IID, DEGENERATE_CHAIN)):
+            for mode in ("annealed", "quenched", "oracle", "concentration", "mixing"):
+                cfg_path = self._write(tmp_path / f"{mode}{i}.json",
+                                       _doc(mode=mode, model=model))
+                assert cli.main([mode, "--config", cfg_path]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error: $.model: degenerate"), err
 
     def test_mode_mismatch(self, tmp_path):
         cfg_path = self._write(tmp_path / "c.json", _doc())

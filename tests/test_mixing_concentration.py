@@ -16,15 +16,14 @@ from poissonlab.measures import (GaussCFModel, IidModel, MarkovModel,
                                  MixingProfile, make_generator, mixing_profile,
                                  psi_mixing_profile)
 from poissonlab.mixing_concentration import (EtaMatrix, OccurrenceIndex,
-                                             azuma_bound,
                                              concentration_experiment,
                                              delta_matrix, delta_norm,
                                              delta_norm_bound,
                                              eta_coefficients,
                                              lipschitz_weights_phi1,
                                              lipschitz_weights_phi2,
-                                             mcdiarmid_tail, phi2_enumerable,
-                                             phi_k_S, phi_k_j_S)
+                                             phi2_enumerable, phi_k_S,
+                                             phi_k_j_S)
 from poissonlab.point_process import IntervalUnion, unit_interval
 
 FAIR = IidModel(probs=(Fraction(1, 2), Fraction(1, 2)))
@@ -224,68 +223,10 @@ class TestLipschitzWeights:
         assert w.norm_sq <= w.bound
 
 
-class TestAzumaBound:
-    def test_independent_case_identity(self):
-        eta = EtaMatrix(n=6, lags=(0.0,) * 5)
-        c = np.array([0.5, 0.25, 0.1, 0.05, 0.02, 0.01])
-        out = azuma_bound(c, eta)
-        assert np.allclose(out.d, c, atol=1e-15)
-        assert out.delta_norm_used == pytest.approx(1.0, abs=1e-9)
-
-    def test_single_weight_unaffected(self):
-        c = np.zeros(10)
-        c[0] = 1.0
-        out = azuma_bound(c, GEO_ETA)
-        assert out.d[0] == pytest.approx(1.0)
-        assert np.allclose(out.d[1:], 0.0, atol=1e-15)
-
-    def test_flat_weights_interior_value(self):
-        n = 120
-        out = azuma_bound(np.ones(n), GEO_ETA)
-        # interior coordinate: 1 + sum of the geometric tail = 10/3
-        assert out.d[0] == pytest.approx(10 / 3, rel=1e-4)
-        assert out.d[-1] == pytest.approx(1.0)
-
-    def test_norm_inequality_random_instances(self):
-        rng = np.random.default_rng(99)
-        for _ in range(100):
-            n = int(rng.integers(2, 40))
-            c = rng.random(n) * rng.uniform(0.1, 5.0)
-            lags = np.sort(rng.random(n - 1))[::-1] if n > 1 else np.array([])
-            eta = EtaMatrix(n=n, lags=tuple(lags))
-            out = azuma_bound(c, eta)  # raises if ||d|| > ||Delta|| ||c||
-            assert out.d_norm <= out.delta_norm_used * np.linalg.norm(c) + 1e-9
-
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            azuma_bound(np.array([]), GEO_ETA)
-        with pytest.raises(ValueError):
-            azuma_bound(np.array([-1.0]), GEO_ETA)
-
-
-class TestMcDiarmidTail:
-    def test_values(self):
-        assert mcdiarmid_tail(3.0, 1.0, 1.0) == pytest.approx(
-            2.0 * math.exp(-4.5), abs=1e-12)
-        assert mcdiarmid_tail(3.0, 1.0, 1.0) == pytest.approx(0.02222, abs=1e-4)
-        # t^2 = 2 ||Delta||^2 ||c||^2 lands on 2/e
-        assert mcdiarmid_tail(math.sqrt(2.0), 1.0, 1.0) == pytest.approx(
-            2.0 / math.e, abs=1e-12)
-
-    def test_clamped_at_one(self):
-        assert mcdiarmid_tail(0.1, 1.0, 1.0) == 1.0
-
-    def test_domain(self):
-        for bad in [(0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, -1.0)]:
-            with pytest.raises(ValueError):
-                mcdiarmid_tail(*bad)
-
-
 class TestOccurrenceIndex:
     def test_exact_mode_positions(self):
         x = np.array([0, 1, 1, 0, 1, 1, 1, 0])
-        idx = OccurrenceIndex(x, 2, 2)
-        assert idx.exact
+        idx = OccurrenceIndex(x, 2)
         assert idx.positions((1, 1)).tolist() == [2, 5, 6]
         assert idx.positions((0, 0)).tolist() == []
         assert idx.count_in_ranges((1, 1), [(1, 5)]) == 2
@@ -295,8 +236,7 @@ class TestOccurrenceIndex:
         rng = np.random.default_rng(17)
         x = rng.integers(0, 1000, size=400)
         k = 8
-        idx = OccurrenceIndex(x, k, 1001)  # 1001**8 overflows the exact mode
-        assert not idx.exact
+        idx = OccurrenceIndex(x, k)
         for start in (0, 50, 123):
             w = tuple(int(v) for v in x[start: start + k])
             brute = [i + 1 for i in range(len(x) - k + 1)
@@ -304,47 +244,49 @@ class TestOccurrenceIndex:
             assert idx.positions(w).tolist() == brute
         assert idx.positions(tuple(range(1000, 1000 - k, -1))).tolist() == []
 
-    def test_modes_agree(self):
-        rng = np.random.default_rng(4)
-        x = rng.integers(0, 3, size=300)
-        k = 4
-        exact = OccurrenceIndex(x, k, 3)
-        hashed = OccurrenceIndex(x, k, None)
-        assert exact.exact and not hashed.exact
-        for _ in range(20):
-            w = tuple(int(v) for v in rng.integers(0, 3, size=k))
-            assert exact.positions(w).tolist() == hashed.positions(w).tolist()
-
     @staticmethod
     def _literal(x, k, w, ranges):
         n_win = len(x) - k + 1
         return sum(1 for a, b in ranges for p in range(max(a, 1), min(b, n_win) + 1)
                    if x[p - 1: p - 1 + k].tolist() == list(w))
 
-    # "collide" makes the hash the plain symbol sum, so distinct windows
-    # share codes and only the comparison against x tells them apart
+    # "exact" makes the hash the base-3 code of the window, which no two
+    # windows share; "collide" makes it the plain symbol sum, so distinct
+    # windows and words share hashes and only the comparison against x tells
+    # them apart
     @pytest.mark.parametrize("mode", ["exact", "hash", "collide"])
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_batched_counts_match_literal_scan(self, mode, k, monkeypatch):
         from poissonlab import mixing_concentration
-        if mode == "collide":
-            monkeypatch.setattr(mixing_concentration, "HASH_MULT", np.uint64(1))
+        if mode != "hash":
+            monkeypatch.setattr(mixing_concentration, "HASH_MULT",
+                                np.uint64(3 if mode == "exact" else 1))
         rng = np.random.default_rng(k)
         x = rng.integers(0, 3, size=120)
         n_win = len(x) - k + 1
-        idx = OccurrenceIndex(x, k, 3 if mode == "exact" else None)
-        assert idx.exact == (mode == "exact")
+        idx = OccurrenceIndex(x, k)
         words = np.concatenate([
             [x[p: p + k] for p in (0, n_win - 1, 17)],  # first, last and some window
             rng.integers(0, 3, size=(40, k)),           # present or absent
             np.full((1, k), 3), np.full((1, k), -1),    # outside the alphabet
         ])
-        for ranges in ([(1, n_win)], [(1, 1)], [(n_win, n_win)], [(n_win - 5, n_win + 40)],
-                       [(1, 10), (30, 31), (50, 90)], [(-4, 2), (60, 59)], []):
+        shared = ([(1, n_win)], [(1, 1)], [(n_win, n_win)], [(n_win - 5, n_win + 40)],
+                  [(1, 10), (30, 31), (50, 90)], [(-4, 2), (60, 59)], [])
+        for ranges in shared:
             expected = [self._literal(x, k, w, ranges) for w in words]
             got = idx.count_in_ranges(words, ranges)
             assert got.dtype == np.int64 and got.tolist() == expected
             assert [idx.count_in_ranges(tuple(w), ranges) for w in words[:5]] == expected[:5]
+        # per-word ranges, (n, m, 2): random pairs, some empty (b < a), and
+        # rows padded with the empty range (1, 0) as the drivers pad them
+        lo = rng.integers(-5, n_win + 5, size=(len(words), 3))
+        per_word = np.stack([lo, lo + rng.integers(-3, 40, size=lo.shape)], axis=-1)
+        per_word[::7] = (1, 0)
+        per_word[1::5, 1:] = (1, 0)
+        expected = [self._literal(x, k, w, [tuple(r) for r in rs])
+                    for w, rs in zip(words, per_word)]
+        assert idx.count_in_ranges(words, per_word).tolist() == expected
+        assert idx.count_in_ranges(words, per_word[:, :0]).tolist() == [0] * len(words)
         for w in words[:10]:
             brute = [p + 1 for p in range(n_win) if x[p: p + k].tolist() == w.tolist()]
             assert idx.positions(w).tolist() == brute
@@ -352,8 +294,8 @@ class TestOccurrenceIndex:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            OccurrenceIndex(np.array([0, 1]), 3, 2)
-        idx = OccurrenceIndex(np.array([0, 1, 0]), 2, 2)
+            OccurrenceIndex(np.array([0, 1]), 3)
+        idx = OccurrenceIndex(np.array([0, 1, 0]), 2)
         with pytest.raises(ValueError):
             idx.positions((0, 1, 0))
         with pytest.raises(ValueError):
@@ -398,20 +340,20 @@ class TestPhiScan:
 class TestPhiJMass:
     def test_exact_alternating_example(self):
         gen = _FixedStream(FAIR, (0, 1))
-        est = phi_k_j_S(gen, 2, 0, UNIT)
+        (est,) = phi_k_j_S([gen], 2, 0, UNIT)
         # 01 and 10 each occur twice in their index windows; 00 and 11 never
         assert est.estimate == pytest.approx(0.5, abs=1e-15)
         assert est.truncated_fraction == 0.0
-        est2 = phi_k_j_S(_FixedStream(FAIR, (0, 1)), 2, 2, UNIT)
+        (est2,) = phi_k_j_S([_FixedStream(FAIR, (0, 1))], 2, 2, UNIT)
         assert est2.estimate == pytest.approx(0.5, abs=1e-15)
 
     def test_unreachable_count_has_no_mass(self):
-        est = phi_k_j_S(_FixedStream(FAIR, (0, 1)), 2, 7, UNIT)
+        (est,) = phi_k_j_S([_FixedStream(FAIR, (0, 1))], 2, 7, UNIT)
         assert est.estimate == 0.0
 
     def test_empty_set_concentrates_at_zero(self):
         empty = IntervalUnion.from_spec([])
-        est = phi_k_j_S(_FixedStream(FAIR, (0, 1)), 2, 0, empty)
+        (est,) = phi_k_j_S([_FixedStream(FAIR, (0, 1))], 2, 0, empty)
         assert est.estimate == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("model,k", [
@@ -420,7 +362,16 @@ class TestPhiJMass:
     def test_words_past_the_enumeration_cap_are_refused(self, model, k):
         assert not phi2_enumerable(model, k)
         with pytest.raises(UnsupportedModelError):
-            phi_k_j_S(make_generator(model, 8), k, 0, UNIT)
+            phi_k_j_S([make_generator(model, 8)], k, 0, UNIT)
+
+    @pytest.mark.parametrize("model,k,j", [(FAIR, 4, 0), (CHAIN, 5, 1), (CHAIN, 3, 0)])
+    def test_one_call_over_many_streams_equals_one_call_each(self, model, k, j):
+        S = IntervalUnion.from_spec([["0", "1/2", False, True], ["1", "3", True, False]])
+        seeds = range(6)
+        batched = phi_k_j_S([make_generator(model, sd) for sd in seeds], k, j, S)
+        single = [phi_k_j_S([make_generator(model, sd)], k, j, S)[0] for sd in seeds]
+        assert batched == single
+        assert len({est.estimate for est in batched}) > 1  # the streams differ
 
     def test_enumeration_cap_is_inclusive(self):
         assert phi2_enumerable(FAIR, 16)
@@ -428,7 +379,7 @@ class TestPhiJMass:
 
     def test_negative_j_rejected(self):
         with pytest.raises(ValueError):
-            phi_k_j_S(_FixedStream(FAIR, (0, 1)), 2, -1, UNIT)
+            phi_k_j_S([_FixedStream(FAIR, (0, 1))], 2, -1, UNIT)
 
 
 class TestConcentrationExperiment:

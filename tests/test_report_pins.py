@@ -42,8 +42,6 @@ PINS = [
       "n_cap": 20000}, "e110e3da22252fd1"),
     ({"mode": "quenched", "model": GAUSS, "k": 3, "n_samples": 200,
       "n_cap": 20000}, "2afa36809751f7c6"),
-    ({"mode": "quenched", "model": GAUSS, "k": 3, "n_samples": 200,
-      "n_cap": 20000, "sets": [HALF, QUARTERS]}, "46b12dccc715eb35"),
     ({"mode": "quenched", "model": THREE, "k": 5, "n_samples": 300,
       "n_x_replicas": 2, "sets": [HALF, QUARTERS]}, "97e215ad08030209"),
     ({"mode": "quenched", "model": TAIL, "k": 3, "n_samples": 200,
@@ -54,6 +52,7 @@ PINS = [
       "functional": "phi2", "t_grid": T_GRID}, "4cc999e6c8102c61"),
     ({"mode": "concentration", "model": MARKOV, "k": 8, "n_samples": 200,
       "functional": "phi1", "t_grid": T_GRID}, "9be84cddc2f5a54e"),
+    ({"mode": "mixing", "model": MARKOV, "k": 8}, "f9933a58ea977949"),
     # truncated: the report's `complete` is false
     ({"mode": "concentration", "model": MARKOV, "k": 6, "n_samples": 200,
       "functional": "phi2", "t_grid": T_GRID}, "3c0a1870192fb239"),
@@ -61,7 +60,8 @@ PINS = [
       "functional": "phi2", "t_grid": T_GRID}, "8cd15a043d6a9b8e"),
     ({"mode": "concentration", "model": ZERO_DIAG, "k": 5, "n_samples": 200,
       "functional": "phi2", "t_grid": T_GRID, "j": 1}, "84f81a3b1a271d91"),
-    ({"mode": "mixing", "model": MARKOV, "k": 8}, "f9933a58ea977949"),
+    ({"mode": "quenched", "model": GAUSS, "k": 3, "n_samples": 200,
+      "n_cap": 20000, "sets": [HALF, QUARTERS]}, "46b12dccc715eb35"),
 ]
 
 

@@ -3,19 +3,18 @@ occurrences in symbolic sequences (i.i.d., Markov, continued-fraction)."""
 
 from .errors import (ConfigError, InsufficientDataError, InternalCheckError,
                      ResourceError, UnsupportedModelError)
-from .experiments import (ExperimentConfig, GenericityReport, MixingReport,
-                          OracleReport, QuenchedResult, QuenchedSummary,
-                          execute, load_config, parse_config, run_annealed,
-                          run_concentration, run_mixing, run_oracle_suite,
-                          run_quenched)
+from .experiments import (ConcentrationReport, ExperimentConfig,
+                          GenericityReport, MixingReport, OracleReport,
+                          QuenchedResult, QuenchedSummary, execute,
+                          parse_config, run_annealed, run_concentration,
+                          run_mixing, run_oracle_suite, run_quenched)
 from .measures import (GaussCFModel, IidModel, MarkovModel, SequenceGenerator,
                        contraction_profile, cylinder_prob,
                        cylinder_prob_exact, cylinder_prob_high,
                        make_generator, mixing_profile, model_from_spec,
                        model_to_spec, psi_mixing_profile, sample_word)
-from .mixing_concentration import (ConcentrationReport, EtaMatrix,
-                                   OccurrenceIndex, concentration_experiment,
-                                   delta_matrix, delta_norm, delta_norm_bound,
+from .mixing_concentration import (EtaMatrix, OccurrenceIndex, delta_matrix,
+                                   delta_norm, delta_norm_bound,
                                    eta_coefficients, lipschitz_weights_phi1,
                                    lipschitz_weights_phi2, phi_k_S, phi_k_j_S)
 from .oracles import (VarianceBreakdown, annealed_exact_expectation,
@@ -25,8 +24,7 @@ from .oracles import (VarianceBreakdown, annealed_exact_expectation,
 from .point_process import (IndexSet, IntervalUnion, count_word_occurrences,
                             j_set, required_prefix_length, unit_interval)
 from .poisson_stats import (fold_histogram, histogram_j_max, kallenberg_check,
-                            poisson_pmf, poisson_reference,
-                            sample_poisson_counts, tv_distance)
+                            poisson_pmf, poisson_reference, tv_distance)
 from .rng import derive_seed, uniform_at, uniform_block
 from .words import enumerate_words, ext, overlap_merge, periods
 
@@ -35,18 +33,17 @@ __all__ = [
     "ConfigError", "InsufficientDataError", "InternalCheckError",
     "ResourceError", "UnsupportedModelError",
     # experiments
-    "ExperimentConfig", "GenericityReport", "MixingReport", "OracleReport",
-    "QuenchedResult", "QuenchedSummary", "execute", "load_config",
-    "parse_config", "run_annealed", "run_concentration", "run_mixing",
-    "run_oracle_suite", "run_quenched",
+    "ConcentrationReport", "ExperimentConfig", "GenericityReport",
+    "MixingReport", "OracleReport", "QuenchedResult", "QuenchedSummary",
+    "execute", "parse_config", "run_annealed", "run_concentration",
+    "run_mixing", "run_oracle_suite", "run_quenched",
     # measures
     "GaussCFModel", "IidModel", "MarkovModel", "SequenceGenerator",
     "contraction_profile", "cylinder_prob", "cylinder_prob_exact",
     "cylinder_prob_high", "make_generator", "mixing_profile",
     "model_from_spec", "model_to_spec", "psi_mixing_profile", "sample_word",
     # mixing_concentration
-    "ConcentrationReport", "EtaMatrix", "OccurrenceIndex",
-    "concentration_experiment", "delta_matrix", "delta_norm",
+    "EtaMatrix", "OccurrenceIndex", "delta_matrix", "delta_norm",
     "delta_norm_bound", "eta_coefficients", "lipschitz_weights_phi1",
     "lipschitz_weights_phi2", "phi_k_S", "phi_k_j_S",
     # oracles
@@ -59,7 +56,7 @@ __all__ = [
     "required_prefix_length", "unit_interval",
     # poisson_stats
     "fold_histogram", "histogram_j_max", "kallenberg_check", "poisson_pmf",
-    "poisson_reference", "sample_poisson_counts", "tv_distance",
+    "poisson_reference", "tv_distance",
     # rng
     "derive_seed", "uniform_at", "uniform_block",
     # words

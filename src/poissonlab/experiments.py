@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -29,11 +29,12 @@ from .measures import (GaussCFModel, IidModel, MarkovModel, Model,
                        make_generator, mixing_profile, model_from_spec,
                        model_to_spec)
 from .mixing_concentration import (DELTA_NORM_MATRIX_CAP, PHI2_EXACT_CAP,
-                                   ConcentrationReport, EtaMatrix,
-                                   OccurrenceIndex, _plan_words, _ranges_array,
-                                   concentration_experiment, delta_matrix,
-                                   delta_norm, delta_norm_bound,
-                                   eta_coefficients, phi2_enumerable)
+                                   EtaMatrix, OccurrenceIndex, _plan_words,
+                                   _ranges_array, delta_matrix, delta_norm,
+                                   delta_norm_bound, eta_coefficients,
+                                   lipschitz_weights_phi1,
+                                   lipschitz_weights_phi2, phi2_enumerable,
+                                   phi_k_j_S, phi_k_S)
 from .oracles import (annealed_exact_expectation, brute_force_distribution,
                       dp_count_distribution, exact_expectation,
                       exact_pair_prob, exact_variance, log_n_over_n_bound,
@@ -47,8 +48,8 @@ from .rng import uniform_block  # noqa: F401  (perfbench's tracer self-test wrap
 from .words import enumerate_words, periods
 
 MODES = ("annealed", "quenched", "oracle", "concentration", "mixing")
-SYMBOL_BUDGET = 2 * 10**9  # symbols one annealed or quenched run may draw
-_BATCH_ELEMS = 1 << 23  # symbols per batch of annealed streams
+SYMBOL_BUDGET = 2 * 10**9  # symbols one counting run may draw
+_BATCH_ELEMS = 1 << 23  # symbols per batch of annealed or concentration streams
 _DRAW_CHUNK = 1 << 16  # raw values per raw_block call of _draw
 HISTOGRAM_BINS_GUARD = 10**6  # count-histogram bins one target set may need
 
@@ -171,9 +172,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if sets and not isinstance(model, GaussCFModel):
         scale = prof.K * prof.rho**k
         for i, S in enumerate(sets):
-            # default_n_cap takes the ceiling of 10 sup S / (K rho^k); with an
-            # explicit n_cap an infinite floor only warns
-            if scale == 0.0 or ("n_cap" not in doc
+            # default_n_cap takes the ceiling of 10 sup S / (K rho^k), and the
+            # concentration weights sup S / (K rho^k); with an explicit n_cap
+            # an infinite floor only warns in the other modes
+            if scale == 0.0 or (("n_cap" not in doc or mode == "concentration")
                                 and not math.isfinite(10.0 * float(S.sup) / scale)):
                 raise ConfigError(f"$.sets[{i}]: sup S / (K rho^k) at k={k} is past "
                                   "the float range, so no stream length reaches it")
@@ -246,10 +248,6 @@ def read_config_doc(path: str | Path) -> dict:
     return doc
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    return parse_config(read_config_doc(path))
-
-
 # ---------------------------------------------------------------------------
 # report types
 
@@ -303,6 +301,34 @@ class QuenchedSummary:
 class QuenchedResult:
     replicas: tuple[GenericityReport, ...]
     summary: QuenchedSummary
+
+
+@dataclass(frozen=True)
+class ConcentrationRow:
+    t: float
+    empirical_prob: float
+    theoretical_bound: float
+    se: float
+    violation: bool
+
+
+@dataclass(frozen=True)
+class ConcentrationReport:
+    functional: str
+    k: int
+    set_label: str
+    n_replicas: int
+    n_cap: int
+    complete: bool
+    delta_bound: float
+    denominator: float
+    mean: float
+    std: float
+    rows: tuple[ConcentrationRow, ...]
+    violations: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "violations", sum(r.violation for r in self.rows))
 
 
 def _set_report(S: IntervalUnion, counts: np.ndarray, truncated: np.ndarray,
@@ -360,7 +386,7 @@ def _genericity_report(cfg: ExperimentConfig, mode: str,
 
 
 # ---------------------------------------------------------------------------
-# the counting pipeline shared by the annealed and quenched runners
+# the counting pipeline shared by the annealed, quenched and concentration runners
 
 
 def _check_budget(symbols: int) -> None:
@@ -655,11 +681,49 @@ def run_oracle_suite(cfg: ExperimentConfig) -> OracleReport:
 
 
 def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
+    """Empirical deviation probabilities of a scanned functional vs the bound.
+
+    Evaluates the functional on n_samples independent streams (replica r
+    draws with seed ``derive_seed(seed, 1, r)``), centers at the empirical
+    mean, and compares each tail frequency against
+    2 exp(-t^2 / (||Delta||^2 * B)), where B is the analytic majorant of the
+    functional's squared weight norm (``lipschitz_weights_phi1/phi2``: for
+    phi1, 8 k^4 sup(S) max(K, 1)^2 rho^k), flagging any exceedance beyond
+    three binomial standard errors where the bound is informative (< 1).
+    """
     if cfg.mode != "concentration":
         raise ConfigError("$.mode: run_concentration needs mode 'concentration'")
-    return concentration_experiment(
-        cfg.model, cfg.k, cfg.sets[0], cfg.t_grid, cfg.n_samples, cfg.seed,
-        functional=cfg.functional, j=cfg.j, n_cap=cfg.n_cap)
+    model, k, S, n = cfg.model, cfg.k, cfg.sets[0], cfg.n_samples
+    profile = mixing_profile(model)
+    weights = lipschitz_weights_phi1 if cfg.functional == "phi1" else lipschitz_weights_phi2
+    dn = delta_norm_bound(profile)
+    denominator = dn**2 * weights(k, S, profile).bound
+
+    def streams(length: int):
+        _check_budget(n * length)
+        step = max(1, _BATCH_ELEMS // max(length, 1))
+        return (_draw(model, derive_seed(cfg.seed, 1, np.arange(lo, min(lo + step, n))),
+                      length) for lo in range(0, n, step))
+
+    if cfg.functional == "phi1":
+        scan = phi_k_S(model, streams, k, S, cfg.n_cap)
+        values, complete = scan.values, scan.complete
+    else:
+        est = phi_k_j_S(model, streams, k, cfg.j, S, cfg.n_cap)
+        values, complete = est.values, est.truncated_fraction == 0.0
+
+    mean = float(np.mean(values))
+    std = float(np.std(values))
+    dev = np.abs(values - mean)
+    rows = []
+    for t in cfg.t_grid:
+        emp = float(np.mean(dev >= t))
+        bound = min(1.0, 2.0 * math.exp(-(t * t) / denominator)) if denominator > 0 else 1.0
+        se = math.sqrt(emp * (1.0 - emp) / n)
+        violation = bound < 1.0 and emp > bound + 3.0 * se
+        rows.append(ConcentrationRow(float(t), emp, bound, se, violation))
+    return ConcentrationReport(cfg.functional, k, S.label(), n, cfg.n_cap, complete,
+                               dn, denominator, mean, std, tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -287,22 +287,27 @@ def model_from_spec(spec: dict) -> Model:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError("model spec must be an object with a 'type' field")
     kind = spec["type"]
+    keys = {"iid": {"probs", "tail_ratio"}, "markov": {"transition"},
+            "gauss_cf": {"psi_T", "psi_sigma"}}.get(kind if isinstance(kind, str) else None)
+    if keys is None:
+        raise ValueError(f"unknown model type {kind!r}")
+    unknown = sorted(str(key) for key in spec if key != "type" and key not in keys)
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} for model type {kind!r}")
     if kind == "iid":
+        if ("probs" in spec) == ("tail_ratio" in spec):
+            raise ValueError("iid model needs exactly one of 'probs' and 'tail_ratio'")
         if "probs" in spec:
             return IidModel(probs=tuple(spec["probs"]))
-        if "tail_ratio" in spec:
-            return IidModel(tail_ratio=spec["tail_ratio"])
-        raise ValueError("iid model needs 'probs' or 'tail_ratio'")
+        return IidModel(tail_ratio=spec["tail_ratio"])
     if kind == "markov":
         if "transition" not in spec:
             raise ValueError("markov model needs 'transition'")
         return MarkovModel(transition=tuple(tuple(row) for row in spec["transition"]))
-    if kind == "gauss_cf":
-        return GaussCFModel(
-            psi_T=float(spec.get("psi_T", 1.0)),
-            psi_sigma=float(spec.get("psi_sigma", 0.303)),
-        )
-    raise ValueError(f"unknown model type {kind!r}")
+    return GaussCFModel(
+        psi_T=float(spec.get("psi_T", 1.0)),
+        psi_sigma=float(spec.get("psi_sigma", 0.303)),
+    )
 
 
 def model_to_spec(model: Model) -> dict:

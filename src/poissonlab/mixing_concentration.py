@@ -4,27 +4,23 @@ Covers: exact per-lag mixing coefficients for Markov chains, the
 upper-triangular dependency matrix and its operator norm (power iteration
 plus the closed-form majorant), Lipschitz weight vectors with closed-form
 norms, the word plans and the occurrence index that count many words in
-one stream, the two scanned functionals phi_k_S and phi_k_j_S, and the
-empirical concentration experiment that checks observed deviations against
-the analytic bound.
+one stream, and the two scanned functionals phi_k_S and phi_k_j_S whose
+deviations the concentration mode checks against the analytic bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import zeta as _hurwitz_zeta
 
 from .errors import ConfigError, InternalCheckError, UnsupportedModelError
-from .measures import (IidModel, MarkovModel, MixingProfile, Model,
-                       SequenceGenerator, cylinder_prob, cylinder_prob_guarded,
-                       make_generator, mixing_profile)
+from .measures import (IidModel, MarkovModel, MixingProfile, Model, cylinder_prob,
+                       cylinder_prob_guarded)
 from .point_process import IndexSet, IntervalUnion, j_set, required_prefix_length
-from .rng import derive_seed
 from .words import enumerate_words
 
 DELTA_NORM_MATRIX_CAP = 2000
@@ -198,6 +194,13 @@ class LipschitzWeights:
         return self.factor * min(self.cap, self.sup / i)
 
 
+def _hurwitz_zeta(s: float, q: float) -> float:
+    """zeta(s, q) = sum over n >= 0 of (n + q)**-s."""
+    import mpmath  # only the weight norms need it
+
+    return float(mpmath.zeta(s, q))
+
+
 def _weights(k: int, S: IntervalUnion, profile: MixingProfile, factor: float,
              bound_poly: float, i_max: int) -> LipschitzWeights:
     if profile.K is None or profile.rho is None:
@@ -212,8 +215,8 @@ def _weights(k: int, S: IntervalUnion, profile: MixingProfile, factor: float,
     else:
         values = factor * np.minimum(cap, sup / idx)
         crossover = int(math.floor(sup / cap))
-        tail = float(_hurwitz_zeta(2, crossover + 1))
-        norm_sq = factor**2 * (crossover * cap**2 + sup**2 * tail)
+        tail = _hurwitz_zeta(2, crossover + 1)  # about 1/crossover, so sup * tail is small
+        norm_sq = factor**2 * (crossover * cap**2 + sup * (sup * tail))
     # the analytic majorant needs max(K,1): for K < 1 the flat head alone
     # already exceeds the K**2 form
     k_eff = max(profile.K, 1.0) ** 2
@@ -390,11 +393,18 @@ class OccurrenceIndex:
 
 # ---------------------------------------------------------------------------
 # scanned functionals
+#
+# Both functionals read their streams through ``streams(length)``: a call
+# returns the symbol matrices (one row per stream, ``length`` columns) of
+# every stream in turn, so the caller decides how streams are drawn and
+# batched, and each functional asks for only the length it needs.
+
+Streams = Callable[[int], Iterable[np.ndarray]]
 
 
 @dataclass(frozen=True)
 class PhiScan:
-    value: float
+    values: np.ndarray
     complete: bool
     skipped_bound: float
     n_scanned: int
@@ -444,37 +454,38 @@ def _vector_contains(S: IntervalUnion, values: np.ndarray) -> np.ndarray:
     return mask
 
 
-def phi_k_S(x_gen: SequenceGenerator, k: int, S: IntervalUnion,
+def phi_k_S(model: Model, streams: Streams, k: int, S: IntervalUnion,
             N_cap: int) -> PhiScan:
-    """Scan sum over window starts i of mu(window_i) * [i * mu(window_i) in S].
+    """Scan sum over window starts i <= N_cap of mu(window_i) * [i * mu(window_i) in S],
+    one value per stream of ``streams(N_cap + k - 1)``.
 
     Only windows that actually occur contribute, so the scan needs no word
-    enumeration.  Scanning stops at N_cap; completeness holds once every
-    positive-measure word has left S's reach (i * mu > sup S), and the
-    reported skipped bound is sup S times the unscanned fraction.  Window
-    membership uses float products; classification within float rounding of
-    an endpoint can go either way.
+    enumeration.  Completeness holds once every positive-measure word has
+    left S's reach (i * mu > sup S), and the reported skipped bound is sup S
+    times the unscanned fraction; both depend on the model, k, S and N_cap
+    alone.  Window membership uses float products; classification within
+    float rounding of an endpoint can go either way.
     """
     if N_cap < k:
         raise ConfigError("N_cap must be at least k")
-    x = np.asarray(x_gen.take(N_cap + k - 1), dtype=np.int64)
-    log_mu = _window_log_mu(x_gen.model, x, k)[:N_cap]
-    mu = np.exp(log_mu)
-    t = mu * np.arange(1, N_cap + 1, dtype=np.float64)
-    hit = _vector_contains(S, t)
-    value = float(np.sum(mu[hit]))
     sup = float(S.sup)
-    mu_min = _positive_min_word_prob(x_gen.model, k)
+    mu_min = _positive_min_word_prob(model, k)
     if sup == 0.0:
-        return PhiScan(value, True, 0.0, N_cap)
-    if mu_min > 0.0:
+        complete, skipped = True, 0.0
+    elif mu_min > 0.0:
         needed = sup / mu_min
         complete = N_cap >= needed
         skipped = 0.0 if complete else sup * (1.0 - N_cap / needed)
     else:
-        complete = False
-        skipped = sup
-    return PhiScan(value, complete, skipped, N_cap)
+        complete, skipped = False, sup
+    matrices = streams(N_cap + k - 1)  # first: the caller may refuse the length
+    index = np.arange(1, N_cap + 1, dtype=np.float64)
+    values = []
+    for xs in matrices:
+        for x in xs:
+            mu = np.exp(_window_log_mu(model, x.astype(np.int64), k))
+            values.append(float(np.sum(mu[_vector_contains(S, mu * index)])))
+    return PhiScan(np.array(values), complete, skipped, N_cap)
 
 
 def phi2_enumerable(model: Model, k: int) -> bool:
@@ -487,7 +498,7 @@ def phi2_enumerable(model: Model, k: int) -> bool:
 
 @dataclass(frozen=True)
 class PhiJEstimate:
-    estimate: float
+    values: np.ndarray
     truncated_fraction: float
     n_used: int
 
@@ -501,20 +512,21 @@ def _has_measure(model: Model, words: np.ndarray) -> np.ndarray:
     return (np.array(model.probs) > 0)[words].all(axis=1)
 
 
-def phi_k_j_S(x_gens: Sequence[SequenceGenerator], k: int, j: int, S: IntervalUnion,
-              x_cap: int = 10**7) -> list[PhiJEstimate]:
-    """Mass of {w : count of w in x over its index set equals j}, per stream.
+def phi_k_j_S(model: Model, streams: Streams, k: int, j: int, S: IntervalUnion,
+              x_cap: int) -> PhiJEstimate:
+    """Mass of {w : count of w in x over its index set equals j}, one value
+    per stream x of ``streams(length)``.
 
     Exact enumeration over all words; it needs a finite alphabet with
-    alphabet_size**k <= 2**16.  The words are planned once for all streams
-    ``x_gens`` (generators of one model), and each stream is counted in one
-    index lookup.  The estimate is the exact mass of the fully countable
-    words; words whose index set needs a prefix beyond x_cap are excluded and
-    reported in truncated_fraction.
+    alphabet_size**k <= 2**16.  The words are planned once, before any
+    stream is read, and the streams are asked for the longest prefix a plan
+    needs, at most x_cap; each stream is counted in one index lookup.  A
+    value is the exact mass of the fully countable words; words whose index
+    set needs a prefix beyond x_cap are excluded and reported in
+    truncated_fraction.
     """
     if j < 0:
         raise ValueError("j must be >= 0")
-    model = x_gens[0].model
     if not phi2_enumerable(model, k):
         raise UnsupportedModelError(
             "the level mass needs a finite alphabet with alphabet_size**k <= 2**16")
@@ -530,104 +542,18 @@ def phi_k_j_S(x_gens: Sequence[SequenceGenerator], k: int, j: int, S: IntervalUn
     truncated_mass = sum((m for m, c in zip(mass, counted) if not c), Fraction(0))
     zero_mass = 1 - sum(mass)  # words of measure zero count 0
     counted_words = counted[plan_of]
-    n_used = int(np.count_nonzero(counted_words))
+    matrices = streams(use_len)  # first: the caller may refuse the length
     ranges = _ranges_array([J.clipped(use_len - k + 1) for J in js])[plan_of]
-    out = []
-    for gen in x_gens:
-        counts = np.zeros(len(words), dtype=np.int64)
-        if use_len >= k:
-            counts = OccurrenceIndex(gen.take(use_len), k).count_in_ranges(words, ranges)
-        hits = np.bincount(plan_of[(counts == j) & counted_words], minlength=len(plans))
-        hit_mass = sum(J.mu_w * n for J, n in zip(js, hits.tolist()) if n)
-        if j == 0:
-            hit_mass += zero_mass
-        out.append(PhiJEstimate(float(hit_mass), float(truncated_mass), n_used))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# the empirical concentration experiment
-
-
-@dataclass(frozen=True)
-class ConcentrationRow:
-    t: float
-    empirical_prob: float
-    theoretical_bound: float
-    se: float
-    violation: bool
-
-
-@dataclass(frozen=True)
-class ConcentrationReport:
-    functional: str
-    k: int
-    set_label: str
-    n_replicas: int
-    n_cap: int
-    complete: bool
-    delta_bound: float
-    denominator: float
-    mean: float
-    std: float
-    rows: tuple[ConcentrationRow, ...]
-    violations: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "violations", sum(r.violation for r in self.rows))
-
-
-def concentration_experiment(model: Model, k: int, S: IntervalUnion,
-                             t_grid: Sequence[float], n_replicas: int, seed: int,
-                             functional: str = "phi1", j: int = 0,
-                             n_cap: int | None = None) -> ConcentrationReport:
-    """Empirical deviation probabilities of a scanned functional vs the bound.
-
-    Draws independent streams, evaluates the functional on each, centers at
-    the empirical mean, and compares each tail frequency against
-    2 exp(-t^2 / (||Delta||^2 * B)), where B is the analytic majorant of the
-    functional's squared weight norm (``lipschitz_weights_phi1/phi2``: for
-    phi1, 8 k^4 sup(S) max(K, 1)^2 rho^k), flagging any exceedance beyond
-    three binomial standard errors where the bound is informative (< 1).
-    """
-    if n_replicas < 200:
-        raise ConfigError("need at least 200 replicas")
-    if functional not in ("phi1", "phi2"):
-        raise ConfigError("functional must be 'phi1' or 'phi2'")
-    if not t_grid or any(t <= 0 for t in t_grid):
-        raise ConfigError("t_grid must list positive thresholds")
-    profile = mixing_profile(model)
-    sup = float(S.sup)
-    if n_cap is None:
-        mu_min = _positive_min_word_prob(model, k)
-        if mu_min > 0.0:
-            n_cap = min(int(math.ceil(sup / mu_min)), 10**5)
-        else:
-            n_cap = 10**4
-    n_cap = max(n_cap, k)
-    weights = lipschitz_weights_phi1 if functional == "phi1" else lipschitz_weights_phi2
-    dn = delta_norm_bound(profile)
-    denominator = dn**2 * weights(k, S, profile).bound
-
-    gens = [make_generator(model, derive_seed(seed, 1, r)) for r in range(n_replicas)]
-    if functional == "phi1":
-        scans = [phi_k_S(gen, k, S, n_cap) for gen in gens]
-        values = np.array([scan.value for scan in scans])
-        complete = all(scan.complete for scan in scans)
-    else:
-        ests = phi_k_j_S(gens, k, j, S, x_cap=n_cap)
-        values = np.array([est.estimate for est in ests])
-        complete = all(est.truncated_fraction == 0.0 for est in ests)
-
-    mean = float(np.mean(values))
-    std = float(np.std(values))
-    dev = np.abs(values - mean)
-    rows = []
-    for t in t_grid:
-        emp = float(np.mean(dev >= t))
-        bound = min(1.0, 2.0 * math.exp(-(t * t) / denominator)) if denominator > 0 else 1.0
-        se = math.sqrt(emp * (1.0 - emp) / n_replicas)
-        violation = bound < 1.0 and emp > bound + 3.0 * se
-        rows.append(ConcentrationRow(float(t), emp, bound, se, violation))
-    return ConcentrationReport(functional, k, S.label(), n_replicas, n_cap,
-                               complete, dn, denominator, mean, std, tuple(rows))
+    values = []
+    for xs in matrices:
+        for x in xs:
+            counts = np.zeros(len(words), dtype=np.int64)
+            if use_len >= k:
+                counts = OccurrenceIndex(x, k).count_in_ranges(words, ranges)
+            hits = np.bincount(plan_of[(counts == j) & counted_words], minlength=len(plans))
+            hit_mass = sum(J.mu_w * n for J, n in zip(js, hits.tolist()) if n)
+            if j == 0:
+                hit_mass += zero_mass
+            values.append(float(hit_mass))
+    return PhiJEstimate(np.array(values), float(truncated_mass),
+                        int(np.count_nonzero(counted_words)))

@@ -14,7 +14,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError
-from .rng import uniform_block
 
 
 def poisson_pmf(lam: float, j: int) -> float:
@@ -26,11 +25,6 @@ def poisson_pmf(lam: float, j: int) -> float:
     if lam == 0.0:
         return 1.0 if j == 0 else 0.0
     return math.exp(-lam + j * math.log(lam) - math.lgamma(j + 1))
-
-
-def poisson_pmf_vector(lam: float, j_max: int) -> np.ndarray:
-    """pmf values for j = 0..j_max as an array."""
-    return np.array([poisson_pmf(lam, j) for j in range(j_max + 1)])
 
 
 def histogram_j_max(lam: float) -> int:
@@ -70,17 +64,6 @@ def tv_distance(p: Mapping[int, float], q: Mapping[int, float],
             raise ValueError(f"{name} distribution must sum to 1 within 1e-9")
     keys = set(p) | set(q)
     return 0.5 * math.fsum(abs(p.get(j, 0.0) - q.get(j, 0.0)) for j in keys)
-
-
-def sample_poisson_counts(lam: float, n: int, seed: int) -> np.ndarray:
-    """Deterministic Poisson(lam) samples via inverse CDF on the counter
-    stream (used by harness self-tests)."""
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    j_hi = 20 + 20 * int(lam + 1)
-    cum = np.cumsum(poisson_pmf_vector(lam, j_hi))
-    u = uniform_block(seed, 0, n)
-    return np.searchsorted(cum, u, side="right").astype(np.int64)
 
 
 def kallenberg_check(counts_per_set: Sequence[Sequence[int]],

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from poissonlab.experiments import execute, load_config, parse_config
+from poissonlab.experiments import execute, parse_config, read_config_doc
 from poissonlab.measures import (IidModel, MarkovModel, cylinder_prob_exact,
                                  psi_mixing_profile, sample_word)
 from poissonlab.mixing_concentration import (delta_matrix, delta_norm,
@@ -24,10 +24,10 @@ from poissonlab.mixing_concentration import (delta_matrix, delta_norm,
 from poissonlab.oracles import (brute_force_distribution, exact_expectation,
                                 exact_variance, period_class_measure)
 from poissonlab.point_process import IntervalUnion, j_set, unit_interval
-from poissonlab.poisson_stats import (kallenberg_check, poisson_pmf,
-                                      sample_poisson_counts)
+from poissonlab.poisson_stats import kallenberg_check, poisson_pmf
 from poissonlab.rng import derive_seed
 from poissonlab.words import enumerate_words
+from sampling import sample_poisson_counts
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 FAIR = IidModel(probs=(Fraction(1, 2), Fraction(1, 2)))
@@ -39,7 +39,7 @@ pytestmark = pytest.mark.acceptance
 @pytest.fixture(scope="module")
 def annealed_runs(tmp_path_factory):
     """The frozen annealed config executed twice into separate directories."""
-    cfg = load_config(CONFIGS / "annealed_fair.json")
+    cfg = parse_config(read_config_doc(CONFIGS / "annealed_fair.json"))
     dirs = []
     elapsed = []
     for tag in ("first", "second"):
@@ -158,7 +158,7 @@ def test_criterion_06_annealed_convergence(annealed_runs):
 
 def test_criterion_07_quenched_convergence():
     t0 = time.monotonic()
-    cfg = load_config(CONFIGS / "quenched_fair.json")
+    cfg = parse_config(read_config_doc(CONFIGS / "quenched_fair.json"))
     code, res = execute(cfg, None)
     dt = time.monotonic() - t0
     assert code == 0
@@ -172,7 +172,7 @@ def test_criterion_07_quenched_convergence():
 
 def test_criterion_08_continued_fraction_quenched():
     t0 = time.monotonic()
-    cfg = load_config(CONFIGS / "quenched_gauss.json")
+    cfg = parse_config(read_config_doc(CONFIGS / "quenched_gauss.json"))
     code, res = execute(cfg, None)
     dt = time.monotonic() - t0
     rep = res.replicas[0]
@@ -225,7 +225,7 @@ def test_criterion_10_dependency_norm_bound():
 
 def test_criterion_11_concentration_non_violation():
     t0 = time.monotonic()
-    cfg = load_config(CONFIGS / "concentration_fair.json")
+    cfg = parse_config(read_config_doc(CONFIGS / "concentration_fair.json"))
     code, rep = execute(cfg, None)
     dt = time.monotonic() - t0
     assert code == 0

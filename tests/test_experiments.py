@@ -18,13 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poissonlab.errors import ConfigError, InsufficientDataError
-from poissonlab.experiments import (_draw, default_n_cap, execute, parse_config,
+from poissonlab.experiments import (_draw, _genericity_report, default_n_cap,
+                                    execute, parse_config,
                                     run_annealed, run_mixing, run_oracle_suite,
                                     run_quenched)
 from poissonlab.measures import (GaussCFModel, IidModel, cylinder_prob_exact,
                                  cylinder_prob_guarded, make_generator,
                                  model_from_spec, sample_word)
-from poissonlab.mixing_concentration import _distinct_rows
+from poissonlab.mixing_concentration import OccurrenceIndex, _distinct_rows
 from poissonlab.point_process import j_set, required_prefix_length, unit_interval
 from poissonlab.poisson_stats import fold_histogram
 from poissonlab.rng import derive_seed
@@ -100,6 +101,17 @@ class TestParseConfig:
         # degenerate models: contraction_profile refuses them
         (_doc(model=DEGENERATE_IID), "$.model"),
         (_doc(model=DEGENERATE_CHAIN), "$.model"),
+        # keys the model type does not read
+        (_doc(model={"type": "gauss_cf", "alphabet_size": 3}), "$.model"),
+        (_doc(model={"type": "iid", "probs": ["1/2", "1/2"], "tail_ratio": "1/2"}),
+         "$.model"),
+        (_doc(model={"type": "markov", "probs": ["1/2", "1/2"],
+                     "transition": MARKOV_SPEC["transition"]}), "$.model"),
+        (_doc(model={"type": "iid"}), "$.model"),
+        (_doc(model={"type": ["iid"]}), "$.model"),
+        # the weight norm needs sup S / (K rho^k) as a float, whatever n_cap
+        (_conc(k=40, n_cap=1000, sets=[[[str(10**300), str(10**300 + 1), False, True]]]),
+         "$.sets[0]"),
     ])
     def test_error_paths(self, doc, needle):
         with pytest.raises(ConfigError) as err:
@@ -347,6 +359,64 @@ class TestQuenched:
         assert sr.truncated_histogram == fold_histogram([2] * 100, sr.j_max)
 
 
+def _de_bruijn(k):
+    """The linear binary de Bruijn sequence of order k: 2^k + k - 1 symbols
+    in which every binary word of length k occurs exactly once."""
+    a, seq = [0] * (k + 1), []
+
+    def db(t, p):  # Lyndon words of length dividing k, in order
+        if t > k:
+            if k % p == 0:
+                seq.extend(a[1:p + 1])
+            return
+        a[t] = a[t - p]
+        db(t + 1, p)
+        for b in range(a[t - p] + 1, 2):
+            a[t] = b
+            db(t + 1, t)
+
+    db(1, 1)
+    return np.array(seq + seq[:k - 1], dtype=np.int64)
+
+
+class TestNegativeControls:
+    """The TV gate fails on a sequence that is not Poisson generic.
+
+    With fair-coin words and S = (0, 1], J = {1..2^k}, so in the de Bruijn
+    sequence every word occurs exactly once there: the count law is a point
+    mass at 1, at TV 1 - 1/e from Poisson(1).  A random stream of the same
+    length passes.
+    """
+
+    K = 12
+
+    def _report(self, x):
+        cfg = parse_config(_doc(mode="quenched", k=self.K, n_samples=5000))
+        words = _draw(cfg.model, derive_seed(cfg.seed, 4, 0, np.arange(cfg.n_samples)),
+                      self.K)
+        J = j_set(Fraction(1, 2**self.K), cfg.sets[0])
+        assert J.ranges == ((1, 2**self.K),)
+        counts = OccurrenceIndex(x, self.K).count_in_ranges(words, J.ranges)
+        return _genericity_report(cfg, "quenched", [counts],
+                                  [np.zeros(len(counts), dtype=bool)], 0), counts
+
+    def test_de_bruijn_sequence_fails(self):
+        x = _de_bruijn(self.K)
+        assert len(x) == 2**self.K + self.K - 1
+        assert len({tuple(x[i:i + self.K]) for i in range(2**self.K)}) == 2**self.K
+        rep, counts = self._report(x)
+        assert (counts == 1).all()
+        assert not rep.passed
+        assert rep.sets[0].tv_set == pytest.approx(1 - np.exp(-1), abs=1e-12)
+
+    def test_random_stream_of_the_same_length_passes(self):
+        x = make_generator(IidModel(probs=(Fraction(1, 2),) * 2), 2024).take(
+            2**self.K + self.K - 1)
+        rep, _ = self._report(x)
+        assert rep.passed
+        assert rep.sets[0].tv_set < rep.tv_tolerance
+
+
 class TestDraw:
     @pytest.mark.parametrize("model_spec", [FAIR_SPEC, BIASED_SPEC, THREE_SPEC,
                                             {"type": "iid", "probs": ["1/2", "1/2", "0"]},
@@ -545,14 +615,27 @@ class TestCli:
 
     @pytest.mark.parametrize("mode,model", [
         ("annealed", FAIR_SPEC), ("annealed", MARKOV_SPEC), ("quenched", FAIR_SPEC),
+        ("concentration", FAIR_SPEC), ("concentration", MARKOV_SPEC),
     ])
     def test_symbol_budget_is_exit_two(self, tmp_path, mode, model):
         # |S| = 1 far out: the histogram stays small, the streams do not
         huge = [[[str(10**300), str(10**300 + 1), False, True]]]
-        cfg_path = self._write(tmp_path / "c.json", _doc(mode=mode, model=model, sets=huge))
+        doc = _doc(mode=mode, model=model, sets=huge)
+        if mode == "concentration":  # phi1 on the coin, phi2 on the chain
+            doc = _conc(model=model, sets=huge,
+                        functional="phi1" if model is FAIR_SPEC else "phi2")
+        cfg_path = self._write(tmp_path / "c.json", doc)
         r = self._run(mode, "--config", cfg_path)
         assert r.returncode == 2
         assert "error:" in r.stderr and "budget" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_long_concentration_scan_is_refused_before_drawing(self, tmp_path):
+        # the default n_cap at k=45 scans 10 * 2^45 windows per replica
+        cfg_path = self._write(tmp_path / "c.json", _conc(k=45))
+        r = self._run("concentration", "--config", cfg_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: run would draw") and "budget" in r.stderr
         assert "Traceback" not in r.stderr
 
     def test_huge_target_set_is_exit_two(self, tmp_path):

@@ -15,8 +15,8 @@ from poissonlab.errors import ConfigError, UnsupportedModelError
 from poissonlab.measures import (GaussCFModel, IidModel, MarkovModel,
                                  MixingProfile, make_generator, mixing_profile,
                                  psi_mixing_profile)
+from poissonlab.experiments import parse_config, run_concentration
 from poissonlab.mixing_concentration import (EtaMatrix, OccurrenceIndex,
-                                             concentration_experiment,
                                              delta_matrix, delta_norm,
                                              delta_norm_bound,
                                              eta_coefficients,
@@ -33,20 +33,22 @@ UNIT = unit_interval()
 GEO_ETA = EtaMatrix(n=31, lags=tuple(0.7**m for m in range(1, 31)))
 
 
-class _FixedStream:
-    """Deterministic generator stand-in: repeats a fixed pattern."""
+def _tiled(pattern, rows=1):
+    """``streams`` for the functionals: ``rows`` copies of ``pattern``
+    repeated to the asked length, in one matrix."""
+    def streams(length):
+        return [np.tile(np.resize(np.asarray(pattern, dtype=np.int64), length), (rows, 1))]
+    return streams
 
-    def __init__(self, model, pattern):
-        self.model = model
-        self._pattern = tuple(pattern)
-        self._pos = 0
 
-    def take(self, n):
-        out = np.fromiter(
-            (self._pattern[(self._pos + i) % len(self._pattern)] for i in range(n)),
-            dtype=np.int64, count=n)
-        self._pos += n
-        return out
+def _generated(model, seeds, per_matrix=None):
+    """``streams`` for the functionals: one row per seed, from the model's
+    generator, ``per_matrix`` rows to a matrix (all in one by default)."""
+    def streams(length):
+        rows = [make_generator(model, sd).take(length) for sd in seeds]
+        step = per_matrix or len(rows)
+        return [np.stack(rows[lo: lo + step]) for lo in range(0, len(rows), step)]
+    return streams
 
 
 class TestEtaCoefficients:
@@ -304,57 +306,77 @@ class TestOccurrenceIndex:
 
 class TestPhiScan:
     def test_single_symbol_windows(self):
-        gen = _FixedStream(FAIR, (0, 1))
-        out = phi_k_S(gen, 1, UNIT, 4)
+        out = phi_k_S(FAIR, _tiled((0, 1)), 1, UNIT, 4)
         # mu = 1/2 per window; i * mu lands in (0, 1] for i = 1, 2
-        assert out.value == pytest.approx(1.0, abs=1e-12)
+        assert out.values.tolist() == [pytest.approx(1.0, abs=1e-12)]
         assert out.complete
         assert out.skipped_bound == 0.0
 
     def test_alternating_pairs(self):
-        gen = _FixedStream(FAIR, (0, 1))
-        out = phi_k_S(gen, 2, UNIT, 10)
+        out = phi_k_S(FAIR, _tiled((0, 1), rows=3), 2, UNIT, 10)
         # every window is 01 or 10 with mu = 1/4; hits at i = 1..4
-        assert out.value == pytest.approx(1.0, abs=1e-12)
+        assert out.values == pytest.approx([1.0] * 3, abs=1e-12)
         assert out.complete
 
     def test_incomplete_scan_reports_skip(self):
-        gen = _FixedStream(FAIR, (0, 1))
-        out = phi_k_S(gen, 2, UNIT, 2)  # needs 4 window starts, given 2
+        out = phi_k_S(FAIR, _tiled((0, 1)), 2, UNIT, 2)  # needs 4 window starts, given 2
         assert not out.complete
         assert out.skipped_bound == pytest.approx(0.5)
 
     def test_cap_validation(self):
         with pytest.raises(ConfigError):
-            phi_k_S(_FixedStream(FAIR, (0, 1)), 3, UNIT, 2)
+            phi_k_S(FAIR, _tiled((0, 1)), 3, UNIT, 2)
 
     def test_random_stream_fair_value_is_set_size(self):
         # uniform measure: the scan telescopes to |S| once complete, up to
         # float rounding at the boundary index (at most one window of mass)
-        gen = make_generator(FAIR, 321)
-        out = phi_k_S(gen, 6, UNIT, 64)
+        out = phi_k_S(FAIR, _generated(FAIR, [321]), 6, UNIT, 64)
         assert out.complete
-        assert out.value == pytest.approx(1.0, abs=2**-6 + 1e-9)
+        assert out.values[0] == pytest.approx(1.0, abs=2**-6 + 1e-9)
+
+    def test_streams_are_asked_for_the_scanned_length_once(self):
+        asked = []
+
+        def streams(length):
+            asked.append(length)
+            return _tiled((0, 1), rows=2)(length)
+
+        assert len(phi_k_S(FAIR, streams, 3, UNIT, 50).values) == 2
+        assert asked == [52]
 
 
 class TestPhiJMass:
     def test_exact_alternating_example(self):
-        gen = _FixedStream(FAIR, (0, 1))
-        (est,) = phi_k_j_S([gen], 2, 0, UNIT)
+        est = phi_k_j_S(FAIR, _tiled((0, 1)), 2, 0, UNIT, 100)
         # 01 and 10 each occur twice in their index windows; 00 and 11 never
-        assert est.estimate == pytest.approx(0.5, abs=1e-15)
+        assert est.values.tolist() == [pytest.approx(0.5, abs=1e-15)]
         assert est.truncated_fraction == 0.0
-        (est2,) = phi_k_j_S([_FixedStream(FAIR, (0, 1))], 2, 2, UNIT)
-        assert est2.estimate == pytest.approx(0.5, abs=1e-15)
+        est2 = phi_k_j_S(FAIR, _tiled((0, 1), rows=2), 2, 2, UNIT, 100)
+        assert est2.values == pytest.approx([0.5, 0.5], abs=1e-15)
 
     def test_unreachable_count_has_no_mass(self):
-        (est,) = phi_k_j_S([_FixedStream(FAIR, (0, 1))], 2, 7, UNIT)
-        assert est.estimate == 0.0
+        est = phi_k_j_S(FAIR, _tiled((0, 1)), 2, 7, UNIT, 100)
+        assert est.values.tolist() == [0.0]
 
     def test_empty_set_concentrates_at_zero(self):
         empty = IntervalUnion.from_spec([])
-        (est,) = phi_k_j_S([_FixedStream(FAIR, (0, 1))], 2, 0, empty)
-        assert est.estimate == pytest.approx(1.0, abs=1e-15)
+        est = phi_k_j_S(FAIR, _tiled((0, 1)), 2, 0, empty, 100)
+        assert est.values.tolist() == [pytest.approx(1.0, abs=1e-15)]
+
+    def test_streams_are_asked_for_the_planned_length(self):
+        # fair k=3 on (0, 1]: every index set is 1..8, so 10 symbols, not x_cap
+        asked = []
+
+        def streams(length):
+            asked.append(length)
+            return _tiled((0, 0, 1, 1))(length)
+
+        phi_k_j_S(FAIR, streams, 3, 1, UNIT, 10**6)
+        assert asked == [10]
+        # a cap below the planned length truncates every word
+        est = phi_k_j_S(FAIR, streams, 3, 0, UNIT, 9)
+        assert asked[-1] == 9
+        assert est.truncated_fraction == 1.0 and est.n_used == 0
 
     @pytest.mark.parametrize("model,k", [
         (GaussCFModel(), 2), (IidModel(tail_ratio=Fraction(1, 2)), 2),
@@ -362,16 +384,19 @@ class TestPhiJMass:
     def test_words_past_the_enumeration_cap_are_refused(self, model, k):
         assert not phi2_enumerable(model, k)
         with pytest.raises(UnsupportedModelError):
-            phi_k_j_S([make_generator(model, 8)], k, 0, UNIT)
+            phi_k_j_S(model, _generated(model, [8]), k, 0, UNIT, 1000)
 
     @pytest.mark.parametrize("model,k,j", [(FAIR, 4, 0), (CHAIN, 5, 1), (CHAIN, 3, 0)])
     def test_one_call_over_many_streams_equals_one_call_each(self, model, k, j):
         S = IntervalUnion.from_spec([["0", "1/2", False, True], ["1", "3", True, False]])
         seeds = range(6)
-        batched = phi_k_j_S([make_generator(model, sd) for sd in seeds], k, j, S)
-        single = [phi_k_j_S([make_generator(model, sd)], k, j, S)[0] for sd in seeds]
-        assert batched == single
-        assert len({est.estimate for est in batched}) > 1  # the streams differ
+        batched = phi_k_j_S(model, _generated(model, seeds, per_matrix=4), k, j, S, 10**7)
+        single = [phi_k_j_S(model, _generated(model, [sd]), k, j, S, 10**7)
+                  for sd in seeds]
+        assert batched.values.tolist() == [est.values[0] for est in single]
+        assert {(est.truncated_fraction, est.n_used) for est in single} \
+            == {(batched.truncated_fraction, batched.n_used)}
+        assert len(set(batched.values.tolist())) > 1  # the streams differ
 
     def test_enumeration_cap_is_inclusive(self):
         assert phi2_enumerable(FAIR, 16)
@@ -379,12 +404,20 @@ class TestPhiJMass:
 
     def test_negative_j_rejected(self):
         with pytest.raises(ValueError):
-            phi_k_j_S([_FixedStream(FAIR, (0, 1))], 2, -1, UNIT)
+            phi_k_j_S(FAIR, _tiled((0, 1)), 2, -1, UNIT, 100)
+
+
+def _concentration(**over):
+    doc = {"mode": "concentration", "model": {"type": "iid", "probs": ["1/2", "1/2"]},
+           "k": 6, "n_samples": 200, "seed": 13, "t_grid": [2.0]}
+    doc.update(over)
+    return doc
 
 
 class TestConcentrationExperiment:
     def test_uniform_model_report(self):
-        rep = concentration_experiment(FAIR, 10, UNIT, [5.0, 30.0], 200, 77)
+        rep = run_concentration(parse_config(_concentration(
+            k=10, t_grid=[5.0, 30.0], seed=77, n_cap=1024)))
         # ||Delta|| bound is 1 for independent coordinates, so the
         # denominator is 8 k^4 max(K, 1)^2 rho^k = 8e4 / 1024
         assert rep.denominator == pytest.approx(78.125, abs=1e-9)
@@ -399,26 +432,45 @@ class TestConcentrationExperiment:
         assert t30.empirical_prob == 0.0
 
     def test_config_validation(self):
+        # refused while parsing, before run_concentration draws anything
+        for over, needle in [({"n_samples": 100}, "$.n_samples"),
+                             ({"t_grid": []}, "$.t_grid"),
+                             ({"t_grid": [-1.0]}, "$.t_grid"),
+                             ({"functional": "phi9"}, "$.functional")]:
+            with pytest.raises(ConfigError) as err:
+                parse_config(_concentration(**over))
+            assert str(err.value).startswith(needle)
         with pytest.raises(ConfigError):
-            concentration_experiment(FAIR, 4, UNIT, [1.0], 100, 1)
-        with pytest.raises(ConfigError):
-            concentration_experiment(FAIR, 4, UNIT, [], 200, 1)
-        with pytest.raises(ConfigError):
-            concentration_experiment(FAIR, 4, UNIT, [-1.0], 200, 1)
-        with pytest.raises(ConfigError):
-            concentration_experiment(FAIR, 4, UNIT, [1.0], 200, 1,
-                                     functional="phi9")
+            run_concentration(parse_config(_concentration(mode="mixing")))
 
     def test_determinism(self):
-        a = concentration_experiment(FAIR, 6, UNIT, [2.0], 200, 13)
-        b = concentration_experiment(FAIR, 6, UNIT, [2.0], 200, 13)
+        a = run_concentration(parse_config(_concentration()))
+        b = run_concentration(parse_config(_concentration()))
         assert a == b
+
+    @pytest.mark.parametrize("functional", ["phi1", "phi2"])
+    def test_replica_r_reads_substream_1_r(self, functional, monkeypatch):
+        # batched draws give each replica its own generator's stream
+        from poissonlab import experiments
+        from poissonlab.rng import derive_seed
+
+        monkeypatch.setattr(experiments, "_BATCH_ELEMS", 3000)
+        cfg = parse_config(_concentration(model={"type": "markov", "transition": [
+            ["9/10", "1/10"], ["1/5", "4/5"]]}, functional=functional, k=4, n_cap=400))
+        streams = _generated(CHAIN, [derive_seed(13, 1, r) for r in range(200)])
+        if functional == "phi1":
+            values = phi_k_S(CHAIN, streams, 4, UNIT, 400).values
+        else:
+            values = phi_k_j_S(CHAIN, streams, 4, 0, UNIT, 400).values
+        rep = run_concentration(cfg)
+        assert rep.mean == float(np.mean(values)) and rep.std == float(np.std(values))
 
     @pytest.mark.parametrize("functional,k,weights", [
         ("phi1", 8, lipschitz_weights_phi1), ("phi2", 4, lipschitz_weights_phi2)])
     def test_denominator_is_the_weight_majorant(self, functional, k, weights):
         # one bound formula: ||Delta||^2 times the weights' analytic majorant
-        rep = concentration_experiment(CHAIN, k, UNIT, [2.0], 200, 5,
-                                       functional=functional)
+        rep = run_concentration(parse_config(_concentration(
+            model={"type": "markov", "transition": [["9/10", "1/10"], ["1/5", "4/5"]]},
+            k=k, seed=5, functional=functional)))
         prof = mixing_profile(CHAIN)
         assert rep.denominator == delta_norm_bound(prof)**2 * weights(k, UNIT, prof).bound

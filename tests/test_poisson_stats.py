@@ -1,6 +1,7 @@
 """Poisson reference laws, TV metric, histograms and the Kallenberg check.
 
-scipy.stats.poisson is the independent oracle for pmf values.
+scipy.stats.poisson is the independent oracle for pmf values; the Poisson
+samples come from the tests' own inverse-CDF sampler (``sampling.py``).
 """
 
 import math
@@ -12,8 +13,8 @@ from scipy import stats
 from poissonlab.errors import InsufficientDataError
 from poissonlab.poisson_stats import (fold_histogram, histogram_j_max,
                                       kallenberg_check, poisson_pmf,
-                                      poisson_pmf_vector, poisson_reference,
-                                      sample_poisson_counts, tv_distance)
+                                      poisson_reference, tv_distance)
+from sampling import sample_poisson_counts
 
 
 class TestPmf:
@@ -22,12 +23,6 @@ class TestPmf:
             for j in range(30):
                 assert poisson_pmf(lam, j) == pytest.approx(
                     stats.poisson.pmf(j, lam), rel=1e-12, abs=1e-300)
-
-    def test_vector_consistent_with_scalar(self):
-        v = poisson_pmf_vector(2.5, 40)
-        assert v.shape == (41,)
-        for j in (0, 1, 17, 40):
-            assert v[j] == pytest.approx(poisson_pmf(2.5, j), rel=1e-14)
 
     def test_mass_sums_to_one(self):
         for lam in (0.5, 1.0, 2.0, 5.0, 10.0):
@@ -87,6 +82,8 @@ class TestHistogramTools:
 
 
 class TestSampling:
+    # the sampler lives with the tests; these check it before TestKallenberg
+    # and acceptance criterion 12 rely on it
     def test_deterministic_per_seed(self):
         a = sample_poisson_counts(1.5, 1000, 33)
         b = sample_poisson_counts(1.5, 1000, 33)

@@ -10,12 +10,12 @@ from .experiments import (ConcentrationReport, ExperimentConfig,
                           run_mixing, run_oracle_suite, run_quenched)
 from .measures import (GaussCFModel, IidModel, MarkovModel, SequenceGenerator,
                        contraction_profile, cylinder_prob,
-                       cylinder_prob_exact, cylinder_prob_high,
-                       make_generator, mixing_profile, model_from_spec,
-                       model_to_spec, psi_mixing_profile, sample_word)
-from .mixing_concentration import (EtaMatrix, OccurrenceIndex, delta_matrix,
-                                   delta_norm, delta_norm_bound,
-                                   eta_coefficients, lipschitz_weights_phi1,
+                       cylinder_prob_exact, make_generator, mixing_profile,
+                       model_from_spec, model_to_spec, psi_mixing_profile,
+                       sample_word)
+from .mixing_concentration import (OccurrenceIndex, delta_matrix, delta_norm,
+                                   delta_norm_bound, eta_coefficients,
+                                   lipschitz_weights_phi1,
                                    lipschitz_weights_phi2, phi_k_S, phi_k_j_S)
 from .oracles import (VarianceBreakdown, annealed_exact_expectation,
                       brute_force_distribution, dp_count_distribution,
@@ -40,10 +40,10 @@ __all__ = [
     # measures
     "GaussCFModel", "IidModel", "MarkovModel", "SequenceGenerator",
     "contraction_profile", "cylinder_prob", "cylinder_prob_exact",
-    "cylinder_prob_high", "make_generator", "mixing_profile",
+    "make_generator", "mixing_profile",
     "model_from_spec", "model_to_spec", "psi_mixing_profile", "sample_word",
     # mixing_concentration
-    "EtaMatrix", "OccurrenceIndex", "delta_matrix", "delta_norm",
+    "OccurrenceIndex", "delta_matrix", "delta_norm",
     "delta_norm_bound", "eta_coefficients", "lipschitz_weights_phi1",
     "lipschitz_weights_phi2", "phi_k_S", "phi_k_j_S",
     # oracles

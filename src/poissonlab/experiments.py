@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .measures import (GaussCFModel, IidModel, MarkovModel, Model,
                        make_generator, mixing_profile, model_from_spec,
                        model_to_spec)
 from .mixing_concentration import (DELTA_NORM_MATRIX_CAP, PHI2_EXACT_CAP,
-                                   EtaMatrix, OccurrenceIndex, _plan_words,
+                                   OccurrenceIndex, _plan_words,
                                    _ranges_array, delta_matrix, delta_norm,
                                    delta_norm_bound, eta_coefficients,
                                    lipschitz_weights_phi1,
@@ -41,8 +41,8 @@ from .oracles import (annealed_exact_expectation, brute_force_distribution,
                       period_class_measure)
 from .point_process import (IntervalUnion, count_word_occurrences, j_set,
                             required_prefix_length)
-from .poisson_stats import (fold_histogram, histogram_j_max, kallenberg_check,
-                            poisson_reference, tv_distance)
+from .poisson_stats import (KALLENBERG_MIN_SAMPLES, fold_histogram, histogram_j_max,
+                            kallenberg_check, poisson_reference, tv_distance)
 from .rng import derive_seed, raw_block
 from .rng import uniform_block  # noqa: F401  (perfbench's tracer self-test wraps this binding)
 from .words import enumerate_words, periods
@@ -94,17 +94,6 @@ def _cfg_int(doc: dict, key: str, default, lo=None) -> int:
     if lo is not None and v < lo:
         raise ConfigError(f"$.{key}: must be >= {lo}")
     return v
-
-
-def default_n_cap(model: Model, k: int, sets: Sequence[IntervalUnion]) -> int:
-    """10 * sup S / (K rho^k) for finite alphabets, 10^7 for the CF model."""
-    if isinstance(model, GaussCFModel):
-        return 10**7
-    prof = contraction_profile(model)
-    sup = max((float(S.sup) for S in sets), default=1.0)
-    if sup <= 0:
-        return max(10 * k, 100)
-    return max(int(math.ceil(10.0 * sup / (prof.K * prof.rho**k))), k)
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -168,23 +157,33 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if min_passing > n_x_replicas:
         raise ConfigError("$.min_passing_replicas: exceeds n_x_replicas")
 
-    floor = None  # heuristic n_cap floor sup S / (K rho^k) of a finite alphabet
+    # n_cap defaults to 10 sup S / (K rho^k) for a finite alphabet with target
+    # sets (sup S / (K rho^k) is the heuristic floor it warns below), to 10^7
+    # for the CF model and to k without a set, where no mode reads it
+    floor = None
     if sets and not isinstance(model, GaussCFModel):
         scale = prof.K * prof.rho**k
         for i, S in enumerate(sets):
-            # default_n_cap takes the ceiling of 10 sup S / (K rho^k), and the
+            # the default takes the ceiling of 10 sup S / (K rho^k), and the
             # concentration weights sup S / (K rho^k); with an explicit n_cap
             # an infinite floor only warns in the other modes
             if scale == 0.0 or (("n_cap" not in doc or mode == "concentration")
                                 and not math.isfinite(10.0 * float(S.sup) / scale)):
                 raise ConfigError(f"$.sets[{i}]: sup S / (K rho^k) at k={k} is past "
                                   "the float range, so no stream length reaches it")
-        floor = max(float(S.sup) for S in sets) / scale
+        sup = max(float(S.sup) for S in sets)
+        floor = sup / scale
     warnings: list[str] = []
     if "n_cap" in doc:
         n_cap = _cfg_int(doc, "n_cap", None, lo=1)
+    elif isinstance(model, GaussCFModel):
+        n_cap = 10**7
+    elif floor is None:
+        n_cap = k
+    elif sup <= 0:
+        n_cap = max(10 * k, 100)
     else:
-        n_cap = default_n_cap(model, k, sets)
+        n_cap = max(int(math.ceil(10.0 * sup / scale)), k)
     if n_cap < k:
         raise ConfigError("$.n_cap: must be at least k")
     if floor is not None and n_cap < floor:
@@ -332,7 +331,7 @@ class ConcentrationReport:
 
 
 def _set_report(S: IntervalUnion, counts: np.ndarray, truncated: np.ndarray,
-                slack: float, min_samples_for_kallenberg: int = 100) -> SetReport:
+                slack: float) -> SetReport:
     lam = float(S.total_length)
     j_max = histogram_j_max(lam)
     used = counts[~truncated]
@@ -349,10 +348,11 @@ def _set_report(S: IntervalUnion, counts: np.ndarray, truncated: np.ndarray,
         tv = None
         mean = None
         var = None
-    if used.size >= min_samples_for_kallenberg:
+    if used.size >= KALLENBERG_MIN_SAMPLES:
         kall = kallenberg_check([used.tolist()], [lam], [slack])[0]
     else:
-        kall = {"status": "SKIPPED", "reason": "fewer than 100 usable samples"}
+        kall = {"status": "SKIPPED",
+                "reason": f"fewer than {KALLENBERG_MIN_SAMPLES} usable samples"}
     return SetReport(
         label=S.label(), spec=tuple(tuple(sorted(d.items())) for d in S.to_spec()),
         size=lam, j_max=j_max, n_used=int(used.size), n_truncated=int(trunc.size),
@@ -430,6 +430,7 @@ def run_annealed(cfg: ExperimentConfig) -> GenericityReport:
     if cfg.mode != "annealed":
         raise ConfigError("$.mode: run_annealed needs mode 'annealed'")
     model, k, n = cfg.model, cfg.k, cfg.n_samples
+    _check_budget(n * k)
     words = _draw(model, derive_seed(cfg.seed, 1, np.arange(n)), k)
     plan_of, plans = _plan_words(model, words, cfg.sets, k)
     lengths = [min(plan.need, cfg.n_cap) for plan in plans]
@@ -463,6 +464,7 @@ def run_quenched(cfg: ExperimentConfig) -> QuenchedResult:
     one report per x replica plus the pass summary."""
     if cfg.mode != "quenched":
         raise ConfigError("$.mode: run_quenched needs mode 'quenched'")
+    _check_budget(cfg.n_x_replicas * cfg.n_samples * cfg.k)  # the words
     reports = []
     for r in range(cfg.n_x_replicas):
         reports.append(_quenched_replica(cfg, r))
@@ -697,7 +699,7 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     profile = mixing_profile(model)
     weights = lipschitz_weights_phi1 if cfg.functional == "phi1" else lipschitz_weights_phi2
     dn = delta_norm_bound(profile)
-    denominator = dn**2 * weights(k, S, profile).bound
+    denominator = dn**2 * weights(k, S, profile)[1]
 
     def streams(length: int):
         _check_budget(n * length)
@@ -706,11 +708,10 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
                       length) for lo in range(0, n, step))
 
     if cfg.functional == "phi1":
-        scan = phi_k_S(model, streams, k, S, cfg.n_cap)
-        values, complete = scan.values, scan.complete
+        values, complete = phi_k_S(model, streams, k, S, cfg.n_cap)
     else:
-        est = phi_k_j_S(model, streams, k, cfg.j, S, cfg.n_cap)
-        values, complete = est.values, est.truncated_fraction == 0.0
+        values, truncated = phi_k_j_S(model, streams, k, cfg.j, S, cfg.n_cap)
+        complete = truncated == 0.0
 
     mean = float(np.mean(values))
     std = float(np.std(values))
@@ -747,28 +748,22 @@ def run_mixing(cfg: ExperimentConfig) -> MixingReport:
     prof = mixing_profile(model)
     bound = delta_norm_bound(prof)
     if isinstance(model, MarkovModel):
-        eta = eta_coefficients(model, cfg.max_lag)
-        lags = eta.lags
+        lags = tuple(float(v) for v in eta_coefficients(model, cfg.max_lag))
         note = "exact matrix-power lag coefficients"
         entrywise = all(
             lag <= prof.T * prof.sigma**m + 1e-12
             for m, lag in enumerate(lags, start=1))
     elif isinstance(model, IidModel):
-        lags = tuple(0.0 for _ in range(cfg.max_lag))
-        eta = None
+        lags = (0.0,) * cfg.max_lag
         note = "independent coordinates: all lag coefficients vanish"
         entrywise = True
     else:
         lags = None
-        eta = None
         note = "UNSUPPORTED: no exact lag path for this model; bound-only report"
         entrywise = None
 
-    norms = []
-    if lags is not None:
-        eta_obj = eta if eta is not None else EtaMatrix(n=cfg.max_lag + 1, lags=lags)
-        for n_t in cfg.truncations:
-            norms.append((n_t, delta_norm(delta_matrix(eta_obj, n_t)).value))
+    norms = [] if lags is None else [(n_t, delta_norm(delta_matrix(lags, n_t)))
+                                     for n_t in cfg.truncations]
     monotone = all(b[1] >= a[1] - 1e-9 for a, b in zip(norms, norms[1:]))
     below = all(v <= bound + 1e-9 for _, v in norms) if entrywise else True
     passed = monotone and below

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, ClassVar, Sequence
 
@@ -41,6 +41,8 @@ _DEEP_DELTA = 1e-17
 # take() draws the Markov and CF samplers' uniforms in blocks of this many,
 # so a long stream never holds more than one block of them as Python floats
 _UNIFORM_BLOCK = 1 << 20
+# lags m = 1..50 of the Markov psi-mixing certificate (psi_mixing_profile)
+_PSI_LAGS = 50
 
 
 def _to_fraction(x, what: str) -> Fraction:
@@ -227,25 +229,21 @@ class MarkovModel:
         self._pi_floats = np.array([float(v) for v in self.pi])
         self._row_cums = tuple(tuple(np.cumsum(row)) for row in self._t_floats)
         self._pi_cum = tuple(np.cumsum(self._pi_floats))
-        self._pow_cache: dict = {1: P}
+        self._powers = [P]  # P, P^2, ..., extended by matrix_power
 
     @property
     def alphabet_size(self) -> int:
         return len(self.transition)
 
     def matrix_power(self, m: int) -> tuple[tuple[Fraction, ...], ...]:
-        """Exact m-th power of the transition matrix (cached, binary squaring)."""
+        """Exact m-th power of the transition matrix; every power up to m is
+        computed once, by one product with P each, and kept."""
         if m < 1:
             raise ValueError("power must be >= 1")
-        cache = self._pow_cache
-        if m in cache:
-            return cache[m]
-        half = self.matrix_power(m // 2)
-        prod = _frac_matmul(half, half)
-        if m % 2:
-            prod = _frac_matmul(prod, self.transition)
-        cache[m] = prod
-        return prod
+        powers = self._powers
+        while len(powers) < m:
+            powers.append(_frac_matmul(powers[-1], self.transition))
+        return powers[m - 1]
 
 
 def _frac_matmul(A, B):
@@ -393,16 +391,6 @@ def cylinder_prob(model: Model, w: Sequence[int]) -> float:
     if isinstance(model, GaussCFModel):
         return gauss_cylinder_prob(_check_word(model, w))
     return float(cylinder_prob_exact(model, w))
-
-
-def cylinder_prob_high(model: Model, w: Sequence[int], dps: int = 50):
-    import mpmath
-
-    if isinstance(model, GaussCFModel):
-        return gauss_cylinder_prob_high(_check_word(model, w), dps)
-    v = cylinder_prob_exact(model, w)
-    with mpmath.workdps(dps):
-        return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
 
 
 def cylinder_prob_guarded(model: Model, w: Sequence[int]) -> tuple[object, Callable | None]:
@@ -587,19 +575,14 @@ def contraction_profile(model: Model) -> MixingProfile:
                          provenance=(("K", "EXACT"), ("rho", "EXACT")))
 
 
-def markov_deviation_table(model: MarkovModel, m_max: int = 50) -> list[Fraction]:
-    """Exact psi-ratio deviations dev(m) = max_ab |P^m(a,b)/pi(b) - 1|, m = 1..m_max."""
+def markov_deviation_table(model: MarkovModel) -> list[Fraction]:
+    """Exact psi-ratio deviations dev(m) = max_ab |P^m(a,b)/pi(b) - 1|, m = 1..50."""
     s = model.alphabet_size
-    out = []
-    power = model.transition
-    for _ in range(m_max):
-        dev = max(abs(power[a][b] / model.pi[b] - 1) for a in range(s) for b in range(s))
-        out.append(dev)
-        power = _frac_matmul(power, model.transition)
-    return out
+    return [max(abs(power[a][b] / model.pi[b] - 1) for a in range(s) for b in range(s))
+            for power in map(model.matrix_power, range(1, _PSI_LAGS + 1))]
 
 
-def psi_mixing_profile(model: Model, m_max: int = 50) -> MixingProfile:
+def psi_mixing_profile(model: Model) -> MixingProfile:
     """Exponential psi-mixing certificate (T, sigma) and distortion bound R."""
     if isinstance(model, IidModel):
         # independence: the ratio is identically 1; sigma = 0 is the sentinel
@@ -610,19 +593,18 @@ def psi_mixing_profile(model: Model, m_max: int = 50) -> MixingProfile:
         mags = sorted((abs(complex(e)) for e in eigs), reverse=True)
         sigma = float(mags[1]) if len(mags) > 1 else 0.0
         sigma = min(max(sigma, 0.0), 1.0 - 1e-15)
-        table = markov_deviation_table(model, m_max)
+        table = markov_deviation_table(model)
         if sigma <= 0.0:
             T = 1.0 if all(d == 0 for d in table) else float("inf")
             sigma = 0.0
         else:
             T = max(float(d) / sigma**m for m, d in enumerate(table, start=1))
+        s = model.alphabet_size
         R = 1.0
-        power = model.transition
-        for _ in range(m_max):
+        for m in range(1, _PSI_LAGS + 1):
+            power = model.matrix_power(m)
             R = max(R, float(max(power[a][b] / model.pi[b]
-                                 for a in range(model.alphabet_size)
-                                 for b in range(model.alphabet_size))))
-            power = _frac_matmul(power, model.transition)
+                                 for a in range(s) for b in range(s))))
         return MixingProfile(T=T, sigma=sigma, R=R,
                              provenance=(("R", "ESTIMATED"), ("T", "ESTIMATED"),
                                          ("sigma", "DERIVED")))
@@ -633,11 +615,12 @@ def psi_mixing_profile(model: Model, m_max: int = 50) -> MixingProfile:
                                      ("sigma", "ASSUMED")))
 
 
-def _gauss_distortion_estimate(max_len: int = 2, max_digit: int = 8) -> float:
-    """max mu(uv) / (mu(u) mu(v)) over small adjacent cylinder pairs."""
+def _gauss_distortion_estimate() -> float:
+    """max mu(uv) / (mu(u) mu(v)) over the words u, v of one or two digits
+    in 1..8."""
     from itertools import product as _product
 
-    small = [tuple(w) for L in (1, max_len) for w in _product(range(1, max_digit + 1), repeat=L)]
+    small = [tuple(w) for L in (1, 2) for w in _product(range(1, 9), repeat=L)]
     best = 1.0
     for u in small:
         mu_u = gauss_cylinder_prob(u)
@@ -648,6 +631,6 @@ def _gauss_distortion_estimate(max_len: int = 2, max_digit: int = 8) -> float:
     return best
 
 
-def mixing_profile(model: Model, m_max: int = 50) -> MixingProfile:
+def mixing_profile(model: Model) -> MixingProfile:
     """Full profile: contraction and psi-mixing constants merged."""
-    return contraction_profile(model).merged(psi_mixing_profile(model, m_max))
+    return contraction_profile(model).merged(psi_mixing_profile(model))

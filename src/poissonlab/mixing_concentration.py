@@ -2,8 +2,8 @@
 
 Covers: exact per-lag mixing coefficients for Markov chains, the
 upper-triangular dependency matrix and its operator norm (power iteration
-plus the closed-form majorant), Lipschitz weight vectors with closed-form
-norms, the word plans and the occurrence index that count many words in
+plus the closed-form majorant), the closed-form norms of the Lipschitz
+weights, the word plans and the occurrence index that count many words in
 one stream, and the two scanned functionals phi_k_S and phi_k_j_S whose
 deviations the concentration mode checks against the analytic bound.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -32,38 +32,7 @@ HASH_MULT = np.uint64(0x9E3779B97F4A7C15) | np.uint64(1)
 # mixing coefficients and the dependency matrix
 
 
-@dataclass(frozen=True)
-class EtaMatrix:
-    """Per-lag dependency coefficients, stored as a lag vector.
-
-    Stationarity makes the (i, j) entry a function of j - i alone, so the
-    full matrix is never materialized here; ``entry`` reconstructs it.
-    """
-
-    n: int
-    lags: tuple[float, ...]
-    lags_exact: tuple[Fraction, ...] | None = None
-    kind: str = "custom"
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("truncation dimension must be >= 1")
-        for v in self.lags:
-            if not 0.0 <= v <= 1.0:
-                raise ValueError("lag coefficients must lie in [0, 1]")
-
-    def entry(self, i: int, j: int) -> float:
-        if j < i:
-            return 0.0
-        if j == i:
-            return 1.0
-        m = j - i
-        if m <= len(self.lags):
-            return self.lags[m - 1]
-        return float(_extend_lags(np.asarray(self.lags), m)[m - 1])
-
-
-def _extend_lags(lags: np.ndarray, need: int) -> np.ndarray:
+def _extend_lags(lags: Sequence[float], need: int) -> np.ndarray:
     """Extend a lag vector to length ``need`` by a geometric tail."""
     lags = np.asarray(lags, dtype=np.float64)
     if len(lags) >= need:
@@ -78,8 +47,8 @@ def _extend_lags(lags: np.ndarray, need: int) -> np.ndarray:
     return np.concatenate([lags, tail])
 
 
-def eta_coefficients(model: Model, max_lag: int) -> EtaMatrix:
-    """Exact per-lag coefficients for a Markov chain.
+def eta_coefficients(model: Model, max_lag: int) -> tuple[Fraction, ...]:
+    """Exact per-lag coefficients of a Markov chain, lags 1..max_lag.
 
     lag m value: max over state pairs (a, a') of half the L1 distance
     between rows a and a' of the m-step transition matrix (the maximal
@@ -90,36 +59,17 @@ def eta_coefficients(model: Model, max_lag: int) -> EtaMatrix:
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
     s = model.alphabet_size
-    lags_exact = []
-    power = model.transition
-    for _ in range(max_lag):
-        worst = Fraction(0)
-        for a in range(s):
-            for a2 in range(a + 1, s):
-                dist = sum(abs(power[a][b] - power[a2][b]) for b in range(s)) / 2
-                if dist > worst:
-                    worst = dist
-        lags_exact.append(worst)
-        power = tuple(
-            tuple(sum(power[a][c] * model.transition[c][b] for c in range(s))
-                  for b in range(s))
-            for a in range(s)
-        )
-    return EtaMatrix(
-        n=max_lag + 1,
-        lags=tuple(float(v) for v in lags_exact),
-        lags_exact=tuple(lags_exact),
-        kind="markov",
-    )
+    return tuple(max(sum(abs(P[a][b] - P[a2][b]) for b in range(s)) / 2
+                     for a in range(s) for a2 in range(a + 1, s))
+                 for P in map(model.matrix_power, range(1, max_lag + 1)))
 
 
-def delta_matrix(eta: EtaMatrix, n: int | None = None) -> np.ndarray:
-    """Unit-diagonal upper-triangular dependency matrix of dimension n."""
-    if n is None:
-        n = eta.n
+def delta_matrix(lags: Sequence[float], n: int) -> np.ndarray:
+    """Unit-diagonal upper-triangular dependency matrix of dimension n whose
+    (i, i + m) entry is lag m, the lags extended by their geometric tail."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    lags = _extend_lags(np.asarray(eta.lags), max(n - 1, 0))
+    lags = _extend_lags(lags, n - 1)
     out = np.eye(n)
     for m in range(1, n):
         idx = np.arange(n - m)
@@ -127,14 +77,9 @@ def delta_matrix(eta: EtaMatrix, n: int | None = None) -> np.ndarray:
     return out
 
 
-class DeltaNormResult(NamedTuple):
-    value: float
-    n: int
-    iterations: int
-
-
-def delta_norm(delta: np.ndarray, tol: float = 1e-10) -> DeltaNormResult:
-    """Largest singular value by power iteration on the Gram matrix."""
+def delta_norm(delta: np.ndarray) -> float:
+    """Largest singular value by power iteration on the Gram matrix, to a
+    relative tolerance of 1e-10 on its square."""
     delta = np.asarray(delta, dtype=np.float64)
     if delta.ndim != 2 or delta.shape[0] != delta.shape[1]:
         raise ValueError("need a square matrix")
@@ -142,15 +87,15 @@ def delta_norm(delta: np.ndarray, tol: float = 1e-10) -> DeltaNormResult:
     gram = delta.T @ delta
     v = np.full(n, 1.0 / math.sqrt(n))
     lam = 0.0
-    for it in range(1, 10**5 + 1):
+    for _ in range(10**5):
         w = gram @ v
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
-            return DeltaNormResult(0.0, n, it)
+            return 0.0
         v = w / norm
         new_lam = float(v @ (gram @ v))
-        if abs(new_lam - lam) <= tol * max(new_lam, 1e-300):
-            return DeltaNormResult(math.sqrt(new_lam), n, it)
+        if abs(new_lam - lam) <= 1e-10 * max(new_lam, 1e-300):
+            return math.sqrt(new_lam)
         lam = new_lam
     raise InternalCheckError("power iteration did not converge within 1e5 iterations")
 
@@ -168,32 +113,6 @@ def delta_norm_bound(profile: MixingProfile) -> float:
 # Lipschitz weights
 
 
-@dataclass(frozen=True)
-class LipschitzWeights:
-    """Coordinate-wise Lipschitz weights c_i = factor * min(cap, sup/i).
-
-    ``values`` materializes a finite head; ``norm_sq`` is the full series
-    (flat head in closed form, tail via the Hurwitz zeta), and ``bound`` the
-    analytic majorant it is checked against.
-    """
-
-    k: int
-    factor: float
-    cap: float
-    sup: float
-    values: np.ndarray
-    norm_sq: float
-    bound: float
-    crossover: int
-
-    def value_at(self, i: int) -> float:
-        if i < 1:
-            raise ValueError("coordinates are 1-indexed")
-        if self.sup == 0.0 or self.cap == 0.0:
-            return 0.0
-        return self.factor * min(self.cap, self.sup / i)
-
-
 def _hurwitz_zeta(s: float, q: float) -> float:
     """zeta(s, q) = sum over n >= 0 of (n + q)**-s."""
     import mpmath  # only the weight norms need it
@@ -202,18 +121,19 @@ def _hurwitz_zeta(s: float, q: float) -> float:
 
 
 def _weights(k: int, S: IntervalUnion, profile: MixingProfile, factor: float,
-             bound_poly: float, i_max: int) -> LipschitzWeights:
+             bound_poly: float) -> tuple[float, float]:
+    """``(norm_sq, bound)`` of the weights c_i = factor * min(K rho^k, sup S / i):
+    the squared norm of the whole series (flat head in closed form, tail via
+    the Hurwitz zeta) and the analytic majorant it is checked against."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if profile.K is None or profile.rho is None:
         raise ValueError("profile must carry contraction constants")
     sup = float(S.sup)
     cap = profile.K * profile.rho**k
-    idx = np.arange(1, i_max + 1, dtype=np.float64)
     if sup == 0.0 or cap == 0.0:
-        values = np.zeros(i_max)
         norm_sq = 0.0
-        crossover = 0
     else:
-        values = factor * np.minimum(cap, sup / idx)
         crossover = int(math.floor(sup / cap))
         tail = _hurwitz_zeta(2, crossover + 1)  # about 1/crossover, so sup * tail is small
         norm_sq = factor**2 * (crossover * cap**2 + sup * (sup * tail))
@@ -223,23 +143,19 @@ def _weights(k: int, S: IntervalUnion, profile: MixingProfile, factor: float,
     bound = bound_poly * sup * k_eff * profile.rho**k
     if norm_sq > bound * (1.0 + 1e-9):
         raise InternalCheckError("weight norm exceeded its analytic majorant")
-    return LipschitzWeights(k, factor, cap, sup, values, norm_sq, bound, crossover)
+    return norm_sq, bound
 
 
-def lipschitz_weights_phi1(k: int, S: IntervalUnion, profile: MixingProfile,
-                           i_max: int = 1000) -> LipschitzWeights:
+def lipschitz_weights_phi1(k: int, S: IntervalUnion,
+                           profile: MixingProfile) -> tuple[float, float]:
     """Weights of the measure-weighted window scan; factor 2k^2."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _weights(k, S, profile, 2.0 * k * k, 8.0 * k**4, i_max)
+    return _weights(k, S, profile, 2.0 * k * k, 8.0 * k**4)
 
 
-def lipschitz_weights_phi2(k: int, S: IntervalUnion, profile: MixingProfile,
-                           i_max: int = 1000) -> LipschitzWeights:
+def lipschitz_weights_phi2(k: int, S: IntervalUnion,
+                           profile: MixingProfile) -> tuple[float, float]:
     """Weights of the level-set mass functional; factor 2k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _weights(k, S, profile, 2.0 * k, 8.0 * k**2, i_max)
+    return _weights(k, S, profile, 2.0 * k, 8.0 * k**2)
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +318,6 @@ class OccurrenceIndex:
 Streams = Callable[[int], Iterable[np.ndarray]]
 
 
-@dataclass(frozen=True)
-class PhiScan:
-    values: np.ndarray
-    complete: bool
-    skipped_bound: float
-    n_scanned: int
-
-
 def _positive_min_word_prob(model: Model, k: int) -> float:
     if isinstance(model, IidModel) and model.probs is not None:
         return float(min(p for p in model.probs if p > 0)) ** k
@@ -455,14 +363,14 @@ def _vector_contains(S: IntervalUnion, values: np.ndarray) -> np.ndarray:
 
 
 def phi_k_S(model: Model, streams: Streams, k: int, S: IntervalUnion,
-            N_cap: int) -> PhiScan:
+            N_cap: int) -> tuple[np.ndarray, bool]:
     """Scan sum over window starts i <= N_cap of mu(window_i) * [i * mu(window_i) in S],
-    one value per stream of ``streams(N_cap + k - 1)``.
+    one value per stream of ``streams(N_cap + k - 1)``, and whether the scan
+    is complete.
 
     Only windows that actually occur contribute, so the scan needs no word
     enumeration.  Completeness holds once every positive-measure word has
-    left S's reach (i * mu > sup S), and the reported skipped bound is sup S
-    times the unscanned fraction; both depend on the model, k, S and N_cap
+    left S's reach (i * mu > sup S); it depends on the model, k, S and N_cap
     alone.  Window membership uses float products; classification within
     float rounding of an endpoint can go either way.
     """
@@ -470,14 +378,7 @@ def phi_k_S(model: Model, streams: Streams, k: int, S: IntervalUnion,
         raise ConfigError("N_cap must be at least k")
     sup = float(S.sup)
     mu_min = _positive_min_word_prob(model, k)
-    if sup == 0.0:
-        complete, skipped = True, 0.0
-    elif mu_min > 0.0:
-        needed = sup / mu_min
-        complete = N_cap >= needed
-        skipped = 0.0 if complete else sup * (1.0 - N_cap / needed)
-    else:
-        complete, skipped = False, sup
+    complete = sup == 0.0 or (mu_min > 0.0 and N_cap >= sup / mu_min)
     matrices = streams(N_cap + k - 1)  # first: the caller may refuse the length
     index = np.arange(1, N_cap + 1, dtype=np.float64)
     values = []
@@ -485,7 +386,7 @@ def phi_k_S(model: Model, streams: Streams, k: int, S: IntervalUnion,
         for x in xs:
             mu = np.exp(_window_log_mu(model, x.astype(np.int64), k))
             values.append(float(np.sum(mu[_vector_contains(S, mu * index)])))
-    return PhiScan(np.array(values), complete, skipped, N_cap)
+    return np.array(values), complete
 
 
 def phi2_enumerable(model: Model, k: int) -> bool:
@@ -494,13 +395,6 @@ def phi2_enumerable(model: Model, k: int) -> bool:
     huge integer)."""
     s = model.alphabet_size
     return s is not None and s ** min(k, PHI2_EXACT_CAP.bit_length()) <= PHI2_EXACT_CAP
-
-
-@dataclass(frozen=True)
-class PhiJEstimate:
-    values: np.ndarray
-    truncated_fraction: float
-    n_used: int
 
 
 def _has_measure(model: Model, words: np.ndarray) -> np.ndarray:
@@ -513,17 +407,17 @@ def _has_measure(model: Model, words: np.ndarray) -> np.ndarray:
 
 
 def phi_k_j_S(model: Model, streams: Streams, k: int, j: int, S: IntervalUnion,
-              x_cap: int) -> PhiJEstimate:
+              x_cap: int) -> tuple[np.ndarray, float]:
     """Mass of {w : count of w in x over its index set equals j}, one value
-    per stream x of ``streams(length)``.
+    per stream x of ``streams(length)``, and the truncated fraction.
 
     Exact enumeration over all words; it needs a finite alphabet with
     alphabet_size**k <= 2**16.  The words are planned once, before any
     stream is read, and the streams are asked for the longest prefix a plan
     needs, at most x_cap; each stream is counted in one index lookup.  A
     value is the exact mass of the fully countable words; words whose index
-    set needs a prefix beyond x_cap are excluded and reported in
-    truncated_fraction.
+    set needs a prefix beyond x_cap are excluded, and their total mass is
+    the truncated fraction.
     """
     if j < 0:
         raise ValueError("j must be >= 0")
@@ -555,5 +449,4 @@ def phi_k_j_S(model: Model, streams: Streams, k: int, j: int, S: IntervalUnion,
             if j == 0:
                 hit_mass += zero_mass
             values.append(float(hit_mass))
-    return PhiJEstimate(np.array(values), float(truncated_mass),
-                        int(np.count_nonzero(counted_words)))
+    return np.array(values), float(truncated_mass)

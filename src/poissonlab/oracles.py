@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import InternalCheckError, ResourceError, UnsupportedModelError
 from .measures import (GaussCFModel, IidModel, MarkovModel, MixingProfile, Model,
-                       contraction_profile, cylinder_prob, cylinder_prob_exact,
-                       cylinder_prob_high, mixing_profile)
-from .point_process import IndexSet, IntervalUnion, j_set, required_prefix_length
+                       contraction_profile, cylinder_prob_exact,
+                       cylinder_prob_guarded)
+from .point_process import IntervalUnion, j_set, required_prefix_length
 from .words import as_word, enumerate_words, ext, overlap_merge, periods
 
 J_COUNT_GUARD = 10**7
@@ -33,16 +33,6 @@ PERIOD_ENUM_GUARD = 1 << 24
 _BLOCK_CODES = 1 << 20  # prefixes in the low block of the enumeration
 
 
-def _exact_mu(model: Model, w):
-    if isinstance(model, GaussCFModel):
-        return cylinder_prob(model, w)
-    return cylinder_prob_exact(model, w)
-
-
-def _mu_high(model: Model, w):
-    return lambda dps: cylinder_prob_high(model, w, dps)
-
-
 def exact_expectation(model: Model, w: Sequence[int], S: IntervalUnion):
     """E[occurrence count over J] = #J * mu_w, the exact closed form.
 
@@ -50,11 +40,10 @@ def exact_expectation(model: Model, w: Sequence[int], S: IntervalUnion):
     zero-measure word (empty index set by convention).  The value always
     satisfies | E - |S| | <= m * mu_w, which is asserted.
     """
-    w = as_word(w)
-    mu = _exact_mu(model, w)
+    mu, mu_high = cylinder_prob_guarded(model, as_word(w))
     if mu == 0:
         return Fraction(0)
-    J = j_set(mu, S, _mu_high(model, w) if isinstance(model, GaussCFModel) else None)
+    J = j_set(mu, S, mu_high)
     e = J.count * mu
     size = S.total_length if isinstance(mu, Fraction) else float(S.total_length)
     slack = 0 if isinstance(mu, Fraction) else 1e-9
@@ -336,7 +325,10 @@ def brute_force_distribution(model: Model, w: Sequence[int],
 # automaton DP for lengths enumeration cannot reach
 
 
-def _kmp_automaton(w) -> tuple[np.ndarray, int]:
+def _kmp_automaton(w, alphabet: int) -> tuple[np.ndarray, int]:
+    """The KMP transition table of ``w`` over symbols 0..alphabet-1 (state =
+    matched prefix length, k on a full match) and the state a match falls
+    back to."""
     k = len(w)
     fail = [0] * k
     t = 0
@@ -346,7 +338,6 @@ def _kmp_automaton(w) -> tuple[np.ndarray, int]:
         if w[i] == w[t]:
             t += 1
         fail[i] = t
-    alphabet = max(w) + 1
     delta = np.zeros((k, alphabet), dtype=np.int64)
     for state in range(k):
         for a in range(alphabet):
@@ -357,15 +348,15 @@ def _kmp_automaton(w) -> tuple[np.ndarray, int]:
     return delta, fail[k - 1]
 
 
-def dp_count_distribution(model: IidModel, w: Sequence[int], S: IntervalUnion,
-                          count_cap: int | None = None) -> dict[int, float]:
+def dp_count_distribution(model: IidModel, w: Sequence[int],
+                          S: IntervalUnion) -> dict[int, float]:
     """Exact (up to float rounding) law of the count over J via automaton DP.
 
     Scales linearly in the prefix length, so it reaches regimes the
     enumeration oracle cannot; cross-validated against
     ``brute_force_distribution`` where both run.  Finite iid models only.
-    Counts above the cap are folded into the bucket cap+1 (their mass is
-    negligible by construction of the default cap).
+    Counts above the cap lam + 12 sqrt(lam + 1) + 20 are folded into the
+    bucket cap+1 (their mass is negligible by construction of the cap).
     """
     w = as_word(w)
     k = len(w)
@@ -381,13 +372,10 @@ def dp_count_distribution(model: IidModel, w: Sequence[int], S: IntervalUnion,
         return {0: 1.0}
     L = required_prefix_length(k, J)
     lam = J.count * float(mu)
-    if count_cap is None:
-        count_cap = min(J.count, int(math.ceil(lam + 12.0 * math.sqrt(lam + 1.0))) + 20)
-    cap = count_cap
-
-    delta, reduce_state = _kmp_automaton(w)
+    cap = min(J.count, int(math.ceil(lam + 12.0 * math.sqrt(lam + 1.0))) + 20)
     probs = model._floats
     s = len(probs)
+    delta, reduce_state = _kmp_automaton(w, s)
     counted = np.zeros(L + 1, dtype=bool)
     for a, b in J.ranges:
         counted[a: b + 1] = True

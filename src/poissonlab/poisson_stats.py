@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import InsufficientDataError
 
+KALLENBERG_MIN_SAMPLES = 100  # samples per set the limit-law check needs
+
 
 def poisson_pmf(lam: float, j: int) -> float:
     """P(Poisson(lam) = j), exact at the degenerate lam = 0 boundary."""
@@ -68,15 +70,14 @@ def tv_distance(p: Mapping[int, float], q: Mapping[int, float],
 
 def kallenberg_check(counts_per_set: Sequence[Sequence[int]],
                      set_sizes: Sequence[float],
-                     slack_per_set: Sequence[float] | None = None,
-                     min_samples: int = 100) -> list[dict]:
+                     slack_per_set: Sequence[float] | None = None) -> list[dict]:
     """Two-condition Poisson-limit diagnostic on count samples.
 
     Per target set S (with |S| in ``set_sizes``): (1) the sample mean must
     not exceed |S| by more than 3 standard errors plus the analytic slack,
     and (2) the empirical void probability P(count = 0) must match e^{-|S|}
-    within 3 binomial standard errors.  Needs at least ``min_samples``
-    samples per set.
+    within 3 binomial standard errors.  Needs at least
+    ``KALLENBERG_MIN_SAMPLES`` samples per set.
     """
     if len(counts_per_set) != len(set_sizes):
         raise ValueError("one count collection per set size is required")
@@ -86,9 +87,9 @@ def kallenberg_check(counts_per_set: Sequence[Sequence[int]],
     for counts, size, slack in zip(counts_per_set, set_sizes, slack_per_set):
         arr = np.asarray(counts, dtype=np.float64)
         n = arr.size
-        if n < min_samples:
+        if n < KALLENBERG_MIN_SAMPLES:
             raise InsufficientDataError(
-                f"need at least {min_samples} samples per set, got {n}")
+                f"need at least {KALLENBERG_MIN_SAMPLES} samples per set, got {n}")
         mean = float(arr.mean())
         se_mean = float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         cond1 = mean <= size + 3.0 * se_mean + slack

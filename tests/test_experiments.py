@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poissonlab.errors import ConfigError, InsufficientDataError
-from poissonlab.experiments import (_draw, _genericity_report, default_n_cap,
-                                    execute, parse_config,
+from poissonlab.experiments import (_draw, _genericity_report, execute,
+                                    parse_config,
                                     run_annealed, run_mixing, run_oracle_suite,
                                     run_quenched)
 from poissonlab.measures import (GaussCFModel, IidModel, cylinder_prob_exact,
@@ -35,6 +35,9 @@ BIASED_SPEC = {"type": "iid", "probs": ["3/4", "1/4"]}
 THREE_SPEC = {"type": "iid", "probs": ["1/2", "1/3", "1/6"]}
 MARKOV_SPEC = {"type": "markov",
                "transition": [["9/10", "1/10"], ["1/5", "4/5"]]}
+GRID_MODELS = {"fair": FAIR_SPEC, "three": THREE_SPEC,
+               "tail": {"type": "iid", "tail_ratio": "1/2"}, "markov": MARKOV_SPEC,
+               "gauss": {"type": "gauss_cf"}}
 DEGENERATE_IID = {"type": "iid", "probs": ["1", "0"]}
 DEGENERATE_CHAIN = {"type": "markov", "transition": [["0", "1"], ["1/2", "1/2"]]}
 
@@ -59,7 +62,7 @@ class TestParseConfig:
         assert cfg.tv_tolerance == 0.05
         assert len(cfg.sets) == 1
         assert cfg.sets[0].label() == "(0, 1]"
-        assert cfg.n_cap == default_n_cap(cfg.model, 5, cfg.sets)
+        assert cfg.n_cap == 320  # 10 sup S / (K rho^k) = 10 * 2^5
         assert cfg.warnings == ()
 
     def test_underscore_keys_are_comments(self):
@@ -185,12 +188,18 @@ def test_mutated_configs_parse_or_name_their_path(doc):
 
 class TestDefaultNCap:
     def test_fair(self):
-        model = model_from_spec(FAIR_SPEC)
-        cfg = parse_config(_doc(k=14))
-        assert default_n_cap(model, 14, cfg.sets) == 163840
+        assert parse_config(_doc(k=14)).n_cap == 163840
 
     def test_gauss(self):
-        assert default_n_cap(GaussCFModel(), 8, ()) == 10**7
+        assert parse_config(_doc(k=8, model={"type": "gauss_cf"})).n_cap == 10**7
+
+    def test_empty_sets_and_no_sets(self):
+        # sup S = 0 keeps the old floor of max(10 k, 100); without a set no
+        # mode reads n_cap, and it is k whatever k
+        assert parse_config(_doc(k=5, sets=[[]])).n_cap == 100
+        assert parse_config(_doc(k=20, sets=[[]])).n_cap == 200
+        for k in (8, 1030, 2000):
+            assert parse_config(_doc(mode="mixing", k=k, sets=[])).n_cap == k
 
 
 class TestAnnealed:
@@ -613,22 +622,54 @@ class TestCli:
         assert r.returncode == 2
         assert "$.mode" in r.stderr
 
-    @pytest.mark.parametrize("mode,model", [
-        ("annealed", FAIR_SPEC), ("annealed", MARKOV_SPEC), ("quenched", FAIR_SPEC),
-        ("concentration", FAIR_SPEC), ("concentration", MARKOV_SPEC),
-    ])
-    def test_symbol_budget_is_exit_two(self, tmp_path, mode, model):
+    @pytest.mark.parametrize("mode,model,n_samples", [
+        ("annealed", FAIR_SPEC, None), ("annealed", MARKOV_SPEC, None),
+        ("quenched", FAIR_SPEC, None),
+        ("concentration", FAIR_SPEC, None), ("concentration", MARKOV_SPEC, None),
+        ("annealed", FAIR_SPEC, 10**15), ("quenched", FAIR_SPEC, 10**15),
+        ("annealed", FAIR_SPEC, 10**30),
+    ], ids=["annealed-model0", "annealed-model1", "quenched-model2",
+            "concentration-model3", "concentration-model4",
+            "annealed-words", "quenched-words", "annealed-words-1e30"])
+    def test_symbol_budget_is_exit_two(self, tmp_path, mode, model, n_samples):
         # |S| = 1 far out: the histogram stays small, the streams do not
         huge = [[[str(10**300), str(10**300 + 1), False, True]]]
         doc = _doc(mode=mode, model=model, sets=huge)
         if mode == "concentration":  # phi1 on the coin, phi2 on the chain
             doc = _conc(model=model, sets=huge,
                         functional="phi1" if model is FAIR_SPEC else "phi2")
+        if n_samples is not None:  # the words alone are over the budget
+            doc = _doc(mode=mode, model=model, n_samples=n_samples)
         cfg_path = self._write(tmp_path / "c.json", doc)
         r = self._run(mode, "--config", cfg_path)
         assert r.returncode == 2
         assert "error:" in r.stderr and "budget" in r.stderr
         assert "Traceback" not in r.stderr
+
+    def test_mixing_with_a_large_k_runs(self, tmp_path):
+        # mixing reads no n_cap, so K rho^k underflowing to 0 must not matter
+        cfg_path = self._write(tmp_path / "c.json", _doc(mode="mixing", k=2000, sets=[]))
+        r = self._run("mixing", "--config", cfg_path)
+        assert r.returncode == 0, r.stderr
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("mode", ["annealed", "quenched", "oracle", "concentration",
+                                      "mixing"])
+    def test_every_mode_runs_on_every_model(self, tmp_path, mode, capsys):
+        from poissonlab import cli
+
+        small = {"annealed": {"n_samples": 100, "n_cap": 2000},
+                 "quenched": {"n_samples": 100, "n_cap": 2000},
+                 "oracle": {}, "mixing": {"sets": []},
+                 "concentration": {"n_samples": 200, "n_cap": 200, "t_grid": [1.0]}}
+        for name, model in GRID_MODELS.items():
+            out = tmp_path / name
+            doc = _doc(mode=mode, model=model, k=2 if name == "gauss" else 3, **small[mode])
+            code = cli.main([mode, "--config", self._write(tmp_path / f"{name}.json", doc),
+                             "--out", str(out)])
+            assert code in (0, 1), (name, capsys.readouterr().err)
+            assert (out / "report.json").is_file()
+            assert "Traceback" not in capsys.readouterr().err
 
     def test_long_concentration_scan_is_refused_before_drawing(self, tmp_path):
         # the default n_cap at k=45 scans 10 * 2^45 windows per replica

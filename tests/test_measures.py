@@ -16,7 +16,7 @@ from poissonlab.errors import UnsupportedModelError
 from poissonlab.measures import (GaussCFModel, IidModel, MarkovModel,
                                  cf_continuants, contraction_profile,
                                  cylinder_prob, cylinder_prob_exact,
-                                 cylinder_prob_high, make_generator,
+                                 gauss_cylinder_prob_high, make_generator,
                                  markov_deviation_table, mixing_profile,
                                  model_from_spec, model_to_spec,
                                  psi_mixing_profile, sample_word)
@@ -75,7 +75,8 @@ class TestMarkovModel:
         assert p3 == expect
 
     def test_deviation_table_decays(self):
-        table = markov_deviation_table(CHAIN, 20)
+        table = markov_deviation_table(CHAIN)
+        assert len(table) == 50
         assert table[0] == Fraction(7, 5)  # max |P(a,b)/pi(b) - 1| at m = 1
         for a, b in zip(table, table[1:]):
             assert b < a
@@ -238,7 +239,7 @@ class TestGaussModel:
 
     def test_high_precision_agrees_with_float(self):
         g = GaussCFModel()
-        hp = cylinder_prob_high(g, (1, 2), 50)
+        hp = gauss_cylinder_prob_high((1, 2), 50)
         assert float(hp) == pytest.approx(cylinder_prob(g, (1, 2)), rel=1e-13)
 
     def test_digit_frequencies_follow_the_measure(self):

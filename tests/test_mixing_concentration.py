@@ -16,8 +16,7 @@ from poissonlab.measures import (GaussCFModel, IidModel, MarkovModel,
                                  MixingProfile, make_generator, mixing_profile,
                                  psi_mixing_profile)
 from poissonlab.experiments import parse_config, run_concentration
-from poissonlab.mixing_concentration import (EtaMatrix, OccurrenceIndex,
-                                             delta_matrix, delta_norm,
+from poissonlab.mixing_concentration import (OccurrenceIndex, delta_matrix, delta_norm,
                                              delta_norm_bound,
                                              eta_coefficients,
                                              lipschitz_weights_phi1,
@@ -30,7 +29,7 @@ FAIR = IidModel(probs=(Fraction(1, 2), Fraction(1, 2)))
 CHAIN = MarkovModel(transition=((Fraction(9, 10), Fraction(1, 10)),
                                 (Fraction(1, 5), Fraction(4, 5))))
 UNIT = unit_interval()
-GEO_ETA = EtaMatrix(n=31, lags=tuple(0.7**m for m in range(1, 31)))
+GEO_LAGS = tuple(0.7**m for m in range(1, 31))
 
 
 def _tiled(pattern, rows=1):
@@ -54,15 +53,14 @@ def _generated(model, seeds, per_matrix=None):
 class TestEtaCoefficients:
     def test_frozen_chain_values(self):
         eta = eta_coefficients(CHAIN, 5)
-        assert eta.lags[0] == pytest.approx(0.7, abs=1e-15)
-        assert eta.lags[2] == pytest.approx(0.343, abs=1e-15)
-        assert eta.lags_exact[0] == Fraction(7, 10)
+        assert eta[0] == Fraction(7, 10)
+        assert eta[2] == Fraction(343, 1000)
+        assert len(eta) == 5
 
     def test_identical_rows_vanish(self):
         flat = MarkovModel(transition=((Fraction(1, 2), Fraction(1, 2)),
                                        (Fraction(1, 2), Fraction(1, 2))))
-        eta = eta_coefficients(flat, 4)
-        assert all(v == 0.0 for v in eta.lags)
+        assert eta_coefficients(flat, 4) == (0, 0, 0, 0)
 
     def test_two_state_closed_form(self):
         # eta_m = |1 - p - q|^m exactly, for random valid chains
@@ -75,72 +73,74 @@ class TestEtaCoefficients:
                 continue
             chain = MarkovModel(transition=((1 - p, p), (q, 1 - q)))
             eta = eta_coefficients(chain, 30)
-            base = abs(1 - float(p) - float(q))
-            for m in range(1, 31):
-                assert eta.lags[m - 1] == pytest.approx(base**m, abs=1e-12)
+            assert eta == tuple(abs(1 - p - q)**m for m in range(1, 31))
 
     def test_iid_unsupported(self):
         with pytest.raises(UnsupportedModelError):
             eta_coefficients(FAIR, 5)
 
     def test_entry_reconstruction(self):
-        eta = EtaMatrix(n=5, lags=(0.5, 0.25))
-        assert eta.entry(2, 2) == 1.0
-        assert eta.entry(3, 2) == 0.0
-        assert eta.entry(1, 2) == 0.5
-        assert eta.entry(0, 2) == 0.25
-        # beyond the stored lags: geometric tail with the observed ratio
-        assert eta.entry(0, 3) == pytest.approx(0.125)
+        delta = delta_matrix((0.5, 0.25), 5)
+        assert delta[2, 2] == 1.0
+        assert delta[3, 2] == 0.0
+        assert delta[1, 2] == 0.5
+        assert delta[0, 2] == 0.25
+        # beyond the given lags: geometric tail with the observed ratio
+        assert delta[0, 3] == pytest.approx(0.125)
+        assert delta[0, 4] == pytest.approx(0.0625)
 
     def test_lag_validation(self):
         with pytest.raises(ValueError):
-            EtaMatrix(n=3, lags=(1.5,))
-        with pytest.raises(ValueError):
             eta_coefficients(CHAIN, 0)
+
+    def test_powers_are_shared_with_the_profile(self):
+        # eta, the deviation table and R read one cache of exact powers
+        chain = MarkovModel(transition=CHAIN.transition)
+        eta_coefficients(chain, 30)
+        first = chain.matrix_power(30)
+        psi_mixing_profile(chain)
+        assert chain.matrix_power(30) is first
+        assert len(chain._powers) == 50
 
 
 class TestDeltaMatrix:
     def test_layout(self):
-        eta = EtaMatrix(n=3, lags=(0.7, 0.49))
         want = np.array([[1.0, 0.7, 0.49],
                          [0.0, 1.0, 0.7],
                          [0.0, 0.0, 1.0]])
-        assert np.allclose(delta_matrix(eta), want, atol=1e-15)
+        assert np.allclose(delta_matrix((0.7, 0.49), 3), want, atol=1e-15)
 
     def test_dimension_one(self):
-        assert delta_matrix(EtaMatrix(n=1, lags=()), 1).tolist() == [[1.0]]
+        assert delta_matrix((), 1).tolist() == [[1.0]]
 
     def test_independent_is_identity(self):
-        eta = EtaMatrix(n=6, lags=(0.0,) * 5)
-        assert np.array_equal(delta_matrix(eta), np.eye(6))
+        assert np.array_equal(delta_matrix((0.0,) * 5, 6), np.eye(6))
 
 
 class TestDeltaNorm:
     def test_identity_norm_one(self):
-        res = delta_norm(np.eye(8))
-        assert res.value == pytest.approx(1.0, abs=1e-10)
+        assert delta_norm(np.eye(8)) == pytest.approx(1.0, abs=1e-10)
 
     def test_geometric_tail_value(self):
-        res = delta_norm(delta_matrix(GEO_ETA, 200))
-        assert 3.0 <= res.value <= 10 / 3
+        assert 3.0 <= delta_norm(delta_matrix(GEO_LAGS, 200)) <= 10 / 3
 
     def test_against_svd(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             m = np.triu(rng.random((12, 12)))
             np.fill_diagonal(m, 1.0)
-            got = delta_norm(m).value
+            got = delta_norm(m)
             want = float(np.linalg.svd(m, compute_uv=False)[0])
             assert got == pytest.approx(want, rel=1e-8)
 
     def test_monotone_in_n_and_bounded(self):
-        eta = eta_coefficients(CHAIN, 30)
+        eta = [float(v) for v in eta_coefficients(CHAIN, 30)]
         prof = psi_mixing_profile(CHAIN)
         bound = delta_norm_bound(prof)
         assert bound == pytest.approx(31 / 3, abs=1e-9)
         prev = 0.0
         for n in (10, 50, 100, 200):
-            v = delta_norm(delta_matrix(eta, n)).value
+            v = delta_norm(delta_matrix(eta, n))
             assert v >= prev - 1e-9
             assert v <= bound + 1e-9
             prev = v
@@ -169,50 +169,43 @@ class TestDeltaNormBound:
 class TestLipschitzWeights:
     def test_phi1_base_case_norm(self):
         prof = mixing_profile(FAIR)
-        w = lipschitz_weights_phi1(1, UNIT, prof)
+        norm_sq, bound = lipschitz_weights_phi1(1, UNIT, prof)
         # c_i = 2 min(1/2, 1/i): flat head of two, then harmonic decay
-        assert w.crossover == 2
-        assert w.value_at(1) == pytest.approx(1.0)
-        assert w.value_at(2) == pytest.approx(1.0)
-        assert w.value_at(5) == pytest.approx(0.4)
         want = 2.0 + 4.0 * (math.pi**2 / 6 - 1.25)
-        assert w.norm_sq == pytest.approx(want, abs=1e-9)
-        assert w.norm_sq == pytest.approx(3.5797, abs=1e-4)
-        assert w.norm_sq <= w.bound
+        assert norm_sq == pytest.approx(want, abs=1e-9)
+        assert norm_sq == pytest.approx(3.5797, abs=1e-4)
+        assert norm_sq <= bound == 8.0 * 0.5
 
     def test_norm_against_brute_series(self):
         # independent check: sum the series numerically to 1e7 terms and
         # bracket the remainder by the integral comparison
         prof = mixing_profile(FAIR)
-        w = lipschitz_weights_phi1(1, UNIT, prof)
+        norm_sq, _ = lipschitz_weights_phi1(1, UNIT, prof)
         n_terms = 10**7
         partial = 2.0
         for lo in range(3, n_terms + 1, 10**6):
             hi = min(lo + 10**6, n_terms + 1)
             i = np.arange(lo, hi, dtype=np.float64)
             partial += float(np.sum(4.0 / (i * i)))
-        assert partial + 4.0 / (n_terms + 1) <= w.norm_sq <= partial + 4.0 / n_terms
+        assert partial + 4.0 / (n_terms + 1) <= norm_sq <= partial + 4.0 / n_terms
 
     def test_empty_set_gives_zero_weights(self):
         prof = mixing_profile(FAIR)
-        w = lipschitz_weights_phi1(3, IntervalUnion.from_spec([]), prof)
-        assert w.norm_sq == 0.0
-        assert not w.values.any()
-        assert w.value_at(17) == 0.0
+        assert lipschitz_weights_phi1(3, IntervalUnion.from_spec([]), prof) == (0.0, 0.0)
 
     def test_phi2_relation(self):
         prof = mixing_profile(FAIR)
-        a = lipschitz_weights_phi1(1, UNIT, prof)
-        b = lipschitz_weights_phi2(1, UNIT, prof)
-        assert np.array_equal(a.values, b.values)
+        # the phi2 factor 2k is the phi1 factor 2k^2 over k, so the norm
+        # shrinks by k^2 and the majorant 8 k^2 against 8 k^4 as well
+        assert lipschitz_weights_phi1(1, UNIT, prof) == lipschitz_weights_phi2(1, UNIT, prof)
         a2 = lipschitz_weights_phi1(2, UNIT, prof)
         b2 = lipschitz_weights_phi2(2, UNIT, prof)
-        assert np.allclose(b2.values, a2.values / 2.0, atol=1e-15)
-        assert b2.norm_sq == pytest.approx(a2.norm_sq / 4.0, rel=1e-12)
+        assert b2 == pytest.approx((a2[0] / 4.0, a2[1] / 4.0), rel=1e-12)
 
     def test_k_validation(self):
-        with pytest.raises(ValueError):
-            lipschitz_weights_phi1(0, UNIT, mixing_profile(FAIR))
+        for weights in (lipschitz_weights_phi1, lipschitz_weights_phi2):
+            with pytest.raises(ValueError):
+                weights(0, UNIT, mixing_profile(FAIR))
 
     @pytest.mark.parametrize("k", [4, 8, 12])
     def test_contracting_chain_needs_the_max_k_one_majorant(self, k):
@@ -220,9 +213,9 @@ class TestLipschitzWeights:
         # 8 k^4 sup(S) K^2 rho^k form, so the majorant uses max(K, 1)^2
         prof = mixing_profile(CHAIN)
         assert prof.K < 1.0
-        w = lipschitz_weights_phi1(k, UNIT, prof)
-        assert w.norm_sq > 8.0 * k**4 * 1.0 * prof.K**2 * prof.rho**k
-        assert w.norm_sq <= w.bound
+        norm_sq, bound = lipschitz_weights_phi1(k, UNIT, prof)
+        assert norm_sq > 8.0 * k**4 * 1.0 * prof.K**2 * prof.rho**k
+        assert norm_sq <= bound
 
 
 class TestOccurrenceIndex:
@@ -306,22 +299,23 @@ class TestOccurrenceIndex:
 
 class TestPhiScan:
     def test_single_symbol_windows(self):
-        out = phi_k_S(FAIR, _tiled((0, 1)), 1, UNIT, 4)
+        values, complete = phi_k_S(FAIR, _tiled((0, 1)), 1, UNIT, 4)
         # mu = 1/2 per window; i * mu lands in (0, 1] for i = 1, 2
-        assert out.values.tolist() == [pytest.approx(1.0, abs=1e-12)]
-        assert out.complete
-        assert out.skipped_bound == 0.0
+        assert values.tolist() == [pytest.approx(1.0, abs=1e-12)]
+        assert complete
 
     def test_alternating_pairs(self):
-        out = phi_k_S(FAIR, _tiled((0, 1), rows=3), 2, UNIT, 10)
+        values, complete = phi_k_S(FAIR, _tiled((0, 1), rows=3), 2, UNIT, 10)
         # every window is 01 or 10 with mu = 1/4; hits at i = 1..4
-        assert out.values == pytest.approx([1.0] * 3, abs=1e-12)
-        assert out.complete
+        assert values == pytest.approx([1.0] * 3, abs=1e-12)
+        assert complete
 
     def test_incomplete_scan_reports_skip(self):
-        out = phi_k_S(FAIR, _tiled((0, 1)), 2, UNIT, 2)  # needs 4 window starts, given 2
-        assert not out.complete
-        assert out.skipped_bound == pytest.approx(0.5)
+        # needs 4 window starts: 3 are too few, 4 enough
+        assert not phi_k_S(FAIR, _tiled((0, 1)), 2, UNIT, 3)[1]
+        assert phi_k_S(FAIR, _tiled((0, 1)), 2, UNIT, 4)[1]
+        # no positive lower bound on a word's measure: never complete
+        assert not phi_k_S(GaussCFModel(), _tiled((1, 2)), 2, UNIT, 100)[1]
 
     def test_cap_validation(self):
         with pytest.raises(ConfigError):
@@ -330,9 +324,9 @@ class TestPhiScan:
     def test_random_stream_fair_value_is_set_size(self):
         # uniform measure: the scan telescopes to |S| once complete, up to
         # float rounding at the boundary index (at most one window of mass)
-        out = phi_k_S(FAIR, _generated(FAIR, [321]), 6, UNIT, 64)
-        assert out.complete
-        assert out.values[0] == pytest.approx(1.0, abs=2**-6 + 1e-9)
+        values, complete = phi_k_S(FAIR, _generated(FAIR, [321]), 6, UNIT, 64)
+        assert complete
+        assert values[0] == pytest.approx(1.0, abs=2**-6 + 1e-9)
 
     def test_streams_are_asked_for_the_scanned_length_once(self):
         asked = []
@@ -341,27 +335,26 @@ class TestPhiScan:
             asked.append(length)
             return _tiled((0, 1), rows=2)(length)
 
-        assert len(phi_k_S(FAIR, streams, 3, UNIT, 50).values) == 2
+        assert len(phi_k_S(FAIR, streams, 3, UNIT, 50)[0]) == 2
         assert asked == [52]
 
 
 class TestPhiJMass:
     def test_exact_alternating_example(self):
-        est = phi_k_j_S(FAIR, _tiled((0, 1)), 2, 0, UNIT, 100)
+        values, truncated = phi_k_j_S(FAIR, _tiled((0, 1)), 2, 0, UNIT, 100)
         # 01 and 10 each occur twice in their index windows; 00 and 11 never
-        assert est.values.tolist() == [pytest.approx(0.5, abs=1e-15)]
-        assert est.truncated_fraction == 0.0
-        est2 = phi_k_j_S(FAIR, _tiled((0, 1), rows=2), 2, 2, UNIT, 100)
-        assert est2.values == pytest.approx([0.5, 0.5], abs=1e-15)
+        assert values.tolist() == [pytest.approx(0.5, abs=1e-15)]
+        assert truncated == 0.0
+        values, _ = phi_k_j_S(FAIR, _tiled((0, 1), rows=2), 2, 2, UNIT, 100)
+        assert values == pytest.approx([0.5, 0.5], abs=1e-15)
 
     def test_unreachable_count_has_no_mass(self):
-        est = phi_k_j_S(FAIR, _tiled((0, 1)), 2, 7, UNIT, 100)
-        assert est.values.tolist() == [0.0]
+        assert phi_k_j_S(FAIR, _tiled((0, 1)), 2, 7, UNIT, 100)[0].tolist() == [0.0]
 
     def test_empty_set_concentrates_at_zero(self):
         empty = IntervalUnion.from_spec([])
-        est = phi_k_j_S(FAIR, _tiled((0, 1)), 2, 0, empty, 100)
-        assert est.values.tolist() == [pytest.approx(1.0, abs=1e-15)]
+        values, _ = phi_k_j_S(FAIR, _tiled((0, 1)), 2, 0, empty, 100)
+        assert values.tolist() == [pytest.approx(1.0, abs=1e-15)]
 
     def test_streams_are_asked_for_the_planned_length(self):
         # fair k=3 on (0, 1]: every index set is 1..8, so 10 symbols, not x_cap
@@ -374,9 +367,9 @@ class TestPhiJMass:
         phi_k_j_S(FAIR, streams, 3, 1, UNIT, 10**6)
         assert asked == [10]
         # a cap below the planned length truncates every word
-        est = phi_k_j_S(FAIR, streams, 3, 0, UNIT, 9)
+        values, truncated = phi_k_j_S(FAIR, streams, 3, 0, UNIT, 9)
         assert asked[-1] == 9
-        assert est.truncated_fraction == 1.0 and est.n_used == 0
+        assert truncated == 1.0 and values.tolist() == [0.0]
 
     @pytest.mark.parametrize("model,k", [
         (GaussCFModel(), 2), (IidModel(tail_ratio=Fraction(1, 2)), 2),
@@ -393,10 +386,9 @@ class TestPhiJMass:
         batched = phi_k_j_S(model, _generated(model, seeds, per_matrix=4), k, j, S, 10**7)
         single = [phi_k_j_S(model, _generated(model, [sd]), k, j, S, 10**7)
                   for sd in seeds]
-        assert batched.values.tolist() == [est.values[0] for est in single]
-        assert {(est.truncated_fraction, est.n_used) for est in single} \
-            == {(batched.truncated_fraction, batched.n_used)}
-        assert len(set(batched.values.tolist())) > 1  # the streams differ
+        assert batched[0].tolist() == [values[0] for values, _ in single]
+        assert {truncated for _, truncated in single} == {batched[1]}
+        assert len(set(batched[0].tolist())) > 1  # the streams differ
 
     def test_enumeration_cap_is_inclusive(self):
         assert phi2_enumerable(FAIR, 16)
@@ -459,9 +451,9 @@ class TestConcentrationExperiment:
             ["9/10", "1/10"], ["1/5", "4/5"]]}, functional=functional, k=4, n_cap=400))
         streams = _generated(CHAIN, [derive_seed(13, 1, r) for r in range(200)])
         if functional == "phi1":
-            values = phi_k_S(CHAIN, streams, 4, UNIT, 400).values
+            values, _ = phi_k_S(CHAIN, streams, 4, UNIT, 400)
         else:
-            values = phi_k_j_S(CHAIN, streams, 4, 0, UNIT, 400).values
+            values, _ = phi_k_j_S(CHAIN, streams, 4, 0, UNIT, 400)
         rep = run_concentration(cfg)
         assert rep.mean == float(np.mean(values)) and rep.std == float(np.std(values))
 
@@ -473,4 +465,4 @@ class TestConcentrationExperiment:
             model={"type": "markov", "transition": [["9/10", "1/10"], ["1/5", "4/5"]]},
             k=k, seed=5, functional=functional)))
         prof = mixing_profile(CHAIN)
-        assert rep.denominator == delta_norm_bound(prof)**2 * weights(k, UNIT, prof).bound
+        assert rep.denominator == delta_norm_bound(prof)**2 * weights(k, UNIT, prof)[1]

@@ -30,6 +30,7 @@ CHAIN = MarkovModel(transition=((Fraction(9, 10), Fraction(1, 10)),
                                 (Fraction(1, 5), Fraction(4, 5))))
 THIRD = IidModel(probs=(Fraction(1, 3), Fraction(2, 3)))
 TRIPLE = IidModel(probs=(Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)))
+THREE = IidModel(probs=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
 UNIT = unit_interval()
 HALF = IntervalUnion.from_spec([(0, Fraction(1, 2), False, True)])
 
@@ -235,8 +236,10 @@ class TestEnumerationAgainstLiteralScan:
 
 class TestDpDistribution:
     def test_agrees_with_enumeration(self):
+        # the THREE words leave symbols out, which the automaton steps over too
         for model, w in [(FAIR, (1, 1)), (FAIR, (0, 1, 0)), (FAIR, (1, 1, 1, 1)),
-                         (BIASED, (1, 1)), (BIASED, (0, 1, 0))]:
+                         (BIASED, (1, 1)), (BIASED, (0, 1, 0)),
+                         (THREE, (0, 1)), (THREE, (1, 1)), (THREE, (0, 0))]:
             brute = brute_force_distribution(model, w, UNIT)
             dp = dp_count_distribution(model, w, UNIT)
             for j in set(brute) | set(dp):

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from poissonlab import point_process
 from poissonlab.errors import ResourceError
-from poissonlab.measures import (GaussCFModel, cylinder_prob, cylinder_prob_high,
-                                 sample_word)
+from poissonlab.measures import (GaussCFModel, cylinder_prob,
+                                 gauss_cylinder_prob_high, sample_word)
 from poissonlab.point_process import (IntervalUnion, count_word_occurrences,
                                       j_set, required_prefix_length,
                                       unit_interval)
@@ -164,7 +164,7 @@ class TestJSet:
 
             def high(dps, w=w):
                 evaluations.append(dps)
-                return cylinder_prob_high(model, w, dps)
+                return gauss_cylinder_prob_high(w, dps)
 
             decisions.clear()
             J = j_set(cylinder_prob(model, w), unit_interval(), high)
@@ -205,9 +205,9 @@ class TestJSet:
         for i in range(2000):
             w = sample_word(model, 8, derive_seed(2025, i))
             J = j_set(cylinder_prob(model, w), unit_interval(),
-                      lambda dps, w=w: cylinder_prob_high(model, w, dps))
+                      lambda dps, w=w: gauss_cylinder_prob_high(w, dps))
             with mpmath.workdps(60):
-                last = int(mpmath.floor(1 / cylinder_prob_high(model, w, 60)))
+                last = int(mpmath.floor(1 / gauss_cylinder_prob_high(w, 60)))
             assert J.ranges == (((1, last),) if last >= 1 else ()), w
         assert len(evaluations_at_zero) == 2300
         assert not any(evaluations_at_zero)
@@ -221,14 +221,14 @@ class TestJSet:
         w = (3, 7, 2)
         mu = cylinder_prob(model, w)
         S = IntervalUnion.from_spec([("0", "1e40", False, True)])
-        J = j_set(mu, S, lambda dps: cylinder_prob_high(model, w, dps))
+        J = j_set(mu, S, lambda dps: gauss_cylinder_prob_high(w, dps))
         (a, b), = J.ranges
         with mpmath.workdps(100):
-            mu_hp = cylinder_prob_high(model, w, 100)
+            mu_hp = gauss_cylinder_prob_high(w, 100)
             assert a == 1 and b * mu_hp <= 10**40 < (b + 1) * mu_hp
         with pytest.raises(ResourceError):
             j_set(mu, IntervalUnion.from_spec([("0", "1e400", False, True)]),
-                  lambda dps: cylinder_prob_high(model, w, dps))
+                  lambda dps: gauss_cylinder_prob_high(w, dps))
 
     def test_sandwich_randomized_exact(self):
         rng = random.Random(987)

@@ -62,6 +62,11 @@ PINS = [
       "functional": "phi2", "t_grid": T_GRID, "j": 1}, "84f81a3b1a271d91"),
     ({"mode": "quenched", "model": GAUSS, "k": 3, "n_samples": 200,
       "n_cap": 20000, "sets": [HALF, QUARTERS]}, "46b12dccc715eb35"),
+    # the automaton DP steps over a symbol the word does not use
+    ({"mode": "oracle", "model": THREE, "k": 5}, "6c0c3d1f6b8eb6d2"),
+    # the i.i.d. all-zero lags and the bound-only CF report
+    ({"mode": "mixing", "model": FAIR, "k": 8}, "f856046b441eabc5"),
+    ({"mode": "mixing", "model": GAUSS, "k": 8}, "8abf5fd9535d51c0"),
 ]
 
 

@@ -28,8 +28,8 @@ from .measures import (GaussCFModel, IidModel, MarkovModel, Model,
                        contraction_profile, cylinder_prob_exact,
                        make_generator, mixing_profile, model_from_spec,
                        model_to_spec)
-from .mixing_concentration import (DELTA_NORM_MATRIX_CAP, PHI2_EXACT_CAP,
-                                   OccurrenceIndex, _plan_words,
+from .mixing_concentration import (DELTA_NORM_MATRIX_CAP, MAX_LAG_CAP,
+                                   PHI2_EXACT_CAP, OccurrenceIndex, _plan_words,
                                    _ranges_array, delta_matrix, delta_norm,
                                    delta_norm_bound, eta_coefficients,
                                    lipschitz_weights_phi1,
@@ -210,6 +210,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 f"alphabet with alphabet_size**k <= {PHI2_EXACT_CAP}")
     j = _cfg_int(doc, "j", 0, lo=0)
     max_lag = _cfg_int(doc, "max_lag", 30, lo=1)
+    if max_lag > MAX_LAG_CAP:  # run_mixing takes one exact matrix power per lag
+        raise ConfigError(f"$.max_lag: expected at most {MAX_LAG_CAP}")
     truncations_doc = doc.get("truncations", [50, 100, 200])
     # run_mixing builds a dense n x n dependency matrix per truncation
     if not isinstance(truncations_doc, list) or any(

@@ -24,6 +24,7 @@ from .point_process import IndexSet, IntervalUnion, j_set, required_prefix_lengt
 from .words import enumerate_words
 
 DELTA_NORM_MATRIX_CAP = 2000
+MAX_LAG_CAP = 1000  # exact rational powers grow by about a digit per lag
 PHI2_EXACT_CAP = 1 << 16
 HASH_MULT = np.uint64(0x9E3779B97F4A7C15) | np.uint64(1)
 
@@ -328,64 +329,79 @@ def _positive_min_word_prob(model: Model, k: int) -> float:
     return 0.0  # unbounded alphabets: no positive lower bound
 
 
-def _window_log_mu(model: Model, x: np.ndarray, k: int) -> np.ndarray:
-    n_win = len(x) - k + 1
+def _window_log_mu(model: Model, k: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The function from a symbol array to the float log-measures of its
+    length-k windows, with the model's log tables computed once."""
     if isinstance(model, IidModel):
         if model.probs is not None:
-            logp = np.log(np.asarray(model._floats))
-            per = logp[x]
+            per = np.log(np.asarray(model._floats)).__getitem__
         else:
             r = model._r_float
-            per = math.log1p(-r) + x * math.log(r)
-        cs = np.concatenate([[0.0], np.cumsum(per)])
-        return cs[k:] - cs[:-k]
+            head, step = math.log1p(-r), math.log(r)
+
+            def per(x: np.ndarray) -> np.ndarray:
+                return head + x * step
+
+        def iid(x: np.ndarray) -> np.ndarray:
+            cs = np.concatenate([[0.0], np.cumsum(per(x))])
+            return cs[k:] - cs[:-k]
+        return iid
     if isinstance(model, MarkovModel):
         logpi = np.log(np.asarray(model._pi_floats))
         with np.errstate(divide="ignore"):
             logt = np.log(np.asarray(model._t_floats))
-        steps = logt[x[:-1], x[1:]]
-        cs = np.concatenate([[0.0], np.cumsum(steps)])
-        return logpi[x[:n_win]] + (cs[k - 1:] - cs[: n_win])
-    out = np.empty(n_win)
-    for i in range(n_win):
-        out[i] = math.log(cylinder_prob(model, tuple(int(v) for v in x[i: i + k])))
-    return out
 
-
-def _vector_contains(S: IntervalUnion, values: np.ndarray) -> np.ndarray:
-    mask = np.zeros(len(values), dtype=bool)
-    for iv in S.intervals:
-        lo, hi = float(iv.lo), float(iv.hi)
-        left = values >= lo if iv.lo_closed else values > lo
-        right = values <= hi if iv.hi_closed else values < hi
-        mask |= left & right
-    return mask
+        def markov(x: np.ndarray) -> np.ndarray:
+            n_win = len(x) - k + 1
+            cs = np.concatenate([[0.0], np.cumsum(logt[x[:-1], x[1:]])])
+            return logpi[x[:n_win]] + (cs[k - 1:] - cs[: n_win])
+        return markov
+    return lambda x: np.array([math.log(cylinder_prob(model, tuple(x[i: i + k].tolist())))
+                               for i in range(len(x) - k + 1)])
 
 
 def phi_k_S(model: Model, streams: Streams, k: int, S: IntervalUnion,
             N_cap: int) -> tuple[np.ndarray, bool]:
     """Scan sum over window starts i <= N_cap of mu(window_i) * [i * mu(window_i) in S],
-    one value per stream of ``streams(N_cap + k - 1)``, and whether the scan
-    is complete.
+    one value per stream, and whether the scan is complete.
 
     Only windows that actually occur contribute, so the scan needs no word
     enumeration.  Completeness holds once every positive-measure word has
     left S's reach (i * mu > sup S); it depends on the model, k, S and N_cap
     alone.  Window membership uses float products; classification within
     float rounding of an endpoint can go either way.
+
+    With a positive lower bound mu_min on a word's measure, the streams are
+    asked for ``n_scan + k - 1`` symbols, n_scan = min(N_cap, 2 sup S / mu_min);
+    otherwise for ``N_cap + k - 1``.  No window past that reach can land in
+    S, because a float log-measure (a difference of two cumulative sums k
+    steps apart) is off by far less than log 2.  The cumulative sums are
+    sequential, so the scanned windows have the full scan's float measures
+    and hits, and each value is the full scan's bit for bit.
     """
     if N_cap < k:
         raise ConfigError("N_cap must be at least k")
     sup = float(S.sup)
     mu_min = _positive_min_word_prob(model, k)
     complete = sup == 0.0 or (mu_min > 0.0 and N_cap >= sup / mu_min)
-    matrices = streams(N_cap + k - 1)  # first: the caller may refuse the length
-    index = np.arange(1, N_cap + 1, dtype=np.float64)
+    # compared as floats: a subnormal mu_min takes the reach past any int
+    reach = 2.0 * sup / mu_min if mu_min > 0.0 else math.inf
+    n_scan = N_cap if reach >= N_cap else int(reach)
+    matrices = streams(n_scan + k - 1)  # first: the caller may refuse the length
+    log_mu = _window_log_mu(model, k)
+    bounds = [(float(iv.lo), float(iv.hi), iv.lo_closed, iv.hi_closed)
+              for iv in S.intervals]
+    index = np.arange(1, n_scan + 1, dtype=np.float64)
     values = []
     for xs in matrices:
         for x in xs:
-            mu = np.exp(_window_log_mu(model, x.astype(np.int64), k))
-            values.append(float(np.sum(mu[_vector_contains(S, mu * index)])))
+            mu = np.exp(log_mu(x))
+            at = mu * index
+            hit = np.zeros(n_scan, dtype=bool)
+            for lo, hi, lo_closed, hi_closed in bounds:
+                hit |= ((at >= lo) if lo_closed else (at > lo)) \
+                    & ((at <= hi) if hi_closed else (at < hi))
+            values.append(float(np.sum(mu[hit])))
     return np.array(values), complete
 
 

@@ -178,12 +178,12 @@ def exact_variance(model: Model, w: Sequence[int], S: IntervalUnion) -> Variance
 # exhaustive enumeration
 
 
-def _window_hits(rows: np.ndarray, pattern) -> np.ndarray:
-    """Columns of a position-major digit table whose rows spell ``pattern``."""
-    hit = rows[0] == pattern[0]
-    for row, sym in zip(rows[1:], pattern[1:]):
-        hit &= row == sym
-    return hit
+def _code(u: Sequence[int], s: int) -> int:
+    """The base-s number whose digits, most significant first, are ``u``."""
+    code = 0
+    for sym in u:
+        code = code * s + sym
+    return code
 
 
 def brute_force_distribution(model: Model, w: Sequence[int],
@@ -195,12 +195,16 @@ def brute_force_distribution(model: Model, w: Sequence[int],
     counts, or first symbol and transition counts) so the rational
     arithmetic touches only distinct probability values.  Each prefix is a
     high part (the first L - b positions) followed by a low block of the
-    last b positions, b the largest with alphabet^b <= 2^20.  The low
-    block's digit table, its inner window counts and its statistics are
-    built once; each high part then adds its own constants, the windows
-    straddling the split and the one transition across it, and the
-    prefixes are grouped with ``np.unique``.  Guards: L <= 26 and
-    alphabet^L <= 2^26; finite-alphabet rational models only.
+    last b positions, b the largest with alphabet^b <= 2^20.  A low block
+    is coded by its symbols as base-alphabet digits, most significant
+    first, so the blocks that spell a word at given positions form a
+    strided view of the code range, and a window straddling the split
+    spells its tail in one contiguous slice of it.  The low block's inner
+    window counts and its statistics are built once; each high part then
+    adds its own constants, the straddling windows it completes and the
+    one transition across the split, and the prefixes are grouped with
+    ``np.unique``.  Guards: L <= 26 and alphabet^L <= 2^26;
+    finite-alphabet rational models only.
     """
     w = as_word(w)
     k = len(w)
@@ -231,23 +235,21 @@ def brute_force_distribution(model: Model, w: Sequence[int],
     while b < L and s ** (b + 1) <= _BLOCK_CODES:
         b += 1
     h = L - b
-    # position-major digit table of the low block: row p is position h + p
-    dtype = np.min_scalar_type(s - 1)
-    symbols = np.arange(s, dtype=dtype)
-    low = np.empty((b, s**b), dtype=dtype)
-    for p in range(b):
-        low[p] = np.tile(np.repeat(symbols, s ** (b - 1 - p)), s**p)
-
-    # a window starting at 0-based position f < h counts when the high part
-    # spells w[:h - f] from f and the low block spells the rest of w (if any)
+    # low block c holds at its position q the q-th most significant base-s
+    # digit of c: the blocks spelling w from q are the column code(w) of the
+    # (s^q, s^k, rest) view, and those spelling a tail of w from 0 one slice
     counts_low = np.zeros(s**b, dtype=np.int64)
-    high_windows = []  # (f, low-block hits of w[h - f:], or 1 when empty)
+    high_windows = []  # (f, slice of the blocks spelling w[h - f:])
     for f in (int(i) - 1 for i in starts):
         if f >= h:
-            counts_low += _window_hits(low[f - h: f - h + k], w)
+            counts_low.reshape(s ** (f - h), s**k, -1)[:, _code(w, s)] += 1
         else:
+            # a window starting at 0-based position f < h counts when the high
+            # part spells w[:h - f] from f and the low block the rest of w
             tail = w[h - f:]
-            high_windows.append((f, _window_hits(low, tail) if tail else 1))
+            width = s ** (b - len(tail))
+            code = _code(tail, s)
+            high_windows.append((f, slice(code * width, (code + 1) * width)))
 
     # sufficient statistic as a mixed-radix key, one digit (base L + 1) per
     # symbol or per transition (a, c) at place a * s + c; the low block's
@@ -265,12 +267,15 @@ def brute_force_distribution(model: Model, w: Sequence[int],
         for _ in range(b):
             key_low = (weights[:, None] + key_low).ravel()
 
+    first_low = np.repeat(np.arange(s), s ** (b - 1)) if b else None  # leading digits
     agg: dict[int, int] = {}
     for high in itertools.product(range(s), repeat=h):
         counts = counts_low
         for f, hits in high_windows:
             if high[f: f + k] == w[: h - f]:
-                counts = counts + hits
+                if counts is counts_low:
+                    counts = counts_low.copy()
+                counts[hits] += 1
         if uniform:
             freqs = np.bincount(counts, minlength=j_cap + 1)
             for v in np.flatnonzero(freqs):
@@ -279,9 +284,9 @@ def brute_force_distribution(model: Model, w: Sequence[int],
         if markov:
             key = key_low + sum(int(weights[a, c]) for a, c in zip(high, high[1:]))
             if h and b:
-                key += weights[high[-1]][low[0]]
+                key += weights[high[-1]][first_low]
             key *= s
-            key += high[0] if h else low[0]
+            key += high[0] if h else first_low
         else:
             key = key_low + sum(int(weights[a]) for a in high)
         key *= j_cap + 1

@@ -679,6 +679,27 @@ class TestCli:
         assert r.stderr.startswith("error: run would draw") and "budget" in r.stderr
         assert "Traceback" not in r.stderr
 
+    def test_subnormal_word_measure_scan_runs(self, tmp_path):
+        # mu_min = 2^-1050 is subnormal: 2 sup S / mu_min is past every int
+        doc = _conc(model={"type": "iid", "probs": ["1/1024", "1023/1024"]}, k=105,
+                    n_cap=2000, sets=[[["0", "1", False, True]]], functional="phi1")
+        cfg_path = self._write(tmp_path / "c.json", doc)
+        r = self._run("concentration", "--config", cfg_path)
+        assert r.returncode == 0, r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_huge_max_lag_is_exit_two(self, tmp_path):
+        # a million exact matrix powers would take days
+        cfg_path = self._write(tmp_path / "c.json",
+                               _doc(mode="mixing", model=MARKOV_SPEC, sets=[],
+                                    max_lag=10**6))
+        r = subprocess.run([sys.executable, "-m", "poissonlab.cli", "mixing",
+                            "--config", cfg_path], capture_output=True, text=True,
+                           timeout=30)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: $.max_lag:")
+        assert "Traceback" not in r.stderr
+
     def test_huge_target_set_is_exit_two(self, tmp_path):
         huge = [[["0", "1e300", False, True]]]
         cfg_path = self._write(tmp_path / "c.json", _doc(sets=huge, n_cap=1000))

@@ -14,7 +14,7 @@ import pytest
 from poissonlab.errors import ConfigError, UnsupportedModelError
 from poissonlab.measures import (GaussCFModel, IidModel, MarkovModel,
                                  MixingProfile, make_generator, mixing_profile,
-                                 psi_mixing_profile)
+                                 model_to_spec, psi_mixing_profile)
 from poissonlab.experiments import parse_config, run_concentration
 from poissonlab.mixing_concentration import (OccurrenceIndex, delta_matrix, delta_norm,
                                              delta_norm_bound,
@@ -328,15 +328,96 @@ class TestPhiScan:
         assert complete
         assert values[0] == pytest.approx(1.0, abs=2**-6 + 1e-9)
 
-    def test_streams_are_asked_for_the_scanned_length_once(self):
+    @staticmethod
+    def _asked(model, pattern, k):
         asked = []
 
         def streams(length):
             asked.append(length)
-            return _tiled((0, 1), rows=2)(length)
+            return _tiled(pattern, rows=2)(length)
 
-        assert len(phi_k_S(FAIR, streams, 3, UNIT, 50)[0]) == 2
-        assert asked == [52]
+        assert len(phi_k_S(model, streams, k, UNIT, 50)[0]) == 2
+        return asked
+
+    def test_streams_are_asked_for_the_scanned_length_once(self):
+        # no window past 2 sup S / mu_min = 16 reaches (0, 1]: 16 + k - 1 symbols
+        assert self._asked(FAIR, (0, 1), 3) == [18]
+
+    def test_streams_without_a_measure_floor_are_asked_for_n_cap(self):
+        # no positive lower bound on a word's measure: all N_cap + k - 1
+        assert self._asked(GaussCFModel(), (1, 2), 2) == [51]
+
+
+def _full_scan_log_mu(model, x, k):
+    """Float log-measures of the length-k windows of ``x``."""
+    if isinstance(model, IidModel):
+        cs = np.concatenate([[0.0], np.cumsum(np.log(np.asarray(model._floats))[x])])
+        return cs[k:] - cs[:-k]
+    n_win = len(x) - k + 1
+    logpi = np.log(np.asarray(model._pi_floats))
+    with np.errstate(divide="ignore"):
+        logt = np.log(np.asarray(model._t_floats))
+    cs = np.concatenate([[0.0], np.cumsum(logt[x[:-1], x[1:]])])
+    return logpi[x[:n_win]] + (cs[k - 1:] - cs[: n_win])
+
+
+def _full_scan(model, streams, k, S, N_cap):
+    """Reference phi1: every stream scanned over all N_cap windows, one row
+    at a time, whether or not a window can still reach S."""
+    index = np.arange(1, N_cap + 1, dtype=np.float64)
+    values = []
+    for xs in streams(N_cap + k - 1):
+        for x in xs:
+            mu = np.exp(_full_scan_log_mu(model, x.astype(np.int64), k))
+            at = mu * index
+            hit = np.zeros(N_cap, dtype=bool)
+            for iv in S.intervals:
+                lo, hi = float(iv.lo), float(iv.hi)
+                hit |= (at >= lo if iv.lo_closed else at > lo) \
+                    & (at <= hi if iv.hi_closed else at < hi)
+            values.append(float(np.sum(mu[hit])))
+    return np.array(values)
+
+
+SCAN_MODELS = {
+    "fair": FAIR,
+    "third": IidModel(probs=(Fraction(1, 3), Fraction(2, 3))),
+    "triple": IidModel(probs=(Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))),
+    "chain": CHAIN,
+    "two_fifths": IidModel(probs=(Fraction(2, 5), Fraction(3, 5))),
+}
+TWO_INTERVALS = IntervalUnion.from_spec([(0, Fraction(1, 4), False, True),
+                                         (Fraction(1, 2), Fraction(3, 4), False, True)])
+
+
+@pytest.fixture(scope="module")
+def scan_rows():
+    """Four generated streams per model, long enough for every n_cap below."""
+    return {name: np.stack([make_generator(model, sd).take(40010)
+                            for sd in (3, 14, 15, 92)])
+            for name, model in SCAN_MODELS.items()}
+
+
+class TestPhiScanMatchesFullScan:
+    """phi_k_S stops at the reach of S; its values must be the full scan's,
+    bit for bit, over streams whose windows differ in measure."""
+
+    @pytest.mark.parametrize("name", SCAN_MODELS)
+    @pytest.mark.parametrize("S", [UNIT, TWO_INTERVALS], ids=["unit", "two_intervals"])
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_values_equal_the_full_scan(self, scan_rows, name, S, k):
+        model = SCAN_MODELS[name]
+        default = parse_config({"mode": "concentration", "model": model_to_spec(model),
+                                "k": k, "sets": [S.to_spec()], "n_samples": 200,
+                                "t_grid": [1.0]}).n_cap
+        rows = scan_rows[name]
+
+        def streams(length):
+            return [rows[:, :length]]
+
+        for n_cap in (default, 5000, 40000):
+            values, _ = phi_k_S(model, streams, k, S, n_cap)
+            assert np.array_equal(values, _full_scan(model, streams, k, S, n_cap)), n_cap
 
 
 class TestPhiJMass:

@@ -234,6 +234,18 @@ class TestEnumerationAgainstLiteralScan:
         assert checked >= 10
 
 
+class TestEnumerationBlockSplit:
+    @pytest.mark.parametrize("model,w", [(CHAIN, (0, 0, 0, 1)), (CHAIN, (0, 1, 1)),
+                                         (TRIPLE, (1, 2, 2))],
+                             ids=["markov_L21", "markov_L20", "three_symbol_L14"])
+    def test_law_does_not_depend_on_the_block_size(self, model, w, monkeypatch):
+        # prefix lengths 21, 20 and 14: a block of 2^12 codes leaves 9, 8 and
+        # 7 positions to the high part, so many windows straddle the split
+        default = brute_force_distribution(model, w, UNIT)
+        monkeypatch.setattr(oracles, "_BLOCK_CODES", 1 << 12)
+        assert brute_force_distribution(model, w, UNIT) == default
+
+
 class TestDpDistribution:
     def test_agrees_with_enumeration(self):
         # the THREE words leave symbols out, which the automaton steps over too

@@ -24,6 +24,7 @@ ZERO_DIAG = {"type": "markov", "transition": [["0", "1/2", "1/2"], ["1/2", "0", 
 HALF = [["0", "1/2", False, True]]
 QUARTERS = [["0", "1/4", False, True], ["1/2", "3/4", False, True]]
 T_GRID = [0.5, 2.0, 8.0, 20.0]
+THIRD = {"type": "iid", "probs": ["1/3", "2/3"]}
 
 PINS = [
     ({"mode": "annealed", "model": FAIR, "k": 8, "n_samples": 300},
@@ -67,6 +68,14 @@ PINS = [
     # the i.i.d. all-zero lags and the bound-only CF report
     ({"mode": "mixing", "model": FAIR, "k": 8}, "f856046b441eabc5"),
     ({"mode": "mixing", "model": GAUSS, "k": 8}, "8abf5fd9535d51c0"),
+    # phi1 on streams whose windows differ in measure, so the value varies by
+    # replica: the fair coin gives every window the same float measure.  The
+    # first scan stops short of n_cap at the reach of (0, 1], the second does not
+    ({"mode": "concentration", "model": THIRD, "k": 4, "n_samples": 200,
+      "n_cap": 5000, "functional": "phi1", "t_grid": [0.5, 1, 2], "seed": 5},
+     "f5c2e49d4b543c44"),
+    ({"mode": "concentration", "model": MARKOV, "k": 6, "n_samples": 200,
+      "functional": "phi1", "t_grid": [0.5, 1, 2], "seed": 5}, "322c236fa72b893f"),
 ]
 
 
@@ -78,5 +87,5 @@ def report_hash(payload) -> str:
 @pytest.mark.parametrize("doc,expected", PINS,
                          ids=[f"{d['mode']}-{i}" for i, (d, _) in enumerate(PINS)])
 def test_report_hash_is_pinned(doc, expected):
-    _, payload = execute(parse_config(dict(doc, seed=3)), None)
+    _, payload = execute(parse_config({"seed": 3, **doc}), None)
     assert report_hash(payload) == expected

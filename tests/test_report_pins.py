@@ -76,6 +76,10 @@ PINS = [
      "f5c2e49d4b543c44"),
     ({"mode": "concentration", "model": MARKOV, "k": 6, "n_samples": 200,
       "functional": "phi1", "t_grid": [0.5, 1, 2], "seed": 5}, "322c236fa72b893f"),
+    # phi1 on CF digits: no measure floor, so every window up to n_cap is scanned
+    ({"mode": "concentration", "model": GAUSS, "k": 3, "n_samples": 200,
+      "n_cap": 2000, "functional": "phi1", "t_grid": [0.5, 1, 2], "seed": 5},
+     "c51a70765c156466"),
 ]
 
 

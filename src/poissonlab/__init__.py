@@ -10,9 +10,8 @@ from .experiments import (ConcentrationReport, ExperimentConfig,
                           run_mixing, run_oracle_suite, run_quenched)
 from .measures import (GaussCFModel, IidModel, MarkovModel, SequenceGenerator,
                        contraction_profile, cylinder_prob,
-                       cylinder_prob_exact, make_generator, mixing_profile,
-                       model_from_spec, model_to_spec, psi_mixing_profile,
-                       sample_word)
+                       cylinder_prob_exact, mixing_profile, model_from_spec,
+                       model_to_spec, psi_mixing_profile)
 from .mixing_concentration import (OccurrenceIndex, delta_matrix, delta_norm,
                                    delta_norm_bound, eta_coefficients,
                                    lipschitz_weights_phi1,
@@ -40,8 +39,7 @@ __all__ = [
     # measures
     "GaussCFModel", "IidModel", "MarkovModel", "SequenceGenerator",
     "contraction_profile", "cylinder_prob", "cylinder_prob_exact",
-    "make_generator", "mixing_profile",
-    "model_from_spec", "model_to_spec", "psi_mixing_profile", "sample_word",
+    "mixing_profile", "model_from_spec", "model_to_spec", "psi_mixing_profile",
     # mixing_concentration
     "OccurrenceIndex", "delta_matrix", "delta_norm",
     "delta_norm_bound", "eta_coefficients", "lipschitz_weights_phi1",

@@ -22,4 +22,4 @@ class UnsupportedModelError(ValueError):
 
 
 class InsufficientDataError(ValueError):
-    """Too few samples for the statistical check in strict mode."""
+    """Too few samples for a statistical check to mean anything."""

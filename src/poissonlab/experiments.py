@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -25,8 +25,8 @@ import numpy as np
 from .errors import (ConfigError, InsufficientDataError, ResourceError,
                      UnsupportedModelError)
 from .measures import (GaussCFModel, IidModel, MarkovModel, Model,
-                       contraction_profile, cylinder_prob_exact,
-                       make_generator, mixing_profile, model_from_spec,
+                       SequenceGenerator, contraction_profile,
+                       cylinder_prob_exact, mixing_profile, model_from_spec,
                        model_to_spec)
 from .mixing_concentration import (DELTA_NORM_MATRIX_CAP, MAX_LAG_CAP,
                                    PHI2_EXACT_CAP, OccurrenceIndex, _plan_words,
@@ -40,7 +40,7 @@ from .oracles import (annealed_exact_expectation, brute_force_distribution,
                       exact_pair_prob, exact_variance, log_n_over_n_bound,
                       period_class_measure)
 from .point_process import (IntervalUnion, count_word_occurrences, j_set,
-                            required_prefix_length)
+                            required_prefix_length, unit_interval)
 from .poisson_stats import (KALLENBERG_MIN_SAMPLES, fold_histogram, histogram_j_max,
                             kallenberg_check, poisson_reference, tv_distance)
 from .rng import derive_seed, raw_block
@@ -71,7 +71,6 @@ class ExperimentConfig:
     seed: int
     tv_tolerance: float
     min_passing_replicas: int
-    strict: bool
     t_grid: tuple[float, ...]
     functional: str
     j: int
@@ -80,11 +79,7 @@ class ExperimentConfig:
     warnings: tuple[str, ...]
 
 
-_KNOWN_KEYS = {
-    "mode", "model", "k", "sets", "n_samples", "n_x_replicas", "n_cap",
-    "seed", "tv_tolerance", "min_passing_replicas", "strict", "t_grid",
-    "functional", "j", "max_lag", "truncations",
-}
+_KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)} - {"model_spec", "warnings"}
 
 
 def _cfg_int(doc: dict, key: str, default, lo=None) -> int:
@@ -142,12 +137,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
         sets.append(S)
     if mode in ("annealed", "quenched", "concentration") and not sets:
         raise ConfigError("$.sets: at least one target set is required")
+    if mode in ("oracle", "concentration") and len(sets) > 1:
+        raise ConfigError(f"$.sets: {mode} mode checks one target set, got {len(sets)}")
 
     n_samples = _cfg_int(doc, "n_samples", 1000, lo=1)
     n_x_replicas = _cfg_int(doc, "n_x_replicas", 1, lo=1)
-    strict = doc.get("strict", True)
-    if not isinstance(strict, bool):
-        raise ConfigError("$.strict: expected a boolean")
     tv_tolerance = doc.get("tv_tolerance", 0.05)
     if not isinstance(tv_tolerance, (int, float)) or isinstance(tv_tolerance, bool) \
             or not 0 < float(tv_tolerance) <= 1:
@@ -220,15 +214,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("$.truncations: expected a list of integers in "
                           f"[1, {DELTA_NORM_MATRIX_CAP}]")
 
-    if strict and mode in ("annealed", "quenched") and n_samples < 100:
-        raise InsufficientDataError(
-            "$.n_samples: statistical modes need >= 100 samples (strict)")
+    if mode in ("annealed", "quenched") and n_samples < 100:
+        raise InsufficientDataError("$.n_samples: statistical modes need >= 100 samples")
 
     return ExperimentConfig(
         mode=mode, model=model, model_spec=model_to_spec(model), k=int(k),
         sets=tuple(sets), n_samples=n_samples, n_x_replicas=n_x_replicas,
         n_cap=n_cap, seed=seed, tv_tolerance=float(tv_tolerance),
-        min_passing_replicas=min_passing, strict=strict,
+        min_passing_replicas=min_passing,
         t_grid=tuple(float(t) for t in t_grid_doc), functional=functional,
         j=j, max_lag=max_lag, truncations=tuple(sorted(truncations_doc)),
         warnings=tuple(warnings),
@@ -338,8 +331,8 @@ def _set_report(S: IntervalUnion, counts: np.ndarray, truncated: np.ndarray,
     j_max = histogram_j_max(lam)
     used = counts[~truncated]
     trunc = counts[truncated]
-    hist = fold_histogram(used.tolist(), j_max)
-    thist = fold_histogram(trunc.tolist(), j_max)
+    hist = fold_histogram(used, j_max)
+    thist = fold_histogram(trunc, j_max)
     ref = poisson_reference(lam, j_max)
     if used.size:
         emp = {jj: c / used.size for jj, c in hist.items()}
@@ -351,7 +344,7 @@ def _set_report(S: IntervalUnion, counts: np.ndarray, truncated: np.ndarray,
         mean = None
         var = None
     if used.size >= KALLENBERG_MIN_SAMPLES:
-        kall = kallenberg_check([used.tolist()], [lam], [slack])[0]
+        kall = kallenberg_check(used, lam, slack)
     else:
         kall = {"status": "SKIPPED",
                 "reason": f"fewer than {KALLENBERG_MIN_SAMPLES} usable samples"}
@@ -366,7 +359,7 @@ def _set_report(S: IntervalUnion, counts: np.ndarray, truncated: np.ndarray,
     )
 
 
-def _genericity_report(cfg: ExperimentConfig, mode: str,
+def _genericity_report(cfg: ExperimentConfig,
                        counts_per_set: list[np.ndarray],
                        truncated_per_set: list[np.ndarray],
                        replica_index: int | None) -> GenericityReport:
@@ -380,7 +373,7 @@ def _genericity_report(cfg: ExperimentConfig, mode: str,
         sets.append(rep)
     passed = all(r.tv_set is not None and r.tv_set <= cfg.tv_tolerance for r in sets)
     return GenericityReport(
-        mode=mode, model=cfg.model_spec, k=cfg.k, seed=cfg.seed,
+        mode=cfg.mode, model=cfg.model_spec, k=cfg.k, seed=cfg.seed,
         n_samples=cfg.n_samples, n_cap=cfg.n_cap, tv_tolerance=cfg.tv_tolerance,
         replica_index=replica_index, sets=tuple(sets),
         truncated_fraction=overall_trunc, passed=passed, warnings=cfg.warnings,
@@ -401,7 +394,7 @@ def _check_budget(symbols: int) -> None:
 def _draw(model: Model, seeds: np.ndarray, length: int) -> np.ndarray:
     """(len(seeds), length) symbol matrix: row r is the first ``length``
     symbols of the stream with seed ``seeds[r]``, symbol for symbol as
-    ``make_generator(model, seeds[r]).take(length)``."""
+    ``SequenceGenerator(model, seeds[r]).take(length)``."""
     if isinstance(model, IidModel) and model.probs is not None:
         out = np.empty((len(seeds), length),
                        dtype=np.min_scalar_type(len(model.probs) - 1))
@@ -413,7 +406,7 @@ def _draw(model: Model, seeds: np.ndarray, length: int) -> np.ndarray:
                 block = out[r0:r0 + height, c0:c0 + width]
                 model.symbols(raw_block(seeds[r0:r0 + height], c0, block.shape[1]), block)
         return out
-    return np.stack([make_generator(model, sd).take(length) for sd in seeds.tolist()])
+    return np.stack([SequenceGenerator(model, sd).take(length) for sd in seeds.tolist()])
 
 
 def _plan_members(plan_of: np.ndarray) -> list[np.ndarray]:
@@ -454,7 +447,7 @@ def run_annealed(cfg: ExperimentConfig) -> GenericityReport:
             streams = _draw(model, derive_seed(cfg.seed, 2, rows), length)
             for si, rs in enumerate(ranges):
                 counts[si][rows] = count_word_occurrences(streams, words[rows], rs)
-    return _genericity_report(cfg, "annealed", counts, truncated, None)
+    return _genericity_report(cfg, counts, truncated, None)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +464,6 @@ def run_quenched(cfg: ExperimentConfig) -> QuenchedResult:
     for r in range(cfg.n_x_replicas):
         reports.append(_quenched_replica(cfg, r))
     tvs = [max((s.tv_set for s in rep.sets if s.tv_set is not None), default=None)
-           if any(s.tv_set is not None for s in rep.sets) else None
            for rep in reports]
     passing = sum(1 for rep in reports if rep.passed)
     summary = QuenchedSummary(
@@ -499,7 +491,7 @@ def _quenched_replica(cfg: ExperimentConfig, r: int) -> GenericityReport:
         truncated.append(np.array([J.max_index() > max_start for J in js])[plan_of])
         ranges = _ranges_array([J.clipped(max_start) for J in js])
         counts.append(index.count_in_ranges(words, ranges[plan_of]))
-    return _genericity_report(cfg, "quenched", counts, truncated, r)
+    return _genericity_report(cfg, counts, truncated, r)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +526,7 @@ def _oracle_guarded(name: str, fn: Callable[[], str]) -> OracleRow:
 def run_oracle_suite(cfg: ExperimentConfig) -> OracleReport:
     """Every exact-identity check the model supports, as a pass/fail table."""
     model = cfg.model
-    S = cfg.sets[0] if cfg.sets else IntervalUnion.from_spec([["0", "1", False, True]])
+    S = cfg.sets[0] if cfg.sets else unit_interval()
     rows = []
     s = model.alphabet_size
 
@@ -791,14 +783,6 @@ def to_jsonable(obj):
         if math.isnan(obj) or math.isinf(obj):
             return repr(obj)
         return obj
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return to_jsonable(float(obj))
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, dict):
         return {str(key): to_jsonable(v) for key, v in obj.items()}
     if isinstance(obj, (list, tuple)):

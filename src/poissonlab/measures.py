@@ -87,19 +87,6 @@ class MixingProfile:
         if self.R is not None and self.R < 1.0:
             raise ValueError("R must be >= 1")
 
-    @property
-    def tags(self) -> dict:
-        return dict(self.provenance)
-
-    def merged(self, other: "MixingProfile") -> "MixingProfile":
-        vals = {}
-        for name in ("T", "sigma", "rho", "K", "R"):
-            mine, theirs = getattr(self, name), getattr(other, name)
-            vals[name] = mine if mine is not None else theirs
-        prov = dict(other.provenance)
-        prov.update(dict(self.provenance))
-        return MixingProfile(provenance=tuple(sorted(prov.items())), **vals)
-
 
 @dataclass(eq=True)
 class IidModel:
@@ -107,8 +94,6 @@ class IidModel:
 
     probs: tuple[Fraction, ...] | None = None
     tail_ratio: Fraction | None = None
-
-    kind: ClassVar[str] = "iid"
 
     def __post_init__(self):
         if (self.probs is None) == (self.tail_ratio is None):
@@ -206,8 +191,6 @@ class MarkovModel:
 
     transition: tuple[tuple[Fraction, ...], ...]
 
-    kind: ClassVar[str] = "markov"
-
     def __post_init__(self):
         rows = []
         for i, row in enumerate(self.transition):
@@ -265,7 +248,6 @@ class GaussCFModel:
     psi_T: float = 1.0
     psi_sigma: float = 0.303
 
-    kind: ClassVar[str] = "gauss_cf"
     DIGIT_CAP: ClassVar[int] = 1 << 63
 
     def __post_init__(self):
@@ -429,9 +411,6 @@ class SequenceGenerator:
             # the cylinder of the digits so far (continuants as cf_continuants)
             self._s, self._delta = 0.0, 1.0
 
-    def next(self) -> int:
-        return int(self.take(1)[0])
-
     def take(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("n must be nonnegative")
@@ -537,15 +516,6 @@ class SequenceGenerator:
         return out
 
 
-def make_generator(model: Model, seed: int) -> SequenceGenerator:
-    return SequenceGenerator(model, seed)
-
-
-def sample_word(model: Model, k: int, seed: int) -> Word:
-    """One word of length k drawn from the k-block marginal of the model."""
-    return tuple(int(s) for s in SequenceGenerator(model, seed).take(k))
-
-
 # ---------------------------------------------------------------------------
 # profiles
 
@@ -632,5 +602,8 @@ def _gauss_distortion_estimate() -> float:
 
 
 def mixing_profile(model: Model) -> MixingProfile:
-    """Full profile: contraction and psi-mixing constants merged."""
-    return contraction_profile(model).merged(psi_mixing_profile(model))
+    """Full profile: the contraction constants (rho, K) and the psi-mixing
+    constants (T, sigma, R), with the union of their provenance tags."""
+    c, p = contraction_profile(model), psi_mixing_profile(model)
+    return MixingProfile(T=p.T, sigma=p.sigma, rho=c.rho, K=c.K, R=p.R,
+                         provenance=tuple(sorted(c.provenance + p.provenance)))

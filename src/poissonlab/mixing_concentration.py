@@ -18,8 +18,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, InternalCheckError, UnsupportedModelError
-from .measures import (IidModel, MarkovModel, MixingProfile, Model, cylinder_prob,
-                       cylinder_prob_guarded)
+from .measures import (GaussCFModel, IidModel, MarkovModel, MixingProfile, Model,
+                       cylinder_prob_guarded, gauss_cylinder_prob)
 from .point_process import IndexSet, IntervalUnion, j_set, required_prefix_length
 from .words import enumerate_words
 
@@ -238,12 +238,6 @@ class OccurrenceIndex:
         self._powers = np.array([pow(int(HASH_MULT), k - 1 - j, 1 << 64)
                                  for j in range(k)], dtype=np.uint64)
 
-    def _words(self, words) -> np.ndarray:
-        words = np.asarray(words, dtype=np.int64)
-        if words.ndim not in (1, 2) or words.shape[-1] != self.k:
-            raise ValueError("word length mismatch")
-        return words
-
     def _hits(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each row's slot in the table of the distinct rows of the (n, k)
         ``words``, and the sorted keys slot * n_win + start (0-based) of the
@@ -277,35 +271,32 @@ class OccurrenceIndex:
             cand, at = cand[more], at[more]
         return slot, np.sort(np.concatenate(keys))
 
-    def count_in_ranges(self, words, ranges):
-        """Occurrences of each word at the 1-indexed starts in ``ranges``.
+    def count_in_ranges(self, words: np.ndarray, ranges: np.ndarray) -> np.ndarray:
+        """Occurrences of each word at the 1-indexed starts in its ranges.
 
-        ``words`` is an (n, k) array, one word per row, and the result the
-        (n,) int64 array of counts; a single word (length-k sequence) gives
-        its count as an int.  ``ranges`` lists inclusive (a, b) pairs shared
-        by every word, or is an (n, m, 2) array of each word's pairs; a pair
-        with b < a is empty.
+        ``words`` is an (n, k) array, one word per row, and ``ranges`` the
+        (n, m, 2) array of each word's inclusive (a, b) pairs; a pair with
+        b < a is empty.  Returns the (n,) int64 array of counts.
         """
-        words = self._words(words)
-        rows = words.reshape(-1, self.k)
-        slot, keys = self._hits(rows)
+        words = np.asarray(words, dtype=np.int64)
+        if words.ndim != 2 or words.shape[1] != self.k:
+            raise ValueError("words must be an (n, k) array")
+        if ranges.ndim != 3 or ranges.shape[0] != len(words) or ranges.shape[2] != 2:
+            raise ValueError("ranges must be an (n, m, 2) array")
+        slot, keys = self._hits(words)
         n_win = len(self._hashes)
-        r = np.asarray(ranges, dtype=np.int64)
-        if r.ndim != 3:
-            r = np.broadcast_to(r.reshape(-1, 2), (len(rows), r.size // 2, 2))
-        lo = np.clip(r[:, :, 0] - 1, 0, n_win)
-        hi = np.clip(r[:, :, 1], lo, n_win)
+        lo = np.clip(ranges[:, :, 0] - 1, 0, n_win)
+        hi = np.clip(ranges[:, :, 1], lo, n_win)
         base = (slot * n_win)[:, None]
-        total = (np.searchsorted(keys, base + hi)
-                 - np.searchsorted(keys, base + lo)).sum(axis=1)
-        return total if words.ndim == 2 else int(total[0])
+        return (np.searchsorted(keys, base + hi)
+                - np.searchsorted(keys, base + lo)).sum(axis=1)
 
     def positions(self, w: Sequence[int]) -> np.ndarray:
         """1-indexed, ascending start positions of one word, exact."""
-        words = self._words(w)
-        if words.ndim != 1:
-            raise ValueError("positions takes one word")
-        return self._hits(words[None])[1] + 1
+        word = np.asarray(w, dtype=np.int64)
+        if word.shape != (self.k,):
+            raise ValueError("positions takes one word of length k")
+        return self._hits(word[None])[1] + 1
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +347,15 @@ def _window_log_mu(model: Model, k: int) -> Callable[[np.ndarray], np.ndarray]:
             cs = np.concatenate([[0.0], np.cumsum(logt[x[:-1], x[1:]])])
             return logpi[x[:n_win]] + (cs[k - 1:] - cs[: n_win])
         return markov
-    return lambda x: np.array([math.log(cylinder_prob(model, tuple(x[i: i + k].tolist())))
-                               for i in range(len(x) - k + 1)])
+
+    def cf(x: np.ndarray) -> np.ndarray:
+        # the digit bounds _check_word puts on a CF word, checked once per stream
+        if x.min() < 1 or x.max() >= GaussCFModel.DIGIT_CAP:
+            raise ValueError("CF digits must lie in [1, 2**63)")
+        xs = x.tolist()
+        return np.array([math.log(gauss_cylinder_prob(xs[i: i + k]))
+                         for i in range(len(xs) - k + 1)])
+    return cf
 
 
 def phi_k_S(model: Model, streams: Streams, k: int, S: IntervalUnion,

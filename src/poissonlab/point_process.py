@@ -295,26 +295,23 @@ def required_prefix_length(word_len: int, J: IndexSet) -> int:
     return J.max_index() + word_len - 1
 
 
-def count_word_occurrences(x: np.ndarray, w, ranges: Sequence[tuple[int, int]]):
+def count_word_occurrences(x: np.ndarray, words: np.ndarray,
+                           ranges: Sequence[tuple[int, int]]) -> np.ndarray:
     """Occurrences of each row's word in its stream over inclusive index ranges.
 
-    ``x`` is a (rows, length) symbol matrix and ``w`` the (rows, k) matrix of
-    the words sought, one per row; positions are 1-indexed window starts, and
-    the ranges must already be clipped so every window fits inside a row.
-    Returns the per-row counts.  A 1-D ``x`` with one word is the one-row
-    case and returns an int.
+    ``x`` is a (rows, length) symbol matrix and ``words`` the (rows, k)
+    matrix of the words sought, one per row; positions are 1-indexed window
+    starts, and the ranges must already be clipped so every window fits
+    inside a row.  Returns the per-row counts.
     """
-    x = np.asarray(x)
-    rows = np.atleast_2d(x)
-    words = np.atleast_2d(np.asarray(w, dtype=x.dtype))
     k = words.shape[1]
-    total = np.zeros(len(rows), dtype=np.int64)
+    total = np.zeros(len(x), dtype=np.int64)
     for a, b in ranges:
         n = b - a + 1
         if n <= 0:
             continue
-        acc = rows[:, a - 1: a - 1 + n] == words[:, :1]
+        acc = x[:, a - 1: a - 1 + n] == words[:, :1]
         for j in range(1, k):
-            acc &= rows[:, a - 1 + j: a - 1 + j + n] == words[:, j: j + 1]
+            acc &= x[:, a - 1 + j: a - 1 + j + n] == words[:, j: j + 1]
         total += np.count_nonzero(acc, axis=1)
-    return int(total[0]) if x.ndim == 1 else total
+    return total

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from poissonlab.experiments import execute, parse_config, read_config_doc
-from poissonlab.measures import (IidModel, MarkovModel, cylinder_prob_exact,
-                                 psi_mixing_profile, sample_word)
+from poissonlab.measures import (IidModel, MarkovModel, SequenceGenerator,
+                                 cylinder_prob_exact)
 from poissonlab.mixing_concentration import (delta_matrix, delta_norm,
                                              eta_coefficients)
 from poissonlab.oracles import (brute_force_distribution, exact_expectation,
@@ -97,7 +97,7 @@ def test_criterion_03_expectation_identity_random_words():
     n_checked = 0
     for k in range(2, 13):
         for i in range(50):
-            w = sample_word(FAIR, k, derive_seed(424242, k, i))
+            w = tuple(SequenceGenerator(FAIR, derive_seed(424242, k, i)).take(k).tolist())
             mu = cylinder_prob_exact(FAIR, w)
             e = exact_expectation(FAIR, w, UNIT)
             assert abs(e - 1) <= UNIT.m * mu
@@ -243,10 +243,10 @@ def test_criterion_12_kallenberg_self_test():
     t0 = time.monotonic()
     sizes = [0.5, 1.0]
     counts = [sample_poisson_counts(s, 5000, 2000 + i) for i, s in enumerate(sizes)]
-    rows = kallenberg_check(counts, sizes, [0.0, 0.0])
+    rows = [kallenberg_check(c, s, 0.0) for c, s in zip(counts, sizes)]
     assert all(r["condition1"] == "PASS" and r["condition2"] == "PASS" for r in rows)
-    degenerate = kallenberg_check([np.zeros(500, dtype=np.int64)], [1.0], [0.0])
-    assert degenerate[0]["condition2"] == "FAIL"
+    degenerate = kallenberg_check(np.zeros(500, dtype=np.int64), 1.0, 0.0)
+    assert degenerate["condition2"] == "FAIL"
     dt = time.monotonic() - t0
     assert dt < 10.0
     print(f"[criterion 12] PASS: synthetic counts pass both conditions, "

@@ -6,9 +6,12 @@ per-sample, per-position reference loop with identical seed derivations, so
 the batched counting has an independent witness.
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,9 +25,9 @@ from poissonlab.experiments import (_draw, _genericity_report, execute,
                                     parse_config,
                                     run_annealed, run_mixing, run_oracle_suite,
                                     run_quenched)
-from poissonlab.measures import (GaussCFModel, IidModel, cylinder_prob_exact,
-                                 cylinder_prob_guarded, make_generator,
-                                 model_from_spec, sample_word)
+from poissonlab.measures import (GaussCFModel, IidModel, SequenceGenerator,
+                                 cylinder_prob_exact, cylinder_prob_guarded,
+                                 model_from_spec)
 from poissonlab.mixing_concentration import OccurrenceIndex, _distinct_rows
 from poissonlab.point_process import j_set, required_prefix_length, unit_interval
 from poissonlab.poisson_stats import fold_histogram
@@ -89,7 +92,8 @@ class TestParseConfig:
         (_doc(t_grid=[1.0, -2.0]), "$.t_grid"),
         (_doc(functional="phi3"), "$.functional"),
         (_doc(truncations=[0]), "$.truncations"),
-        (_doc(strict="yes"), "$.strict"),
+        (_doc(strict="yes"), "$.strict: unknown field"),
+        (_doc(strict=True), "$.strict: unknown field"),
         (_doc(t_grid=[float("nan"), 5.0]), "$.t_grid"),
         (_doc(t_grid=[float("inf")]), "$.t_grid"),
         (_doc(truncations=[50, 2001]), "$.truncations"),
@@ -121,11 +125,11 @@ class TestParseConfig:
             parse_config(doc)
         assert needle in str(err.value)
 
-    def test_strict_needs_samples(self):
-        with pytest.raises(InsufficientDataError):
-            parse_config(_doc(n_samples=50))
-        cfg = parse_config(_doc(n_samples=50, strict=False))
-        assert cfg.n_samples == 50
+    @pytest.mark.parametrize("mode", ["annealed", "quenched"])
+    def test_statistical_modes_need_samples(self, mode):
+        with pytest.raises(InsufficientDataError, match=r"^\$\.n_samples: "):
+            parse_config(_doc(mode=mode, n_samples=99))
+        assert parse_config(_doc(mode=mode, n_samples=100)).n_samples == 100
 
     def test_low_cap_warns(self):
         cfg = parse_config(_doc(n_cap=8))
@@ -179,7 +183,7 @@ def mutated_configs(draw):
 @settings(max_examples=400, deadline=None)
 def test_mutated_configs_parse_or_name_their_path(doc):
     # the two refusals the CLI turns into exit 2; InsufficientDataError is
-    # the strict n_samples >= 100 check
+    # the annealed and quenched n_samples >= 100 check
     try:
         parse_config(doc)
     except (ConfigError, InsufficientDataError) as exc:
@@ -209,12 +213,12 @@ class TestAnnealed:
         trunc = np.zeros(cfg.n_samples, dtype=bool)
         S, k = cfg.sets[0], cfg.k
         for i in range(cfg.n_samples):
-            w = sample_word(cfg.model, k, derive_seed(cfg.seed, 1, i))
+            w = tuple(SequenceGenerator(cfg.model, derive_seed(cfg.seed, 1, i)).take(k).tolist())
             J = j_set(cylinder_prob_exact(cfg.model, w), S)
             if J.is_empty():
                 continue
             need = min(required_prefix_length(k, J), cfg.n_cap)
-            x = make_generator(cfg.model, derive_seed(cfg.seed, 2, i)).take(need).tolist()
+            x = SequenceGenerator(cfg.model, derive_seed(cfg.seed, 2, i)).take(need).tolist()
             for a, b in J.ranges:
                 for pos in range(a, b + 1):
                     if pos + k - 1 > len(x):
@@ -230,8 +234,8 @@ class TestAnnealed:
         rep = run_annealed(cfg)
         ref_counts, ref_trunc = self._reference_counts(cfg)
         sr = rep.sets[0]
-        assert sr.histogram == fold_histogram(ref_counts[~ref_trunc].tolist(), sr.j_max)
-        assert sr.truncated_histogram == fold_histogram(ref_counts[ref_trunc].tolist(), sr.j_max)
+        assert sr.histogram == fold_histogram(ref_counts[~ref_trunc], sr.j_max)
+        assert sr.truncated_histogram == fold_histogram(ref_counts[ref_trunc], sr.j_max)
         assert sr.n_truncated == int(ref_trunc.sum())
         assert sr.n_used + sr.n_truncated == cfg.n_samples
         assert (sr.n_truncated > 0) == (model_spec is not FAIR_SPEC)
@@ -316,12 +320,12 @@ class TestQuenched:
     @staticmethod
     def _reference_counts(cfg, r):
         """Literal per-word, per-position loop with the runner's seed labels."""
-        words = [sample_word(cfg.model, cfg.k, derive_seed(cfg.seed, 4, r, i))
-                 for i in range(cfg.n_samples)]
+        words = [tuple(SequenceGenerator(cfg.model, derive_seed(cfg.seed, 4, r, i))
+                       .take(cfg.k).tolist()) for i in range(cfg.n_samples)]
         js = [[j_set(cylinder_prob_exact(cfg.model, w), S) for S in cfg.sets] for w in words]
         need = max(required_prefix_length(cfg.k, J) for row in js for J in row)
         x_len = min(max(need, cfg.k), cfg.n_cap)
-        x = make_generator(cfg.model, derive_seed(cfg.seed, 3, r)).take(x_len).tolist()
+        x = SequenceGenerator(cfg.model, derive_seed(cfg.seed, 3, r)).take(x_len).tolist()
         counts = np.zeros((len(cfg.sets), cfg.n_samples), dtype=np.int64)
         trunc = np.zeros((len(cfg.sets), cfg.n_samples), dtype=bool)
         for i, (w, row) in enumerate(zip(words, js)):
@@ -347,8 +351,8 @@ class TestQuenched:
             counts, trunc = self._reference_counts(cfg, r)
             for si, sr in enumerate(rep.sets):
                 c, t = counts[si], trunc[si]
-                assert sr.histogram == fold_histogram(c[~t].tolist(), sr.j_max)
-                assert sr.truncated_histogram == fold_histogram(c[t].tolist(), sr.j_max)
+                assert sr.histogram == fold_histogram(c[~t], sr.j_max)
+                assert sr.truncated_histogram == fold_histogram(c[t], sr.j_max)
 
     def test_cf_word_past_int64_is_counted_over_the_clipped_stream(self, monkeypatch):
         from poissonlab import experiments
@@ -365,7 +369,7 @@ class TestQuenched:
                                 n_samples=100, n_cap=50))
         (sr,) = experiments._quenched_replica(cfg, 0).sets
         assert sr.n_used == 0 and sr.n_truncated == 100
-        assert sr.truncated_histogram == fold_histogram([2] * 100, sr.j_max)
+        assert sr.truncated_histogram == fold_histogram(np.full(100, 2), sr.j_max)
 
 
 def _de_bruijn(k):
@@ -405,8 +409,9 @@ class TestNegativeControls:
                       self.K)
         J = j_set(Fraction(1, 2**self.K), cfg.sets[0])
         assert J.ranges == ((1, 2**self.K),)
-        counts = OccurrenceIndex(x, self.K).count_in_ranges(words, J.ranges)
-        return _genericity_report(cfg, "quenched", [counts],
+        ranges = np.broadcast_to(np.array(J.ranges), (len(words), 1, 2))
+        counts = OccurrenceIndex(x, self.K).count_in_ranges(words, ranges)
+        return _genericity_report(cfg, [counts],
                                   [np.zeros(len(counts), dtype=bool)], 0), counts
 
     def test_de_bruijn_sequence_fails(self):
@@ -419,7 +424,7 @@ class TestNegativeControls:
         assert rep.sets[0].tv_set == pytest.approx(1 - np.exp(-1), abs=1e-12)
 
     def test_random_stream_of_the_same_length_passes(self):
-        x = make_generator(IidModel(probs=(Fraction(1, 2),) * 2), 2024).take(
+        x = SequenceGenerator(IidModel(probs=(Fraction(1, 2),) * 2), 2024).take(
             2**self.K + self.K - 1)
         rep, _ = self._report(x)
         assert rep.passed
@@ -439,7 +444,7 @@ class TestDraw:
         got = _draw(model, seeds, length)
         assert got.shape == (5, length)
         for row, seed in zip(got, seeds.tolist()):
-            assert np.array_equal(row, make_generator(model, seed).take(length))
+            assert np.array_equal(row, SequenceGenerator(model, seed).take(length))
 
     # rows that fit a chunk, rows longer than one, and chunks of one value
     @pytest.mark.parametrize("length,chunk", [(50, 120), (300, 64), (7, 1), (14, 1 << 16)])
@@ -452,11 +457,11 @@ class TestDraw:
         monkeypatch.setattr(experiments, "_DRAW_CHUNK", chunk)
         assert np.array_equal(_draw(model, seeds, length), whole)
         for row, seed in zip(whole, seeds.tolist()):
-            assert np.array_equal(row, make_generator(model, seed).take(length))
+            assert np.array_equal(row, SequenceGenerator(model, seed).take(length))
 
 
 def _cf_digit_matrix(n, k, seed):
-    return np.stack([make_generator(GaussCFModel(), derive_seed(seed, i)).take(k)
+    return np.stack([SequenceGenerator(GaussCFModel(), derive_seed(seed, i)).take(k)
                      for i in range(n)])
 
 
@@ -688,6 +693,15 @@ class TestCli:
         assert r.returncode == 0, r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("mode", ["oracle", "concentration"])
+    def test_second_target_set_is_exit_two(self, tmp_path, mode, capsys):
+        # both modes check one set; a second one was silently dropped
+        from poissonlab import cli
+
+        doc = _conc(mode=mode, sets=[[["0", "1", False, True]], [["2", "5", False, True]]])
+        assert cli.main([mode, "--config", self._write(tmp_path / "c.json", doc)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: $.sets: {mode} mode checks one")
+
     def test_huge_max_lag_is_exit_two(self, tmp_path):
         # a million exact matrix powers would take days
         cfg_path = self._write(tmp_path / "c.json",
@@ -775,3 +789,74 @@ class TestCli:
     def test_missing_file(self):
         r = self._run("annealed", "--config", "/nonexistent/x.json")
         assert r.returncode == 2
+
+
+_FUZZ_MODELS = [FAIR_SPEC, THREE_SPEC, MARKOV_SPEC, {"type": "iid", "tail_ratio": "1/2"},
+                {"type": "gauss_cf"}, DEGENERATE_IID, {"type": "iid"}]
+_ENDPOINTS = ["0", "1/4", "1/2", "1", "2", "3"]
+
+
+@st.composite
+def cli_documents(draw):
+    """Small documents for every mode: a runnable base with up to four keys
+    set to a valid or an invalid value, among them the removed ``strict``
+    key, too few samples and several target sets (which the oracle and
+    concentration modes refuse).  Streams stay short: the CF model always
+    has a small n_cap, and the finite models' default n_cap is at most
+    10 * 3 / (K rho^k)."""
+    mode = draw(st.sampled_from(["annealed", "quenched", "oracle", "concentration",
+                                 "mixing"]))
+    model = draw(st.sampled_from(_FUZZ_MODELS))
+    doc = {"mode": mode, "model": model, "k": draw(st.integers(1, 5)),
+           "n_samples": 200 if mode == "concentration" else 100}
+    if mode == "concentration":
+        doc["t_grid"] = [1.0]
+    if model["type"] == "gauss_cf":
+        doc["n_cap"] = draw(st.integers(1, 200))
+    interval = st.tuples(st.sampled_from(_ENDPOINTS), st.sampled_from(_ENDPOINTS),
+                         st.booleans(), st.booleans()).map(list)
+    optional = {
+        "k": st.sampled_from([0, 6]),
+        "sets": st.lists(st.lists(interval, max_size=2), max_size=3),
+        "n_samples": st.sampled_from([0, 99, 150, 250]),
+        "n_x_replicas": st.integers(0, 2),
+        "min_passing_replicas": st.integers(0, 3),
+        "n_cap": st.integers(-1, 300),
+        "seed": st.sampled_from([-1, 0, 2**64 - 1, 2**64]),
+        "tv_tolerance": st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        "strict": st.booleans(),
+        "t_grid": st.lists(st.sampled_from([-1.0, 0.5, 4.0]), max_size=2),
+        "functional": st.sampled_from(["phi1", "phi2", "phi3"]),
+        "j": st.integers(-1, 2),
+        "max_lag": st.integers(0, 20),
+        "truncations": st.lists(st.integers(0, 60), max_size=2),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(optional)), unique=True, max_size=4)):
+        doc[key] = draw(optional[key])
+    return doc
+
+
+@given(cli_documents())
+@settings(max_examples=200, deadline=None)
+def test_cli_documents_run_or_exit_two_without_a_traceback(doc):
+    from poissonlab import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        # an uncaught exception, the traceback case, fails the test here
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([doc["mode"], "--config", str(path), "--out", str(Path(tmp) / "out")])
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), code
+    if code in (0, 1):
+        assert "strict" not in doc
+        assert not (doc["mode"] in ("oracle", "concentration") and len(doc.get("sets", [])) > 1)
+        assert not (doc["mode"] in ("annealed", "quenched") and doc.get("n_samples", 1000) < 100)
+    elif code == 2:  # a run can warn about a low n_cap before it fails
+        assert err.splitlines()[-1].startswith("error: "), err
+        if "strict" in doc:
+            assert err == "error: $.strict: unknown field\n"
+    else:
+        assert err.splitlines()[-1].startswith("error: internal check failed"), err

@@ -14,12 +14,12 @@ from scipy import integrate
 
 from poissonlab.errors import UnsupportedModelError
 from poissonlab.measures import (GaussCFModel, IidModel, MarkovModel,
-                                 cf_continuants, contraction_profile,
-                                 cylinder_prob, cylinder_prob_exact,
-                                 gauss_cylinder_prob_high, make_generator,
+                                 SequenceGenerator, cf_continuants,
+                                 contraction_profile, cylinder_prob,
+                                 cylinder_prob_exact, gauss_cylinder_prob_high,
                                  markov_deviation_table, mixing_profile,
                                  model_from_spec, model_to_spec,
-                                 psi_mixing_profile, sample_word)
+                                 psi_mixing_profile)
 from poissonlab.rng import derive_seed, uniform_block
 
 FAIR = IidModel(probs=(Fraction(1, 2), Fraction(1, 2)))
@@ -45,7 +45,7 @@ class TestIidModel:
         assert cylinder_prob_exact(g, (0, 1)) == Fraction(1, 8)
 
     def test_generator_matches_law(self):
-        gen = make_generator(BIASED, 404)
+        gen = SequenceGenerator(BIASED, 404)
         x = gen.take(200000)
         freq0 = np.mean(x == 0)
         assert abs(freq0 - 0.75) < 0.01
@@ -82,7 +82,7 @@ class TestMarkovModel:
             assert b < a
 
     def test_generator_long_run_frequencies(self):
-        gen = make_generator(CHAIN, 11)
+        gen = SequenceGenerator(CHAIN, 11)
         x = gen.take(300000)
         assert abs(np.mean(x == 0) - 2 / 3) < 0.01
 
@@ -146,15 +146,16 @@ class TestCFSamplerAgainstOracle:
     def test_stream_equals_oracle(self, seed):
         n = 20000
         expected = _oracle_cf_digits(seed, n)
-        assert make_generator(GaussCFModel(), seed).take(n).tolist() == expected
-        gen = make_generator(GaussCFModel(), seed)
-        assert [gen.next() for _ in range(n)] == expected
+        assert SequenceGenerator(GaussCFModel(), seed).take(n).tolist() == expected
+        gen = SequenceGenerator(GaussCFModel(), seed)
+        assert np.concatenate([gen.take(1) for _ in range(n)]).tolist() == expected
 
     def test_words_equal_oracle(self):
         # words lie entirely in the first digits, where the two-ratio law holds
         for i in range(300):
             seed = derive_seed(4242, 1, i)
-            assert list(sample_word(GaussCFModel(), 8, seed)) == _oracle_cf_digits(seed, 8)
+            assert SequenceGenerator(GaussCFModel(), seed).take(8).tolist() \
+                == _oracle_cf_digits(seed, 8)
 
     def test_first_digit_boundaries(self):
         # first digit: tail(a) = log2((a+1)/a); uniforms one ulp either side
@@ -165,7 +166,7 @@ class TestCFSamplerAgainstOracle:
             us += [math.nextafter(u0, 0.0), u0, math.nextafter(u0, 1.0)]
         up = down = 0
         for u in us:
-            d = make_generator(GaussCFModel(), 0)._gauss_digits([u])[0]
+            d = SequenceGenerator(GaussCFModel(), 0)._gauss_digits([u])[0]
             assert d == _OracleCF().digit(u)
             # the closed-form start of the settle, with s = 0 and delta = 1
             start = max(3, math.ceil(1.0 / math.expm1((1.0 - u) * math.log1p(1.0))))
@@ -175,7 +176,7 @@ class TestCFSamplerAgainstOracle:
         # a = 2..50 alone only ever settles down; the first upward settles
         # are near a = 230, 668 and 915
         assert up > 0 and down > 0
-        top = make_generator(GaussCFModel(), 0)._gauss_digits([1.0 - 2.0**-53])[0]
+        top = SequenceGenerator(GaussCFModel(), 0)._gauss_digits([1.0 - 2.0**-53])[0]
         assert 2**53 < top < GaussCFModel.DIGIT_CAP
 
     def test_deep_digits_follow_the_float_rule(self):
@@ -183,7 +184,7 @@ class TestCFSamplerAgainstOracle:
         # (1+s)/(a+s) <= 1-u) - 1, compared in float; uniforms one ulp either
         # side of each boundary and on it.  The inverse is rarely off here:
         # in this state it settles up near a = 658 and 1202, down near 7 and 14
-        gen = make_generator(GaussCFModel(), 1)
+        gen = SequenceGenerator(GaussCFModel(), 1)
         gen.take(60)
         s, delta = gen._s, gen._delta
         assert abs(delta) < 1e-17
@@ -243,7 +244,7 @@ class TestGaussModel:
         assert float(hp) == pytest.approx(cylinder_prob(g, (1, 2)), rel=1e-13)
 
     def test_digit_frequencies_follow_the_measure(self):
-        gen = make_generator(GaussCFModel(), 2024)
+        gen = SequenceGenerator(GaussCFModel(), 2024)
         x = gen.take(100000)
         assert np.all(x >= 1)
         freq1 = np.mean(x == 1)
@@ -254,10 +255,10 @@ class TestGaussModel:
     def test_float_state_tracks_exact_continuants(self):
         # s = q_{n-1}/q_n and delta = (p_{n-1}+q_{n-1})/(p_n+q_n) - s of the
         # digits emitted so far; delta is only used while |delta| >= 1e-17
-        gen = make_generator(GaussCFModel(), 5)
+        gen = SequenceGenerator(GaussCFModel(), 5)
         digits = []
         for _ in range(400):
-            digits.append(gen.next())
+            digits.extend(gen.take(1).tolist())
             p, q, pp, qq = cf_continuants(digits)
             s = Fraction(qq, q)
             assert abs(gen._s - s) <= 1e-15 * s
@@ -270,44 +271,44 @@ class TestGaussModel:
 class TestGenerators:
     def test_determinism_per_seed(self):
         for model in (FAIR, CHAIN, GaussCFModel()):
-            a = make_generator(model, 123).take(500)
-            b = make_generator(model, 123).take(500)
+            a = SequenceGenerator(model, 123).take(500)
+            b = SequenceGenerator(model, 123).take(500)
             assert np.array_equal(a, b)
-            c = make_generator(model, 124).take(500)
+            c = SequenceGenerator(model, 124).take(500)
             assert not np.array_equal(a, c)
 
     def test_take_is_chunk_invariant(self):
         for model in (FAIR, BIASED, CHAIN, GaussCFModel()):
-            whole = make_generator(model, 7).take(100)
-            gen = make_generator(model, 7)
+            whole = SequenceGenerator(model, 7).take(100)
+            gen = SequenceGenerator(model, 7)
             parts = np.concatenate([gen.take(30), gen.take(50), gen.take(20)])
             assert np.array_equal(whole, parts)
 
     # a block of 7 uniforms makes take() cross its block boundaries, also
     # while the first ~20 digits still use the two-ratio law
     @pytest.mark.parametrize("block", [None, 7])
-    def test_cf_take_equals_next_calls(self, block, monkeypatch):
+    def test_cf_take_equals_single_takes(self, block, monkeypatch):
         from poissonlab import measures
         if block is not None:
             monkeypatch.setattr(measures, "_UNIFORM_BLOCK", block)
-        bulk = make_generator(GaussCFModel(), 2718)
-        scalar = make_generator(GaussCFModel(), 2718)
+        bulk = SequenceGenerator(GaussCFModel(), 2718)
+        scalar = SequenceGenerator(GaussCFModel(), 2718)
         taken = np.concatenate([bulk.take(11), bulk.take(289)])
-        stepped = [scalar.next() for _ in range(300)]
+        stepped = np.concatenate([scalar.take(1) for _ in range(300)]).tolist()
         assert taken.tolist() == stepped == _oracle_cf_digits(2718, 300)
         assert bulk.emitted == scalar.emitted == 300
         assert (bulk._s, bulk._delta) == (scalar._s, scalar._delta)
 
     # a block of 7 uniforms makes take() cross its block boundaries
     @pytest.mark.parametrize("block", [None, 7])
-    def test_markov_take_equals_next_calls(self, block, monkeypatch):
+    def test_markov_take_equals_single_takes(self, block, monkeypatch):
         from poissonlab import measures
         if block is not None:
             monkeypatch.setattr(measures, "_UNIFORM_BLOCK", block)
-        bulk = make_generator(CHAIN, 31)
-        scalar = make_generator(CHAIN, 31)
+        bulk = SequenceGenerator(CHAIN, 31)
+        scalar = SequenceGenerator(CHAIN, 31)
         taken = np.concatenate([bulk.take(20), bulk.take(45)])
-        assert taken.tolist() == [scalar.next() for _ in range(65)]
+        assert taken.tolist() == np.concatenate([scalar.take(1) for _ in range(65)]).tolist()
         assert bulk.emitted == scalar.emitted == 65
 
     # below 1/2 a cumulative value can have bits under 2**-53 (1/3, 1/10)
@@ -329,11 +330,6 @@ class TestGenerators:
         got = model.symbols(raw, np.empty(len(raw), dtype=np.int64))
         assert got.tolist() == expected
         assert got.max() < len(probs) - (probs[-1] == "0")
-
-    def test_sample_word_is_prefix_of_stream(self):
-        w = sample_word(FAIR, 6, 999)
-        x = make_generator(FAIR, 999).take(6)
-        assert w == tuple(int(v) for v in x)
 
 
 class TestProfiles:
@@ -374,13 +370,16 @@ class TestProfiles:
 
     def test_psi_profile_gauss_is_assumed(self):
         prof = psi_mixing_profile(GaussCFModel())
-        assert prof.tags["T"] == "ASSUMED"
+        assert dict(prof.provenance)["T"] == "ASSUMED"
         assert prof.sigma < 1
 
     def test_merged_profile_has_all_constants(self):
         prof = mixing_profile(CHAIN)
         for name in ("T", "sigma", "rho", "K", "R"):
             assert getattr(prof, name) is not None
+        # the sorted union of the contraction and psi-mixing tags
+        assert prof.provenance == (("K", "EXACT"), ("R", "ESTIMATED"), ("T", "ESTIMATED"),
+                                   ("rho", "EXACT"), ("sigma", "DERIVED"))
 
 
 def test_model_spec_roundtrip():

@@ -13,8 +13,8 @@ import pytest
 
 from poissonlab.errors import ConfigError, UnsupportedModelError
 from poissonlab.measures import (GaussCFModel, IidModel, MarkovModel,
-                                 MixingProfile, make_generator, mixing_profile,
-                                 model_to_spec, psi_mixing_profile)
+                                 MixingProfile, SequenceGenerator, cylinder_prob,
+                                 mixing_profile, model_to_spec, psi_mixing_profile)
 from poissonlab.experiments import parse_config, run_concentration
 from poissonlab.mixing_concentration import (OccurrenceIndex, delta_matrix, delta_norm,
                                              delta_norm_bound,
@@ -44,7 +44,7 @@ def _generated(model, seeds, per_matrix=None):
     """``streams`` for the functionals: one row per seed, from the model's
     generator, ``per_matrix`` rows to a matrix (all in one by default)."""
     def streams(length):
-        rows = [make_generator(model, sd).take(length) for sd in seeds]
+        rows = [SequenceGenerator(model, sd).take(length) for sd in seeds]
         step = per_matrix or len(rows)
         return [np.stack(rows[lo: lo + step]) for lo in range(0, len(rows), step)]
     return streams
@@ -224,8 +224,10 @@ class TestOccurrenceIndex:
         idx = OccurrenceIndex(x, 2)
         assert idx.positions((1, 1)).tolist() == [2, 5, 6]
         assert idx.positions((0, 0)).tolist() == []
-        assert idx.count_in_ranges((1, 1), [(1, 5)]) == 2
-        assert idx.count_in_ranges((1, 1), [(1, 2), (6, 8)]) == 2
+        assert idx.count_in_ranges(np.array([[1, 1]]), np.array([[(1, 5)]])).tolist() == [2]
+        assert idx.count_in_ranges(np.array([[1, 1], [1, 1]]),
+                                   np.array([[(1, 2), (6, 8)], [(3, 5), (1, 0)]])).tolist() \
+            == [2, 1]
 
     def test_hash_mode_matches_brute_scan(self):
         rng = np.random.default_rng(17)
@@ -269,9 +271,10 @@ class TestOccurrenceIndex:
                   [(1, 10), (30, 31), (50, 90)], [(-4, 2), (60, 59)], [])
         for ranges in shared:
             expected = [self._literal(x, k, w, ranges) for w in words]
-            got = idx.count_in_ranges(words, ranges)
+            per_row = np.broadcast_to(np.array(ranges, dtype=np.int64).reshape(-1, 2),
+                                      (len(words), len(ranges), 2))
+            got = idx.count_in_ranges(words, per_row)
             assert got.dtype == np.int64 and got.tolist() == expected
-            assert [idx.count_in_ranges(tuple(w), ranges) for w in words[:5]] == expected[:5]
         # per-word ranges, (n, m, 2): random pairs, some empty (b < a), and
         # rows padded with the empty range (1, 0) as the drivers pad them
         lo = rng.integers(-5, n_win + 5, size=(len(words), 3))
@@ -285,7 +288,8 @@ class TestOccurrenceIndex:
         for w in words[:10]:
             brute = [p + 1 for p in range(n_win) if x[p: p + k].tolist() == w.tolist()]
             assert idx.positions(w).tolist() == brute
-        assert idx.count_in_ranges(np.zeros((0, k), dtype=np.int64), [(1, 5)]).tolist() == []
+        assert idx.count_in_ranges(np.zeros((0, k), dtype=np.int64),
+                                   np.zeros((0, 1, 2), dtype=np.int64)).tolist() == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -293,8 +297,13 @@ class TestOccurrenceIndex:
         idx = OccurrenceIndex(np.array([0, 1, 0]), 2)
         with pytest.raises(ValueError):
             idx.positions((0, 1, 0))
-        with pytest.raises(ValueError):
-            idx.count_in_ranges(np.zeros((4, 3), dtype=np.int64), [(1, 2)])
+        one, four = np.ones((1, 1, 2), dtype=np.int64), np.ones((4, 1, 2), dtype=np.int64)
+        for words, ranges in ((np.zeros((4, 3), dtype=np.int64), four),  # k = 3, not 2
+                              (np.zeros(2, dtype=np.int64), one),        # one word, 1-D
+                              (np.zeros((4, 2), dtype=np.int64), one),   # shared ranges
+                              (np.zeros((4, 2), dtype=np.int64), four[:, 0])):
+            with pytest.raises(ValueError):
+                idx.count_in_ranges(words, ranges)
 
 
 class TestPhiScan:
@@ -320,6 +329,23 @@ class TestPhiScan:
     def test_cap_validation(self):
         with pytest.raises(ConfigError):
             phi_k_S(FAIR, _tiled((0, 1)), 3, UNIT, 2)
+
+    def test_cf_window_measures_equal_cylinder_prob(self):
+        # the CF stream is checked once, then each window goes straight to
+        # gauss_cylinder_prob: the logs must be those of the checked
+        # per-window cylinder_prob, also for digits past 2**26 and 2**53
+        from poissonlab.mixing_concentration import _window_log_mu
+
+        x = SequenceGenerator(GaussCFModel(), 77).take(300)
+        x[[5, 50, 51, 120, 299]] = [2**26 + 3, 2**53 + 1, 7, 2**62, 2**63 - 1]
+        for k in (1, 3, 5):
+            got = _window_log_mu(GaussCFModel(), k)(x)
+            want = [math.log(cylinder_prob(GaussCFModel(), x[i: i + k].tolist()))
+                    for i in range(len(x) - k + 1)]
+            assert got.tobytes() == np.array(want).tobytes()
+        for bad in (0, -3):
+            with pytest.raises(ValueError):
+                _window_log_mu(GaussCFModel(), 2)(np.array([1, 2, bad, 4]))
 
     def test_random_stream_fair_value_is_set_size(self):
         # uniform measure: the scan telescopes to |S| once complete, up to
@@ -393,7 +419,7 @@ TWO_INTERVALS = IntervalUnion.from_spec([(0, Fraction(1, 4), False, True),
 @pytest.fixture(scope="module")
 def scan_rows():
     """Four generated streams per model, long enough for every n_cap below."""
-    return {name: np.stack([make_generator(model, sd).take(40010)
+    return {name: np.stack([SequenceGenerator(model, sd).take(40010)
                             for sd in (3, 14, 15, 92)])
             for name, model in SCAN_MODELS.items()}
 

@@ -285,7 +285,7 @@ class TestTvDecayFamily:
             jm = max(dist)
             ref = poisson_reference(lam, jm)
             emp = {j: float(p) for j, p in dist.items()}
-            tvs.append(tv_distance(emp, ref, check_normalization=False))
+            tvs.append(tv_distance(emp, ref))
         assert tvs[0] > tvs[1] > tvs[2]
         assert tvs[2] < 2e-3
 

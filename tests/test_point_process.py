@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from poissonlab import point_process
 from poissonlab.errors import ResourceError
-from poissonlab.measures import (GaussCFModel, cylinder_prob,
-                                 gauss_cylinder_prob_high, sample_word)
+from poissonlab.measures import (GaussCFModel, SequenceGenerator, cylinder_prob,
+                                 gauss_cylinder_prob_high)
 from poissonlab.point_process import (IntervalUnion, count_word_occurrences,
                                       j_set, required_prefix_length,
                                       unit_interval)
@@ -203,7 +203,7 @@ class TestJSet:
                 (mu, S.label())
         model = GaussCFModel()
         for i in range(2000):
-            w = sample_word(model, 8, derive_seed(2025, i))
+            w = tuple(SequenceGenerator(model, derive_seed(2025, i)).take(8).tolist())
             J = j_set(cylinder_prob(model, w), unit_interval(),
                       lambda dps, w=w: gauss_cylinder_prob_high(w, dps))
             with mpmath.workdps(60):
@@ -256,11 +256,12 @@ class TestJSet:
 
 class TestCounting:
     def test_count_word_occurrences_basic(self):
-        x = np.array([0, 1, 0, 1, 1, 0, 1], dtype=np.int64)
-        assert count_word_occurrences(x, (0, 1), [(1, 6)]) == 3
-        assert count_word_occurrences(x, (0, 1), [(2, 3)]) == 1
-        assert count_word_occurrences(x, (1, 1), [(1, 6)]) == 1
-        assert count_word_occurrences(x, (0, 1), [(1, 2), (5, 6)]) == 2
+        x = np.array([[0, 1, 0, 1, 1, 0, 1]], dtype=np.int64)
+        w01, w11 = np.array([[0, 1]]), np.array([[1, 1]])
+        assert count_word_occurrences(x, w01, [(1, 6)]).tolist() == [3]
+        assert count_word_occurrences(x, w01, [(2, 3)]).tolist() == [1]
+        assert count_word_occurrences(x, w11, [(1, 6)]).tolist() == [1]
+        assert count_word_occurrences(x, w01, [(1, 2), (5, 6)]).tolist() == [2]
 
     def test_count_word_occurrences_rows(self):
         # each row is scanned for its own word

@@ -458,13 +458,10 @@ def annealed_exact_expectation(model: Model, k: int, S: IntervalUnion) -> Fracti
 
 def log_n_over_n_bound(k: int, S: IntervalUnion, profile: MixingProfile) -> float | None:
     """Majorant ln(y)/y with y = |S|/(2 K rho^k); None when y < 3 (k too
-    small for the majorant to be monotone)."""
+    small for the majorant to be monotone, or S of zero length)."""
     if profile.K is None or profile.rho is None:
         raise ValueError("profile must carry contraction constants")
-    size = float(S.total_length)
-    if size <= 0:
-        raise ValueError("S must have positive total length")
-    y = size / (2.0 * profile.K * profile.rho**k)
+    y = float(S.total_length) / (2.0 * profile.K * profile.rho**k)
     if y < 3.0:
         return None
     return math.log(y) / y

@@ -498,6 +498,14 @@ class TestOracleMode:
         assert statuses["scan_length_majorant"] == "SKIP"
         assert rep.passed
 
+    @pytest.mark.parametrize("S", [[], [["1/5", "1/5", True, True]]])
+    def test_zero_length_set_skips_the_majorant(self, S):
+        cfg = parse_config(_doc(mode="oracle", k=1, n_samples=100, sets=[S]))
+        rep = run_oracle_suite(cfg)
+        statuses = {row.name: row.status for row in rep.rows}
+        assert statuses["scan_length_majorant"] == "SKIP"
+        assert rep.passed
+
     def test_gauss_suite_skips_rational_only_rows(self):
         cfg = parse_config(_doc(mode="oracle", model={"type": "gauss_cf"}))
         rep = run_oracle_suite(cfg)

@@ -350,6 +350,11 @@ class TestScanMajorant:
         assert log_n_over_n_bound(20, UNIT, prof) == pytest.approx(2.512e-5, rel=1e-3)
         assert log_n_over_n_bound(1, UNIT, prof) is None
 
+    def test_zero_length_set_has_no_majorant(self):
+        prof = mixing_profile(FAIR)
+        for spec in ([], [(Fraction(1, 5), Fraction(1, 5), True, True)]):
+            assert log_n_over_n_bound(30, IntervalUnion.from_spec(spec), prof) is None
+
     def test_monotone_once_defined(self):
         prof = mixing_profile(FAIR)
         vals = [log_n_over_n_bound(k, UNIT, prof) for k in range(1, 25)]

@@ -203,8 +203,20 @@ def brute_force_distribution(model: Model, w: Sequence[int],
     window counts and its statistics are built once; each high part then
     adds its own constants, the straddling windows it completes and the
     one transition across the split, and the prefixes are grouped with
-    ``np.unique``.  Guards: L <= 26 and alphabet^L <= 2^26;
-    finite-alphabet rational models only.
+    ``np.unique``.
+
+    A prefix's key is ``stat * (j_cap + 1) + j`` for an i.i.d. model and
+    ``(stat * s + first) * (j_cap + 1) + j`` for a chain, with j its count
+    over the ``j_cap`` positions of J, ``first`` its first symbol and
+    ``stat`` a mixed-radix number with one base-(L + 1) digit per symbol
+    count, or per transition count (a, c) at place a * s + c.  The low
+    block's ``stat`` is scaled to its place once per call; a high part
+    then makes one add of it and the window counts, and one add of a
+    constant per leading digit of the low block, which holds the high
+    part's own statistic, its first symbol and the transition across the
+    split.  Keys are int32 when every key is below 2^31, else int64.
+    Guards: L <= 26 and alphabet^L <= 2^26; finite-alphabet rational
+    models only.
     """
     w = as_word(w)
     k = len(w)
@@ -226,10 +238,13 @@ def brute_force_distribution(model: Model, w: Sequence[int],
     j_cap = len(starts)
     uniform = isinstance(model, IidModel) and len(set(model.probs)) == 1
     markov = isinstance(model, MarkovModel)
+    kdt = np.int64  # bincount casts its input to int64, so the uniform counts stay int64
     if not uniform:
         key_range = (L + 1) ** (s * s) * s if markov else (L + 1) ** s
         if key_range * (j_cap + 1) >= 1 << 63:
             raise ResourceError("enumeration key would overflow; reduce L or s")
+        if key_range * (j_cap + 1) < 1 << 31:
+            kdt = np.int32
 
     b = 0
     while b < L and s ** (b + 1) <= _BLOCK_CODES:
@@ -238,7 +253,7 @@ def brute_force_distribution(model: Model, w: Sequence[int],
     # low block c holds at its position q the q-th most significant base-s
     # digit of c: the blocks spelling w from q are the column code(w) of the
     # (s^q, s^k, rest) view, and those spelling a tail of w from 0 one slice
-    counts_low = np.zeros(s**b, dtype=np.int64)
+    counts_low = np.zeros(s**b, dtype=kdt)
     high_windows = []  # (f, slice of the blocks spelling w[h - f:])
     for f in (int(i) - 1 for i in starts):
         if f >= h:
@@ -251,23 +266,28 @@ def brute_force_distribution(model: Model, w: Sequence[int],
             code = _code(tail, s)
             high_windows.append((f, slice(code * width, (code + 1) * width)))
 
-    # sufficient statistic as a mixed-radix key, one digit (base L + 1) per
-    # symbol or per transition (a, c) at place a * s + c; the low block's
-    # keys are built by prepending one position at a time to the keys of
-    # the positions after it
+    # the low block's statistic is built by prepending one position at a time
+    # to the statistics of the positions after it, then scaled to its place
+    step = j_cap + 1
     if markov:
         weights = np.array([[(L + 1) ** (a * s + c) for c in range(s)]
-                            for a in range(s)], dtype=np.int64)
-        key_low = np.zeros(s ** min(b, 1), dtype=np.int64)
+                            for a in range(s)], dtype=kdt)
+        key_low = np.zeros(s ** min(b, 1), dtype=kdt)
         for _ in range(b - 1):
             key_low = (weights[:, :, None] + key_low.reshape(s, -1)).ravel()
+        key_low *= s * step
+        key = np.empty_like(key_low)
+        # one row of keys per leading digit of the low block; without a low
+        # block the single prefix is one row
+        rows = key.reshape(s, -1) if b else key[None]
     elif not uniform:
-        weights = np.array([(L + 1) ** a for a in range(s)], dtype=np.int64)
-        key_low = np.zeros(1, dtype=np.int64)
+        weights = np.array([(L + 1) ** a for a in range(s)], dtype=kdt)
+        key_low = np.zeros(1, dtype=kdt)
         for _ in range(b):
             key_low = (weights[:, None] + key_low).ravel()
+        key_low *= step
+        key = np.empty_like(key_low)
 
-    first_low = np.repeat(np.arange(s), s ** (b - 1)) if b else None  # leading digits
     agg: dict[int, int] = {}
     for high in itertools.product(range(s), repeat=h):
         counts = counts_low
@@ -277,20 +297,18 @@ def brute_force_distribution(model: Model, w: Sequence[int],
                     counts = counts_low.copy()
                 counts[hits] += 1
         if uniform:
-            freqs = np.bincount(counts, minlength=j_cap + 1)
+            freqs = np.bincount(counts, minlength=step)
             for v in np.flatnonzero(freqs):
                 agg[int(v)] = agg.get(int(v), 0) + int(freqs[v])
             continue
+        np.add(key_low, counts, out=key)
         if markov:
-            key = key_low + sum(int(weights[a, c]) for a, c in zip(high, high[1:]))
-            if h and b:
-                key += weights[high[-1]][first_low]
-            key *= s
-            key += high[0] if h else first_low
+            inner = sum(int(weights[a, c]) for a, c in zip(high, high[1:]))
+            for a, row in enumerate(rows):
+                cross = int(weights[high[-1], a]) if h and b else 0
+                row += ((inner + cross) * s + (high[0] if h else a)) * step
         else:
-            key = key_low + sum(int(weights[a]) for a in high)
-        key *= j_cap + 1
-        key += counts
+            key += sum(int(weights[a]) for a in high) * step
         vals, freqs = np.unique(key, return_counts=True)
         for v, f in zip(vals.tolist(), freqs.tolist()):
             agg[v] = agg.get(v, 0) + f

@@ -38,6 +38,9 @@ BIASED_SPEC = {"type": "iid", "probs": ["3/4", "1/4"]}
 THREE_SPEC = {"type": "iid", "probs": ["1/2", "1/3", "1/6"]}
 MARKOV_SPEC = {"type": "markov",
                "transition": [["9/10", "1/10"], ["1/5", "4/5"]]}
+CHAIN3_SPEC = {"type": "markov", "transition": [["1/2", "1/4", "1/4"],
+                                                ["1/3", "1/3", "1/3"],
+                                                ["1/6", "1/2", "1/3"]]}
 GRID_MODELS = {"fair": FAIR_SPEC, "three": THREE_SPEC,
                "tail": {"type": "iid", "tail_ratio": "1/2"}, "markov": MARKOV_SPEC,
                "gauss": {"type": "gauss_cf"}}
@@ -84,6 +87,7 @@ class TestParseConfig:
         (_doc(sets=[[["0", "1", False, True]], [["2", "1", False, True]]]),
          "$.sets[1]"),
         (_doc(sets=[]), "$.sets"),
+        (_doc(mode="oracle", sets=[]), "$.sets"),
         (_doc(tv_tolerance=0.0), "$.tv_tolerance"),
         (_doc(tv_tolerance=1.5), "$.tv_tolerance"),
         (_doc(n_x_replicas=2, min_passing_replicas=3),
@@ -505,6 +509,14 @@ class TestOracleMode:
         statuses = {row.name: row.status for row in rep.rows}
         assert statuses["scan_length_majorant"] == "SKIP"
         assert rep.passed
+
+    @pytest.mark.parametrize("model", [THREE_SPEC, CHAIN3_SPEC], ids=["three", "chain3"])
+    def test_variance_row_checks_the_words_within_the_guard(self, model):
+        # some words of these models need more than 2^26 prefixes: the row
+        # skips those words, not the whole check
+        rep = run_oracle_suite(parse_config(_doc(mode="oracle", model=model)))
+        row = {r.name: r for r in rep.rows}["variance_dual_path"]
+        assert row.status == "PASS", row.detail
 
     def test_gauss_suite_skips_rational_only_rows(self):
         cfg = parse_config(_doc(mode="oracle", model={"type": "gauss_cf"}))

@@ -6,6 +6,7 @@ prefixes of the required length and is therefore exact, not sampled.
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,9 @@ CHAIN = MarkovModel(transition=((Fraction(9, 10), Fraction(1, 10)),
 THIRD = IidModel(probs=(Fraction(1, 3), Fraction(2, 3)))
 TRIPLE = IidModel(probs=(Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)))
 THREE = IidModel(probs=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+CHAIN3 = MarkovModel(transition=((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+                                 (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
+                                 (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))))
 UNIT = unit_interval()
 HALF = IntervalUnion.from_spec([(0, Fraction(1, 2), False, True)])
 
@@ -232,6 +236,34 @@ class TestEnumerationAgainstLiteralScan:
                         == _literal_distribution(model, w, S), (w, S.label())
                     checked += 1
         assert checked >= 10
+
+    # a 3-state chain's key has nine base-(L + 1) digits, so these laws'
+    # keys pass 2^31 and are int64; a block of 8 prefixes puts the leading
+    # digit's constants across the split
+    @pytest.mark.parametrize("block", [None, 8])
+    @pytest.mark.parametrize("w", [(1, 2), (2, 1)])
+    def test_wide_keys_match_literal_scan(self, w, block, monkeypatch):
+        J = j_set(cylinder_prob_exact(CHAIN3, w), UNIT)
+        L = required_prefix_length(len(w), J)
+        assert (L + 1) ** 9 * 3 * (J.count + 1) >= 1 << 31
+        if block is not None:
+            monkeypatch.setattr(oracles, "_BLOCK_CODES", block)
+        assert brute_force_distribution(CHAIN3, w, UNIT) \
+            == _literal_distribution(CHAIN3, w, UNIT)
+
+
+class TestEnumerationMemory:
+    def test_traced_peak_stays_small(self):
+        # numpy reports its buffers to tracemalloc: int32 keys in one reused
+        # buffer keep this L = 21 law near 23 MB, where int64 keys rebuilt
+        # per high part reach 52 MB
+        tracemalloc.start()
+        try:
+            brute_force_distribution(CHAIN, (0, 0, 0, 1), UNIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 36e6
 
 
 class TestEnumerationBlockSplit:

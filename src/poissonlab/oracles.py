@@ -103,11 +103,6 @@ class VarianceBreakdown:
     variance: float
     j_count: int
 
-    def __post_init__(self):
-        second = self.e1 + self.e2 + self.e3
-        if abs(self.variance - (second - self.expectation**2)) > 1e-10 * max(1.0, second):
-            raise ValueError("inconsistent decomposition")
-
 
 def exact_variance(model: Model, w: Sequence[int], S: IntervalUnion) -> VarianceBreakdown:
     """Exact variance of the count over J via per-lag pair counting.
@@ -202,25 +197,28 @@ def brute_force_distribution(model: Model, w: Sequence[int],
     spells its tail in one contiguous slice of it.  The low block's inner
     window counts and its statistics are built once; each high part then
     adds its own constants, the straddling windows it completes and the
-    one transition across the split, and the prefixes are grouped with
+    one pair across the split, and the prefixes are grouped with
     ``np.unique``.
 
-    A prefix's key is ``stat * (j_cap + 1) + j`` for an i.i.d. model and
-    ``(stat * s + first) * (j_cap + 1) + j`` for a chain, with j its count
-    over the ``j_cap`` positions of J, ``first`` its first symbol and
-    ``stat`` a mixed-radix number with one base-(L + 1) digit per symbol
-    count, or per transition count (a, c) at place a * s + c.  The low
-    block's ``stat`` is scaled to its place once per call; a high part
-    then makes one add of it and the window counts, and one add of a
-    constant per leading digit of the low block, which holds the high
-    part's own statistic, its first symbol and the transition across the
-    split.  Keys are int32 when every key is below 2^31, else int64.
+    A prefix's key is ``stat * (j_cap + 1) + j``, with j its count over
+    the ``j_cap`` positions of J and ``stat`` the sum of ``lead[first]``
+    over its first symbol and ``pair[a][c]`` over its adjacent pairs
+    (a, c).  For an i.i.d. model ``pair[a][c] = (L + 1)^c`` and
+    ``lead[a] = (L + 1)^a``, so ``stat`` has one base-(L + 1) digit per
+    symbol count; for a chain ``pair[a][c] = s * (L + 1)^(a * s + c)`` and
+    ``lead[a] = a``, so ``stat`` is the first symbol plus s times one
+    base-(L + 1) digit per transition count.  The low block's ``stat`` is
+    scaled to its place once per call; a high part then makes one add of
+    it and the window counts, and one add of a constant per leading digit
+    of the low block, which holds the high part's own pairs, its first
+    symbol and the pair across the split.  Keys are int32 when every key
+    is below 2^31, else int64.
     Guards: L <= 26 and alphabet^L <= 2^26; finite-alphabet rational
     models only.
     """
     w = as_word(w)
     k = len(w)
-    if isinstance(model, GaussCFModel) or model.alphabet_size is None:
+    if model.alphabet_size is None:
         raise UnsupportedModelError("enumeration needs a finite alphabet")
     s = model.alphabet_size
     mu = cylinder_prob_exact(model, w)
@@ -236,15 +234,20 @@ def brute_force_distribution(model: Model, w: Sequence[int],
         raise ResourceError(f"{s}**{L} prefixes exceed guard {PREFIX_STATES_GUARD}")
     starts = J.indices()
     j_cap = len(starts)
-    uniform = isinstance(model, IidModel) and len(set(model.probs)) == 1
     markov = isinstance(model, MarkovModel)
-    kdt = np.int64  # bincount casts its input to int64, so the uniform counts stay int64
-    if not uniform:
-        key_range = (L + 1) ** (s * s) * s if markov else (L + 1) ** s
-        if key_range * (j_cap + 1) >= 1 << 63:
-            raise ResourceError("enumeration key would overflow; reduce L or s")
-        if key_range * (j_cap + 1) < 1 << 31:
-            kdt = np.int32
+    # pair[a][c]: what an adjacent pair (a, c) adds to a prefix's statistic;
+    # lead[a]: what its first symbol a adds
+    if markov:
+        pair = [[s * (L + 1) ** (a * s + c) for c in range(s)] for a in range(s)]
+        lead = list(range(s))
+        key_range = (L + 1) ** (s * s) * s
+    else:
+        pair = [[(L + 1) ** c for c in range(s)] for _ in range(s)]
+        lead = [(L + 1) ** a for a in range(s)]
+        key_range = (L + 1) ** s
+    if key_range * (j_cap + 1) >= 1 << 63:
+        raise ResourceError("enumeration key would overflow; reduce L or s")
+    kdt = np.int32 if key_range * (j_cap + 1) < 1 << 31 else np.int64
 
     b = 0
     while b < L and s ** (b + 1) <= _BLOCK_CODES:
@@ -269,24 +272,15 @@ def brute_force_distribution(model: Model, w: Sequence[int],
     # the low block's statistic is built by prepending one position at a time
     # to the statistics of the positions after it, then scaled to its place
     step = j_cap + 1
-    if markov:
-        weights = np.array([[(L + 1) ** (a * s + c) for c in range(s)]
-                            for a in range(s)], dtype=kdt)
-        key_low = np.zeros(s ** min(b, 1), dtype=kdt)
-        for _ in range(b - 1):
-            key_low = (weights[:, :, None] + key_low.reshape(s, -1)).ravel()
-        key_low *= s * step
-        key = np.empty_like(key_low)
-        # one row of keys per leading digit of the low block; without a low
-        # block the single prefix is one row
-        rows = key.reshape(s, -1) if b else key[None]
-    elif not uniform:
-        weights = np.array([(L + 1) ** a for a in range(s)], dtype=kdt)
-        key_low = np.zeros(1, dtype=kdt)
-        for _ in range(b):
-            key_low = (weights[:, None] + key_low).ravel()
-        key_low *= step
-        key = np.empty_like(key_low)
+    weights = np.array(pair, dtype=kdt)
+    key_low = np.zeros(s ** min(b, 1), dtype=kdt)
+    for _ in range(b - 1):
+        key_low = (weights[:, :, None] + key_low.reshape(s, -1)).ravel()
+    key_low *= step
+    key = np.empty_like(key_low)
+    # one row of keys per leading digit of the low block; without a low
+    # block the single prefix is one row
+    rows = key.reshape(s, -1) if b else key[None]
 
     agg: dict[int, int] = {}
     for high in itertools.product(range(s), repeat=h):
@@ -296,48 +290,37 @@ def brute_force_distribution(model: Model, w: Sequence[int],
                 if counts is counts_low:
                     counts = counts_low.copy()
                 counts[hits] += 1
-        if uniform:
-            freqs = np.bincount(counts, minlength=step)
-            for v in np.flatnonzero(freqs):
-                agg[int(v)] = agg.get(int(v), 0) + int(freqs[v])
-            continue
         np.add(key_low, counts, out=key)
-        if markov:
-            inner = sum(int(weights[a, c]) for a, c in zip(high, high[1:]))
-            for a, row in enumerate(rows):
-                cross = int(weights[high[-1], a]) if h and b else 0
-                row += ((inner + cross) * s + (high[0] if h else a)) * step
-        else:
-            key += sum(int(weights[a]) for a in high) * step
+        inner = sum(pair[a][c] for a, c in zip(high, high[1:]))
+        for a, row in enumerate(rows):
+            cross = pair[high[-1]][a] if h and b else 0
+            row += (inner + cross + lead[high[0] if h else a]) * step
         vals, freqs = np.unique(key, return_counts=True)
         for v, f in zip(vals.tolist(), freqs.tolist()):
             agg[v] = agg.get(v, 0) + f
 
-    if uniform:
-        dist = {j: f * model.probs[0] ** L for j, f in agg.items()}
+    # integer weights over one common denominator: each probability is
+    # scaled by the lcm of the denominators of its kind
+    if markov:
+        probs = [model.transition[a][c] for a in range(s) for c in range(s)]
+        head_scale = math.lcm(*(p.denominator for p in model.pi))
+        heads = [int(p * head_scale) for p in model.pi]
     else:
-        # integer weights over one common denominator: each probability is
-        # scaled by the lcm of the denominators of its kind
+        probs = [model.symbol_prob(a) for a in range(s)]
+    scale = math.lcm(*(p.denominator for p in probs))
+    powers = [[int(p * scale) ** n for n in range(L + 1)] for p in probs]
+    totals: dict[int, int] = {}
+    for combined, f in agg.items():
+        key, j = divmod(combined, j_cap + 1)
         if markov:
-            probs = [model.transition[a][c] for a in range(s) for c in range(s)]
-            head_scale = math.lcm(*(p.denominator for p in model.pi))
-            heads = [int(p * head_scale) for p in model.pi]
-        else:
-            probs = [model.symbol_prob(a) for a in range(s)]
-        scale = math.lcm(*(p.denominator for p in probs))
-        powers = [[int(p * scale) ** n for n in range(L + 1)] for p in probs]
-        totals: dict[int, int] = {}
-        for combined, f in agg.items():
-            key, j = divmod(combined, j_cap + 1)
-            if markov:
-                key, first = divmod(key, s)
-                f *= heads[first]
-            for pw in powers:
-                key, n = divmod(key, L + 1)
-                f *= pw[n]
-            totals[j] = totals.get(j, 0) + f
-        denom = scale ** (L - 1) * head_scale if markov else scale**L
-        dist = {j: Fraction(t, denom) for j, t in totals.items()}
+            key, first = divmod(key, s)
+            f *= heads[first]
+        for pw in powers:
+            key, n = divmod(key, L + 1)
+            f *= pw[n]
+        totals[j] = totals.get(j, 0) + f
+    denom = scale ** (L - 1) * head_scale if markov else scale**L
+    dist = {j: Fraction(t, denom) for j, t in totals.items()}
 
     if sum(dist.values()) != 1:
         raise InternalCheckError("enumeration lost mass; grouping is broken")
@@ -439,7 +422,7 @@ def period_class_measure(model: Model, k: int, ell: int) -> Fraction:
     alphabet^ell generating prefixes and extending periodically."""
     if not 1 <= ell < k:
         raise ValueError("need 1 <= ell < k")
-    if isinstance(model, GaussCFModel) or model.alphabet_size is None:
+    if model.alphabet_size is None:
         raise UnsupportedModelError("period classes need a finite alphabet")
     s = model.alphabet_size
     if s**k > PERIOD_ENUM_GUARD:
@@ -455,7 +438,7 @@ def annealed_exact_expectation(model: Model, k: int, S: IntervalUnion) -> Fracti
 
     Certifies |result - |S|| <= m * K * rho^k using the contraction profile.
     """
-    if isinstance(model, GaussCFModel) or model.alphabet_size is None:
+    if model.alphabet_size is None:
         raise UnsupportedModelError("annealed enumeration needs a finite alphabet")
     s = model.alphabet_size
     if s**k > ANNEALED_ENUM_GUARD:

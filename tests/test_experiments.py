@@ -401,18 +401,21 @@ class TestNegativeControls:
 
     With fair-coin words and S = (0, 1], J = {1..2^k}, so in the de Bruijn
     sequence every word occurs exactly once there: the count law is a point
-    mass at 1, at TV 1 - 1/e from Poisson(1).  A random stream of the same
-    length passes.
+    mass at 1, at TV 1 - 1/e from Poisson(1).  Repeated m times with
+    S = (0, m], it gives a point mass at m, which fails too.  A random
+    stream of the same length as one sequence passes.
     """
 
     K = 12
 
-    def _report(self, x):
-        cfg = parse_config(_doc(mode="quenched", k=self.K, n_samples=5000))
+    def _report(self, x, m=1):
+        # S = (0, m], so J = {1..m 2^k}
+        cfg = parse_config(_doc(mode="quenched", k=self.K, n_samples=5000,
+                                sets=[[["0", str(m), False, True]]]))
         words = _draw(cfg.model, derive_seed(cfg.seed, 4, 0, np.arange(cfg.n_samples)),
                       self.K)
         J = j_set(Fraction(1, 2**self.K), cfg.sets[0])
-        assert J.ranges == ((1, 2**self.K),)
+        assert J.ranges == ((1, m * 2**self.K),)
         ranges = np.broadcast_to(np.array(J.ranges), (len(words), 1, 2))
         counts = OccurrenceIndex(x, self.K).count_in_ranges(words, ranges)
         return _genericity_report(cfg, [counts],
@@ -426,6 +429,16 @@ class TestNegativeControls:
         assert (counts == 1).all()
         assert not rep.passed
         assert rep.sets[0].tv_set == pytest.approx(1 - np.exp(-1), abs=1e-12)
+
+    def test_repeated_de_bruijn_sequence_fails(self):
+        # three turns of the cyclic sequence: every word occurs exactly three
+        # times in J, a point mass at 3, at TV 1 - P(Poisson(3) = 3)
+        cycle = _de_bruijn(self.K)[:2**self.K]
+        x = np.concatenate([cycle, cycle, cycle, cycle[:self.K - 1]])
+        rep, counts = self._report(x, m=3)
+        assert (counts == 3).all()
+        assert not rep.passed
+        assert rep.sets[0].tv_set == pytest.approx(1 - 4.5 * np.exp(-3), abs=1e-12)
 
     def test_random_stream_of_the_same_length_passes(self):
         x = SequenceGenerator(IidModel(probs=(Fraction(1, 2),) * 2), 2024).take(

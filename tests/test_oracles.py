@@ -32,6 +32,7 @@ CHAIN = MarkovModel(transition=((Fraction(9, 10), Fraction(1, 10)),
 THIRD = IidModel(probs=(Fraction(1, 3), Fraction(2, 3)))
 TRIPLE = IidModel(probs=(Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)))
 THREE = IidModel(probs=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+UNIFORM_THREE = IidModel(probs=(Fraction(1, 3),) * 3)
 CHAIN3 = MarkovModel(transition=((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
                                  (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
                                  (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))))
@@ -215,8 +216,9 @@ class TestEnumerationAgainstLiteralScan:
     SETS = (UNIT, HALF, IntervalUnion.from_spec(
         [("1/3", 1, True, True), (2, "5/2", False, False)]))
 
-    @pytest.mark.parametrize("model", [FAIR, THIRD, TRIPLE, CHAIN],
-                             ids=["fair", "third", "three_symbol", "markov"])
+    @pytest.mark.parametrize("model", [FAIR, THIRD, TRIPLE, UNIFORM_THREE, CHAIN],
+                             ids=["fair", "third", "three_symbol", "uniform_three",
+                                  "markov"])
     # the real low block holds every prefix at these lengths; a block of 8
     # prefixes makes windows and one transition straddle the split, a block
     # of 1 leaves every position in the high part

@@ -153,9 +153,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     # n_cap defaults to 10 sup S / (K rho^k) for a finite alphabet with target
     # sets (sup S / (K rho^k) is the heuristic floor it warns below), to 10^7
-    # for the CF model and to k without a set, where no mode reads it
+    # for the CF model and to k in oracle mode or without a set, where no mode
+    # reads it
     floor = None
-    if sets and not isinstance(model, GaussCFModel):
+    if sets and mode != "oracle" and not isinstance(model, GaussCFModel):
         scale = prof.K * prof.rho**k
         for i, S in enumerate(sets):
             # the default takes the ceiling of 10 sup S / (K rho^k), and the
@@ -243,7 +244,20 @@ def read_config_doc(path: str | Path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# report types
+# report types: each mode's report answers ``passed`` (the exit code follows
+# it), ``tables()`` (its CSV files, name -> lines) and ``summary_lines()``
+
+
+def _fmt(v) -> str:
+    return "n/a" if v is None else f"{v:.6f}"
+
+
+def _verdict(passed: bool) -> str:
+    return "PASS" if passed else "FAIL"
+
+
+def _set_passed(rep: SetReport, tolerance: float) -> bool:
+    return rep.tv_set is not None and rep.tv_set <= tolerance
 
 
 @dataclass(frozen=True)
@@ -264,6 +278,15 @@ class SetReport:
     tv_functional: float | None
     kallenberg: dict
 
+    def histogram_table(self) -> list[str]:
+        lines = ["j,frequency,empirical_prob,poisson_prob,abs_diff"]
+        for j in range(self.j_max + 2):
+            freq = self.histogram.get(j, 0)
+            emp = freq / max(self.n_used, 1)
+            ref = self.poisson.get(j, 0.0)
+            lines.append(f"{j},{freq},{emp!r},{ref!r},{abs(emp - ref)!r}")
+        return lines
+
 
 @dataclass(frozen=True)
 class GenericityReport:
@@ -279,6 +302,18 @@ class GenericityReport:
     truncated_fraction: float
     passed: bool
     warnings: tuple[str, ...] = ()
+
+    def set_lines(self) -> list[str]:
+        return [f"  S = {sr.label}: n_used={sr.n_used} truncated={sr.n_truncated} "
+                f"TV={_fmt(sr.tv_set)} (tol {self.tv_tolerance}) "
+                f"{_verdict(_set_passed(sr, self.tv_tolerance))}" for sr in self.sets]
+
+    def summary_lines(self) -> list[str]:
+        return [f"{self.mode}: k={self.k} n={self.n_samples} seed={self.seed}",
+                *self.set_lines(), f"result: {_verdict(self.passed)}"]
+
+    def tables(self) -> dict[str, list[str]]:
+        return {f"histogram_{i}.csv": sr.histogram_table() for i, sr in enumerate(self.sets)}
 
 
 @dataclass(frozen=True)
@@ -296,6 +331,23 @@ class QuenchedResult:
     replicas: tuple[GenericityReport, ...]
     summary: QuenchedSummary
 
+    @property
+    def passed(self) -> bool:
+        return self.summary.passed
+
+    def summary_lines(self) -> list[str]:
+        s = self.summary
+        lines = [f"quenched: {s.n_replicas} replicas, tolerance {s.tv_tolerance}"]
+        for rep in self.replicas:
+            lines += [f" replica {rep.replica_index}:", *rep.set_lines()]
+        lines.append(f"result: {s.passing_replicas}/{s.n_replicas} passing "
+                     f"(need {s.min_passing_replicas}): {_verdict(s.passed)}")
+        return lines
+
+    def tables(self) -> dict[str, list[str]]:
+        """Replica 0's histograms."""
+        return self.replicas[0].tables()
+
 
 @dataclass(frozen=True)
 class ConcentrationRow:
@@ -304,6 +356,10 @@ class ConcentrationRow:
     theoretical_bound: float
     se: float
     violation: bool
+
+    @property
+    def flag(self) -> str:
+        return "VIOLATION" if self.violation else "ok"
 
 
 @dataclass(frozen=True)
@@ -323,6 +379,24 @@ class ConcentrationReport:
 
     def __post_init__(self):
         object.__setattr__(self, "violations", sum(r.violation for r in self.rows))
+
+    @property
+    def passed(self) -> bool:
+        return self.violations == 0
+
+    def summary_lines(self) -> list[str]:
+        return [f"concentration: functional={self.functional} k={self.k} "
+                f"replicas={self.n_replicas}",
+                f"  delta bound {self.delta_bound:.6f}, denominator {self.denominator:.6g}",
+                *(f"  t={row.t:g}: empirical={row.empirical_prob:.3e} "
+                  f"bound={row.theoretical_bound:.3e} {row.flag}" for row in self.rows),
+                f"result: {_verdict(self.passed)}"]
+
+    def tables(self) -> dict[str, list[str]]:
+        return {"exceedance.csv": [
+            "t,empirical_prob,theoretical_bound,se,flag",
+            *(f"{row.t!r},{row.empirical_prob!r},{row.theoretical_bound!r},{row.se!r},"
+              f"{row.flag}" for row in self.rows)]}
 
 
 def _set_report(S: IntervalUnion, counts: np.ndarray, truncated: np.ndarray,
@@ -371,7 +445,7 @@ def _genericity_report(cfg: ExperimentConfig,
         rep = _set_report(S, counts, truncated, s_slack)
         overall_trunc = max(overall_trunc, rep.truncated_fraction)
         sets.append(rep)
-    passed = all(r.tv_set is not None and r.tv_set <= cfg.tv_tolerance for r in sets)
+    passed = all(_set_passed(r, cfg.tv_tolerance) for r in sets)
     return GenericityReport(
         mode=cfg.mode, model=cfg.model_spec, k=cfg.k, seed=cfg.seed,
         n_samples=cfg.n_samples, n_cap=cfg.n_cap, tv_tolerance=cfg.tv_tolerance,
@@ -460,9 +534,7 @@ def run_quenched(cfg: ExperimentConfig) -> QuenchedResult:
     if cfg.mode != "quenched":
         raise ConfigError("$.mode: run_quenched needs mode 'quenched'")
     _check_budget(cfg.n_x_replicas * cfg.n_samples * cfg.k)  # the words
-    reports = []
-    for r in range(cfg.n_x_replicas):
-        reports.append(_quenched_replica(cfg, r))
+    reports = [_quenched_replica(cfg, r) for r in range(cfg.n_x_replicas)]
     tvs = [max((s.tv_set for s in rep.sets if s.tv_set is not None), default=None)
            for rep in reports]
     passing = sum(1 for rep in reports if rep.passed)
@@ -513,6 +585,14 @@ class OracleReport:
     rows: tuple[OracleRow, ...]
     passed: bool
 
+    def summary_lines(self) -> list[str]:
+        return [f"oracle suite: model={self.model.get('type')} k={self.k} S={self.set_label}",
+                *(f"  {row.name}: {row.status} ({row.detail})" for row in self.rows),
+                f"result: {_verdict(self.passed)}"]
+
+    def tables(self) -> dict[str, list[str]]:
+        return {}
+
 
 def _oracle_guarded(name: str, fn: Callable[[], str]) -> OracleRow:
     try:
@@ -527,15 +607,17 @@ def run_oracle_suite(cfg: ExperimentConfig) -> OracleReport:
     """Every exact-identity check the model supports, as a pass/fail table."""
     model = cfg.model
     S = cfg.sets[0]
-    rows = []
     s = model.alphabet_size
 
+    def fit_k(k_max: int, limit: int) -> int:
+        """The largest k <= min(cfg.k, k_max) with s^k <= limit."""
+        k_f = min(cfg.k, k_max)
+        while s**k_f > limit:
+            k_f -= 1
+        return k_f
+
     def expectation_check() -> str:
-        if s is None:
-            raise UnsupportedModelError("needs a finite alphabet")
-        k_e = min(cfg.k, 8)
-        while s**k_e > 1 << 12:
-            k_e -= 1
+        k_e = fit_k(8, 1 << 12)
         worst = Fraction(0)
         for w in enumerate_words(s, k_e):
             mu = cylinder_prob_exact(model, w)
@@ -546,8 +628,6 @@ def run_oracle_suite(cfg: ExperimentConfig) -> OracleReport:
         return f"k={k_e}: max |E-|S||/mu = {float(worst):.6f} <= m = {S.m}"
 
     def variance_check() -> str:
-        if s is None:
-            raise UnsupportedModelError("needs a finite alphabet")
         checked = 0
         for k_v in range(1, 5):
             for w in enumerate_words(s, k_v):
@@ -572,8 +652,6 @@ def run_oracle_suite(cfg: ExperimentConfig) -> OracleReport:
         return f"{checked} words agree within 1e-9"
 
     def pair_check() -> str:
-        if s is None:
-            raise UnsupportedModelError("needs a finite alphabet")
         checked = 0
         for k_p in (2, 3):
             for w in list(enumerate_words(s, k_p))[: s**2]:
@@ -590,11 +668,7 @@ def run_oracle_suite(cfg: ExperimentConfig) -> OracleReport:
         return f"{checked} (word, lag) pairs match enumeration exactly"
 
     def period_check() -> str:
-        if s is None:
-            raise UnsupportedModelError("needs a finite alphabet")
-        k_c = min(cfg.k, 10)
-        while s**k_c > 1 << 16:
-            k_c -= 1
+        k_c = fit_k(10, 1 << 16)
         uniform = isinstance(model, IidModel) and len(set(model.probs)) == 1
         for ell in range(1, k_c):
             mass = period_class_measure(model, k_c, ell)
@@ -609,11 +683,7 @@ def run_oracle_suite(cfg: ExperimentConfig) -> OracleReport:
         return f"k={k_c}: all period classes match the periods() dual path"
 
     def annealed_check() -> str:
-        if s is None:
-            raise UnsupportedModelError("needs a finite alphabet")
-        k_a = min(cfg.k, 12)
-        while s**k_a > 1 << 20:
-            k_a -= 1
+        k_a = fit_k(12, 1 << 20)
         total = annealed_exact_expectation(model, k_a, S)
         dev = abs(float(total - S.total_length))
         prof = contraction_profile(model)
@@ -664,11 +734,14 @@ def run_oracle_suite(cfg: ExperimentConfig) -> OracleReport:
         first = next(k_m for k_m, b in vals if b is not None)
         return f"defined from k={first}, monotone decreasing; at k={first}: {defined[0][1]:.4f}"
 
-    rows.append(_oracle_guarded("expectation_sandwich", expectation_check))
-    rows.append(_oracle_guarded("variance_dual_path", variance_check))
-    rows.append(_oracle_guarded("pair_probability_dual_path", pair_check))
-    rows.append(_oracle_guarded("period_class_dual_path", period_check))
-    rows.append(_oracle_guarded("annealed_expectation_identity", annealed_check))
+    # the exact rational checks enumerate words over a finite alphabet
+    rational = (("expectation_sandwich", expectation_check),
+                ("variance_dual_path", variance_check),
+                ("pair_probability_dual_path", pair_check),
+                ("period_class_dual_path", period_check),
+                ("annealed_expectation_identity", annealed_check))
+    rows = [OracleRow(name, "SKIP", "needs a finite alphabet") if s is None
+            else _oracle_guarded(name, fn) for name, fn in rational]
     rows.append(_oracle_guarded("count_law_tv_decay", tv_decay_check))
     rows.append(_oracle_guarded("scan_length_majorant", majorant_check))
     passed = all(r.status != "FAIL" for r in rows)
@@ -737,6 +810,19 @@ class MixingReport:
     profile: dict
     passed: bool
 
+    def summary_lines(self) -> list[str]:
+        return [f"mixing: eta {'supported' if self.eta_supported else 'bound-only'}"
+                f" ({self.eta_note})",
+                *(f"  ||Delta_{n_t}|| = {v:.6f}" for n_t, v in self.truncation_norms),
+                f"  analytic bound {self.analytic_bound:.6f}",
+                f"result: {_verdict(self.passed)}"]
+
+    def tables(self) -> dict[str, list[str]]:
+        if self.eta_lags is None:
+            return {}
+        lags = enumerate(self.eta_lags, start=1)
+        return {"eta_table.csv": ["lag,eta", *(f"{m},{v!r}" for m, v in lags)]}
+
 
 def run_mixing(cfg: ExperimentConfig) -> MixingReport:
     if cfg.mode != "mixing":
@@ -778,6 +864,8 @@ def run_mixing(cfg: ExperimentConfig) -> MixingReport:
 # ---------------------------------------------------------------------------
 # serialization
 
+Report = GenericityReport | QuenchedResult | OracleReport | ConcentrationReport | MixingReport
+
 
 def to_jsonable(obj):
     if isinstance(obj, (str, int, bool)) or obj is None:
@@ -796,92 +884,32 @@ def to_jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def write_report(out_dir: str | Path, payload, meta: dict | None = None) -> Path:
-    """report.json with a 'meta' key (timestamps live there and only there)."""
+def write_report(out_dir: str | Path, payload: Report, meta: dict | None = None) -> Path:
+    """report.json with a 'meta' key (timestamps live there and only there),
+    then the payload's CSV tables."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     doc = {"report": to_jsonable(payload), "meta": to_jsonable(meta or {})}
     path = out / "report.json"
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    for name, lines in payload.tables().items():
+        (out / name).write_text("\n".join(lines) + "\n")
     return path
 
 
-def write_histogram_csv(out_dir: str | Path, idx: int, rep: SetReport) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = ["j,frequency,empirical_prob,poisson_prob,abs_diff"]
-    n = max(rep.n_used, 1)
-    for j in range(rep.j_max + 2):
-        freq = rep.histogram.get(j, 0)
-        emp = freq / n if rep.n_used else 0.0
-        ref = rep.poisson.get(j, 0.0)
-        lines.append(f"{j},{freq},{emp!r},{ref!r},{abs(emp - ref)!r}")
-    path = out / f"histogram_{idx}.csv"
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
-def write_exceedance_csv(out_dir: str | Path, rep: ConcentrationReport) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = ["t,empirical_prob,theoretical_bound,se,flag"]
-    for row in rep.rows:
-        flag = "VIOLATION" if row.violation else "ok"
-        lines.append(f"{row.t!r},{row.empirical_prob!r},"
-                     f"{row.theoretical_bound!r},{row.se!r},{flag}")
-    path = out / "exceedance.csv"
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
-def write_eta_csv(out_dir: str | Path, rep: MixingReport) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = ["lag,eta"]
-    for m, v in enumerate(rep.eta_lags or (), start=1):
-        lines.append(f"{m},{v!r}")
-    path = out / "eta_table.csv"
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
-def execute(cfg: ExperimentConfig, out_dir: str | Path | None) -> tuple[int, object]:
+def execute(cfg: ExperimentConfig, out_dir: str | Path | None) -> tuple[int, Report]:
     """Run the configured mode and write its reports.
 
-    Returns (exit_code, payload): 0 when every statistical check passed,
-    1 otherwise; config and resource problems raise instead.
+    Returns (exit_code, payload): 0 when the payload passed, 1 otherwise;
+    config and resource problems raise instead.
     """
     t0 = time.monotonic()
-    if cfg.mode == "annealed":
-        rep = run_annealed(cfg)
-        payload, passed = rep, rep.passed
-        set_reports = rep.sets
-    elif cfg.mode == "quenched":
-        res = run_quenched(cfg)
-        payload, passed = res, res.summary.passed
-        set_reports = res.replicas[0].sets if res.replicas else ()
-    elif cfg.mode == "oracle":
-        rep = run_oracle_suite(cfg)
-        payload, passed = rep, rep.passed
-        set_reports = ()
-    elif cfg.mode == "concentration":
-        rep = run_concentration(cfg)
-        payload, passed = rep, rep.violations == 0
-        set_reports = ()
-    else:
-        rep = run_mixing(cfg)
-        payload, passed = rep, rep.passed
-        set_reports = ()
+    # built per call, so a runner rebound on this module is the one that runs
+    runner = {"annealed": run_annealed, "quenched": run_quenched,
+              "oracle": run_oracle_suite, "concentration": run_concentration,
+              "mixing": run_mixing}[cfg.mode]
+    payload = runner(cfg)
     if out_dir is not None:
-        meta = {
-            "created_utc": datetime.now(timezone.utc).isoformat(),
-            "wall_clock_s": round(time.monotonic() - t0, 3),
-        }
-        write_report(out_dir, payload, meta)
-        for i, sr in enumerate(set_reports):
-            write_histogram_csv(out_dir, i, sr)
-        if cfg.mode == "concentration":
-            write_exceedance_csv(out_dir, payload)
-        if cfg.mode == "mixing" and payload.eta_lags is not None:
-            write_eta_csv(out_dir, payload)
-    return (0 if passed else 1), payload
+        write_report(out_dir, payload, {"created_utc": datetime.now(timezone.utc).isoformat(),
+                                        "wall_clock_s": round(time.monotonic() - t0, 3)})
+    return (0 if payload.passed else 1), payload

@@ -46,11 +46,12 @@ _PSI_LAGS = 50
 
 
 def _to_fraction(x, what: str) -> Fraction:
+    """An exact rational; a float is read as the decimal it prints as."""
     try:
         if isinstance(x, float):
             if not math.isfinite(x):
                 raise ValueError("not finite")
-            return Fraction(x)
+            return Fraction(repr(x))
         if isinstance(x, str):
             return Fraction(x.strip())
         return Fraction(x)
@@ -104,8 +105,10 @@ class IidModel:
                 raise ValueError("need at least two symbols")
             if any(p < 0 or p > 1 for p in probs):
                 raise ValueError("probabilities must lie in [0, 1]")
-            if abs(float(sum(probs)) - 1.0) > 1e-12:
+            total = sum(probs)
+            if abs(float(total) - 1.0) > 1e-12:
                 raise ValueError("probabilities must sum to 1 within 1e-12")
+            probs = tuple(p / total for p in probs)  # now summing to exactly 1
             self.probs = probs
             self._floats = np.array([float(p) for p in probs])
             self._cum = np.cumsum(self._floats)
@@ -201,9 +204,12 @@ class MarkovModel:
             raise ValueError("transition must be square with at least two states")
         if any(v < 0 for row in P for v in row):
             raise ValueError("transition entries must be nonnegative")
-        for i, row in enumerate(P):
-            if abs(float(sum(row)) - 1.0) > 1e-12:
+        sums = [sum(row) for row in P]
+        for i, total in enumerate(sums):
+            if abs(float(total) - 1.0) > 1e-12:
                 raise ValueError(f"transition row {i} must sum to 1 within 1e-12")
+        # now each row sums to exactly 1
+        P = tuple(tuple(v / total for v in row) for row, total in zip(P, sums))
         if not _is_primitive(P):
             raise ValueError("chain must be irreducible and aperiodic")
         self.transition = P
@@ -251,6 +257,11 @@ class GaussCFModel:
     DIGIT_CAP: ClassVar[int] = 1 << 63
 
     def __post_init__(self):
+        for name in ("psi_T", "psi_sigma"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
+            setattr(self, name, float(v))
         if self.psi_T < 0 or not 0 <= self.psi_sigma < 1:
             raise ValueError("need psi_T >= 0 and psi_sigma in [0, 1)")
 
@@ -284,10 +295,7 @@ def model_from_spec(spec: dict) -> Model:
         if "transition" not in spec:
             raise ValueError("markov model needs 'transition'")
         return MarkovModel(transition=tuple(tuple(row) for row in spec["transition"]))
-    return GaussCFModel(
-        psi_T=float(spec.get("psi_T", 1.0)),
-        psi_sigma=float(spec.get("psi_sigma", 0.303)),
-    )
+    return GaussCFModel(psi_T=spec.get("psi_T", 1.0), psi_sigma=spec.get("psi_sigma", 0.303))
 
 
 def model_to_spec(model: Model) -> dict:

@@ -119,15 +119,13 @@ class IntervalUnion:
         for idx, item in enumerate(spec):
             try:
                 if isinstance(item, dict):
-                    iv = Interval(
-                        parse_endpoint(item["lo"]),
-                        parse_endpoint(item["hi"]),
-                        bool(item.get("lo_closed", False)),
-                        bool(item.get("hi_closed", True)),
-                    )
+                    lo, hi = item["lo"], item["hi"]
+                    lc, hc = item.get("lo_closed", False), item.get("hi_closed", True)
                 else:
                     lo, hi, lc, hc = item
-                    iv = Interval(parse_endpoint(lo), parse_endpoint(hi), bool(lc), bool(hc))
+                if not (isinstance(lc, bool) and isinstance(hc, bool)):
+                    raise ValueError(f"closedness flags must be booleans, got {lc!r}, {hc!r}")
+                iv = Interval(parse_endpoint(lo), parse_endpoint(hi), lc, hc)
             except (KeyError, ValueError, TypeError) as exc:
                 raise ValueError(f"interval [{idx}]: {exc}") from exc
             ivs.append(iv)

@@ -24,7 +24,7 @@ from poissonlab.errors import ConfigError, InsufficientDataError
 from poissonlab.experiments import (_draw, _genericity_report, execute,
                                     parse_config,
                                     run_annealed, run_mixing, run_oracle_suite,
-                                    run_quenched)
+                                    run_quenched, to_jsonable)
 from poissonlab.measures import (GaussCFModel, IidModel, SequenceGenerator,
                                  cylinder_prob_exact, cylinder_prob_guarded,
                                  model_from_spec)
@@ -123,6 +123,14 @@ class TestParseConfig:
         # the weight norm needs sup S / (K rho^k) as a float, whatever n_cap
         (_conc(k=40, n_cap=1000, sets=[[[str(10**300), str(10**300 + 1), False, True]]]),
          "$.sets[0]"),
+        # closedness flags are JSON booleans, not strings or integers
+        (_doc(sets=[[["1/2", "1", "false", True]]]), "$.sets[0]"),
+        (_doc(sets=[[[0, 1, 0, 1]]]), "$.sets[0]"),
+        (_doc(sets=[[{"lo": "0", "hi": "1", "hi_closed": 1}]]), "$.sets[0]"),
+        # the CF psi-mixing pair is a pair of finite numbers
+        (_doc(model={"type": "gauss_cf", "psi_T": True}), "$.model"),
+        (_doc(model={"type": "gauss_cf", "psi_T": float("inf")}), "$.model"),
+        (_doc(model={"type": "gauss_cf", "psi_sigma": float("nan")}), "$.model"),
     ])
     def test_error_paths(self, doc, needle):
         with pytest.raises(ConfigError) as err:
@@ -531,6 +539,20 @@ class TestOracleMode:
         row = {r.name: r for r in rep.rows}["variance_dual_path"]
         assert row.status == "PASS", row.detail
 
+    def test_long_word_needs_no_stream_length(self):
+        # K rho^k underflows at k=1100, but no oracle row draws a stream
+        rep = run_oracle_suite(parse_config(_doc(mode="oracle", k=1100)))
+        assert [row.status for row in rep.rows] == ["PASS"] * 7
+
+    def test_float_chain_runs_on_its_decimal_values(self):
+        cfg = parse_config(_doc(mode="oracle", k=4,
+                                model={"type": "markov", "transition": [[0.9, 0.1],
+                                                                        [0.3, 0.7]]}))
+        assert cfg.model_spec["transition"] == [["9/10", "1/10"], ["3/10", "7/10"]]
+        rep = run_oracle_suite(cfg)
+        assert rep.passed
+        assert {row.name: row.status for row in rep.rows}["variance_dual_path"] == "PASS"
+
     def test_gauss_suite_skips_rational_only_rows(self):
         cfg = parse_config(_doc(mode="oracle", model={"type": "gauss_cf"}))
         rep = run_oracle_suite(cfg)
@@ -538,6 +560,7 @@ class TestOracleMode:
         statuses = {row.name: row.status for row in rep.rows}
         assert statuses["variance_dual_path"] == "SKIP"
         assert "PASS" in statuses.values()
+        assert [row.detail for row in rep.rows[:5]] == ["needs a finite alphabet"] * 5
 
 
 class TestMixingMode:
@@ -570,6 +593,26 @@ class TestMixingMode:
 
 
 class TestExecuteArtifacts:
+    @pytest.mark.parametrize("doc,files", [
+        (_doc(sets=[[["0", "1/2", False, True]], [["1", "2", False, True]]]),
+         {"histogram_0.csv", "histogram_1.csv"}),
+        # replica 0's histograms only
+        (_doc(mode="quenched", n_x_replicas=2), {"histogram_0.csv"}),
+        (_doc(mode="oracle", k=3), set()),
+        (_conc(), {"exceedance.csv"}),
+        (_doc(mode="mixing", model=MARKOV_SPEC, sets=[]), {"eta_table.csv"}),
+        # bound-only: no lag coefficients, no table
+        (_doc(mode="mixing", model={"type": "gauss_cf"}, sets=[]), set()),
+    ], ids=["annealed", "quenched", "oracle", "concentration", "mixing", "mixing-cf"])
+    def test_every_mode_writes_its_files(self, tmp_path, doc, files):
+        code, payload = execute(parse_config(doc), tmp_path)
+        assert {p.name for p in tmp_path.iterdir()} == {"report.json"} | files
+        report = json.loads((tmp_path / "report.json").read_text())["report"]
+        assert report == to_jsonable(payload)
+        assert set(payload.tables()) == files
+        assert code == (0 if payload.passed else 1)
+        assert payload.summary_lines()[-1].endswith("PASS" if payload.passed else "FAIL")
+
     def test_report_and_csvs(self, tmp_path):
         cfg = parse_config(_doc(k=8, n_samples=400))
         code, payload = execute(cfg, tmp_path)

@@ -33,6 +33,13 @@ class TestIidModel:
         with pytest.raises(ValueError):
             IidModel(probs=(Fraction(1, 2), Fraction(1, 3)))
 
+    def test_float_probs_are_decimals_rescaled_to_sum_to_one(self):
+        assert IidModel(probs=(0.3, 0.7)).probs == (Fraction(3, 10), Fraction(7, 10))
+        # 0.3333333333333333 + 0.6666666666666666 is 1 - 10^-16 as decimals
+        assert IidModel(probs=(1 / 3, 2 / 3)).probs == (Fraction(1, 3), Fraction(2, 3))
+        chain = MarkovModel(((1 / 3, 2 / 3), (0.5, 0.5)))
+        assert chain.transition[0] == (Fraction(1, 3), Fraction(2, 3))
+
     def test_cylinder_products(self):
         assert cylinder_prob_exact(FAIR, (0, 1, 1)) == Fraction(1, 8)
         assert cylinder_prob_exact(BIASED, (0, 0, 1)) == Fraction(9, 64)
@@ -208,6 +215,13 @@ class TestCFSamplerAgainstOracle:
 
 
 class TestGaussModel:
+    @pytest.mark.parametrize("over", [{"psi_T": True}, {"psi_T": math.inf},
+                                      {"psi_T": math.nan}, {"psi_sigma": "0.3"}])
+    def test_psi_pair_must_be_finite_numbers(self, over):
+        with pytest.raises(ValueError, match="must be a finite number"):
+            GaussCFModel(**over)
+        assert GaussCFModel(psi_T=2).psi_T == 2.0
+
     def test_digit_probabilities_closed_form(self):
         # P(a1 = d) = log2((d+1)^2 / (d(d+2)))
         for d in (1, 2, 3, 7):

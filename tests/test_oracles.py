@@ -193,6 +193,17 @@ class TestBruteForce:
         with pytest.raises(ResourceError):
             brute_force_distribution(FAIR, long_w, UNIT)
 
+    @pytest.mark.parametrize("model,exact", [
+        (IidModel(probs=(0.3, 0.7)), IidModel(probs=(Fraction(3, 10), Fraction(7, 10)))),
+        (MarkovModel(((0.9, 0.1), (0.3, 0.7))),
+         MarkovModel(((Fraction(9, 10), Fraction(1, 10)), (Fraction(3, 10), Fraction(7, 10))))),
+    ], ids=["iid", "chain"])
+    def test_float_probabilities_give_a_law(self, model, exact):
+        # 0.3 + 0.7 is 1 - 2^-54 in binary; read as decimals they sum to 1
+        dist = brute_force_distribution(model, (0, 1), UNIT)
+        assert sum(dist.values()) == 1
+        assert dist == brute_force_distribution(exact, (0, 1), UNIT)
+
     def test_geometric_model_unsupported(self):
         g = IidModel(tail_ratio=Fraction(1, 2))
         with pytest.raises(UnsupportedModelError):

@@ -3,14 +3,18 @@
 Each config's ``report`` section is hashed as in the ROADMAP recipe (first
 16 hex digits of the sha256 of its canonical JSON) and must match the value
 pinned here, so any change to word sampling, stream drawing, planning or
-counting that alters a report, even in one count, fails this test.
+counting that alters a report, even in one count, fails this test.  The
+CLI's printed summary is pinned the same way, one small document per mode.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
 
+from poissonlab import cli
 from poissonlab.experiments import execute, parse_config, to_jsonable
 
 FAIR = {"type": "iid", "probs": ["1/2", "1/2"]}
@@ -98,3 +102,36 @@ def report_hash(payload) -> str:
 def test_report_hash_is_pinned(doc, expected):
     _, payload = execute(parse_config({"seed": 3, **doc}), None)
     assert report_hash(payload) == expected
+
+
+# (document, exit code, hash of the CLI's stdout with the output directory
+# written as OUT): every summary line each mode prints, PASS and FAIL
+# verdicts, SKIP rows, an n/a TV and the bound-only mixing report
+CLI_PINS = [
+    ({"mode": "annealed", "model": THREE, "k": 5, "n_samples": 300,
+      "sets": [HALF, QUARTERS]}, 1, "f427e58fb503f976"),
+    # every sample truncated: no usable count, so TV is n/a
+    ({"mode": "annealed", "model": FAIR, "k": 5, "n_samples": 100, "n_cap": 10,
+      "sets": [[["1", "2", False, True]]]}, 1, "2df23088727b3011"),
+    ({"mode": "quenched", "model": FAIR, "k": 8, "n_samples": 300,
+      "n_x_replicas": 2}, 1, "75ab1abf73fdfcb4"),
+    ({"mode": "oracle", "model": THREE, "k": 5}, 0, "178a6b7bb8078bf7"),
+    ({"mode": "oracle", "model": GAUSS, "k": 5}, 0, "49fe6948bb11aa60"),
+    ({"mode": "concentration", "model": FAIR, "k": 6, "n_samples": 200,
+      "functional": "phi1", "t_grid": T_GRID}, 0, "4aaa261adb8e82c6"),
+    ({"mode": "mixing", "model": MARKOV, "k": 8}, 0, "8fd6d1654c411d3c"),
+    ({"mode": "mixing", "model": GAUSS, "k": 8}, 0, "d8d9466575fa41db"),
+]
+
+
+@pytest.mark.parametrize("doc,code,expected", CLI_PINS,
+                         ids=[f"{d['mode']}-{i}" for i, (d, _, _) in enumerate(CLI_PINS)])
+def test_cli_stdout_is_pinned(tmp_path, doc, code, expected):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seed": 3, **doc}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        got = cli.main([doc["mode"], "--config", str(path), "--out", str(tmp_path / "out")])
+    text = out.getvalue().replace(str(tmp_path / "out"), "OUT")
+    assert got == code
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == expected, text

@@ -11,7 +11,7 @@ from .experiments import (ConcentrationReport, ExperimentConfig,
 from .measures import (GaussCFModel, IidModel, MarkovModel, SequenceGenerator,
                        contraction_profile, cylinder_prob,
                        cylinder_prob_exact, mixing_profile, model_from_spec,
-                       model_to_spec, psi_mixing_profile)
+                       model_to_spec)
 from .mixing_concentration import (OccurrenceIndex, delta_matrix, delta_norm,
                                    delta_norm_bound, eta_coefficients,
                                    lipschitz_weights_phi1,
@@ -39,7 +39,7 @@ __all__ = [
     # measures
     "GaussCFModel", "IidModel", "MarkovModel", "SequenceGenerator",
     "contraction_profile", "cylinder_prob", "cylinder_prob_exact",
-    "mixing_profile", "model_from_spec", "model_to_spec", "psi_mixing_profile",
+    "mixing_profile", "model_from_spec", "model_to_spec",
     # mixing_concentration
     "OccurrenceIndex", "delta_matrix", "delta_norm",
     "delta_norm_bound", "eta_coefficients", "lipschitz_weights_phi1",

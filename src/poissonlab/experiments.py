@@ -153,10 +153,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     # n_cap defaults to 10 sup S / (K rho^k) for a finite alphabet with target
     # sets (sup S / (K rho^k) is the heuristic floor it warns below), to 10^7
-    # for the CF model and to k in oracle mode or without a set, where no mode
-    # reads it
+    # for the CF model and to k in oracle and mixing mode or without a set,
+    # where no mode reads it
     floor = None
-    if sets and mode != "oracle" and not isinstance(model, GaussCFModel):
+    if sets and mode in ("annealed", "quenched", "concentration") \
+            and not isinstance(model, GaussCFModel):
         scale = prof.K * prof.rho**k
         for i, S in enumerate(sets):
             # the default takes the ceiling of 10 sup S / (K rho^k), and the
@@ -233,10 +234,11 @@ def read_config_doc(path: str | Path) -> dict:
     """The JSON object in a config file, before validation."""
     p = Path(path)
     try:
-        doc = json.loads(p.read_text())
+        doc = json.loads(p.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"$: cannot read {p}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # a file that is not UTF-8, bad JSON, or nesting past the parser's recursion
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"$: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("$: expected a JSON object")
@@ -609,15 +611,19 @@ def run_oracle_suite(cfg: ExperimentConfig) -> OracleReport:
     S = cfg.sets[0]
     s = model.alphabet_size
 
-    def fit_k(k_max: int, limit: int) -> int:
-        """The largest k <= min(cfg.k, k_max) with s^k <= limit."""
+    def fit_k(k_min: int, k_max: int, limit: int) -> int:
+        """The largest k in [k_min, min(cfg.k, k_max)] with s^k <= limit; with
+        none, a ResourceError, so the row reads SKIP with the reason."""
         k_f = min(cfg.k, k_max)
-        while s**k_f > limit:
+        while k_f >= k_min and s**k_f > limit:
             k_f -= 1
+        if k_f < k_min:
+            raise ResourceError(f"needs a word length k >= {k_min} with k <= {cfg.k} "
+                                f"and {s}**k <= {limit}")
         return k_f
 
     def expectation_check() -> str:
-        k_e = fit_k(8, 1 << 12)
+        k_e = fit_k(1, 8, 1 << 12)
         worst = Fraction(0)
         for w in enumerate_words(s, k_e):
             mu = cylinder_prob_exact(model, w)
@@ -668,7 +674,7 @@ def run_oracle_suite(cfg: ExperimentConfig) -> OracleReport:
         return f"{checked} (word, lag) pairs match enumeration exactly"
 
     def period_check() -> str:
-        k_c = fit_k(10, 1 << 16)
+        k_c = fit_k(2, 10, 1 << 16)  # period classes ell = 1..k_c-1
         uniform = isinstance(model, IidModel) and len(set(model.probs)) == 1
         for ell in range(1, k_c):
             mass = period_class_measure(model, k_c, ell)
@@ -683,7 +689,7 @@ def run_oracle_suite(cfg: ExperimentConfig) -> OracleReport:
         return f"k={k_c}: all period classes match the periods() dual path"
 
     def annealed_check() -> str:
-        k_a = fit_k(12, 1 << 20)
+        k_a = fit_k(1, 12, 1 << 20)
         total = annealed_exact_expectation(model, k_a, S)
         dev = abs(float(total - S.total_length))
         prof = contraction_profile(model)

@@ -41,7 +41,7 @@ _DEEP_DELTA = 1e-17
 # take() draws the Markov and CF samplers' uniforms in blocks of this many,
 # so a long stream never holds more than one block of them as Python floats
 _UNIFORM_BLOCK = 1 << 20
-# lags m = 1..50 of the Markov psi-mixing certificate (psi_mixing_profile)
+# lags m = 1..50 of the Markov psi-mixing certificate (mixing_profile)
 _PSI_LAGS = 50
 
 
@@ -247,23 +247,14 @@ def _frac_matmul(A, B):
 class GaussCFModel:
     """Continued-fraction digit process under the invariant Gauss density.
 
-    The psi-mixing pair (T, sigma) is not derived here; it is an assumed,
-    configurable certificate (defaults below), flagged ASSUMED in profiles.
+    The model takes no parameters.  Its psi-mixing pair (T, sigma) is not
+    derived here: ``mixing_profile`` reads the assumed certificate below and
+    tags it ASSUMED, and ``model_to_spec`` records it in every CF report.
     """
 
-    psi_T: float = 1.0
-    psi_sigma: float = 0.303
-
+    PSI_T: ClassVar[float] = 1.0
+    PSI_SIGMA: ClassVar[float] = 0.303
     DIGIT_CAP: ClassVar[int] = 1 << 63
-
-    def __post_init__(self):
-        for name in ("psi_T", "psi_sigma"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                raise ValueError(f"{name} must be a finite number, got {v!r}")
-            setattr(self, name, float(v))
-        if self.psi_T < 0 or not 0 <= self.psi_sigma < 1:
-            raise ValueError("need psi_T >= 0 and psi_sigma in [0, 1)")
 
     @property
     def alphabet_size(self) -> None:
@@ -279,7 +270,7 @@ def model_from_spec(spec: dict) -> Model:
         raise ValueError("model spec must be an object with a 'type' field")
     kind = spec["type"]
     keys = {"iid": {"probs", "tail_ratio"}, "markov": {"transition"},
-            "gauss_cf": {"psi_T", "psi_sigma"}}.get(kind if isinstance(kind, str) else None)
+            "gauss_cf": set()}.get(kind if isinstance(kind, str) else None)
     if keys is None:
         raise ValueError(f"unknown model type {kind!r}")
     unknown = sorted(str(key) for key in spec if key != "type" and key not in keys)
@@ -295,7 +286,7 @@ def model_from_spec(spec: dict) -> Model:
         if "transition" not in spec:
             raise ValueError("markov model needs 'transition'")
         return MarkovModel(transition=tuple(tuple(row) for row in spec["transition"]))
-    return GaussCFModel(psi_T=spec.get("psi_T", 1.0), psi_sigma=spec.get("psi_sigma", 0.303))
+    return GaussCFModel()
 
 
 def model_to_spec(model: Model) -> dict:
@@ -306,7 +297,8 @@ def model_to_spec(model: Model) -> dict:
     if isinstance(model, MarkovModel):
         return {"type": "markov",
                 "transition": [[str(v) for v in row] for row in model.transition]}
-    return {"type": "gauss_cf", "psi_T": model.psi_T, "psi_sigma": model.psi_sigma}
+    return {"type": "gauss_cf", "psi_T": GaussCFModel.PSI_T,
+            "psi_sigma": GaussCFModel.PSI_SIGMA}
 
 
 # ---------------------------------------------------------------------------
@@ -530,88 +522,68 @@ class SequenceGenerator:
 
 def contraction_profile(model: Model) -> MixingProfile:
     """Cylinder-decay constants (rho, K) with provenance."""
-    if isinstance(model, IidModel):
-        if model.probs is not None:
-            rho = max(float(p) for p in model.probs)
-            if rho >= 1.0:
-                raise ValueError("degenerate model: a symbol has probability 1")
-            return MixingProfile(rho=rho, K=1.0,
-                                 provenance=(("K", "EXACT"), ("rho", "EXACT")))
-        rho = 1.0 - float(model.tail_ratio)
-        return MixingProfile(rho=rho, K=1.0,
-                             provenance=(("K", "EXACT"), ("rho", "EXACT")))
-    if isinstance(model, MarkovModel):
+    if isinstance(model, GaussCFModel):
+        # CF cylinders satisfy mu_k <= (2/ln 2) 2^-k (interval length
+        # 1/(q_k q_{k+1}) against density <= 1/ln 2, with q_k >= 2^((k-1)/2)).
+        rho, K = 0.5, 2.0 / _LN2
+    elif isinstance(model, MarkovModel):
         rho = float(max(max(row) for row in model.transition))
         if rho >= 1.0:
             raise ValueError("degenerate chain: a transition has probability 1")
         K = float(max(model.pi)) / rho
-        return MixingProfile(rho=rho, K=K,
-                             provenance=(("K", "EXACT"), ("rho", "EXACT")))
-    # CF cylinders satisfy mu_k <= (2/ln 2) 2^-k (interval length 1/(q_k q_{k+1})
-    # against density <= 1/ln 2, with q_k >= 2^((k-1)/2)).
-    return MixingProfile(rho=0.5, K=2.0 / _LN2,
-                         provenance=(("K", "EXACT"), ("rho", "EXACT")))
+    else:
+        rho = (1.0 - float(model.tail_ratio) if model.probs is None
+               else max(float(p) for p in model.probs))
+        if rho >= 1.0:
+            raise ValueError("degenerate model: a symbol has probability 1")
+        K = 1.0
+    return MixingProfile(rho=rho, K=K, provenance=(("K", "EXACT"), ("rho", "EXACT")))
 
 
-def markov_deviation_table(model: MarkovModel) -> list[Fraction]:
-    """Exact psi-ratio deviations dev(m) = max_ab |P^m(a,b)/pi(b) - 1|, m = 1..50."""
+def markov_ratio_bounds(model: MarkovModel) -> list[tuple[Fraction, Fraction]]:
+    """The smallest and largest exact psi ratio P^m(a,b)/pi(b) over (a, b), for
+    each lag m = 1..50; each ratio matrix is formed once."""
     s = model.alphabet_size
-    return [max(abs(power[a][b] / model.pi[b] - 1) for a in range(s) for b in range(s))
-            for power in map(model.matrix_power, range(1, _PSI_LAGS + 1))]
+    bounds = []
+    for power in map(model.matrix_power, range(1, _PSI_LAGS + 1)):
+        ratios = [power[a][b] / model.pi[b] for a in range(s) for b in range(s)]
+        bounds.append((min(ratios), max(ratios)))
+    return bounds
 
 
-def psi_mixing_profile(model: Model) -> MixingProfile:
-    """Exponential psi-mixing certificate (T, sigma) and distortion bound R."""
+def mixing_profile(model: Model) -> MixingProfile:
+    """Every mixing constant of a model, each tagged with its provenance: the
+    contraction pair (rho, K) of ``contraction_profile``, the exponential
+    psi-mixing certificate (T, sigma) and the distortion bound R."""
+    c = contraction_profile(model)
     if isinstance(model, IidModel):
         # independence: the ratio is identically 1; sigma = 0 is the sentinel
-        return MixingProfile(T=1.0, sigma=0.0, R=1.0,
-                             provenance=(("R", "EXACT"), ("T", "EXACT"), ("sigma", "EXACT")))
-    if isinstance(model, MarkovModel):
-        eigs = np.linalg.eigvals(model._t_floats)
-        mags = sorted((abs(complex(e)) for e in eigs), reverse=True)
-        sigma = float(mags[1]) if len(mags) > 1 else 0.0
-        sigma = min(max(sigma, 0.0), 1.0 - 1e-15)
-        table = markov_deviation_table(model)
+        T, sigma, R = 1.0, 0.0, 1.0
+        tags = (("R", "EXACT"), ("T", "EXACT"), ("sigma", "EXACT"))
+    elif isinstance(model, MarkovModel):
+        mags = sorted(abs(complex(e)) for e in np.linalg.eigvals(model._t_floats))
+        sigma = min(mags[-2], 1.0 - 1e-15)
+        bounds = markov_ratio_bounds(model)
+        # dev(m) = max_ab |P^m(a,b)/pi(b) - 1|
+        table = [max(hi - 1, 1 - lo) for lo, hi in bounds]
         if sigma <= 0.0:
             T = 1.0 if all(d == 0 for d in table) else float("inf")
-            sigma = 0.0
         else:
             T = max(float(d) / sigma**m for m, d in enumerate(table, start=1))
-        s = model.alphabet_size
-        R = 1.0
-        for m in range(1, _PSI_LAGS + 1):
-            power = model.matrix_power(m)
-            R = max(R, float(max(power[a][b] / model.pi[b]
-                                 for a in range(s) for b in range(s))))
-        return MixingProfile(T=T, sigma=sigma, R=R,
-                             provenance=(("R", "ESTIMATED"), ("T", "ESTIMATED"),
-                                         ("sigma", "DERIVED")))
-    # CF model: certificate is supplied, distortion estimated by enumeration
-    R = _gauss_distortion_estimate()
-    return MixingProfile(T=float(model.psi_T), sigma=float(model.psi_sigma), R=R,
-                         provenance=(("R", "ESTIMATED"), ("T", "ASSUMED"),
-                                     ("sigma", "ASSUMED")))
+        R = max(1.0, *(float(hi) for _, hi in bounds))
+        tags = (("R", "ESTIMATED"), ("T", "ESTIMATED"), ("sigma", "DERIVED"))
+    else:
+        # CF model: the certificate is assumed, the distortion estimated
+        T, sigma, R = GaussCFModel.PSI_T, GaussCFModel.PSI_SIGMA, _gauss_distortion_estimate()
+        tags = (("R", "ESTIMATED"), ("T", "ASSUMED"), ("sigma", "ASSUMED"))
+    return MixingProfile(T=T, sigma=sigma, rho=c.rho, K=c.K, R=R,
+                         provenance=tuple(sorted(c.provenance + tags)))
 
 
 def _gauss_distortion_estimate() -> float:
     """max mu(uv) / (mu(u) mu(v)) over the words u, v of one or two digits
     in 1..8."""
-    from itertools import product as _product
+    from itertools import product
 
-    small = [tuple(w) for L in (1, 2) for w in _product(range(1, 9), repeat=L)]
-    best = 1.0
-    for u in small:
-        mu_u = gauss_cylinder_prob(u)
-        for v in small:
-            ratio = gauss_cylinder_prob(u + v) / (mu_u * gauss_cylinder_prob(v))
-            if ratio > best:
-                best = ratio
-    return best
-
-
-def mixing_profile(model: Model) -> MixingProfile:
-    """Full profile: the contraction constants (rho, K) and the psi-mixing
-    constants (T, sigma, R), with the union of their provenance tags."""
-    c, p = contraction_profile(model), psi_mixing_profile(model)
-    return MixingProfile(T=p.T, sigma=p.sigma, rho=c.rho, K=c.K, R=p.R,
-                         provenance=tuple(sorted(c.provenance + p.provenance)))
+    mu = {w: gauss_cylinder_prob(w) for L in (1, 2) for w in product(range(1, 9), repeat=L)}
+    return max(1.0, *(gauss_cylinder_prob(u + v) / (mu[u] * mu[v]) for u in mu for v in mu))

@@ -30,6 +30,7 @@ PREFIX_LEN_GUARD = 26
 PREFIX_STATES_GUARD = 1 << 26
 ANNEALED_ENUM_GUARD = 1 << 20
 PERIOD_ENUM_GUARD = 1 << 24
+DP_WORK_GUARD = 1 << 21  # prefix length x automaton states x symbols
 _BLOCK_CODES = 1 << 20  # prefixes in the low block of the enumeration
 
 
@@ -377,10 +378,13 @@ def dp_count_distribution(model: IidModel, w: Sequence[int],
     if J.is_empty():
         return {0: 1.0}
     L = required_prefix_length(k, J)
+    s = len(model.probs)
+    if L * k * s > DP_WORK_GUARD:
+        raise ResourceError(f"automaton DP of {L} steps x {k} states x {s} symbols "
+                            f"exceeds guard {DP_WORK_GUARD}")
     lam = J.count * float(mu)
     cap = min(J.count, int(math.ceil(lam + 12.0 * math.sqrt(lam + 1.0))) + 20)
     probs = model._floats
-    s = len(probs)
     delta, reduce_state = _kmp_automaton(w, s)
     counted = np.zeros(L + 1, dtype=bool)
     for a, b in J.ranges:

@@ -127,7 +127,10 @@ class TestParseConfig:
         (_doc(sets=[[["1/2", "1", "false", True]]]), "$.sets[0]"),
         (_doc(sets=[[[0, 1, 0, 1]]]), "$.sets[0]"),
         (_doc(sets=[[{"lo": "0", "hi": "1", "hi_closed": 1}]]), "$.sets[0]"),
-        # the CF psi-mixing pair is a pair of finite numbers
+        # the CF model takes no psi-mixing pair: the certificate is fixed
+        (_doc(model={"type": "gauss_cf", "psi_T": 1.0}), "$.model: unknown key 'psi_T'"),
+        (_doc(model={"type": "gauss_cf", "psi_sigma": 0.303}),
+         "$.model: unknown key 'psi_sigma'"),
         (_doc(model={"type": "gauss_cf", "psi_T": True}), "$.model"),
         (_doc(model={"type": "gauss_cf", "psi_T": float("inf")}), "$.model"),
         (_doc(model={"type": "gauss_cf", "psi_sigma": float("nan")}), "$.model"),
@@ -539,6 +542,14 @@ class TestOracleMode:
         row = {r.name: r for r in rep.rows}["variance_dual_path"]
         assert row.status == "PASS", row.detail
 
+    def test_period_row_with_no_class_is_skipped(self):
+        # at k=1 there is no period ell in 1..k-1 to check
+        rep = run_oracle_suite(parse_config(_doc(mode="oracle", k=1)))
+        row = {r.name: r for r in rep.rows}["period_class_dual_path"]
+        assert row.status == "SKIP"
+        assert row.detail.startswith("needs a word length k >= 2")
+        assert rep.passed
+
     def test_long_word_needs_no_stream_length(self):
         # K rho^k underflows at k=1100, but no oracle row draws a stream
         rep = run_oracle_suite(parse_config(_doc(mode="oracle", k=1100)))
@@ -733,6 +744,43 @@ class TestCli:
         r = self._run("mixing", "--config", cfg_path)
         assert r.returncode == 0, r.stderr
         assert "Traceback" not in r.stderr
+
+    def test_mixing_with_a_target_set_needs_no_stream_length(self, tmp_path, capsys):
+        # sup S / (K rho^k) is past the float range at k=2000, but mixing reads
+        # neither the sets nor n_cap
+        from poissonlab import cli
+
+        reports = []
+        for i, sets in enumerate(([[["0", "1", False, True]]], [])):
+            doc = _doc(mode="mixing", k=2000, sets=sets)
+            code = cli.main(["mixing", "--config", self._write(tmp_path / f"{i}.json", doc),
+                             "--out", str(tmp_path / str(i))])
+            assert code == 0, capsys.readouterr().err
+            reports.append(json.loads((tmp_path / str(i) / "report.json").read_text())["report"])
+        assert reports[0] == reports[1]
+
+    def test_oracle_past_every_word_limit_runs(self, tmp_path, capsys):
+        # 4,099 symbols: the one-symbol words already pass the expectation
+        # row's 4,096, and the tv-decay DP on 4,099^4 + 3 steps is refused
+        from poissonlab import cli
+
+        doc = _doc(mode="oracle", k=1, model={"type": "iid", "probs": ["1/4099"] * 4099})
+        assert cli.main(["oracle", "--config", self._write(tmp_path / "c.json", doc)]) == 0
+        statuses = dict(line.strip().split(": ")[:2] for line in
+                        capsys.readouterr().out.splitlines()[1:-1])
+        assert statuses["expectation_sandwich"].startswith("SKIP")
+        assert statuses["period_class_dual_path"].startswith("SKIP")
+        assert statuses["count_law_tv_decay"].startswith("SKIP")
+
+    @pytest.mark.parametrize("text", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+                             ids=["not-utf8", "deeply-nested"])
+    def test_unparsable_config_is_exit_two(self, tmp_path, capsys, text):
+        from poissonlab import cli
+
+        path = tmp_path / "c.json"
+        path.write_bytes(text)
+        assert cli.main(["oracle", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: $: invalid JSON: ")
 
     @pytest.mark.parametrize("mode", ["annealed", "quenched", "oracle", "concentration",
                                       "mixing"])

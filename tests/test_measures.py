@@ -17,9 +17,8 @@ from poissonlab.measures import (GaussCFModel, IidModel, MarkovModel,
                                  SequenceGenerator, cf_continuants,
                                  contraction_profile, cylinder_prob,
                                  cylinder_prob_exact, gauss_cylinder_prob_high,
-                                 markov_deviation_table, mixing_profile,
-                                 model_from_spec, model_to_spec,
-                                 psi_mixing_profile)
+                                 markov_ratio_bounds, mixing_profile,
+                                 model_from_spec, model_to_spec)
 from poissonlab.rng import derive_seed, uniform_block
 
 FAIR = IidModel(probs=(Fraction(1, 2), Fraction(1, 2)))
@@ -82,7 +81,9 @@ class TestMarkovModel:
         assert p3 == expect
 
     def test_deviation_table_decays(self):
-        table = markov_deviation_table(CHAIN)
+        bounds = markov_ratio_bounds(CHAIN)
+        assert bounds[0] == (Fraction(3, 10), Fraction(12, 5))  # P(a,b)/pi(b) at m = 1
+        table = [max(hi - 1, 1 - lo) for lo, hi in bounds]
         assert len(table) == 50
         assert table[0] == Fraction(7, 5)  # max |P(a,b)/pi(b) - 1| at m = 1
         for a, b in zip(table, table[1:]):
@@ -215,13 +216,6 @@ class TestCFSamplerAgainstOracle:
 
 
 class TestGaussModel:
-    @pytest.mark.parametrize("over", [{"psi_T": True}, {"psi_T": math.inf},
-                                      {"psi_T": math.nan}, {"psi_sigma": "0.3"}])
-    def test_psi_pair_must_be_finite_numbers(self, over):
-        with pytest.raises(ValueError, match="must be a finite number"):
-            GaussCFModel(**over)
-        assert GaussCFModel(psi_T=2).psi_T == 2.0
-
     def test_digit_probabilities_closed_form(self):
         # P(a1 = d) = log2((d+1)^2 / (d(d+2)))
         for d in (1, 2, 3, 7):
@@ -372,19 +366,20 @@ class TestProfiles:
                 assert worst <= prof.K * prof.rho**k * (1 + 1e-12)
 
     def test_psi_profile_iid_sentinel(self):
-        prof = psi_mixing_profile(FAIR)
+        prof = mixing_profile(FAIR)
         assert prof.sigma == 0.0
         assert prof.T == 1.0
 
     def test_psi_profile_markov_constants(self):
-        prof = psi_mixing_profile(CHAIN)
+        prof = mixing_profile(CHAIN)
         assert prof.sigma == pytest.approx(0.7, abs=1e-12)  # |1 - p - q|
         assert prof.T == pytest.approx(2.0, abs=1e-9)       # dev(1)/sigma = 1.4/0.7
         assert prof.R == pytest.approx(2.4, abs=1e-9)       # max P(a,b)/pi(b)
 
     def test_psi_profile_gauss_is_assumed(self):
-        prof = psi_mixing_profile(GaussCFModel())
+        prof = mixing_profile(GaussCFModel())
         assert dict(prof.provenance)["T"] == "ASSUMED"
+        assert (prof.T, prof.sigma) == (GaussCFModel.PSI_T, GaussCFModel.PSI_SIGMA)
         assert prof.sigma < 1
 
     def test_merged_profile_has_all_constants(self):
@@ -397,7 +392,9 @@ class TestProfiles:
 
 
 def test_model_spec_roundtrip():
-    for model in (FAIR, BIASED, CHAIN, GaussCFModel(),
-                  IidModel(tail_ratio=Fraction(1, 3))):
+    for model in (FAIR, BIASED, CHAIN, IidModel(tail_ratio=Fraction(1, 3))):
         again = model_from_spec(model_to_spec(model))
         assert model_to_spec(again) == model_to_spec(model)
+    # the CF document takes no key; its spec records the assumed certificate
+    assert model_to_spec(model_from_spec({"type": "gauss_cf"})) == {
+        "type": "gauss_cf", "psi_T": 1.0, "psi_sigma": 0.303}

@@ -14,7 +14,7 @@ import pytest
 from poissonlab.errors import ConfigError, UnsupportedModelError
 from poissonlab.measures import (GaussCFModel, IidModel, MarkovModel,
                                  MixingProfile, SequenceGenerator, cylinder_prob,
-                                 mixing_profile, model_to_spec, psi_mixing_profile)
+                                 mixing_profile, model_to_spec)
 from poissonlab.experiments import parse_config, run_concentration
 from poissonlab.mixing_concentration import (OccurrenceIndex, delta_matrix, delta_norm,
                                              delta_norm_bound,
@@ -94,11 +94,11 @@ class TestEtaCoefficients:
             eta_coefficients(CHAIN, 0)
 
     def test_powers_are_shared_with_the_profile(self):
-        # eta, the deviation table and R read one cache of exact powers
+        # eta and the profile's ratio matrices read one cache of exact powers
         chain = MarkovModel(transition=CHAIN.transition)
         eta_coefficients(chain, 30)
         first = chain.matrix_power(30)
-        psi_mixing_profile(chain)
+        mixing_profile(chain)
         assert chain.matrix_power(30) is first
         assert len(chain._powers) == 50
 
@@ -135,7 +135,7 @@ class TestDeltaNorm:
 
     def test_monotone_in_n_and_bounded(self):
         eta = [float(v) for v in eta_coefficients(CHAIN, 30)]
-        prof = psi_mixing_profile(CHAIN)
+        prof = mixing_profile(CHAIN)
         bound = delta_norm_bound(prof)
         assert bound == pytest.approx(31 / 3, abs=1e-9)
         prev = 0.0

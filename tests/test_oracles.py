@@ -315,6 +315,12 @@ class TestDpDistribution:
         with pytest.raises(UnsupportedModelError):
             dp_count_distribution(CHAIN, (1, 1), UNIT)
 
+    def test_work_guard_fires_before_allocating(self):
+        # 16 equal symbols: (0, 0, 0, 1) needs a prefix of 16^4 + 3 steps
+        uniform16 = IidModel(probs=(Fraction(1, 16),) * 16)
+        with pytest.raises(ResourceError, match="automaton DP of 65539 steps"):
+            dp_count_distribution(uniform16, (0, 0, 0, 1), UNIT)
+
 
 class TestTvDecayFamily:
     def test_poisson_distance_decays_for_aperiodic_words(self):

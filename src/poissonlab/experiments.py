@@ -25,12 +25,11 @@ import numpy as np
 from .errors import (ConfigError, InsufficientDataError, ResourceError,
                      UnsupportedModelError)
 from .measures import (GaussCFModel, IidModel, MarkovModel, Model,
-                       SequenceGenerator, contraction_profile,
-                       cylinder_prob_exact, mixing_profile, model_from_spec,
-                       model_to_spec)
+                       contraction_profile, cylinder_prob_exact, draw,
+                       mixing_profile, model_from_spec, model_to_spec)
 from .mixing_concentration import (DELTA_NORM_MATRIX_CAP, MAX_LAG_CAP,
-                                   PHI2_EXACT_CAP, OccurrenceIndex, _plan_words,
-                                   _ranges_array, delta_matrix, delta_norm,
+                                   PHI2_EXACT_CAP, OccurrenceIndex, _check_range_cells,
+                                   _plan_words, _ranges_array, delta_matrix, delta_norm,
                                    delta_norm_bound, eta_coefficients,
                                    lipschitz_weights_phi1,
                                    lipschitz_weights_phi2, phi2_enumerable,
@@ -43,14 +42,13 @@ from .point_process import (IntervalUnion, count_word_occurrences, j_set,
                             required_prefix_length)
 from .poisson_stats import (KALLENBERG_MIN_SAMPLES, fold_histogram, histogram_j_max,
                             kallenberg_check, poisson_reference, tv_distance)
-from .rng import derive_seed, raw_block
+from .rng import derive_seed
 from .rng import uniform_block  # noqa: F401  (perfbench's tracer self-test wraps this binding)
 from .words import enumerate_words, periods
 
 MODES = ("annealed", "quenched", "oracle", "concentration", "mixing")
 SYMBOL_BUDGET = 2 * 10**9  # symbols one counting run may draw
 _BATCH_ELEMS = 1 << 23  # symbols per batch of annealed or concentration streams
-_DRAW_CHUNK = 1 << 16  # raw values per raw_block call of _draw
 HISTOGRAM_BINS_GUARD = 10**6  # count-histogram bins one target set may need
 
 
@@ -467,24 +465,6 @@ def _check_budget(symbols: int) -> None:
             f"{SYMBOL_BUDGET:.0e}; reduce n_samples, n_x_replicas or n_cap")
 
 
-def _draw(model: Model, seeds: np.ndarray, length: int) -> np.ndarray:
-    """(len(seeds), length) symbol matrix: row r is the first ``length``
-    symbols of the stream with seed ``seeds[r]``, symbol for symbol as
-    ``SequenceGenerator(model, seeds[r]).take(length)``."""
-    if isinstance(model, IidModel) and model.probs is not None:
-        out = np.empty((len(seeds), length),
-                       dtype=np.min_scalar_type(len(model.probs) - 1))
-        # whole rows while a row fits in a chunk, pieces of one row otherwise
-        width = max(1, min(length, _DRAW_CHUNK))
-        height = max(1, _DRAW_CHUNK // width)
-        for r0 in range(0, len(seeds), height):
-            for c0 in range(0, length, width):
-                block = out[r0:r0 + height, c0:c0 + width]
-                model.symbols(raw_block(seeds[r0:r0 + height], c0, block.shape[1]), block)
-        return out
-    return np.stack([SequenceGenerator(model, sd).take(length) for sd in seeds.tolist()])
-
-
 def _plan_members(plan_of: np.ndarray) -> list[np.ndarray]:
     """The ascending indices of the words of each plan."""
     return np.split(np.argsort(plan_of, kind="stable"),
@@ -502,7 +482,7 @@ def run_annealed(cfg: ExperimentConfig) -> GenericityReport:
         raise ConfigError("$.mode: run_annealed needs mode 'annealed'")
     model, k, n = cfg.model, cfg.k, cfg.n_samples
     _check_budget(n * k)
-    words = _draw(model, derive_seed(cfg.seed, 1, np.arange(n)), k)
+    words = draw(model, derive_seed(cfg.seed, 1, np.arange(n)), k)
     plan_of, plans = _plan_words(model, words, cfg.sets, k)
     lengths = [min(plan.need, cfg.n_cap) for plan in plans]
     _check_budget(sum(lengths[p] for p in plan_of.tolist()))
@@ -520,7 +500,7 @@ def run_annealed(cfg: ExperimentConfig) -> GenericityReport:
         step = max(1, _BATCH_ELEMS // length)
         for lo in range(0, len(members), step):
             rows = members[lo: lo + step]
-            streams = _draw(model, derive_seed(cfg.seed, 2, rows), length)
+            streams = draw(model, derive_seed(cfg.seed, 2, rows), length)
             for si, rs in enumerate(ranges):
                 counts[si][rows] = count_word_occurrences(streams, words[rows], rs)
     return _genericity_report(cfg, counts, truncated, None)
@@ -551,11 +531,12 @@ def run_quenched(cfg: ExperimentConfig) -> QuenchedResult:
 
 def _quenched_replica(cfg: ExperimentConfig, r: int) -> GenericityReport:
     model, k, n = cfg.model, cfg.k, cfg.n_samples
-    words = _draw(model, derive_seed(cfg.seed, 4, r, np.arange(n)), k)
+    words = draw(model, derive_seed(cfg.seed, 4, r, np.arange(n)), k)
     plan_of, plans = _plan_words(model, words, cfg.sets, k)
+    _check_range_cells(n, [J for plan in plans for J in plan.js])  # before x is drawn
     x_len = min(max(max(plan.need for plan in plans), k), cfg.n_cap)
     _check_budget(cfg.n_x_replicas * x_len)
-    x = _draw(model, derive_seed(cfg.seed, 3, [r]), x_len)[0]
+    x = draw(model, derive_seed(cfg.seed, 3, [r]), x_len)[0]
     index = OccurrenceIndex(x, k)
     max_start = x_len - k + 1
 
@@ -596,6 +577,13 @@ class OracleReport:
         return {}
 
 
+def _require(ok: bool, detail: str) -> None:
+    """Fail the current oracle row with ``detail`` unless ``ok``: a raise, not
+    an ``assert`` statement, so the verdict survives ``python -O``."""
+    if not ok:
+        raise AssertionError(detail)
+
+
 def _oracle_guarded(name: str, fn: Callable[[], str]) -> OracleRow:
     try:
         return OracleRow(name, "PASS", fn())
@@ -624,13 +612,10 @@ def run_oracle_suite(cfg: ExperimentConfig) -> OracleReport:
 
     def expectation_check() -> str:
         k_e = fit_k(1, 8, 1 << 12)
-        worst = Fraction(0)
-        for w in enumerate_words(s, k_e):
-            mu = cylinder_prob_exact(model, w)
-            e = exact_expectation(model, w, S)
-            if mu:
-                worst = max(worst, abs(e - S.total_length) / mu)
-        assert worst <= S.m, f"sandwich ratio {float(worst):.3f} exceeds m={S.m}"
+        worst = max((abs(exact_expectation(model, w, S) - S.total_length) / mu
+                     for w in enumerate_words(s, k_e)
+                     if (mu := cylinder_prob_exact(model, w))), default=Fraction(0))
+        _require(worst <= S.m, f"sandwich ratio {float(worst):.3f} exceeds m={S.m}")
         return f"k={k_e}: max |E-|S||/mu = {float(worst):.6f} <= m = {S.m}"
 
     def variance_check() -> str:
@@ -648,13 +633,13 @@ def run_oracle_suite(cfg: ExperimentConfig) -> OracleReport:
                 except ResourceError:  # alphabet^L past the prefix-states guard
                     continue
                 mean = sum(j * p for j, p in dist.items())
-                second = sum(j * j * p for j, p in dist.items())
-                bf_var = float(second - mean * mean)
+                bf_var = float(sum(j * j * p for j, p in dist.items()) - mean * mean)
                 vb = exact_variance(model, w, S)
-                assert abs(vb.variance - bf_var) <= 1e-9, \
-                    f"w={w}: decomposition {vb.variance} vs enumeration {bf_var}"
+                _require(abs(vb.variance - bf_var) <= 1e-9,
+                         f"w={w}: decomposition {vb.variance} vs enumeration {bf_var}")
                 checked += 1
-        assert checked > 0, "no word fit the enumeration guard"
+        if not checked:  # nothing to compare: the row reads SKIP, like fit_k's
+            raise ResourceError("no word fit the enumeration guard")
         return f"{checked} words agree within 1e-9"
 
     def pair_check() -> str:
@@ -665,11 +650,10 @@ def run_oracle_suite(cfg: ExperimentConfig) -> OracleReport:
                     if s ** (k_p + lag) > 1 << 18:
                         continue
                     exact = exact_pair_prob(model, w, lag)
-                    brute = Fraction(0)
-                    for u in enumerate_words(s, k_p + lag):
-                        if u[:k_p] == w and u[lag: lag + k_p] == w:
-                            brute += cylinder_prob_exact(model, u)
-                    assert exact == brute, f"w={w} lag={lag}: {exact} != {brute}"
+                    brute = sum((cylinder_prob_exact(model, u)
+                                 for u in enumerate_words(s, k_p + lag)
+                                 if u[:k_p] == w and u[lag: lag + k_p] == w), Fraction(0))
+                    _require(exact == brute, f"w={w} lag={lag}: {exact} != {brute}")
                     checked += 1
         return f"{checked} (word, lag) pairs match enumeration exactly"
 
@@ -678,14 +662,12 @@ def run_oracle_suite(cfg: ExperimentConfig) -> OracleReport:
         uniform = isinstance(model, IidModel) and len(set(model.probs)) == 1
         for ell in range(1, k_c):
             mass = period_class_measure(model, k_c, ell)
-            dual = Fraction(0)
-            for w in enumerate_words(s, k_c):
-                if ell in periods(w):
-                    dual += cylinder_prob_exact(model, w)
-            assert mass == dual, f"ell={ell}: {mass} != {dual}"
+            dual = sum((cylinder_prob_exact(model, w) for w in enumerate_words(s, k_c)
+                        if ell in periods(w)), Fraction(0))
+            _require(mass == dual, f"ell={ell}: {mass} != {dual}")
             if uniform:
-                assert mass == Fraction(1, s ** (k_c - ell)), \
-                    f"ell={ell}: uniform class mass {mass}"
+                _require(mass == Fraction(1, s ** (k_c - ell)),
+                         f"ell={ell}: uniform class mass {mass}")
         return f"k={k_c}: all period classes match the periods() dual path"
 
     def annealed_check() -> str:
@@ -714,31 +696,28 @@ def run_oracle_suite(cfg: ExperimentConfig) -> OracleReport:
             tv = tv_distance(folded, poisson_reference(lam, jm))
             ref_tv.append((k_d, tv))
         for (k1, t1), (k2, t2) in zip(ref_tv, ref_tv[1:]):
-            assert t2 <= t1 + 1e-12, f"TV rose from k={k1} ({t1:.3e}) to k={k2} ({t2:.3e})"
+            _require(t2 <= t1 + 1e-12, f"TV rose from k={k1} ({t1:.3e}) to k={k2} ({t2:.3e})")
         fitted = max(tv / (k_d * prof.rho**k_d) for k_d, tv in ref_tv)
-        assert fitted <= 4.0, f"fitted decay constant {fitted:.3f} > 4"
+        _require(fitted <= 4.0, f"fitted decay constant {fitted:.3f} > 4")
         w4 = (0, 0, 0, 1)
         bf = brute_force_distribution(model, w4, S)
         dp = dp_count_distribution(model, w4, S)
         for jj in set(bf) | set(dp):
-            assert abs(float(bf.get(jj, 0)) - dp.get(jj, 0.0)) <= 1e-12, \
-                f"DP vs enumeration at count {jj}"
+            _require(abs(float(bf.get(jj, 0)) - dp.get(jj, 0.0)) <= 1e-12,
+                     f"DP vs enumeration at count {jj}")
         decay = ", ".join(f"k={k_d}: {tv:.3e}" for k_d, tv in ref_tv)
         return f"{decay}; fitted constant {fitted:.3f} <= 4; DP == enumeration at k=4"
 
     def majorant_check() -> str:
         prof = mixing_profile(model)
-        vals = []
-        for k_m in range(2, 40):
-            b = log_n_over_n_bound(k_m, S, prof)
-            vals.append((k_m, b))
+        vals = [(k_m, log_n_over_n_bound(k_m, S, prof)) for k_m in range(2, 40)]
         defined = [(k_m, b) for k_m, b in vals if b is not None]
         if not defined:
             raise UnsupportedModelError("majorant undefined for every k in 2..39")
         for (k1, b1), (k2, b2) in zip(defined, defined[1:]):
-            assert b2 <= b1 + 1e-15, f"majorant rose between k={k1} and k={k2}"
-        first = next(k_m for k_m, b in vals if b is not None)
-        return f"defined from k={first}, monotone decreasing; at k={first}: {defined[0][1]:.4f}"
+            _require(b2 <= b1 + 1e-15, f"majorant rose between k={k1} and k={k2}")
+        first, b_first = defined[0]
+        return f"defined from k={first}, monotone decreasing; at k={first}: {b_first:.4f}"
 
     # the exact rational checks enumerate words over a finite alphabet
     rational = (("expectation_sandwich", expectation_check),
@@ -780,8 +759,8 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     def streams(length: int):
         _check_budget(n * length)
         step = max(1, _BATCH_ELEMS // max(length, 1))
-        return (_draw(model, derive_seed(cfg.seed, 1, np.arange(lo, min(lo + step, n))),
-                      length) for lo in range(0, n, step))
+        return (draw(model, derive_seed(cfg.seed, 1, np.arange(lo, min(lo + step, n))),
+                     length) for lo in range(0, n, step))
 
     if cfg.functional == "phi1":
         values, complete = phi_k_S(model, streams, k, S, cfg.n_cap)

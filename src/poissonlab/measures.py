@@ -13,9 +13,10 @@ Cylinder probabilities are exact: rational arithmetic for iid/Markov, and
 exact integer continuant endpoints for the CF model, with a single float
 conversion at the very end (via log1p on an exact small ratio, so there is
 no cancellation for deep cylinders).  All sampling is driven by the
-counter-based stream in ``rng``; the CF sampler draws each digit from its
-exact conditional law given the digits before it, carried by two floats
-whose update contracts, so float error does not grow with n (it never
+counter-based stream in ``rng``, through ``draw``; every finite law draws by
+integer thresholds on the raw values, and the CF sampler draws each digit
+from its exact conditional law given the digits before it, carried by two
+floats whose update contracts, so float error does not grow with n (it never
 iterates the expanding Gauss map).
 """
 
@@ -30,7 +31,7 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from .errors import UnsupportedModelError
-from .rng import MASK64, raw_block, uniform_block
+from .rng import MASK64, raw_block
 from .words import Word, as_word
 
 _LN2 = math.log(2.0)
@@ -38,9 +39,7 @@ _LN2 = math.log(2.0)
 # CF digits are drawn from the one-ratio law once |delta| is below this
 # (SequenceGenerator._gauss_digits)
 _DEEP_DELTA = 1e-17
-# take() draws the Markov and CF samplers' uniforms in blocks of this many,
-# so a long stream never holds more than one block of them as Python floats
-_UNIFORM_BLOCK = 1 << 20
+_DRAW_BLOCK = 1 << 16  # raw values per raw_block call of draw() and take()
 # lags m = 1..50 of the Markov psi-mixing certificate (mixing_profile)
 _PSI_LAGS = 50
 
@@ -111,12 +110,7 @@ class IidModel:
             probs = tuple(p / total for p in probs)  # now summing to exactly 1
             self.probs = probs
             self._floats = np.array([float(p) for p in probs])
-            self._cum = np.cumsum(self._floats)
-            # u >= c  <=>  (u * 2**53) >= ceil(c * 2**53)  <=>  raw >= that << 11,
-            # for u = (raw >> 11) * 2**-53; u < 1 never reaches 2**53
-            ceils = (math.ceil(c * 2.0**53) for c in self._cum[:-1])
-            self._thresholds = np.array([t << 11 for t in ceils if t < 1 << 53],
-                                        dtype=np.uint64)
+            self._thresholds = np.array(_raw_thresholds(self._floats), dtype=np.uint64)
         else:
             r = _to_fraction(self.tail_ratio, "tail_ratio")
             if not 0 < r < 1:
@@ -140,9 +134,18 @@ class IidModel:
 
     def symbols(self, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Fill ``out`` with the symbols that the raw stream values ``raw``
-        (``rng.value_at``) draw under a finite ``probs`` vector: the number of
-        cumulative probabilities, all but the last, at or below the uniform
-        ``(raw >> 11) * 2**-53``, compared as integers."""
+        (``rng.value_at``) draw: the number of ``_raw_thresholds`` at or below
+        each value, or under ``tail_ratio`` the inverse CDF of the uniform
+        ``(raw >> 11) * 2**-53``, settled against the float CDF 1 - r**(a+1)."""
+        if self.probs is None:
+            u, r = (raw >> np.uint64(11)) * 2.0**-53, self._r_float
+            a = np.maximum(np.floor(np.log1p(-u) / self._log_r), 0).astype(np.int64)
+            for _ in range(2):
+                a += u >= 1.0 - np.power(r, a + 1.0)
+            for _ in range(2):
+                a -= (a > 0) & (u < 1.0 - np.power(r, a.astype(np.float64)))
+            out[...] = a
+            return out
         if len(self._thresholds) == 0:
             out[...] = 0
             return out
@@ -150,6 +153,14 @@ class IidModel:
         for t in self._thresholds[1:]:
             out += raw >= t
         return out
+
+
+def _raw_thresholds(probs: np.ndarray) -> list[int]:
+    """The raw values at which a finite law's draw steps up: u >= c exactly
+    when raw >= ceil(c * 2**53) << 11, for u = (raw >> 11) * 2**-53 and each
+    cumulative value c but the last; u < 1 never reaches 2**53 (c >= 1)."""
+    ceils = (math.ceil(c * 2.0**53) for c in np.cumsum(probs)[:-1])
+    return [t << 11 for t in ceils if t < 1 << 53]
 
 
 def _stationary_exact(P: tuple[tuple[Fraction, ...], ...]) -> tuple[Fraction, ...]:
@@ -216,8 +227,8 @@ class MarkovModel:
         self.pi = _stationary_exact(P)
         self._t_floats = np.array([[float(v) for v in row] for row in P])
         self._pi_floats = np.array([float(v) for v in self.pi])
-        self._row_cums = tuple(tuple(np.cumsum(row)) for row in self._t_floats)
-        self._pi_cum = tuple(np.cumsum(self._pi_floats))
+        # the raw thresholds of each row, then of pi, which the start (state -1) draws from
+        self._thresholds = tuple(map(_raw_thresholds, [*self._t_floats, self._pi_floats]))
         self._powers = [P]  # P, P^2, ..., extended by matrix_power
 
     @property
@@ -396,7 +407,7 @@ class SequenceGenerator:
     """Deterministic sampler of one model's stationary symbol stream.
 
     Pure function of (model, seed): the i-th emitted symbol only depends on
-    the counter-based uniforms at indices < its own, so streams are
+    the counter-based stream values at indices up to its own, so streams are
     reproducible and replicas with derived seeds are independent.
     """
 
@@ -404,55 +415,34 @@ class SequenceGenerator:
         self.model = model
         self.seed = seed & MASK64
         self.emitted = 0
-        if isinstance(model, MarkovModel):
-            self._state: int | None = None
-        elif isinstance(model, GaussCFModel):
-            # s = q_{n-1}/q_n and delta = (p_{n-1}+q_{n-1})/(p_n+q_n) - s for
-            # the cylinder of the digits so far (continuants as cf_continuants)
-            self._s, self._delta = 0.0, 1.0
+        self._state = -1  # the Markov chain's last state; -1 before the first
+        # CF: s = q_{n-1}/q_n and delta = (p_{n-1}+q_{n-1})/(p_n+q_n) - s for
+        # the cylinder of the digits so far (continuants as cf_continuants)
+        self._s, self._delta = 0.0, 1.0
 
     def take(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("n must be nonnegative")
         model = self.model
-        if isinstance(model, IidModel):
-            if model.probs is not None:
-                raw = raw_block(self.seed, self.emitted, n)
-                self.emitted += n
-                return model.symbols(raw, np.empty(n, dtype=np.int64))
-            return self._geometric_take(n)
-        step = self._markov_states if isinstance(model, MarkovModel) else self._gauss_digits
         out = np.empty(n, dtype=np.int64)
-        for lo in range(0, n, _UNIFORM_BLOCK):
-            us = uniform_block(self.seed, self.emitted, min(_UNIFORM_BLOCK, n - lo))
-            self.emitted += len(us)
-            out[lo: lo + len(us)] = step(us.tolist())
+        for lo in range(0, n, _DRAW_BLOCK):
+            block = out[lo: lo + _DRAW_BLOCK]
+            raw = raw_block(self.seed, self.emitted, len(block))
+            self.emitted += len(block)
+            if isinstance(model, IidModel):
+                model.symbols(raw, block)
+            elif isinstance(model, MarkovModel):
+                block[:] = self._markov_states(raw.tolist())
+            else:  # the uniforms of rng.uniform_block
+                block[:] = self._gauss_digits(((raw >> np.uint64(11)) * 2.0**-53).tolist())
         return out
 
-    def _geometric_take(self, n: int) -> np.ndarray:
-        model = self.model
-        u = uniform_block(self.seed, self.emitted, n)
-        self.emitted += n
-        r = model._r_float
-        a = np.floor(np.log1p(-u) / model._log_r).astype(np.int64)
-        a = np.maximum(a, 0)
-        # settle float boundaries against the CDF 1 - r**(a+1)
-        for _ in range(2):
-            a += (u >= 1.0 - np.power(r, a + 1.0)).astype(np.int64)
-        for _ in range(2):
-            step = (a > 0) & (u < 1.0 - np.power(r, a.astype(np.float64)))
-            a -= step.astype(np.int64)
-        return a
-
-    def _markov_states(self, us: list[float]) -> list[int]:
-        """The next states, one per uniform in ``us``."""
-        model = self.model
-        last = model.alphabet_size - 1
-        out = []
-        s = self._state
-        for u in us:
-            cum = model._pi_cum if s is None else model._row_cums[s]
-            s = min(bisect_right(cum, u), last)
+    def _markov_states(self, raws: list[int]) -> list[int]:
+        """The next states, one per raw value: the number of thresholds of the
+        current state's row (of pi at the start) at or below the value."""
+        rows, s, out = self.model._thresholds, self._state, []
+        for raw in raws:
+            s = bisect_right(rows[s], raw)
             out.append(s)
         self._state = s
         return out
@@ -514,6 +504,24 @@ class SequenceGenerator:
             s = 1.0 / (d + s)
         self._s, self._delta = s, delta
         return out
+
+
+def draw(model: Model, seeds: np.ndarray, length: int) -> np.ndarray:
+    """(len(seeds), length) symbol matrix: row r is the first ``length``
+    symbols of the stream with seed ``seeds[r]``, symbol for symbol as
+    ``SequenceGenerator(model, seeds[r]).take(length)``.  I.i.d. rows are drawn
+    together in blocks of about _DRAW_BLOCK values: whole rows, or row pieces."""
+    if not isinstance(model, IidModel):
+        return np.stack([SequenceGenerator(model, sd).take(length) for sd in seeds.tolist()])
+    dtype = np.int64 if model.probs is None else np.min_scalar_type(len(model.probs) - 1)
+    out = np.empty((len(seeds), length), dtype=dtype)
+    width = max(1, min(length, _DRAW_BLOCK))
+    height = max(1, _DRAW_BLOCK // width)
+    for r0 in range(0, len(seeds), height):
+        for c0 in range(0, length, width):
+            block = out[r0:r0 + height, c0:c0 + width]
+            model.symbols(raw_block(seeds[r0:r0 + height], c0, block.shape[1]), block)
+    return out
 
 
 # ---------------------------------------------------------------------------

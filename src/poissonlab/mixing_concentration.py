@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InternalCheckError, UnsupportedModelError
+from .errors import ConfigError, InternalCheckError, ResourceError, UnsupportedModelError
 from .measures import (GaussCFModel, IidModel, MarkovModel, MixingProfile, Model,
                        cylinder_prob_guarded, gauss_cylinder_prob)
 from .point_process import IndexSet, IntervalUnion, j_set, required_prefix_length
@@ -26,6 +26,7 @@ from .words import enumerate_words
 DELTA_NORM_MATRIX_CAP = 2000
 MAX_LAG_CAP = 1000  # exact rational powers grow by about a digit per lag
 PHI2_EXACT_CAP = 1 << 16
+RANGE_CELLS_CAP = 1 << 22  # words x index ranges of one count_in_ranges call
 HASH_MULT = np.uint64(0x9E3779B97F4A7C15) | np.uint64(1)
 
 
@@ -201,6 +202,15 @@ def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(len(keys), dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
     return order[starts], inverse
+
+
+def _check_range_cells(n_words: int, js: Sequence[IndexSet]) -> None:
+    """Refuse, before it is built, an (n_words, m, 2) ranges array past
+    RANGE_CELLS_CAP words x ranges, m the most ranges of one set in ``js``."""
+    m = max((len(J.ranges) for J in js), default=0)
+    if n_words * m > RANGE_CELLS_CAP:
+        raise ResourceError(f"{n_words} words x {m} index ranges is over the cap of "
+                            f"{RANGE_CELLS_CAP}; reduce n_samples or the intervals of S")
 
 
 def _ranges_array(js: Sequence[IndexSet]) -> np.ndarray:
@@ -450,7 +460,8 @@ def phi_k_j_S(model: Model, streams: Streams, k: int, j: int, S: IntervalUnion,
     truncated_mass = sum((m for m, c in zip(mass, counted) if not c), Fraction(0))
     zero_mass = 1 - sum(mass)  # words of measure zero count 0
     counted_words = counted[plan_of]
-    matrices = streams(use_len)  # first: the caller may refuse the length
+    _check_range_cells(len(words), js)
+    matrices = streams(use_len)  # before the ranges: the caller may refuse the length
     ranges = _ranges_array([J.clipped(use_len - k + 1) for J in js])[plan_of]
     values = []
     for xs in matrices:

@@ -39,7 +39,7 @@ def exact_expectation(model: Model, w: Sequence[int], S: IntervalUnion):
 
     Returns a Fraction for rational models, float for the CF model; 0 for a
     zero-measure word (empty index set by convention).  The value always
-    satisfies | E - |S| | <= m * mu_w, which is asserted.
+    satisfies | E - |S| | <= m * mu_w, which is checked.
     """
     mu, mu_high = cylinder_prob_guarded(model, as_word(w))
     if mu == 0:

@@ -21,12 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poissonlab.errors import ConfigError, InsufficientDataError
-from poissonlab.experiments import (_draw, _genericity_report, execute,
-                                    parse_config,
+from poissonlab.experiments import (_genericity_report, execute, parse_config,
                                     run_annealed, run_mixing, run_oracle_suite,
                                     run_quenched, to_jsonable)
 from poissonlab.measures import (GaussCFModel, IidModel, SequenceGenerator,
-                                 cylinder_prob_exact, cylinder_prob_guarded,
+                                 cylinder_prob_exact, cylinder_prob_guarded, draw,
                                  model_from_spec)
 from poissonlab.mixing_concentration import OccurrenceIndex, _distinct_rows
 from poissonlab.point_process import j_set, required_prefix_length, unit_interval
@@ -36,6 +35,7 @@ from poissonlab.rng import derive_seed
 FAIR_SPEC = {"type": "iid", "probs": ["1/2", "1/2"]}
 BIASED_SPEC = {"type": "iid", "probs": ["3/4", "1/4"]}
 THREE_SPEC = {"type": "iid", "probs": ["1/2", "1/3", "1/6"]}
+GEOMETRIC_SPEC = {"type": "iid", "tail_ratio": "1/2"}
 MARKOV_SPEC = {"type": "markov",
                "transition": [["9/10", "1/10"], ["1/5", "4/5"]]}
 CHAIN3_SPEC = {"type": "markov", "transition": [["1/2", "1/4", "1/4"],
@@ -377,7 +377,7 @@ class TestQuenched:
         assert j_set(mu, unit_interval(), high).max_index() > 2**63
         stream = np.ones(50, dtype=np.int64)
         stream[4:7] = stream[47:50] = word  # windows 5 and 48, the last one
-        monkeypatch.setattr(experiments, "_draw", lambda model, seeds, length:
+        monkeypatch.setattr(experiments, "draw", lambda model, seeds, length:
                             np.tile(word, (len(seeds), 1)) if length == 3
                             else stream[None, :length])
         cfg = parse_config(_doc(mode="quenched", model={"type": "gauss_cf"}, k=3,
@@ -423,8 +423,8 @@ class TestNegativeControls:
         # S = (0, m], so J = {1..m 2^k}
         cfg = parse_config(_doc(mode="quenched", k=self.K, n_samples=5000,
                                 sets=[[["0", str(m), False, True]]]))
-        words = _draw(cfg.model, derive_seed(cfg.seed, 4, 0, np.arange(cfg.n_samples)),
-                      self.K)
+        words = draw(cfg.model, derive_seed(cfg.seed, 4, 0, np.arange(cfg.n_samples)),
+                     self.K)
         J = j_set(Fraction(1, 2**self.K), cfg.sets[0])
         assert J.ranges == ((1, m * 2**self.K),)
         ranges = np.broadcast_to(np.array(J.ranges), (len(words), 1, 2))
@@ -462,28 +462,29 @@ class TestNegativeControls:
 class TestDraw:
     @pytest.mark.parametrize("model_spec", [FAIR_SPEC, BIASED_SPEC, THREE_SPEC,
                                             {"type": "iid", "probs": ["1/2", "1/2", "0"]},
-                                            MARKOV_SPEC])
+                                            GEOMETRIC_SPEC, MARKOV_SPEC])
     @pytest.mark.parametrize("length", [1, 14, 70000])
     def test_rows_equal_take(self, model_spec, length):
         model = model_from_spec(model_spec)
         if length > 14 and model_spec is MARKOV_SPEC:
             length = 3000  # the Markov sampler steps in Python
         seeds = derive_seed(11, np.arange(5))
-        got = _draw(model, seeds, length)
+        got = draw(model, seeds, length)
         assert got.shape == (5, length)
         for row, seed in zip(got, seeds.tolist()):
             assert np.array_equal(row, SequenceGenerator(model, seed).take(length))
 
-    # rows that fit a chunk, rows longer than one, and chunks of one value
+    # rows that fit a block, rows longer than one, and blocks of one value
+    @pytest.mark.parametrize("model_spec", [THREE_SPEC, GEOMETRIC_SPEC])
     @pytest.mark.parametrize("length,chunk", [(50, 120), (300, 64), (7, 1), (14, 1 << 16)])
-    def test_chunks_tile_the_matrix(self, monkeypatch, length, chunk):
-        from poissonlab import experiments
+    def test_chunks_tile_the_matrix(self, monkeypatch, model_spec, length, chunk):
+        from poissonlab import measures
 
-        model = model_from_spec(THREE_SPEC)
+        model = model_from_spec(model_spec)
         seeds = derive_seed(5, np.arange(7))
-        whole = _draw(model, seeds, length)
-        monkeypatch.setattr(experiments, "_DRAW_CHUNK", chunk)
-        assert np.array_equal(_draw(model, seeds, length), whole)
+        whole = draw(model, seeds, length)
+        monkeypatch.setattr(measures, "_DRAW_BLOCK", chunk)
+        assert np.array_equal(draw(model, seeds, length), whole)
         for row, seed in zip(whole, seeds.tolist()):
             assert np.array_equal(row, SequenceGenerator(model, seed).take(length))
 
@@ -541,6 +542,15 @@ class TestOracleMode:
         rep = run_oracle_suite(parse_config(_doc(mode="oracle", model=model)))
         row = {r.name: r for r in rep.rows}["variance_dual_path"]
         assert row.status == "PASS", row.detail
+
+    def test_variance_row_with_no_fitting_word_is_skipped(self):
+        # at k=4 every word's index set for S = (0, 30] needs a prefix past
+        # the enumeration guard: nothing is compared, so the row reads SKIP
+        rep = run_oracle_suite(parse_config(_doc(mode="oracle", k=4,
+                                                 sets=[[["0", "30", False, True]]])))
+        row = {r.name: r for r in rep.rows}["variance_dual_path"]
+        assert (row.status, row.detail) == ("SKIP", "no word fit the enumeration guard")
+        assert rep.passed
 
     def test_period_row_with_no_class_is_skipped(self):
         # at k=1 there is no period ell in 1..k-1 to check
@@ -884,6 +894,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: internal check failed: index-count sandwich")
         assert "Traceback" not in err
+
+    def test_broken_oracle_row_fails_under_optimize(self, tmp_path):
+        # python -O strips assert statements; an oracle verdict must survive it
+        cfg_path = self._write(tmp_path / "c.json", _doc(mode="oracle", model=MARKOV_SPEC, k=4))
+        script = ("import sys\n"
+                  "from fractions import Fraction\n"
+                  "from poissonlab import cli, experiments\n"
+                  "experiments.exact_pair_prob = lambda model, w, lag: Fraction(0)\n"
+                  "sys.exit(cli.main(['oracle', '--config', sys.argv[1]]))\n")
+        r = subprocess.run([sys.executable, "-O", "-c", script, cfg_path],
+                           capture_output=True, text=True, timeout=60)
+        assert r.returncode == 1, r.stderr
+        assert "  pair_probability_dual_path: FAIL (w=(0, 0) lag=1: 0 != " in r.stdout
+        assert r.stdout.splitlines()[-1] == "result: FAIL"
+
+    @pytest.mark.parametrize("mode,over", [("quenched", {"n_samples": 200}),
+                                           ("concentration", {"functional": "phi2"})])
+    def test_words_times_ranges_past_the_cap_is_exit_two(self, tmp_path, monkeypatch,
+                                                         capsys, mode, over):
+        from poissonlab import cli, experiments, mixing_concentration
+
+        monkeypatch.setattr(mixing_concentration, "RANGE_CELLS_CAP", 50)
+        lengths = []
+        draw_ = experiments.draw
+        monkeypatch.setattr(experiments, "draw", lambda model, seeds, length:
+                            lengths.append(length) or draw_(model, seeds, length))
+        # S = ten intervals (i, i + 1/2]: at k=4 each fair-coin word's index
+        # set is ten ranges, so 200 words (quenched) or all 16 (phi2) pass 50
+        sets = [[[str(i), f"{i}.5", False, True] for i in range(10)]]
+        doc = (_conc if mode == "concentration" else _doc)(mode=mode, k=4, sets=sets, **over)
+        assert cli.main([mode, "--config", self._write(tmp_path / "c.json", doc)]) == 2
+        assert "over the cap of 50" in capsys.readouterr().err
+        # no stream is drawn: quenched draws only its words, of length k
+        assert lengths == ([4] if mode == "quenched" else [])
 
     @pytest.mark.parametrize("over,needle", [
         ({"model": {"type": "gauss_cf"}, "k": 3, "functional": "phi2"}, "$.functional"),

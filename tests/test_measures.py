@@ -6,6 +6,7 @@ hand-computed eigenstructure of the default two-state chain.
 """
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -298,7 +299,7 @@ class TestGenerators:
     def test_cf_take_equals_single_takes(self, block, monkeypatch):
         from poissonlab import measures
         if block is not None:
-            monkeypatch.setattr(measures, "_UNIFORM_BLOCK", block)
+            monkeypatch.setattr(measures, "_DRAW_BLOCK", block)
         bulk = SequenceGenerator(GaussCFModel(), 2718)
         scalar = SequenceGenerator(GaussCFModel(), 2718)
         taken = np.concatenate([bulk.take(11), bulk.take(289)])
@@ -312,7 +313,7 @@ class TestGenerators:
     def test_markov_take_equals_single_takes(self, block, monkeypatch):
         from poissonlab import measures
         if block is not None:
-            monkeypatch.setattr(measures, "_UNIFORM_BLOCK", block)
+            monkeypatch.setattr(measures, "_DRAW_BLOCK", block)
         bulk = SequenceGenerator(CHAIN, 31)
         scalar = SequenceGenerator(CHAIN, 31)
         taken = np.concatenate([bulk.take(20), bulk.take(45)])
@@ -328,16 +329,71 @@ class TestGenerators:
         # raw values whose uniform is exactly each cumulative value, one ulp
         # below it, and the extremes 0 and 1 - 2**-53
         ms = {0, (1 << 53) - 1}
-        for c in model._cum:
+        cum = np.cumsum(model._floats)
+        for c in cum:
             m = math.ceil(c * 2.0**53)
             ms.update(v for v in (m - 1, m) if 0 <= v < 1 << 53)
         raw = np.array(sorted(ms), dtype=np.uint64) << np.uint64(11)
         raw = np.concatenate([raw, raw | np.uint64(0x7FF)])  # low bits do not count
         u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        expected = [sum(1 for c in model._cum[:-1] if ui >= c) for ui in u]
+        expected = [sum(1 for c in cum[:-1] if ui >= c) for ui in u]
         got = model.symbols(raw, np.empty(len(raw), dtype=np.int64))
         assert got.tolist() == expected
         assert got.max() < len(probs) - (probs[-1] == "0")
+
+
+    # zero entries repeat a cumulative value; a trailing zero puts 1.0 before
+    # the last one
+    @pytest.mark.parametrize("transition", [
+        (("0", "1/2", "1/2"), ("1/2", "0", "1/2"), ("1/2", "1/2", "0")),
+        (("1/2", "1/2", "0"), ("1/3", "1/3", "1/3"), ("0", "1/2", "1/2")),
+        (("9/10", "1/10"), ("1/5", "4/5")),
+        (("1/3", "1/3", "1/3"), ("1/10", "7/10", "1/5"), ("1/7", "2/7", "4/7"))])
+    def test_markov_states_at_exact_boundaries(self, transition):
+        chain = MarkovModel(transition)
+        s = chain.alphabet_size
+        for state, row in [(-1, chain._pi_floats), *enumerate(chain._t_floats)]:
+            cum = np.cumsum(row)
+            # raw values whose uniform is exactly each cumulative value, one
+            # ulp below it, and the extremes 0 and 1 - 2**-53
+            ms = {0, (1 << 53) - 1}
+            for c in cum:
+                m = math.ceil(c * 2.0**53)
+                ms.update(v for v in (m - 1, m) if 0 <= v < 1 << 53)
+            raws = [m << 11 for m in sorted(ms)]
+            raws += [raw | 0x7FF for raw in raws]  # low bits do not count
+            # the float rule: bisect the uniform into the cumulative row
+            expected = [min(bisect_right(cum, (raw >> 11) * 2.0**-53), s - 1)
+                        for raw in raws]
+            gen = SequenceGenerator(chain, 0)
+            got = []
+            for raw in raws:
+                gen._state = state
+                got += gen._markov_states([raw])
+            assert got == expected
+
+    @pytest.mark.parametrize("tail", ["1/2", "9/10", "1/1000"])
+    def test_geometric_symbols_at_exact_boundaries(self, tail):
+        model = IidModel(tail_ratio=tail)
+        r = float(Fraction(tail))
+        # raw values whose uniform is exactly each float CDF value 1 - r**(a+1)
+        # (exact at r = 1/2) and one ulp below it, while below 1
+        ms = set()
+        for a in range(60):
+            m = math.ceil((1.0 - np.power(r, a + 1.0)) * 2.0**53)
+            ms.update(v for v in (m - 1, m) if 0 <= v < 1 << 53)
+        raw = np.array(sorted(ms), dtype=np.uint64) << np.uint64(11)
+        raw = np.concatenate([raw, raw | np.uint64(0x7FF)])  # low bits do not count
+
+        def inverse_cdf(u):  # the smallest a with u < 1 - r**(a+1)
+            a = 0
+            while u >= 1.0 - np.power(r, a + 1.0):
+                a += 1
+            return a
+
+        u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        got = model.symbols(raw, np.empty(len(raw), dtype=np.int64))
+        assert got.tolist() == [inverse_cdf(ui) for ui in u.tolist()]
 
 
 class TestProfiles:

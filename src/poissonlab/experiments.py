@@ -80,12 +80,12 @@ class ExperimentConfig:
 _KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)} - {"model_spec", "warnings"}
 
 
-def _cfg_int(doc: dict, key: str, default, lo=None) -> int:
+def _cfg_int(doc: dict, key: str, default, lo: int, hi: float = math.inf) -> int:
+    """The integer at ``key`` (``default`` when absent), in [lo, hi]."""
     v = doc.get(key, default)
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ConfigError(f"$.{key}: expected an integer")
-    if lo is not None and v < lo:
-        raise ConfigError(f"$.{key}: must be >= {lo}")
+    if not isinstance(v, int) or isinstance(v, bool) or not lo <= v <= hi:
+        bounds = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+        raise ConfigError(f"$.{key}: expected an integer {bounds}")
     return v
 
 
@@ -110,9 +110,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if "k" not in doc:
         raise ConfigError("$.k: required")
     k = _cfg_int(doc, "k", None, lo=1)
-    seed = _cfg_int(doc, "seed", 0, lo=0)
-    if seed >= 1 << 64:
-        raise ConfigError("$.seed: must fit in 64 bits")
+    seed = _cfg_int(doc, "seed", 0, lo=0, hi=(1 << 64) - 1)
 
     sets_doc = doc.get("sets", [[["0", "1", False, True]]] if mode != "mixing" else [])
     if not isinstance(sets_doc, list):
@@ -145,9 +143,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
             or not 0 < float(tv_tolerance) <= 1:
         raise ConfigError("$.tv_tolerance: expected a number in (0, 1]")
     min_passing = _cfg_int(doc, "min_passing_replicas",
-                           max(1, math.ceil(0.9 * n_x_replicas)), lo=0)
-    if min_passing > n_x_replicas:
-        raise ConfigError("$.min_passing_replicas: exceeds n_x_replicas")
+                           max(1, math.ceil(0.9 * n_x_replicas)), lo=0, hi=n_x_replicas)
 
     # n_cap defaults to 10 sup S / (K rho^k) for a finite alphabet with target
     # sets (sup S / (K rho^k) is the heuristic floor it warns below), to 10^7
@@ -203,9 +199,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 "$.functional: 'phi2' enumerates every word, so it needs a finite "
                 f"alphabet with alphabet_size**k <= {PHI2_EXACT_CAP}")
     j = _cfg_int(doc, "j", 0, lo=0)
-    max_lag = _cfg_int(doc, "max_lag", 30, lo=1)
-    if max_lag > MAX_LAG_CAP:  # run_mixing takes one exact matrix power per lag
-        raise ConfigError(f"$.max_lag: expected at most {MAX_LAG_CAP}")
+    # run_mixing takes one exact matrix power per lag
+    max_lag = _cfg_int(doc, "max_lag", 30, lo=1, hi=MAX_LAG_CAP)
     truncations_doc = doc.get("truncations", [50, 100, 200])
     # run_mixing builds a dense n x n dependency matrix per truncation
     if not isinstance(truncations_doc, list) or any(

@@ -23,6 +23,7 @@ iterates the expanding Gauss map).
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +32,7 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from .errors import UnsupportedModelError
+from .point_process import parse_rational
 from .rng import MASK64, raw_block
 from .words import Word, as_word
 
@@ -44,18 +46,17 @@ _DRAW_BLOCK = 1 << 16  # raw values per raw_block call of draw() and take()
 _PSI_LAGS = 50
 
 
-def _to_fraction(x, what: str) -> Fraction:
-    """An exact rational; a float is read as the decimal it prints as."""
-    try:
-        if isinstance(x, float):
-            if not math.isfinite(x):
-                raise ValueError("not finite")
-            return Fraction(repr(x))
-        if isinstance(x, str):
-            return Fraction(x.strip())
-        return Fraction(x)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise ValueError(f"{what}: cannot interpret {x!r} as a rational") from exc
+def _finite_law(values, what: str) -> tuple[Fraction, ...]:
+    """A finite probability law: every entry a nonnegative rational
+    (``parse_rational``) and the entries within 1e-12 of summing to 1, then
+    divided by their exact sum, so they sum to exactly 1."""
+    law = tuple(parse_rational(v, what) for v in values)
+    if any(p < 0 for p in law):
+        raise ValueError(f"{what}: entries must be nonnegative")
+    total = sum(law)
+    if abs(total - 1) > 1e-12:
+        raise ValueError(f"{what}: entries must sum to 1 within 1e-12")
+    return tuple(p / total for p in law)
 
 
 @dataclass(frozen=True)
@@ -99,20 +100,13 @@ class IidModel:
         if (self.probs is None) == (self.tail_ratio is None):
             raise ValueError("exactly one of probs / tail_ratio must be given")
         if self.probs is not None:
-            probs = tuple(_to_fraction(p, "probs") for p in self.probs)
-            if len(probs) < 2:
+            self.probs = _finite_law(self.probs, "probs")
+            if len(self.probs) < 2:
                 raise ValueError("need at least two symbols")
-            if any(p < 0 or p > 1 for p in probs):
-                raise ValueError("probabilities must lie in [0, 1]")
-            total = sum(probs)
-            if abs(float(total) - 1.0) > 1e-12:
-                raise ValueError("probabilities must sum to 1 within 1e-12")
-            probs = tuple(p / total for p in probs)  # now summing to exactly 1
-            self.probs = probs
-            self._floats = np.array([float(p) for p in probs])
+            self._floats = np.array([float(p) for p in self.probs])
             self._thresholds = np.array(_raw_thresholds(self._floats), dtype=np.uint64)
         else:
-            r = _to_fraction(self.tail_ratio, "tail_ratio")
+            r = parse_rational(self.tail_ratio, "tail_ratio")
             if not 0 < r < 1:
                 raise ValueError("tail_ratio must be in (0, 1)")
             self.tail_ratio = r
@@ -206,21 +200,11 @@ class MarkovModel:
     transition: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        rows = []
-        for i, row in enumerate(self.transition):
-            rows.append(tuple(_to_fraction(v, f"transition[{i}]") for v in row))
-        P = tuple(rows)
+        P = tuple(_finite_law(row, f"transition[{i}]")
+                  for i, row in enumerate(self.transition))
         s = len(P)
         if s < 2 or any(len(row) != s for row in P):
             raise ValueError("transition must be square with at least two states")
-        if any(v < 0 for row in P for v in row):
-            raise ValueError("transition entries must be nonnegative")
-        sums = [sum(row) for row in P]
-        for i, total in enumerate(sums):
-            if abs(float(total) - 1.0) > 1e-12:
-                raise ValueError(f"transition row {i} must sum to 1 within 1e-12")
-        # now each row sums to exactly 1
-        P = tuple(tuple(v / total for v in row) for row, total in zip(P, sums))
         if not _is_primitive(P):
             raise ValueError("chain must be irreducible and aperiodic")
         self.transition = P
@@ -577,7 +561,11 @@ def mixing_profile(model: Model) -> MixingProfile:
         if sigma <= 0.0:
             T = 1.0 if all(d == 0 for d in table) else float("inf")
         else:
-            T = max(float(d) / sigma**m for m, d in enumerate(table, start=1))
+            # a lag with no deviation adds nothing, and T = 1 when none deviates;
+            # where sigma**m underflows the float range the ratio is taken exactly
+            T = max((float(d) / sigma**m if sigma**m >= sys.float_info.min
+                     else float(d / Fraction(sigma)**m)
+                     for m, d in enumerate(table, start=1) if d), default=1.0)
         R = max(1.0, *(float(hi) for _, hi in bounds))
         tags = (("R", "ESTIMATED"), ("T", "ESTIMATED"), ("sigma", "DERIVED"))
     else:

@@ -335,7 +335,8 @@ def _window_log_mu(model: Model, k: int) -> Callable[[np.ndarray], np.ndarray]:
     length-k windows, with the model's log tables computed once."""
     if isinstance(model, IidModel):
         if model.probs is not None:
-            per = np.log(np.asarray(model._floats)).__getitem__
+            with np.errstate(divide="ignore"):  # a symbol of probability 0 never occurs
+                per = np.log(np.asarray(model._floats)).__getitem__
         else:
             r = model._r_float
             head, step = math.log1p(-r), math.log(r)

@@ -35,23 +35,22 @@ _HP_DPS = 50
 MATERIALIZE_LIMIT = 10**7
 
 
-def parse_endpoint(value) -> Fraction:
-    """Exact rational endpoint from int, Fraction, float or string.
-
-    Strings accept 'p/q' and decimal forms; floats convert to their exact
-    binary value.
-    """
-    if isinstance(value, bool):
-        raise ValueError("endpoint must be a number")
-    if isinstance(value, (int, Fraction)):
+def parse_rational(value, what: str) -> Fraction:
+    """The exact rational a config number stands for: an int, a Fraction, a
+    'p/q' or decimal string, or a finite float, read as the decimal it prints
+    as (0.3 is 3/10).  Booleans are refused."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError("a boolean is not a number")
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise ValueError("not finite")
+            return Fraction(repr(float(value)))
+        if isinstance(value, str):
+            return Fraction(value.strip())
         return Fraction(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError("endpoint must be finite")
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value.strip())
-    raise ValueError(f"cannot parse endpoint {value!r}")
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise ValueError(f"{what}: cannot interpret {value!r} as a rational") from exc
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,7 @@ class IntervalUnion:
                     lo, hi, lc, hc = item
                 if not (isinstance(lc, bool) and isinstance(hc, bool)):
                     raise ValueError(f"closedness flags must be booleans, got {lc!r}, {hc!r}")
-                iv = Interval(parse_endpoint(lo), parse_endpoint(hi), lc, hc)
+                iv = Interval(parse_rational(lo, "lo"), parse_rational(hi, "hi"), lc, hc)
             except (KeyError, ValueError, TypeError) as exc:
                 raise ValueError(f"interval [{idx}]: {exc}") from exc
             ivs.append(iv)
@@ -143,12 +142,6 @@ class IntervalUnion:
              "lo_closed": iv.lo_closed, "hi_closed": iv.hi_closed}
             for iv in self.intervals
         ]
-
-    def __eq__(self, other):
-        return isinstance(other, IntervalUnion) and self.intervals == other.intervals
-
-    def __hash__(self):
-        return hash(self.intervals)
 
 
 def unit_interval() -> IntervalUnion:

@@ -83,6 +83,7 @@ class TestParseConfig:
         (_doc(k=0), "$.k"),
         (_doc(k="five"), "$.k"),
         (_doc(seed=1 << 64), "$.seed"),
+        (_doc(seed=-1), "$.seed"),
         (_doc(model={"type": "iid", "probs": ["1/2", "1/3"]}), "$.model"),
         (_doc(sets=[[["0", "1", False, True]], [["2", "1", False, True]]]),
          "$.sets[1]"),
@@ -119,6 +120,20 @@ class TestParseConfig:
         (_doc(model={"type": "markov", "probs": ["1/2", "1/2"],
                      "transition": MARKOV_SPEC["transition"]}), "$.model"),
         (_doc(model={"type": "iid"}), "$.model"),
+        # a boolean is not a number, in a law or a tail ratio
+        (_doc(model={"type": "iid", "probs": [False, "1/2", "1/2"]}), "$.model: probs: "),
+        (_doc(model={"type": "markov", "transition": [[True, "0"], ["1/2", "1/2"]]}),
+         "$.model: transition[0]: "),
+        (_doc(model={"type": "markov", "transition": [["1/2", "1/2"], ["1/2", False]]}),
+         "$.model: transition[1]: "),
+        (_doc(model={"type": "iid", "tail_ratio": True}), "$.model: tail_ratio: "),
+        # a sum past the float range is refused, not an OverflowError
+        (_doc(model={"type": "markov", "transition": [["1e400", "0"], ["0", "1"]]}),
+         "$.model: transition[0]: "),
+        (_doc(sets=[[[0, float("nan"), False, True]]]), "$.sets[0]"),
+        (_doc(sets=[[[0, float("inf"), False, True]]]), "$.sets[0]"),
+        (_doc(sets=[[[False, 1, False, True]]]), "$.sets[0]"),
+        (_doc(mode="mixing", sets=[], max_lag=1001), "$.max_lag"),
         (_doc(model={"type": ["iid"]}), "$.model"),
         # the weight norm needs sup S / (K rho^k) as a float, whatever n_cap
         (_conc(k=40, n_cap=1000, sets=[[[str(10**300), str(10**300 + 1), False, True]]]),
@@ -809,6 +824,36 @@ class TestCli:
             assert code in (0, 1), (name, capsys.readouterr().err)
             assert (out / "report.json").is_file()
             assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("transition", [
+        [["1/2", "1/2"], ["1/2", "1/2"]],
+        [["1/6", "1/3", "1/2"]] * 3,
+        [["1/2", "1/2", "0"], ["1/6", "1/6", "2/3"], ["1/3", "1/3", "1/3"]],
+        [["500000001/1000000000", "499999999/1000000000"], ["1/2", "1/2"]],
+    ], ids=["coin", "rank_one_3", "square_rank_one", "near_rank_one"])
+    @pytest.mark.parametrize("mode", ["mixing", "oracle", "concentration"])
+    def test_rank_one_chains_run(self, tmp_path, mode, transition, capsys):
+        # a float sigma near 0 once made the psi certificate divide 0.0 by 0.0
+        from poissonlab import cli
+
+        small = {"oracle": {}, "mixing": {"sets": []},
+                 "concentration": {"n_samples": 200, "t_grid": [1.0]}}
+        doc = _doc(mode=mode, model={"type": "markov", "transition": transition}, k=3,
+                   **small[mode])
+        code = cli.main([mode, "--config", self._write(tmp_path / "c.json", doc)])
+        assert code in (0, 1), capsys.readouterr().err
+
+    def test_zero_probability_symbol_scan_has_no_warning(self, tmp_path, capsys):
+        import warnings
+
+        from poissonlab import cli
+
+        doc = _conc(model={"type": "iid", "probs": ["0", "1/4", "3/4"]}, k=3,
+                    t_grid=[0.5], functional="phi1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["concentration", "--config", self._write(tmp_path / "c.json", doc)])
+        assert code == 0, capsys.readouterr().err
 
     def test_long_concentration_scan_is_refused_before_drawing(self, tmp_path):
         # the default n_cap at k=45 scans 10 * 2^45 windows per replica

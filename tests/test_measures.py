@@ -6,6 +6,7 @@ hand-computed eigenstructure of the default two-state chain.
 """
 
 import math
+import re
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -39,6 +40,22 @@ class TestIidModel:
         assert IidModel(probs=(1 / 3, 2 / 3)).probs == (Fraction(1, 3), Fraction(2, 3))
         chain = MarkovModel(((1 / 3, 2 / 3), (0.5, 0.5)))
         assert chain.transition[0] == (Fraction(1, 3), Fraction(2, 3))
+
+    @pytest.mark.parametrize("build,what", [
+        (lambda law: IidModel(probs=law), "probs"),
+        (lambda law: MarkovModel((law, law)), "transition[0]"),
+    ], ids=["probs", "transition"])
+    @pytest.mark.parametrize("law", [
+        (False, "1/2", "1/2"),          # a boolean is not a number
+        (True, "0"),
+        ("3/2", "-1/2"),                # sums to 1 with a negative entry
+        ("1/2", "1/3", "1/6 + 1"),      # not a rational
+        ("1/2", "0.4999999999"),        # 1e-10 short of 1
+        ("1e400", "0"),                 # past the float range
+    ])
+    def test_every_finite_law_is_read_by_one_rule(self, build, what, law):
+        with pytest.raises(ValueError, match=rf"^{re.escape(what)}: "):
+            build(law)
 
     def test_cylinder_products(self):
         assert cylinder_prob_exact(FAIR, (0, 1, 1)) == Fraction(1, 8)
@@ -431,6 +448,26 @@ class TestProfiles:
         assert prof.sigma == pytest.approx(0.7, abs=1e-12)  # |1 - p - q|
         assert prof.T == pytest.approx(2.0, abs=1e-9)       # dev(1)/sigma = 1.4/0.7
         assert prof.R == pytest.approx(2.4, abs=1e-9)       # max P(a,b)/pi(b)
+
+    @pytest.mark.parametrize("transition", [
+        (("1/2", "1/2"),) * 2,                      # the fair coin: no lag deviates
+        (("1/6", "1/3", "1/2"),) * 3,
+        # P^2 = 1 pi: only lag 1 deviates
+        (("1/2", "1/2", "0"), ("1/6", "1/6", "2/3"), ("1/3", "1/3", "1/3")),
+        # sigma = 1e-9: sigma**m underflows from m = 36 while every lag deviates
+        (("500000001/1000000000", "499999999/1000000000"), ("1/2", "1/2")),
+    ], ids=["coin", "rank_one_3", "square_rank_one", "near_rank_one"])
+    def test_psi_profile_near_rank_one_chains(self, transition):
+        model = MarkovModel(transition)
+        prof = mixing_profile(model)
+        devs = [max(hi - 1, 1 - lo) for lo, hi in markov_ratio_bounds(model)]
+        assert prof.sigma < 1e-8
+        if not any(devs):
+            assert prof.T == 1.0
+        elif not any(devs[1:]):
+            assert prof.T == pytest.approx(float(devs[0]) / prof.sigma, rel=1e-12)
+        else:
+            assert prof.T == pytest.approx(1.0, rel=1e-6)
 
     def test_psi_profile_gauss_is_assumed(self):
         prof = mixing_profile(GaussCFModel())

@@ -163,6 +163,30 @@ class TestExactVariance:
         assert worst <= 4.0
 
 
+class TestRankOneChain:
+    """A chain whose rows all equal pi is the i.i.d. law pi: every exact
+    oracle must agree on the two.  Its bridge P^m/pi - 1 is 0 from the first
+    far lag, so the variance takes the stationary exit of its lag walk."""
+
+    CHAIN = MarkovModel(transition=((Fraction(1, 3), Fraction(2, 3)),) * 2)
+    WORDS = [w for k in range(1, 4) for w in enumerate_words(2, k)]
+
+    @pytest.mark.parametrize("S", [UNIT, HALF], ids=["unit", "half"])
+    def test_laws_and_moments_equal_the_iid_ones(self, S):
+        enumerated = 0
+        for w in self.WORDS:
+            if _enumerable(THIRD, w, S):
+                assert brute_force_distribution(self.CHAIN, w, S) \
+                    == brute_force_distribution(THIRD, w, S)
+                enumerated += 1
+            for lag in range(1, 5):
+                assert exact_pair_prob(self.CHAIN, w, lag) == exact_pair_prob(THIRD, w, lag)
+            chain, iid = exact_variance(self.CHAIN, w, S), exact_variance(THIRD, w, S)
+            assert chain.j_count == iid.j_count
+            assert chain.variance == pytest.approx(iid.variance, abs=1e-12)
+        assert enumerated >= 5
+
+
 class TestBruteForce:
     def test_frozen_law_fair_11(self):
         dist = brute_force_distribution(FAIR, (1, 1), UNIT)

@@ -17,9 +17,27 @@ from poissonlab.errors import ResourceError
 from poissonlab.measures import (GaussCFModel, SequenceGenerator, cylinder_prob,
                                  gauss_cylinder_prob_high)
 from poissonlab.point_process import (IntervalUnion, count_word_occurrences,
-                                      j_set, required_prefix_length,
+                                      j_set, parse_rational, required_prefix_length,
                                       unit_interval)
 from poissonlab.rng import derive_seed
+
+
+class TestParseRational:
+    @pytest.mark.parametrize("value,expected", [
+        (3, Fraction(3)), (Fraction(2, 7), Fraction(2, 7)), (" 1/10 ", Fraction(1, 10)),
+        ("0.1", Fraction(1, 10)), ("1e-3", Fraction(1, 1000)),
+        # a float is the decimal it prints as, not its binary value
+        (0.1, Fraction(1, 10)), (0.3, Fraction(3, 10)), (1e-30, Fraction(1, 10**30)),
+        (np.float64(0.3), Fraction(3, 10)),
+    ])
+    def test_reads(self, value, expected):
+        assert parse_rational(value, "x") == expected
+
+    @pytest.mark.parametrize("value", [False, True, float("nan"), float("inf"),
+                                       float("-inf"), "x", "1/0", None, [1]])
+    def test_refuses(self, value):
+        with pytest.raises(ValueError, match=r"^lo: cannot interpret"):
+            parse_rational(value, "lo")
 
 
 class TestIntervalUnion:
@@ -56,6 +74,12 @@ class TestIntervalUnion:
         assert S.m == 0
         assert S.total_length == 0
         assert S.label() == "{}"
+
+    def test_float_endpoints_read_as_printed(self):
+        S = IntervalUnion.from_spec([(0, 0.1, False, True), {"lo": 0.5, "hi": 0.7}])
+        assert S.intervals == IntervalUnion.from_spec(
+            [("0", "1/10", False, True), ("1/2", "7/10", False, True)]).intervals
+        assert S.label() == "(0, 1/10] u (1/2, 7/10]"
 
     def test_validation_errors_carry_index(self):
         with pytest.raises(ValueError, match=r"interval \[0\]"):

@@ -17,7 +17,11 @@ counter-based stream in ``rng``, through ``draw``; every finite law draws by
 integer thresholds on the raw values, and the CF sampler draws each digit
 from its exact conditional law given the digits before it, carried by two
 floats whose update contracts, so float error does not grow with n (it never
-iterates the expanding Gauss map).
+iterates the expanding Gauss map).  After a head of about 20 digits the CF
+law needs only + - * /, ceil and comparisons, and those digits are stepped
+in numpy over coupled blocks: each block starts early from a fixed state and
+is kept only where it meets the previous block's state bit for bit, so the
+digits are the sequential ones.
 """
 
 from __future__ import annotations
@@ -30,18 +34,24 @@ from fractions import Fraction
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import UnsupportedModelError
 from .point_process import parse_rational
-from .rng import MASK64, raw_block
+from .rng import MASK64, counter_steps, raw_block, uniform_block
 from .words import Word, as_word
 
 _LN2 = math.log(2.0)
 
 # CF digits are drawn from the one-ratio law once |delta| is below this
-# (SequenceGenerator._gauss_digits)
+# (_cf_digits)
 _DEEP_DELTA = 1e-17
-_DRAW_BLOCK = 1 << 16  # raw values per raw_block call of draw() and take()
+_DRAW_BLOCK = 1 << 16  # raw values per raw_block call of draw(); Markov states per list
+_TAKE_BLOCK = 1 << 20  # uniforms per raw_block call of take()
+# the deep CF digits are stepped in blocks of _DEEP_BLOCK, each started
+# _DEEP_WARMUP digits early (_deep_digits)
+_DEEP_BLOCK = 64
+_DEEP_WARMUP = 64
 # lags m = 1..50 of the Markov psi-mixing certificate (mixing_profile)
 _PSI_LAGS = 50
 
@@ -403,22 +413,25 @@ class SequenceGenerator:
         # CF: s = q_{n-1}/q_n and delta = (p_{n-1}+q_{n-1})/(p_n+q_n) - s for
         # the cylinder of the digits so far (continuants as cf_continuants)
         self._s, self._delta = 0.0, 1.0
+        self.restepped = 0  # CF: blocks of deep digits re-stepped (_deep_digits)
 
     def take(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("n must be nonnegative")
         model = self.model
         out = np.empty(n, dtype=np.int64)
-        for lo in range(0, n, _DRAW_BLOCK):
-            block = out[lo: lo + _DRAW_BLOCK]
+        for lo in range(0, n, _TAKE_BLOCK):
+            block = out[lo: lo + _TAKE_BLOCK]
             raw = raw_block(self.seed, self.emitted, len(block))
             self.emitted += len(block)
             if isinstance(model, IidModel):
                 model.symbols(raw, block)
-            elif isinstance(model, MarkovModel):
-                block[:] = self._markov_states(raw.tolist())
+            elif isinstance(model, MarkovModel):  # a list of at most _DRAW_BLOCK at a time
+                for i in range(0, len(block), _DRAW_BLOCK):
+                    block[i: i + _DRAW_BLOCK] = self._markov_states(
+                        raw[i: i + _DRAW_BLOCK].tolist())
             else:  # the uniforms of rng.uniform_block
-                block[:] = self._gauss_digits(((raw >> np.uint64(11)) * 2.0**-53).tolist())
+                _cf_digits([self], ((raw >> np.uint64(11)) * 2.0**-53)[None], block[None])
         return out
 
     def _markov_states(self, raws: list[int]) -> list[int]:
@@ -431,80 +444,194 @@ class SequenceGenerator:
         self._state = s
         return out
 
-    def _gauss_digits(self, us: list[float]) -> list[int]:
-        """The next CF digits, one per uniform in ``us``, each from its exact
-        conditional law given the digits before it.
-
-        Given the cylinder so far, the next digit is >= a with probability
-        tail(a) = log1p(delta/(a+s)) / log1p(delta/(1+s)), and the uniform u
-        draws (smallest a >= 2 with tail(a) <= 1-u) - 1.  The inverse
-        a = delta/expm1((1-u) log1p(delta/(1+s))) - s finds that a up to
-        rounding; stepping it up or down against the float comparison
-        tail(a) <= 1-u settles it.  delta shrinks like q_n^-2; once
-        |delta| < 1e-17, log1p(x) == x in float for every |x| <= |delta| and
-        the law is tail(a) = (1+s)/(a+s), with inverse (1+s)/(1-u) - s.  The
-        updates s' = 1/(d+s) and delta' = -delta/((d+s+delta)(d+s)) contract,
-        so float error does not grow along the stream.
-        """
+    def _gauss_head(self, us: np.ndarray, out: np.ndarray) -> int:
+        """Write to ``out`` the digits of the uniforms ``us`` one at a time,
+        with libm's log1p and expm1, while |delta| >= _DEEP_DELTA (the first
+        ~20 digits of a stream); return how many were drawn."""
         log1p, expm1, ceil = math.log1p, math.expm1, math.ceil
         s, delta = self._s, self._delta
-        out = []
-        us = iter(us)
-        if abs(delta) >= _DEEP_DELTA:
-            for u in us:
-                t = 1.0 - u
-                full = log1p(delta / (1.0 + s))
-                if log1p(delta / (2.0 + s)) / full <= t:
-                    d = 1
-                else:
-                    # delta/(a+s) as delta * (1/a) / (1 + s/a): 1/a is a correctly
-                    # rounded int division, so the first digit (s = 0, delta = 1)
-                    # is decided exactly even past 2**53, where a + s rounds
-                    a = max(3, ceil(delta / expm1(t * full) - s))
-                    while log1p(delta * (1 / a) / (1.0 + s / a)) / full > t:
-                        a += 1
-                    while a > 3 and log1p(delta * (1 / (a - 1))
-                                          / (1.0 + s / (a - 1))) / full <= t:
-                        a -= 1
-                    d = a - 1
-                out.append(d)
-                ds = d + s
-                s, delta = 1.0 / ds, -delta / ((ds + delta) * ds)
-                if abs(delta) < _DEEP_DELTA:
-                    break
-        for u in us:
-            t = 1.0 - u
-            c = 1.0 + s
-            if c / (2.0 + s) <= t:
+        head = 0
+        while head < len(us) and abs(delta) >= _DEEP_DELTA:
+            t = 1.0 - float(us[head])
+            full = log1p(delta / (1.0 + s))
+            if log1p(delta / (2.0 + s)) / full <= t:
                 d = 1
             else:
-                a = max(3, ceil(c / t - s))
-                while c / (a + s) > t:
+                # delta/(a+s) as delta * (1/a) / (1 + s/a): 1/a is a correctly
+                # rounded int division, so the first digit (s = 0, delta = 1)
+                # is decided exactly even past 2**53, where a + s rounds
+                a = max(3, ceil(delta / expm1(t * full) - s))
+                while log1p(delta * (1 / a) / (1.0 + s / a)) / full > t:
                     a += 1
-                while a > 3 and c / (a - 1 + s) <= t:
+                while a > 3 and log1p(delta * (1 / (a - 1))
+                                      / (1.0 + s / (a - 1))) / full <= t:
                     a -= 1
                 d = a - 1
-            out.append(d)
-            s = 1.0 / (d + s)
+            out[head] = d
+            head += 1
+            ds = d + s
+            s, delta = 1.0 / ds, -delta / ((ds + delta) * ds)
         self._s, self._delta = s, delta
-        return out
+        return head
+
+
+def _deep_step(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One deep-regime digit of every lane: d = (smallest a >= 2 with
+    (1+s)/(a+s) <= t in float) - 1, and the next state 1/(d+s).
+
+    The start ceil((1+s)/t - s) is settled up and down against that float
+    comparison, which is monotone in a, so the settle finds the smallest a
+    from any start (d = 1 where it stops at a = 2).  ``a`` is an int64 that
+    numpy rounds to float64 in a + s as Python rounds an int, so every lane
+    is bit for bit the scalar rule, also for the digits past 2**53 that a
+    uniform within a few ulps of 1 draws.
+    """
+    c = 1.0 + s
+    a = np.maximum(np.ceil(c / t - s), 2.0).astype(np.int64)
+    while (up := c / (a + s) > t).any():
+        a += up
+    while True:
+        d = a - 1
+        ds = d + s
+        down = (d > 1) & (c / ds <= t)
+        if not down.any():
+            return d, 1.0 / ds
+        a -= down
+
+
+def _deep_digits(s: np.ndarray, t: np.ndarray, out: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Write to ``out`` the deep-regime digits of the (m, n) thresholds
+    t = 1 - u, one stream per row, starting from the states ``s``; return
+    each stream's final state and its number of blocks re-stepped.
+
+    Each stream's digits are cut into blocks of _DEEP_BLOCK, and the blocks
+    of all streams are stepped together by ``_deep_step``: block 0 covers the
+    first _DEEP_WARMUP + _DEEP_BLOCK digits from the true state, and every
+    later block starts _DEEP_WARMUP digits before its first digit, from
+    s = 0.  The state contracts, so by its first digit a block's state is
+    almost always the previous block's final state bit for bit, and from
+    there every digit is the sequential one.  A block whose state differs is
+    re-stepped from that final state (with the blocks that fail after it,
+    until none does), so the digits are those of the sequential rule by
+    construction.
+    """
+    m, n = t.shape
+    warmup, block = _DEEP_WARMUP, _DEEP_BLOCK
+    rows = max(1, -(-(n - warmup) // block))
+    if rows == 1:
+        warmup, block = 0, n
+    width, span = warmup + block, warmup + rows * block
+    digits = out if span == n else np.empty((m, span), dtype=np.int64)
+    if span > n:  # pad the last blocks with any valid threshold
+        t = np.concatenate([t, np.full((m, span - n), 0.5)], axis=1)
+    # (stream, block, column) views
+    ts = sliding_window_view(t, width, axis=1)[:, ::block]
+    ds = sliding_window_view(digits, width, axis=1, writeable=True)[:, ::block]
+    state = np.zeros((m, rows))
+    state[:, 0] = s
+    first = state  # each block's state at its first digit
+    for j in range(width):
+        d, state = _deep_step(state, ts[:, :, j])
+        if j < warmup:
+            ds[:, 0, j] = d[:, 0]
+        else:
+            ds[:, :, j] = d
+        if j == warmup - 1:
+            first = state
+    final, restepped = state, np.zeros(m, dtype=np.int64)
+    while len((bad := np.nonzero(first[:, 1:].view(np.uint64)
+                                 != final[:, :-1].view(np.uint64)))[0]):
+        r, b = bad[0], bad[1] + 1
+        state = first[r, b] = final[r, b - 1]
+        for j in range(warmup, width):
+            d, state = _deep_step(state, ts[r, b, j])
+            ds[r, b, j] = d
+        final[r, b] = state
+        restepped += np.bincount(r, minlength=m)
+    if digits is not out:
+        out[:] = digits[:, :n]
+    # the state after digit n: the last blocks' digits replayed from their first
+    s = first[:, -1]
+    for d in digits[:, span - block: n].T:
+        s = 1.0 / (d + s)
+    return s, restepped
+
+
+def _cf_digits(gens: list[SequenceGenerator], us: np.ndarray, out: np.ndarray) -> None:
+    """Write to ``out`` the next CF digits of the generators ``gens``, one
+    row each and one digit per uniform of that row of ``us``, each from its
+    exact conditional law given the digits before it; advance the generators.
+
+    Given the cylinder so far, the next digit is >= a with probability
+    tail(a) = log1p(delta/(a+s)) / log1p(delta/(1+s)), and the uniform u
+    draws (smallest a >= 2 with tail(a) <= 1-u) - 1.  The inverse
+    a = delta/expm1((1-u) log1p(delta/(1+s))) - s finds that a up to
+    rounding; stepping it up or down against the float comparison
+    tail(a) <= 1-u settles it.  delta shrinks like q_n^-2; once
+    |delta| < 1e-17, log1p(x) == x in float for every |x| <= |delta| and
+    the law is tail(a) = (1+s)/(a+s).  The updates s' = 1/(d+s) and
+    delta' = -delta/((d+s+delta)(d+s)) contract, so float error does not
+    grow along the stream.
+
+    Each row's head, the digits before |delta| < 1e-17, is drawn by its own
+    ``_gauss_head``.  The deep digits of the rows that leave their head
+    first are stepped by ``_deep_step`` until every row has left it, and
+    the rest of every row by ``_deep_digits``.
+    """
+    heads = np.array([gen._gauss_head(u, row) for gen, u, row in zip(gens, us, out)])
+    s = np.array([gen._s for gen in gens])
+    start = int(heads.max())
+    for j in range(int(heads.min()), start):
+        lanes = np.flatnonzero(heads <= j)
+        out[lanes, j], s[lanes] = _deep_step(s[lanes], 1.0 - us[lanes, j])
+    restepped = np.zeros(len(gens), dtype=np.int64)
+    if start < us.shape[1]:
+        s, restepped = _deep_digits(s, 1.0 - us[:, start:], out[:, start:])
+    for gen, state, count in zip(gens, s.tolist(), restepped.tolist()):
+        gen._s = state
+        gen.restepped += count
 
 
 def draw(model: Model, seeds: np.ndarray, length: int) -> np.ndarray:
     """(len(seeds), length) symbol matrix: row r is the first ``length``
     symbols of the stream with seed ``seeds[r]``, symbol for symbol as
     ``SequenceGenerator(model, seeds[r]).take(length)``.  I.i.d. rows are drawn
-    together in blocks of about _DRAW_BLOCK values: whole rows, or row pieces."""
+    together in blocks of about _DRAW_BLOCK values: whole rows, or row pieces;
+    CF rows together in blocks of about _TAKE_BLOCK uniforms."""
+    if isinstance(model, GaussCFModel):
+        return _draw_cf(seeds, length)
     if not isinstance(model, IidModel):
         return np.stack([SequenceGenerator(model, sd).take(length) for sd in seeds.tolist()])
     dtype = np.int64 if model.probs is None else np.min_scalar_type(len(model.probs) - 1)
     out = np.empty((len(seeds), length), dtype=dtype)
     width = max(1, min(length, _DRAW_BLOCK))
     height = max(1, _DRAW_BLOCK // width)
+    raw = np.empty((min(height, len(seeds)), width), dtype=np.uint64)
+    scratch = np.empty_like(raw)
+    for c0 in range(0, length, width):
+        cols = min(width, length - c0)
+        steps = counter_steps(c0, cols)
+        for r0 in range(0, len(seeds), height):
+            block = out[r0:r0 + height, c0:c0 + cols]
+            rows = len(block)
+            model.symbols(raw_block(seeds[r0:r0 + height], c0, cols, raw[:rows, :cols],
+                                    scratch[:rows, :cols], steps), block)
+    return out
+
+
+def _draw_cf(seeds: np.ndarray, length: int) -> np.ndarray:
+    """``draw`` for the CF model: the streams of a block of rows are drawn
+    together by ``_cf_digits``, in passes of about _TAKE_BLOCK uniforms."""
+    out = np.empty((len(seeds), length), dtype=np.int64)
+    width = max(1, min(length, _TAKE_BLOCK))
+    height = max(1, _TAKE_BLOCK // width)
     for r0 in range(0, len(seeds), height):
+        rows = seeds[r0:r0 + height]
+        gens = [SequenceGenerator(GaussCFModel(), sd) for sd in rows.tolist()]
         for c0 in range(0, length, width):
             block = out[r0:r0 + height, c0:c0 + width]
-            model.symbols(raw_block(seeds[r0:r0 + height], c0, block.shape[1]), block)
+            _cf_digits(gens, uniform_block(rows, c0, block.shape[1]), block)
     return out
 
 

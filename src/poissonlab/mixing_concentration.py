@@ -28,6 +28,7 @@ MAX_LAG_CAP = 1000  # exact rational powers grow by about a digit per lag
 PHI2_EXACT_CAP = 1 << 16
 RANGE_CELLS_CAP = 1 << 22  # words x index ranges of one count_in_ranges call
 HASH_MULT = np.uint64(0x9E3779B97F4A7C15) | np.uint64(1)
+MARK_BITS = 22  # most top hash bits a lookup marks: a 4 MB table (OccurrenceIndex._hits)
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +227,11 @@ class OccurrenceIndex:
 
     Every window is keyed once by a wraparound polynomial hash.  A lookup
     hashes its distinct words into a small sorted table, takes the windows
-    whose hash is in the table and checks each against its word symbol by
-    symbol, so counts are exact even where hashes collide.  Only these hits
-    are sorted, by the key slot * n_win + start, so the count of a word's
-    windows over a range of starts is two binary searches.
+    whose hash is in the table (binary search, only for the windows whose
+    top hash bits are marked by a table entry) and checks each against its
+    word symbol by symbol, so counts are exact even where hashes collide.
+    Only these hits are sorted, by the key slot * n_win + start, so the
+    count of a word's windows over a range of starts is two binary searches.
     """
 
     def __init__(self, x: np.ndarray, k: int):
@@ -262,10 +264,15 @@ class OccurrenceIndex:
         if not len(table):
             return slot, np.zeros(0, dtype=np.int64)
         h = self._hashes
-        at = np.searchsorted(table, h)
+        # only windows whose top hash bits mark a table entry can be in it
+        shift = 64 - min(MARK_BITS, len(h).bit_length())
+        marks = np.zeros(1 << (64 - shift), dtype=bool)
+        marks[table >> shift] = True
+        cand = np.flatnonzero(marks[h >> shift])
+        at = np.searchsorted(table, h[cand])
         np.minimum(at, len(table) - 1, out=at)  # a hash past the table matches no slot
-        cand = np.flatnonzero(table[at] == h)
-        at = at[cand]
+        found = table[at] == h[cand]
+        cand, at = cand[found], at[found]
         table_words = words[first]
         keys = [np.zeros(0, dtype=np.int64)]
         while len(cand):

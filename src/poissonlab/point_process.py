@@ -102,6 +102,9 @@ def _merge(intervals: list[Interval]) -> tuple[Interval, ...]:
     return tuple(out)
 
 
+_INTERVAL_KEYS = ("lo", "hi", "lo_closed", "hi_closed")  # of an interval object
+
+
 class IntervalUnion:
     """Canonical finite union of bounded intervals with rational endpoints."""
 
@@ -118,6 +121,9 @@ class IntervalUnion:
         for idx, item in enumerate(spec):
             try:
                 if isinstance(item, dict):
+                    unknown = sorted(str(key) for key in item if key not in _INTERVAL_KEYS)
+                    if unknown:
+                        raise ValueError(f"unknown key {unknown[0]!r}")
                     lo, hi = item["lo"], item["hi"]
                     lc, hc = item.get("lo_closed", False), item.get("hi_closed", True)
                 else:

@@ -93,15 +93,27 @@ def _mix_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return z
 
 
-def raw_block(seed, start: int, count: int) -> np.ndarray:
+def counter_steps(start: int, count: int) -> np.ndarray:
+    """The uint64 offsets (i + 1) * GOLDEN mod 2**64 of the indices
+    start..start+count-1, which ``raw_block`` adds to a seed."""
+    return np.arange(start + 1, start + count + 1, dtype=np.uint64) * _U64(GOLDEN)
+
+
+def raw_block(seed, start: int, count: int, out: np.ndarray | None = None,
+              scratch: np.ndarray | None = None, steps: np.ndarray | None = None
+              ) -> np.ndarray:
     """Vectorized ``value_at`` for indices start..start+count-1 (uint64).
 
     ``seed`` may be an array of seeds; the result then has shape
-    ``seed.shape + (count,)``, one stream per seed.
+    ``seed.shape + (count,)``, one stream per seed.  ``out`` and ``scratch``,
+    when given, are uint64 arrays of that shape to write the result and the
+    mixing's temporaries to (``out`` is then the result), and ``steps`` is
+    ``counter_steps(start, count)``, for a caller that draws many seeds at
+    the same indices.
     """
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = _as_u64(seed)[..., None] + idx * _U64(GOLDEN)
-    return _mix_inplace(z, np.empty_like(z))
+    steps = counter_steps(start, count) if steps is None else steps
+    z = np.add(_as_u64(seed)[..., None], steps, out=out)
+    return _mix_inplace(z, np.empty_like(z) if scratch is None else scratch)
 
 
 def uniform_block(seed, start: int, count: int) -> np.ndarray:

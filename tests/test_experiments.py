@@ -36,6 +36,7 @@ FAIR_SPEC = {"type": "iid", "probs": ["1/2", "1/2"]}
 BIASED_SPEC = {"type": "iid", "probs": ["3/4", "1/4"]}
 THREE_SPEC = {"type": "iid", "probs": ["1/2", "1/3", "1/6"]}
 GEOMETRIC_SPEC = {"type": "iid", "tail_ratio": "1/2"}
+CF_SPEC = {"type": "gauss_cf"}
 MARKOV_SPEC = {"type": "markov",
                "transition": [["9/10", "1/10"], ["1/5", "4/5"]]}
 CHAIN3_SPEC = {"type": "markov", "transition": [["1/2", "1/4", "1/4"],
@@ -142,6 +143,9 @@ class TestParseConfig:
         (_doc(sets=[[["1/2", "1", "false", True]]]), "$.sets[0]"),
         (_doc(sets=[[[0, 1, 0, 1]]]), "$.sets[0]"),
         (_doc(sets=[[{"lo": "0", "hi": "1", "hi_closed": 1}]]), "$.sets[0]"),
+        # a misspelt closedness flag is refused, not read as its default
+        (_doc(sets=[[{"lo": "0", "hi": "1", "hi_close": False}]]),
+         "$.sets[0]: interval [0]: unknown key 'hi_close'"),
         # the CF model takes no psi-mixing pair: the certificate is fixed
         (_doc(model={"type": "gauss_cf", "psi_T": 1.0}), "$.model: unknown key 'psi_T'"),
         (_doc(model={"type": "gauss_cf", "psi_sigma": 0.303}),
@@ -477,7 +481,7 @@ class TestNegativeControls:
 class TestDraw:
     @pytest.mark.parametrize("model_spec", [FAIR_SPEC, BIASED_SPEC, THREE_SPEC,
                                             {"type": "iid", "probs": ["1/2", "1/2", "0"]},
-                                            GEOMETRIC_SPEC, MARKOV_SPEC])
+                                            GEOMETRIC_SPEC, MARKOV_SPEC, CF_SPEC])
     @pytest.mark.parametrize("length", [1, 14, 70000])
     def test_rows_equal_take(self, model_spec, length):
         model = model_from_spec(model_spec)
@@ -489,8 +493,17 @@ class TestDraw:
         for row, seed in zip(got, seeds.tolist()):
             assert np.array_equal(row, SequenceGenerator(model, seed).take(length))
 
+    # CF rows past the ~20-digit head and up to one block of the deep
+    # sampler are stepped together; longer rows are taken one by one
+    @pytest.mark.parametrize("length", [30, 60, 128, 129])
+    def test_cf_rows_past_the_head_equal_take(self, length):
+        seeds = derive_seed(12, np.arange(40))
+        got = draw(GaussCFModel(), seeds, length)
+        for row, seed in zip(got, seeds.tolist()):
+            assert np.array_equal(row, SequenceGenerator(GaussCFModel(), seed).take(length))
+
     # rows that fit a block, rows longer than one, and blocks of one value
-    @pytest.mark.parametrize("model_spec", [THREE_SPEC, GEOMETRIC_SPEC])
+    @pytest.mark.parametrize("model_spec", [THREE_SPEC, GEOMETRIC_SPEC, CF_SPEC])
     @pytest.mark.parametrize("length,chunk", [(50, 120), (300, 64), (7, 1), (14, 1 << 16)])
     def test_chunks_tile_the_matrix(self, monkeypatch, model_spec, length, chunk):
         from poissonlab import measures

@@ -5,6 +5,7 @@ logarithmic integral and against scipy quadrature; Markov constants against
 hand-computed eigenstructure of the default two-state chain.
 """
 
+import hashlib
 import math
 import re
 from bisect import bisect_right
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from poissonlab import measures
 from poissonlab.errors import UnsupportedModelError
 from poissonlab.measures import (GaussCFModel, IidModel, MarkovModel,
                                  SequenceGenerator, cf_continuants,
@@ -166,6 +168,13 @@ def _oracle_cf_digits(seed, n):
     return [oracle.digit(u) for u in uniform_block(seed, 0, n).tolist()]
 
 
+def _next_digit(gen, u):
+    """The CF digit that the uniform u draws as the generator's next one."""
+    out = np.empty((1, 1), dtype=np.int64)
+    measures._cf_digits([gen], np.array([[u]]), out)
+    return int(out[0, 0])
+
+
 class TestCFSamplerAgainstOracle:
     # the shipped quenched_gauss stream and three others
     @pytest.mark.parametrize("seed", [derive_seed(31416, 3, 0), 2024, 5, 2718])
@@ -192,7 +201,7 @@ class TestCFSamplerAgainstOracle:
             us += [math.nextafter(u0, 0.0), u0, math.nextafter(u0, 1.0)]
         up = down = 0
         for u in us:
-            d = SequenceGenerator(GaussCFModel(), 0)._gauss_digits([u])[0]
+            d = _next_digit(SequenceGenerator(GaussCFModel(), 0), u)
             assert d == _OracleCF().digit(u)
             # the closed-form start of the settle, with s = 0 and delta = 1
             start = max(3, math.ceil(1.0 / math.expm1((1.0 - u) * math.log1p(1.0))))
@@ -202,7 +211,7 @@ class TestCFSamplerAgainstOracle:
         # a = 2..50 alone only ever settles down; the first upward settles
         # are near a = 230, 668 and 915
         assert up > 0 and down > 0
-        top = SequenceGenerator(GaussCFModel(), 0)._gauss_digits([1.0 - 2.0**-53])[0]
+        top = _next_digit(SequenceGenerator(GaussCFModel(), 0), 1.0 - 2.0**-53)
         assert 2**53 < top < GaussCFModel.DIGIT_CAP
 
     def test_deep_digits_follow_the_float_rule(self):
@@ -219,7 +228,7 @@ class TestCFSamplerAgainstOracle:
             u0 = 1.0 - (1.0 + s) / (a + s)
             for u in (math.nextafter(u0, 0.0), u0, math.nextafter(u0, 1.0)):
                 gen._s = s
-                d = gen._gauss_digits([u])[0]
+                d = _next_digit(gen, u)
                 t = 1.0 - u
                 rule = max(2, a - 2)
                 assert rule == 2 or (1.0 + s) / (rule + s) > t
@@ -231,6 +240,81 @@ class TestCFSamplerAgainstOracle:
                     up += start < d + 1
                     down += start > d + 1
         assert up > 0 and down > 0
+        # uniforms within a few ulps of 1 draw digits past 2**53, where a
+        # float a + 1 == a; the rule counts a in Python ints, rounded at a + s
+        for u in (1.0 - 2.0**-53, 1.0 - 2.0**-52, 1.0 - 3 * 2.0**-53):
+            gen._s = s
+            d = _next_digit(gen, u)
+            t, c = 1.0 - u, 1.0 + s
+            rule = math.ceil(c / t - s) - 2
+            assert c / (rule + s) > t
+            while c / (rule + s) > t:
+                rule += 1
+            assert d == rule - 1 > 2**51
+            assert gen._s == 1.0 / (rule - 1 + s)
+
+
+class TestBlockedCFSampler:
+    """The deep digits are stepped in coupled blocks (``measures._deep_digits``);
+    each block is accepted only where it meets the sequential state, so the
+    stream is the sequential one whatever the block and warm-up lengths."""
+
+    # sha256 of take(10**6) as little-endian int64, from the per-digit sampler
+    # that the blocked one replaced: the shipped quenched_gauss stream and three
+    PINS = {
+        derive_seed(31416, 3, 0):
+            "b27c44bc291be8e86166e87de5170b5ef85bce7b28639f7f7f28a29f6df164a8",
+        5: "05e30e0a9b6d967f083450095f5c10f82de9d74560196a60ef2400db056730a6",
+        2024: "a9aa9a94253ff21eaa44042d0e79928f140785d76ea345883e40998c43a23632",
+        2718: "49696d6f93b0f1c007587000cc37da41e0027a83886a6b397bd24124d9aa0b48",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINS))
+    def test_first_million_digits_are_pinned(self, seed):
+        x = SequenceGenerator(GaussCFModel(), seed).take(10**6)
+        assert hashlib.sha256(x.astype("<i8").tobytes()).hexdigest() == self.PINS[seed]
+
+    def test_uneven_takes_across_the_head_and_the_pass_boundary(self):
+        # pieces that end inside the ~20-digit head, just past it, and on
+        # either side of take()'s 2**20-uniform pass
+        n = 2 * measures._TAKE_BLOCK + 100
+        whole = SequenceGenerator(GaussCFModel(), 99).take(n)
+        gen = SequenceGenerator(GaussCFModel(), 99)
+        sizes = [3, 14, 9, 1, measures._TAKE_BLOCK - 30, 1, 2, measures._TAKE_BLOCK]
+        parts = [gen.take(m) for m in sizes + [n - sum(sizes)]]
+        assert np.array_equal(np.concatenate(parts), whole)
+        assert gen.emitted == n
+
+    @pytest.mark.parametrize("warmup, block", [(1, 5), (1, 64), (64, 5), (3, 1)])
+    def test_short_warmups_are_re_stepped_to_the_same_digits(self, warmup, block,
+                                                            monkeypatch):
+        # a warm-up of 1 digit rarely meets the sequential state, so blocks are
+        # re-stepped; blocks shorter than the warm-up start inside earlier ones
+        n, seed = 3000, 2718
+        expected = SequenceGenerator(GaussCFModel(), seed).take(n)
+        monkeypatch.setattr(measures, "_DEEP_WARMUP", warmup)
+        monkeypatch.setattr(measures, "_DEEP_BLOCK", block)
+        gen = SequenceGenerator(GaussCFModel(), seed)
+        got = np.concatenate([gen.take(1000), gen.take(n - 1000)])
+        assert np.array_equal(got, expected)
+        assert got.tolist() == _oracle_cf_digits(seed, n)
+        if warmup < 5:
+            assert gen.restepped > 0
+
+    def test_draw_rows_with_short_warmups_equal_their_streams(self, monkeypatch):
+        # draw steps the blocks of all rows together, after heads of unequal
+        # length; a warm-up of 1 digit makes it re-step blocks of many rows
+        seeds = derive_seed(8, np.arange(20))
+        expected = np.stack([SequenceGenerator(GaussCFModel(), sd).take(300)
+                             for sd in seeds.tolist()])
+        monkeypatch.setattr(measures, "_DEEP_WARMUP", 1)
+        monkeypatch.setattr(measures, "_DEEP_BLOCK", 5)
+        assert np.array_equal(measures.draw(GaussCFModel(), seeds, 300), expected)
+
+    def test_no_block_is_re_stepped_at_the_shipped_lengths(self):
+        gen = SequenceGenerator(GaussCFModel(), derive_seed(31416, 3, 0))
+        gen.take(300_007)
+        assert gen.restepped == 0
 
 
 class TestGaussModel:
@@ -314,9 +398,8 @@ class TestGenerators:
     # while the first ~20 digits still use the two-ratio law
     @pytest.mark.parametrize("block", [None, 7])
     def test_cf_take_equals_single_takes(self, block, monkeypatch):
-        from poissonlab import measures
         if block is not None:
-            monkeypatch.setattr(measures, "_DRAW_BLOCK", block)
+            monkeypatch.setattr(measures, "_TAKE_BLOCK", block)
         bulk = SequenceGenerator(GaussCFModel(), 2718)
         scalar = SequenceGenerator(GaussCFModel(), 2718)
         taken = np.concatenate([bulk.take(11), bulk.take(289)])
@@ -328,9 +411,8 @@ class TestGenerators:
     # a block of 7 uniforms makes take() cross its block boundaries
     @pytest.mark.parametrize("block", [None, 7])
     def test_markov_take_equals_single_takes(self, block, monkeypatch):
-        from poissonlab import measures
         if block is not None:
-            monkeypatch.setattr(measures, "_DRAW_BLOCK", block)
+            monkeypatch.setattr(measures, "_TAKE_BLOCK", block)
         bulk = SequenceGenerator(CHAIN, 31)
         scalar = SequenceGenerator(CHAIN, 31)
         taken = np.concatenate([bulk.take(20), bulk.take(45)])

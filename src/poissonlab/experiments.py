@@ -616,12 +616,12 @@ def run_oracle_suite(cfg: ExperimentConfig) -> OracleReport:
     def variance_check() -> str:
         checked = 0
         for k_v in range(1, 5):
+            fits = {}  # measure -> whether its words pass the prefix-length guard
             for w in enumerate_words(s, k_v):
                 mu = cylinder_prob_exact(model, w)
-                if mu == 0:
-                    continue
-                J = j_set(mu, S)
-                if required_prefix_length(k_v, J) > 22:
+                if mu not in fits:
+                    fits[mu] = mu != 0 and required_prefix_length(k_v, j_set(mu, S)) <= 22
+                if not fits[mu]:
                     continue
                 try:
                     dist = brute_force_distribution(model, w, S)

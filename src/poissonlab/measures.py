@@ -13,11 +13,12 @@ Cylinder probabilities are exact: rational arithmetic for iid/Markov, and
 exact integer continuant endpoints for the CF model, with a single float
 conversion at the very end (via log1p on an exact small ratio, so there is
 no cancellation for deep cylinders).  All sampling is driven by the
-counter-based stream in ``rng``, through ``draw``; every finite law draws by
-integer thresholds on the raw values, and the CF sampler draws each digit
-from its exact conditional law given the digits before it, carried by two
-floats whose update contracts, so float error does not grow with n (it never
-iterates the expanding Gauss map).  After a head of about 20 digits the CF
+counter-based stream in ``rng``, through one loop, ``SequenceGenerator.take``,
+over one seed or an array of seeds (``draw`` is one take).  Every finite
+law draws by integer thresholds on the raw values; the CF sampler draws each
+digit from its exact conditional law given the digits before it, carried by
+two floats whose update contracts, so float error does not grow with n (it
+never iterates the expanding Gauss map).  After a head of about 20 digits the CF
 law needs only + - * /, ceil and comparisons, and those digits are stepped
 in numpy over coupled blocks: each block starts early from a fixed state and
 is kept only where it meets the previous block's state bit for bit, so the
@@ -38,7 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import UnsupportedModelError
 from .point_process import parse_rational
-from .rng import MASK64, counter_steps, raw_block, uniform_block
+from .rng import MASK64, counter_steps, raw_block
 from .words import Word, as_word
 
 _LN2 = math.log(2.0)
@@ -46,8 +47,8 @@ _LN2 = math.log(2.0)
 # CF digits are drawn from the one-ratio law once |delta| is below this
 # (_cf_digits)
 _DEEP_DELTA = 1e-17
-_DRAW_BLOCK = 1 << 16  # raw values per raw_block call of draw(); Markov states per list
-_TAKE_BLOCK = 1 << 20  # uniforms per raw_block call of take()
+_TAKE_BLOCK = 1 << 20  # raw values per raw_block call of SequenceGenerator.take, CF
+_DRAW_BLOCK = 1 << 16  # the same for every other model
 # the deep CF digits are stepped in blocks of _DEEP_BLOCK, each started
 # _DEEP_WARMUP digits early (_deep_digits)
 _DEEP_BLOCK = 64
@@ -398,81 +399,105 @@ def cylinder_prob_guarded(model: Model, w: Sequence[int]) -> tuple[object, Calla
 
 
 class SequenceGenerator:
-    """Deterministic sampler of one model's stationary symbol stream.
-
-    Pure function of (model, seed): the i-th emitted symbol only depends on
-    the counter-based stream values at indices up to its own, so streams are
-    reproducible and replicas with derived seeds are independent.
+    """Deterministic sampler of a model's stationary symbol streams, one per
+    seed of ``seed`` (an int or an array).  Pure function of (model, seed):
+    the i-th symbol of a stream only depends on the counter-based stream
+    values at indices up to its own, so streams are reproducible and replicas
+    with derived seeds are independent.  Each row keeps its own state, so
+    takes of any sizes continue the streams.
     """
 
-    def __init__(self, model: Model, seed: int):
+    def __init__(self, model: Model, seed):
         self.model = model
-        self.seed = seed & MASK64
+        self._one = np.ndim(seed) == 0
+        self.seeds = np.array([int(seed) & MASK64] if self._one else seed, dtype=np.uint64)
+        m = len(self.seeds)
         self.emitted = 0
-        self._state = -1  # the Markov chain's last state; -1 before the first
+        self._state = [-1] * m  # each Markov chain's last state; -1 before the first
         # CF: s = q_{n-1}/q_n and delta = (p_{n-1}+q_{n-1})/(p_n+q_n) - s for
-        # the cylinder of the digits so far (continuants as cf_continuants)
-        self._s, self._delta = 0.0, 1.0
+        # the cylinder of each row's digits so far (continuants as cf_continuants)
+        self._s, self._delta = np.zeros(m), np.ones(m)
         self.restepped = 0  # CF: blocks of deep digits re-stepped (_deep_digits)
 
     def take(self, n: int) -> np.ndarray:
+        """The next ``n`` symbols of every stream: 1-D for an int seed, else
+        one row per seed; the narrowest unsigned dtype for a finite i.i.d.
+        law, else int64.  Rows are drawn together in blocks of whole rows or
+        row pieces of about _TAKE_BLOCK uniforms (CF) or _DRAW_BLOCK values."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        model = self.model
-        out = np.empty(n, dtype=np.int64)
-        for lo in range(0, n, _TAKE_BLOCK):
-            block = out[lo: lo + _TAKE_BLOCK]
-            raw = raw_block(self.seed, self.emitted, len(block))
-            self.emitted += len(block)
-            if isinstance(model, IidModel):
-                model.symbols(raw, block)
-            elif isinstance(model, MarkovModel):  # a list of at most _DRAW_BLOCK at a time
-                for i in range(0, len(block), _DRAW_BLOCK):
-                    block[i: i + _DRAW_BLOCK] = self._markov_states(
-                        raw[i: i + _DRAW_BLOCK].tolist())
-            else:  # the uniforms of rng.uniform_block
-                _cf_digits([self], ((raw >> np.uint64(11)) * 2.0**-53)[None], block[None])
-        return out
+        model, seeds = self.model, self.seeds
+        finite = isinstance(model, IidModel) and model.probs is not None
+        size = _TAKE_BLOCK if isinstance(model, GaussCFModel) else _DRAW_BLOCK
+        out = np.empty((len(seeds), n), dtype=np.min_scalar_type(len(model.probs) - 1)
+                       if finite else np.int64)
+        width = max(1, min(n, size))
+        height = max(1, size // width)
+        raw = np.empty((min(height, len(seeds)), width), dtype=np.uint64)
+        scratch = np.empty_like(raw)
+        for c0 in range(0, n, width):
+            cols = min(width, n - c0)
+            steps = counter_steps(self.emitted + c0, cols)
+            for r0 in range(0, len(seeds), height):
+                rows = slice(r0, r0 + height)
+                block = out[rows, c0:c0 + cols]
+                values = raw_block(seeds[rows], self.emitted + c0, cols,
+                                   raw[:len(block), :cols], scratch[:len(block), :cols], steps)
+                if isinstance(model, IidModel):
+                    model.symbols(values, block)
+                elif isinstance(model, MarkovModel):
+                    for r, row in enumerate(values.tolist(), r0):
+                        block[r - r0] = states = _markov_states(
+                            model._thresholds, self._state[r], row)
+                        self._state[r] = states[-1]
+                else:  # the uniforms of rng.uniform_block, over the scratch buffer
+                    us = scratch[:len(block), :cols].view(float)
+                    np.multiply(np.right_shift(values, 11, out=values), 2.0**-53, out=us)
+                    self.restepped += _cf_digits(self._s[rows], self._delta[rows], us, block)
+        self.emitted += n
+        return out[0] if self._one else out
 
-    def _markov_states(self, raws: list[int]) -> list[int]:
-        """The next states, one per raw value: the number of thresholds of the
-        current state's row (of pi at the start) at or below the value."""
-        rows, s, out = self.model._thresholds, self._state, []
-        for raw in raws:
-            s = bisect_right(rows[s], raw)
-            out.append(s)
-        self._state = s
-        return out
 
-    def _gauss_head(self, us: np.ndarray, out: np.ndarray) -> int:
-        """Write to ``out`` the digits of the uniforms ``us`` one at a time,
-        with libm's log1p and expm1, while |delta| >= _DEEP_DELTA (the first
-        ~20 digits of a stream); return how many were drawn."""
-        log1p, expm1, ceil = math.log1p, math.expm1, math.ceil
-        s, delta = self._s, self._delta
+def _markov_states(thresholds, state: int, raws: list[int]) -> list[int]:
+    """The states that the raw values draw one after another from ``state``
+    (-1 before the first): each the number of thresholds of the current
+    state's row (of pi at the start) at or below its value."""
+    return [state := bisect_right(thresholds[state], raw) for raw in raws]
+
+
+def _gauss_head(s: np.ndarray, delta: np.ndarray, us: np.ndarray, out: np.ndarray
+                ) -> np.ndarray:
+    """Write to each row of ``out`` the digits of that row of uniforms ``us``
+    one at a time, with libm's log1p and expm1, while the row's |delta| >=
+    _DEEP_DELTA (the first ~20 digits of a stream); update the rows' states
+    ``s`` and ``delta`` in place and return how many digits each row drew."""
+    log1p, expm1, ceil = math.log1p, math.expm1, math.ceil
+    heads = np.zeros(len(us), dtype=np.int64)
+    for r in np.flatnonzero(np.abs(delta) >= _DEEP_DELTA).tolist():
+        row, s_r, d_r = us[r], float(s[r]), float(delta[r])
         head = 0
-        while head < len(us) and abs(delta) >= _DEEP_DELTA:
-            t = 1.0 - float(us[head])
-            full = log1p(delta / (1.0 + s))
-            if log1p(delta / (2.0 + s)) / full <= t:
+        while head < len(row) and abs(d_r) >= _DEEP_DELTA:
+            t = 1.0 - float(row[head])
+            full = log1p(d_r / (1.0 + s_r))
+            if log1p(d_r / (2.0 + s_r)) / full <= t:
                 d = 1
             else:
                 # delta/(a+s) as delta * (1/a) / (1 + s/a): 1/a is a correctly
                 # rounded int division, so the first digit (s = 0, delta = 1)
                 # is decided exactly even past 2**53, where a + s rounds
-                a = max(3, ceil(delta / expm1(t * full) - s))
-                while log1p(delta * (1 / a) / (1.0 + s / a)) / full > t:
+                a = max(3, ceil(d_r / expm1(t * full) - s_r))
+                while log1p(d_r * (1 / a) / (1.0 + s_r / a)) / full > t:
                     a += 1
-                while a > 3 and log1p(delta * (1 / (a - 1))
-                                      / (1.0 + s / (a - 1))) / full <= t:
+                while a > 3 and log1p(d_r * (1 / (a - 1))
+                                      / (1.0 + s_r / (a - 1))) / full <= t:
                     a -= 1
                 d = a - 1
-            out[head] = d
+            out[r, head] = d
             head += 1
-            ds = d + s
-            s, delta = 1.0 / ds, -delta / ((ds + delta) * ds)
-        self._s, self._delta = s, delta
-        return head
+            ds = d + s_r
+            s_r, d_r = 1.0 / ds, -d_r / ((ds + d_r) * ds)
+        s[r], delta[r], heads[r] = s_r, d_r, head
+    return heads
 
 
 def _deep_step(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -499,11 +524,10 @@ def _deep_step(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a -= down
 
 
-def _deep_digits(s: np.ndarray, t: np.ndarray, out: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _deep_digits(s: np.ndarray, t: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, int]:
     """Write to ``out`` the deep-regime digits of the (m, n) thresholds
     t = 1 - u, one stream per row, starting from the states ``s``; return
-    each stream's final state and its number of blocks re-stepped.
+    each stream's final state and the number of blocks re-stepped.
 
     Each stream's digits are cut into blocks of _DEEP_BLOCK, and the blocks
     of all streams are stepped together by ``_deep_step``: block 0 covers the
@@ -539,7 +563,7 @@ def _deep_digits(s: np.ndarray, t: np.ndarray, out: np.ndarray
             ds[:, :, j] = d
         if j == warmup - 1:
             first = state
-    final, restepped = state, np.zeros(m, dtype=np.int64)
+    final, restepped = state, 0
     while len((bad := np.nonzero(first[:, 1:].view(np.uint64)
                                  != final[:, :-1].view(np.uint64)))[0]):
         r, b = bad[0], bad[1] + 1
@@ -548,7 +572,7 @@ def _deep_digits(s: np.ndarray, t: np.ndarray, out: np.ndarray
             d, state = _deep_step(state, ts[r, b, j])
             ds[r, b, j] = d
         final[r, b] = state
-        restepped += np.bincount(r, minlength=m)
+        restepped += len(r)
     if digits is not out:
         out[:] = digits[:, :n]
     # the state after digit n: the last blocks' digits replayed from their first
@@ -558,10 +582,11 @@ def _deep_digits(s: np.ndarray, t: np.ndarray, out: np.ndarray
     return s, restepped
 
 
-def _cf_digits(gens: list[SequenceGenerator], us: np.ndarray, out: np.ndarray) -> None:
-    """Write to ``out`` the next CF digits of the generators ``gens``, one
-    row each and one digit per uniform of that row of ``us``, each from its
-    exact conditional law given the digits before it; advance the generators.
+def _cf_digits(s: np.ndarray, delta: np.ndarray, us: np.ndarray, out: np.ndarray) -> int:
+    """Write to ``out`` the next CF digits of the streams in states ``s`` and
+    ``delta``, one row each and one digit per uniform of that row of ``us``,
+    each from its exact conditional law given the digits before it; advance
+    the states in place and return the number of blocks re-stepped.
 
     Given the cylinder so far, the next digit is >= a with probability
     tail(a) = log1p(delta/(a+s)) / log1p(delta/(1+s)), and the uniform u
@@ -574,65 +599,25 @@ def _cf_digits(gens: list[SequenceGenerator], us: np.ndarray, out: np.ndarray) -
     delta' = -delta/((d+s+delta)(d+s)) contract, so float error does not
     grow along the stream.
 
-    Each row's head, the digits before |delta| < 1e-17, is drawn by its own
-    ``_gauss_head``.  The deep digits of the rows that leave their head
-    first are stepped by ``_deep_step`` until every row has left it, and
-    the rest of every row by ``_deep_digits``.
+    ``_gauss_head`` draws each row's head, the digits before |delta| <
+    1e-17; ``_deep_step`` the deep digits of the rows that leave their head
+    first, until every row has; ``_deep_digits`` the rest of every row.
     """
-    heads = np.array([gen._gauss_head(u, row) for gen, u, row in zip(gens, us, out)])
-    s = np.array([gen._s for gen in gens])
+    heads = _gauss_head(s, delta, us, out)
     start = int(heads.max())
     for j in range(int(heads.min()), start):
         lanes = np.flatnonzero(heads <= j)
         out[lanes, j], s[lanes] = _deep_step(s[lanes], 1.0 - us[lanes, j])
-    restepped = np.zeros(len(gens), dtype=np.int64)
-    if start < us.shape[1]:
-        s, restepped = _deep_digits(s, 1.0 - us[:, start:], out[:, start:])
-    for gen, state, count in zip(gens, s.tolist(), restepped.tolist()):
-        gen._s = state
-        gen.restepped += count
+    if start == us.shape[1]:
+        return 0
+    s[:], restepped = _deep_digits(s, 1.0 - us[:, start:], out[:, start:])
+    return restepped
 
 
 def draw(model: Model, seeds: np.ndarray, length: int) -> np.ndarray:
     """(len(seeds), length) symbol matrix: row r is the first ``length``
-    symbols of the stream with seed ``seeds[r]``, symbol for symbol as
-    ``SequenceGenerator(model, seeds[r]).take(length)``.  I.i.d. rows are drawn
-    together in blocks of about _DRAW_BLOCK values: whole rows, or row pieces;
-    CF rows together in blocks of about _TAKE_BLOCK uniforms."""
-    if isinstance(model, GaussCFModel):
-        return _draw_cf(seeds, length)
-    if not isinstance(model, IidModel):
-        return np.stack([SequenceGenerator(model, sd).take(length) for sd in seeds.tolist()])
-    dtype = np.int64 if model.probs is None else np.min_scalar_type(len(model.probs) - 1)
-    out = np.empty((len(seeds), length), dtype=dtype)
-    width = max(1, min(length, _DRAW_BLOCK))
-    height = max(1, _DRAW_BLOCK // width)
-    raw = np.empty((min(height, len(seeds)), width), dtype=np.uint64)
-    scratch = np.empty_like(raw)
-    for c0 in range(0, length, width):
-        cols = min(width, length - c0)
-        steps = counter_steps(c0, cols)
-        for r0 in range(0, len(seeds), height):
-            block = out[r0:r0 + height, c0:c0 + cols]
-            rows = len(block)
-            model.symbols(raw_block(seeds[r0:r0 + height], c0, cols, raw[:rows, :cols],
-                                    scratch[:rows, :cols], steps), block)
-    return out
-
-
-def _draw_cf(seeds: np.ndarray, length: int) -> np.ndarray:
-    """``draw`` for the CF model: the streams of a block of rows are drawn
-    together by ``_cf_digits``, in passes of about _TAKE_BLOCK uniforms."""
-    out = np.empty((len(seeds), length), dtype=np.int64)
-    width = max(1, min(length, _TAKE_BLOCK))
-    height = max(1, _TAKE_BLOCK // width)
-    for r0 in range(0, len(seeds), height):
-        rows = seeds[r0:r0 + height]
-        gens = [SequenceGenerator(GaussCFModel(), sd) for sd in rows.tolist()]
-        for c0 in range(0, length, width):
-            block = out[r0:r0 + height, c0:c0 + width]
-            _cf_digits(gens, uniform_block(rows, c0, block.shape[1]), block)
-    return out
+    symbols of the stream with seed ``seeds[r]``."""
+    return SequenceGenerator(model, seeds).take(length)
 
 
 # ---------------------------------------------------------------------------

@@ -169,9 +169,10 @@ def _oracle_cf_digits(seed, n):
 
 
 def _next_digit(gen, u):
-    """The CF digit that the uniform u draws as the generator's next one."""
+    """The CF digit that the uniform u draws as the one-seed generator's next
+    one, from and into its row state."""
     out = np.empty((1, 1), dtype=np.int64)
-    measures._cf_digits([gen], np.array([[u]]), out)
+    measures._cf_digits(gen._s, gen._delta, np.array([[u]]), out)
     return int(out[0, 0])
 
 
@@ -221,13 +222,13 @@ class TestCFSamplerAgainstOracle:
         # in this state it settles up near a = 658 and 1202, down near 7 and 14
         gen = SequenceGenerator(GaussCFModel(), 1)
         gen.take(60)
-        s, delta = gen._s, gen._delta
+        s, delta = float(gen._s[0]), float(gen._delta[0])
         assert abs(delta) < 1e-17
         up = down = 0
         for a in range(2, 1301):
             u0 = 1.0 - (1.0 + s) / (a + s)
             for u in (math.nextafter(u0, 0.0), u0, math.nextafter(u0, 1.0)):
-                gen._s = s
+                gen._s[0] = s
                 d = _next_digit(gen, u)
                 t = 1.0 - u
                 rule = max(2, a - 2)
@@ -243,7 +244,7 @@ class TestCFSamplerAgainstOracle:
         # uniforms within a few ulps of 1 draw digits past 2**53, where a
         # float a + 1 == a; the rule counts a in Python ints, rounded at a + s
         for u in (1.0 - 2.0**-53, 1.0 - 2.0**-52, 1.0 - 3 * 2.0**-53):
-            gen._s = s
+            gen._s[0] = s
             d = _next_digit(gen, u)
             t, c = 1.0 - u, 1.0 + s
             rule = math.ceil(c / t - s) - 2
@@ -251,7 +252,7 @@ class TestCFSamplerAgainstOracle:
             while c / (rule + s) > t:
                 rule += 1
             assert d == rule - 1 > 2**51
-            assert gen._s == 1.0 / (rule - 1 + s)
+            assert gen._s[0] == 1.0 / (rule - 1 + s)
 
 
 class TestBlockedCFSampler:
@@ -371,11 +372,61 @@ class TestGaussModel:
             digits.extend(gen.take(1).tolist())
             p, q, pp, qq = cf_continuants(digits)
             s = Fraction(qq, q)
-            assert abs(gen._s - s) <= 1e-15 * s
-            if abs(gen._delta) >= 1e-17:
+            assert abs(gen._s[0] - s) <= 1e-15 * s
+            if abs(gen._delta[0]) >= 1e-17:
                 delta = Fraction(pp + qq, p + q) - s
-                assert abs(gen._delta - delta) <= 1e-12 * abs(delta)
-        assert abs(gen._delta) < 1e-17
+                assert abs(gen._delta[0] - delta) <= 1e-12 * abs(delta)
+        assert abs(gen._delta[0]) < 1e-17
+
+
+def _digest(x):
+    return hashlib.sha256(np.ascontiguousarray(x).astype("<i8").tobytes()).hexdigest()
+
+
+class TestSamplerPins:
+    """sha256 of the sampled symbols as little-endian int64, from the sampler
+    before batches of seeds and single seeds shared one loop: a batch of 5
+    streams per model at two lengths, and one single-seed stream per model."""
+
+    MODELS = {
+        "fair": IidModel(probs=("1/2", "1/2")),
+        "thirds": IidModel(probs=("1/2", "1/3", "1/6")),
+        "tail": IidModel(tail_ratio="1/2"),
+        "chain": CHAIN,
+        "gauss": GaussCFModel(),
+    }
+    DRAW = {
+        ("fair", 14): "2ddb0c67c8d71533960c30cf6f0f927009400174e05b0748e19a6488d6dc6b9e",
+        ("fair", 3000): "0cc6af83d848f442fe1dc70fd8688c7de1d2ca7322e2c9ce8e3157398fe37d8f",
+        ("thirds", 14): "fefb7f2d9823ef656966f200a1e3a965dd669359dea613d50c5462b116457f79",
+        ("thirds", 3000): "527c93d1c746a9b62614e33202386c6abaccb2f2e755907badd7916e602106c5",
+        ("tail", 14): "658fb7f23fef0525b89aa2a5e69596dd554f89c6b58bb4214aadb9db0c561f8b",
+        ("tail", 3000): "fd098630f16de1d45fe0301e6356000cb2a680338deb8b700708bad809bad19a",
+        ("chain", 14): "1c3a5a0c0758509da5b7cb098dd598d1db4d7040f5807a02a0ad6e7780cc93f5",
+        ("chain", 3000): "0cf08f6d6ca1e207c2f9da07f5d5013b483eef0758bfe0c1d7a880a4dabef71f",
+        ("gauss", 14): "07a6e7d83bbf9a35764ee495fea8e61734a3f116a95635ba6ae716490e879cda",
+        ("gauss", 3000): "1c95ea7820d5ca319b8346313e5609e7eed59bb6fbb71255a4cd7e8c0305d3f0",
+    }
+    # SequenceGenerator(model, 11).take(3000)
+    TAKE = {
+        "fair": "96d7bf9ae4e7c48e3c14616b7869be2bc7ed0d53a9ee6fbffb0f7baa8858eecf",
+        "thirds": "e130eb04e532918c4c339750d65d00cc3ba8ac4d96c8af4c378c24c407cc636e",
+        "tail": "d79c2e756d8ddfa0515fc636da6f0a74a6b50854b53cff0f703ba973d517daed",
+        "chain": "7566c0dc091dfd176e1ce5307dd412f795285baa46cc7f935701bd6e01b8dab5",
+        "gauss": "58d50ec3e01caed30b68f6025c9815177a873159149ab82ab06812da6192ea2d",
+    }
+
+    @pytest.mark.parametrize("name, length", sorted(DRAW))
+    def test_draw_is_pinned(self, name, length):
+        x = measures.draw(self.MODELS[name], derive_seed(11, np.arange(5)), length)
+        assert x.shape == (5, length)
+        assert _digest(x) == self.DRAW[name, length]
+
+    @pytest.mark.parametrize("name", sorted(TAKE))
+    def test_take_is_pinned(self, name):
+        x = SequenceGenerator(self.MODELS[name], 11).take(3000)
+        assert x.shape == (3000,)
+        assert _digest(x) == self.TAKE[name]
 
 
 class TestGenerators:
@@ -406,18 +457,37 @@ class TestGenerators:
         stepped = np.concatenate([scalar.take(1) for _ in range(300)]).tolist()
         assert taken.tolist() == stepped == _oracle_cf_digits(2718, 300)
         assert bulk.emitted == scalar.emitted == 300
-        assert (bulk._s, bulk._delta) == (scalar._s, scalar._delta)
+        assert np.array_equal(bulk._s, scalar._s)
+        assert np.array_equal(bulk._delta, scalar._delta)
 
-    # a block of 7 uniforms makes take() cross its block boundaries
+    # a block of 7 raw values makes take() cross its block boundaries
     @pytest.mark.parametrize("block", [None, 7])
     def test_markov_take_equals_single_takes(self, block, monkeypatch):
         if block is not None:
-            monkeypatch.setattr(measures, "_TAKE_BLOCK", block)
+            monkeypatch.setattr(measures, "_DRAW_BLOCK", block)
         bulk = SequenceGenerator(CHAIN, 31)
         scalar = SequenceGenerator(CHAIN, 31)
         taken = np.concatenate([bulk.take(20), bulk.take(45)])
         assert taken.tolist() == np.concatenate([scalar.take(1) for _ in range(65)]).tolist()
         assert bulk.emitted == scalar.emitted == 65
+
+    # blocks of 5 make every take cross row and column blocks, and the CF
+    # pieces end inside the ~20-digit head of each row and past it
+    @pytest.mark.parametrize("model", [BIASED, IidModel(tail_ratio="1/2"), CHAIN,
+                                       GaussCFModel()], ids=["iid", "tail", "chain", "gauss"])
+    def test_batched_takes_continue(self, model, monkeypatch):
+        seeds, n = derive_seed(6, np.arange(7)), 100
+        rows = np.stack([SequenceGenerator(model, sd).take(n) for sd in seeds.tolist()])
+        whole = SequenceGenerator(model, seeds).take(n)
+        assert np.array_equal(whole, rows)
+        monkeypatch.setattr(measures, "_DRAW_BLOCK", 5)
+        monkeypatch.setattr(measures, "_TAKE_BLOCK", 5)
+        gen = SequenceGenerator(model, seeds)
+        parts = [gen.take(m) for m in (3, 14, 1, n - 18)]
+        assert all(part.shape == (7, m) for part, m in zip(parts, (3, 14, 1, n - 18)))
+        assert np.array_equal(np.concatenate(parts, axis=1), whole)
+        assert np.array_equal(SequenceGenerator(model, seeds).take(n), whole)
+        assert gen.emitted == n
 
     # below 1/2 a cumulative value can have bits under 2**-53 (1/3, 1/10)
     @pytest.mark.parametrize("probs", [("1/2", "1/2"), ("1/2", "1/2", "0"),
@@ -464,11 +534,9 @@ class TestGenerators:
             # the float rule: bisect the uniform into the cumulative row
             expected = [min(bisect_right(cum, (raw >> 11) * 2.0**-53), s - 1)
                         for raw in raws]
-            gen = SequenceGenerator(chain, 0)
             got = []
             for raw in raws:
-                gen._state = state
-                got += gen._markov_states([raw])
+                got += measures._markov_states(chain._thresholds, state, [raw])
             assert got == expected
 
     @pytest.mark.parametrize("tail", ["1/2", "9/10", "1/1000"])

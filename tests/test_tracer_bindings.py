@@ -51,4 +51,5 @@ def test_traced_execute_gives_the_untraced_report(tmp_path):
     spans = tracer.summary()["spans"]
     assert spans["experiments.execute"]["calls"] == 1
     assert spans["point_process.count_word_occurrences"]["calls"] > 0
+    assert spans["measures.take"]["calls"] > 0  # every stream is drawn by take
     assert _report_text(traced) == _report_text(plain)

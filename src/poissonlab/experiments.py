@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -48,7 +49,10 @@ from .words import enumerate_words, periods
 
 MODES = ("annealed", "quenched", "oracle", "concentration", "mixing")
 SYMBOL_BUDGET = 2 * 10**9  # symbols one counting run may draw
-_BATCH_ELEMS = 1 << 23  # symbols per batch of annealed or concentration streams
+_BATCH_ELEMS = 1 << 23  # symbols in flight per annealed run, per concentration batch
+# threads that draw and scan annealed batches: one per usable CPU, no setting
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 HISTOGRAM_BINS_GUARD = 10**6  # count-histogram bins one target set may need
 
 
@@ -472,7 +476,18 @@ def _plan_members(plan_of: np.ndarray) -> list[np.ndarray]:
 
 def run_annealed(cfg: ExperimentConfig) -> GenericityReport:
     """Independent (x, w) pairs; occurrence counts of w in x over each
-    target set's index positions, against the Poisson(|S|) law."""
+    target set's index positions, against the Poisson(|S|) law.
+
+    Pairs whose words share a plan are drawn and scanned in batches of
+    ``_BATCH_ELEMS // _WORKERS`` symbols (one stream where a stream is
+    longer), on a pool of ``_WORKERS`` threads, one per usable CPU; there is
+    no setting for the thread count.  The pool is smaller when the longest
+    stream would otherwise put more than ``_BATCH_ELEMS`` symbols in flight.
+    Every stream is a function of its pair's seed and counts are written back
+    in batch order, so the report does not depend on the CPU count.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # here: keeps import time down
+
     if cfg.mode != "annealed":
         raise ConfigError("$.mode: run_annealed needs mode 'annealed'")
     model, k, n = cfg.model, cfg.k, cfg.n_samples
@@ -485,6 +500,7 @@ def run_annealed(cfg: ExperimentConfig) -> GenericityReport:
     n_sets = len(cfg.sets)
     counts = [np.zeros(n, dtype=np.int64) for _ in range(n_sets)]
     truncated = [np.zeros(n, dtype=bool) for _ in range(n_sets)]
+    batches = []  # (rows, length, clipped ranges per set)
     for plan, length, members in zip(plans, lengths, _plan_members(plan_of)):
         if length == 0:  # every index set empty: counts stay 0, complete
             continue
@@ -492,12 +508,20 @@ def run_annealed(cfg: ExperimentConfig) -> GenericityReport:
         ranges = [J.clipped(max_start).ranges for J in plan.js]
         for si, J in enumerate(plan.js):
             truncated[si][members] = J.max_index() > max_start
-        step = max(1, _BATCH_ELEMS // length)
-        for lo in range(0, len(members), step):
-            rows = members[lo: lo + step]
-            streams = draw(model, derive_seed(cfg.seed, 2, rows), length)
-            for si, rs in enumerate(ranges):
-                counts[si][rows] = count_word_occurrences(streams, words[rows], rs)
+        step = max(1, _BATCH_ELEMS // _WORKERS // length)
+        batches += [(members[lo: lo + step], length, ranges)
+                    for lo in range(0, len(members), step)]
+
+    def count(batch):
+        rows, length, ranges = batch
+        streams = draw(model, derive_seed(cfg.seed, 2, rows), length)
+        return [count_word_occurrences(streams, words[rows], rs) for rs in ranges]
+
+    longest = max((length for _, length, _ in batches), default=1)
+    with ThreadPoolExecutor(min(_WORKERS, max(1, _BATCH_ELEMS // longest))) as pool:
+        for (rows, _, _), batch_counts in zip(batches, pool.map(count, batches)):
+            for si, c in enumerate(batch_counts):
+                counts[si][rows] = c
     return _genericity_report(cfg, counts, truncated, None)
 
 

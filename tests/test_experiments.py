@@ -12,6 +12,9 @@ import json
 import subprocess
 import sys
 import tempfile
+import threading
+import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poissonlab.errors import ConfigError, InsufficientDataError
+from poissonlab.errors import ConfigError, InsufficientDataError, ResourceError
 from poissonlab.experiments import (_genericity_report, execute, parse_config,
                                     run_annealed, run_mixing, run_oracle_suite,
                                     run_quenched, to_jsonable)
@@ -322,6 +325,111 @@ class TestAnnealed:
         cfg = parse_config(_doc(mode="oracle"))
         with pytest.raises(ConfigError):
             run_annealed(cfg)
+
+
+# (0, 1/8] and (1/32, 1/16]: every word of measure above 1/8 has both index
+# sets empty, so its plan needs no stream (length 0); words of measure in
+# (1/16, 1/8] have an empty second set only
+LOW_SETS = [[["0", "1/8", False, True]], [["1/32", "1/16", False, True]]]
+# (document, _BATCH_ELEMS): three times the longest stream, so a pool of up
+# to 3 threads runs whole and most plans span several batches; the last three
+# documents are truncated by n_cap
+THREAD_DOCS = [
+    (_doc(model=THREE_SPEC, k=2, n_samples=150, sets=LOW_SETS), 15),
+    (_doc(model=GEOMETRIC_SPEC, k=3, n_samples=150, sets=LOW_SETS, n_cap=30), 90),
+    (_doc(model=MARKOV_SPEC, k=4, n_samples=150, sets=LOW_SETS, n_cap=12), 36),
+    (_doc(model=CF_SPEC, k=2, n_samples=150, sets=LOW_SETS, n_cap=40), 120),
+]
+
+
+def _report_text(payload) -> str:
+    return json.dumps(to_jsonable(payload), sort_keys=True, indent=2)
+
+
+class TestAnnealedThreads:
+    """The batches of an annealed run are drawn and scanned on a thread pool."""
+
+    @pytest.mark.parametrize("doc,batch_elems", THREAD_DOCS,
+                             ids=["three", "geometric", "markov", "gauss"])
+    def test_report_does_not_depend_on_the_thread_count(self, monkeypatch, doc, batch_elems):
+        from poissonlab import experiments
+
+        cfg = parse_config(doc)
+        expected = _report_text(run_annealed(cfg))
+        monkeypatch.setattr(experiments, "_BATCH_ELEMS", batch_elems)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch as often as they can
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(experiments, "_WORKERS", workers)
+                assert _report_text(run_annealed(cfg)) == expected, workers
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_failure_reaches_the_caller_and_leaves_no_thread(self, monkeypatch):
+        from poissonlab import experiments
+
+        err = ResourceError("third scan fails")
+        scan, lock, calls = experiments.count_word_occurrences, threading.Lock(), [0]
+
+        def failing(*args):
+            with lock:
+                calls[0] += 1
+                third = calls[0] == 3
+            if third:
+                raise err
+            return scan(*args)
+
+        doc, batch_elems = THREAD_DOCS[0]
+        monkeypatch.setattr(experiments, "_BATCH_ELEMS", batch_elems)
+        monkeypatch.setattr(experiments, "_WORKERS", 2)
+        monkeypatch.setattr(experiments, "count_word_occurrences", failing)
+        before = threading.active_count()
+        with pytest.raises(ResourceError) as info:
+            execute(parse_config(doc), None)
+        assert info.value is err
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("doc,longest", [
+        (_doc(k=8, n_samples=100), 2**8 + 7),  # one plan, several rows a batch
+        (_doc(k=12, n_samples=100), 2**12 + 11),  # one plan, one row a batch
+        (_doc(model=GEOMETRIC_SPEC, k=3, n_samples=150, sets=LOW_SETS, n_cap=5000), 5000),
+    ], ids=["fair-8", "fair-12", "geometric"])
+    def test_symbols_in_flight_stay_within_one_batch(self, monkeypatch, doc, longest, workers):
+        # with _BATCH_ELEMS = 6000 the last two documents have streams longer
+        # than _BATCH_ELEMS / workers: a pool of `workers` threads would hold
+        # one such stream each at once
+        from poissonlab import experiments
+
+        real_draw, lock = experiments.draw, threading.Lock()
+        state = {"calls": 0, "flight": 0, "peak": 0, "longest": 0}
+
+        def release(size):
+            with lock:
+                state["flight"] -= size
+
+        def counted(model, seeds, length):
+            with lock:
+                state["calls"] += 1
+                words = state["calls"] == 1  # the words, held for the whole run
+            out = real_draw(model, seeds, length)
+            if not words:
+                with lock:
+                    state["flight"] += out.size
+                    state["peak"] = max(state["peak"], state["flight"])
+                    state["longest"] = max(state["longest"], length)
+                weakref.finalize(out, release, out.size)
+                time.sleep(0.002)  # let the other threads draw meanwhile
+            return out
+
+        monkeypatch.setattr(experiments, "_BATCH_ELEMS", 6000)
+        monkeypatch.setattr(experiments, "_WORKERS", workers)
+        monkeypatch.setattr(experiments, "draw", counted)
+        run_annealed(parse_config(doc))
+        assert state["longest"] == longest
+        assert 0 < state["peak"] <= max(6000, state["longest"])
+        assert state["flight"] == 0
 
 
 class TestQuenched:

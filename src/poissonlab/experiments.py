@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 from pathlib import Path
 from typing import Callable
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import (ConfigError, InsufficientDataError, ResourceError,
                      UnsupportedModelError)
-from .measures import (GaussCFModel, IidModel, MarkovModel, Model,
+from .measures import (GaussCFModel, IidModel, MarkovModel, Model, SequenceGenerator,
                        contraction_profile, cylinder_prob_exact, draw,
                        mixing_profile, model_from_spec, model_to_spec)
 from .mixing_concentration import (DELTA_NORM_MATRIX_CAP, MAX_LAG_CAP,
@@ -49,7 +50,7 @@ from .words import enumerate_words, periods
 
 MODES = ("annealed", "quenched", "oracle", "concentration", "mixing")
 SYMBOL_BUDGET = 2 * 10**9  # symbols one counting run may draw
-_BATCH_ELEMS = 1 << 23  # symbols in flight per annealed run, per concentration batch
+_BATCH_ELEMS = 1 << 21  # symbols in flight per counting run, per concentration batch
 # threads that draw and scan annealed batches: one per usable CPU, no setting
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -470,6 +471,34 @@ def _plan_members(plan_of: np.ndarray) -> list[np.ndarray]:
                     np.cumsum(np.bincount(plan_of))[:-1])
 
 
+def _chunks(gen: SequenceGenerator, length: int, k: int, width: int):
+    """The first ``length`` symbols of ``gen``'s streams as (offset, block)
+    pairs, in order, for counting the windows of length ``k`` chunk by chunk.
+
+    A block holds the symbols offset + 1 .. offset + width + k - 1 (at most
+    ``length``) of every stream, so the windows that start at offset + 1 ..
+    offset + width lie whole inside it, and every window of the streams
+    starts in exactly one block.  Its last k - 1 symbols are carried into
+    the next block, and each take draws only the ``width`` new symbols, so
+    ``take`` continues every stream as one take of ``length`` would.  A
+    block is overwritten by the next one: use it before asking for the next.
+    """
+    n_win = length - k + 1
+    first = gen.take(min(width, n_win) + k - 1)
+    if n_win <= width:
+        yield 0, first
+        return
+    block = np.empty(first.shape[:-1] + (width + k - 1,), first.dtype)
+    block[...] = first
+    del first  # only the block and one take's symbols are held
+    yield 0, block
+    for offset in range(width, n_win, width):
+        block[..., :k - 1] = block[..., width:]
+        new = min(width, n_win - offset)
+        block[..., k - 1: k - 1 + new] = gen.take(new)
+        yield offset, block[..., :k - 1 + new]
+
+
 # ---------------------------------------------------------------------------
 # annealed
 
@@ -478,13 +507,15 @@ def run_annealed(cfg: ExperimentConfig) -> GenericityReport:
     """Independent (x, w) pairs; occurrence counts of w in x over each
     target set's index positions, against the Poisson(|S|) law.
 
-    Pairs whose words share a plan are drawn and scanned in batches of
-    ``_BATCH_ELEMS // _WORKERS`` symbols (one stream where a stream is
-    longer), on a pool of ``_WORKERS`` threads, one per usable CPU; there is
-    no setting for the thread count.  The pool is smaller when the longest
-    stream would otherwise put more than ``_BATCH_ELEMS`` symbols in flight.
-    Every stream is a function of its pair's seed and counts are written back
-    in batch order, so the report does not depend on the CPU count.
+    Pairs whose words share a plan are drawn and scanned in batches on a pool
+    of ``_WORKERS`` threads, one per usable CPU; there is no setting for the
+    thread count.  A batch holds ``_BATCH_ELEMS // _WORKERS // length``
+    streams (at least one), taken in chunks of at most about
+    ``_BATCH_ELEMS // _WORKERS`` new symbols (``_chunks``), so at most about
+    ``_BATCH_ELEMS`` symbols are in flight whatever the stream length.
+    Every stream is a function of its pair's seed, counts add over chunks and
+    are written back in batch order, so the report does not depend on the
+    CPU count or the chunk width.
     """
     from concurrent.futures import ThreadPoolExecutor  # here: keeps import time down
 
@@ -500,6 +531,7 @@ def run_annealed(cfg: ExperimentConfig) -> GenericityReport:
     n_sets = len(cfg.sets)
     counts = [np.zeros(n, dtype=np.int64) for _ in range(n_sets)]
     truncated = [np.zeros(n, dtype=bool) for _ in range(n_sets)]
+    per_thread = max(1, _BATCH_ELEMS // _WORKERS)
     batches = []  # (rows, length, clipped ranges per set)
     for plan, length, members in zip(plans, lengths, _plan_members(plan_of)):
         if length == 0:  # every index set empty: counts stay 0, complete
@@ -508,17 +540,23 @@ def run_annealed(cfg: ExperimentConfig) -> GenericityReport:
         ranges = [J.clipped(max_start).ranges for J in plan.js]
         for si, J in enumerate(plan.js):
             truncated[si][members] = J.max_index() > max_start
-        step = max(1, _BATCH_ELEMS // _WORKERS // length)
+        step = max(1, per_thread // length)
         batches += [(members[lo: lo + step], length, ranges)
                     for lo in range(0, len(members), step)]
 
     def count(batch):
         rows, length, ranges = batch
-        streams = draw(model, derive_seed(cfg.seed, 2, rows), length)
-        return [count_word_occurrences(streams, words[rows], rs) for rs in ranges]
+        sought = words[rows]
+        totals = [np.zeros(len(rows), dtype=np.int64) for _ in ranges]
+        gen = SequenceGenerator(model, derive_seed(cfg.seed, 2, rows))
+        for offset, block in _chunks(gen, length, k, max(1, per_thread // len(rows))):
+            last = block.shape[1] - k + 1  # the block's windows, 1-indexed
+            for total, rs in zip(totals, ranges):
+                total += count_word_occurrences(block, sought, [
+                    (max(a - offset, 1), min(b - offset, last)) for a, b in rs])
+        return totals
 
-    longest = max((length for _, length, _ in batches), default=1)
-    with ThreadPoolExecutor(min(_WORKERS, max(1, _BATCH_ELEMS // longest))) as pool:
+    with ThreadPoolExecutor(_WORKERS) as pool:
         for (rows, _, _), batch_counts in zip(batches, pool.map(count, batches)):
             for si, c in enumerate(batch_counts):
                 counts[si][rows] = c
@@ -555,16 +593,22 @@ def _quenched_replica(cfg: ExperimentConfig, r: int) -> GenericityReport:
     _check_range_cells(n, [J for plan in plans for J in plan.js])  # before x is drawn
     x_len = min(max(max(plan.need for plan in plans), k), cfg.n_cap)
     _check_budget(cfg.n_x_replicas * x_len)
-    x = draw(model, derive_seed(cfg.seed, 3, [r]), x_len)[0]
-    index = OccurrenceIndex(x, k)
     max_start = x_len - k + 1
 
-    counts, truncated = [], []
+    counts, truncated, plan_ranges = [], [], []
     for si in range(len(cfg.sets)):
         js = [plan.js[si] for plan in plans]
         truncated.append(np.array([J.max_index() > max_start for J in js])[plan_of])
-        ranges = _ranges_array([J.clipped(max_start) for J in js])
-        counts.append(index.count_in_ranges(words, ranges[plan_of]))
+        plan_ranges.append(_ranges_array([J.clipped(max_start) for J in js]))
+        counts.append(np.zeros(n, dtype=np.int64))
+    # x is hashed one chunk of _BATCH_ELEMS windows at a time; each range
+    # is shifted to the chunk, and the index clips it to the chunk's windows
+    gen = SequenceGenerator(model, derive_seed(cfg.seed, 3, r))
+    for offset, block in _chunks(gen, x_len, k, _BATCH_ELEMS):
+        index = OccurrenceIndex(block, k)
+        for total, ranges in zip(counts, plan_ranges):
+            total += index.count_in_ranges(words, (ranges - offset)[plan_of])
+        del index  # its hashes go before the next chunk is drawn
     return _genericity_report(cfg, counts, truncated, r)
 
 
@@ -638,15 +682,24 @@ def run_oracle_suite(cfg: ExperimentConfig) -> OracleReport:
         return f"k={k_e}: max |E-|S||/mu = {float(worst):.6f} <= m = {S.m}"
 
     def variance_check() -> str:
+        guard = {}  # (length, measure) -> whether its words pass the prefix-length guard
+
+        def fits(w) -> bool:
+            mu = cylinder_prob_exact(model, w)
+            if (len(w), mu) not in guard:
+                guard[len(w), mu] = mu != 0 and required_prefix_length(len(w), j_set(mu, S)) <= 22
+            return guard[len(w), mu]
+
         checked = 0
         for k_v in range(1, 5):
-            fits = {}  # measure -> whether its words pass the prefix-length guard
-            for w in enumerate_words(s, k_v):
-                mu = cylinder_prob_exact(model, w)
-                if mu not in fits:
-                    fits[mu] = mu != 0 and required_prefix_length(k_v, j_set(mu, S)) <= 22
-                if not fits[mu]:
-                    continue
+            words = enumerate_words(s, k_v)  # refuses an alphabet past its guard
+            if isinstance(model, IidModel):
+                # an i.i.d. measure depends only on the sorted symbols: decide
+                # the guard once per multiset, and form only the words (in
+                # enumeration order) that spell a multiset that fits
+                words = sorted({w for ms in combinations_with_replacement(range(s), k_v)
+                                if fits(ms) for w in permutations(ms)})
+            for w in filter(fits, words):
                 try:
                     dist = brute_force_distribution(model, w, S)
                 except ResourceError:  # alphabet^L past the prefix-states guard

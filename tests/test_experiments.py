@@ -395,41 +395,104 @@ class TestAnnealedThreads:
         (_doc(k=8, n_samples=100), 2**8 + 7),  # one plan, several rows a batch
         (_doc(k=12, n_samples=100), 2**12 + 11),  # one plan, one row a batch
         (_doc(model=GEOMETRIC_SPEC, k=3, n_samples=150, sets=LOW_SETS, n_cap=5000), 5000),
-    ], ids=["fair-8", "fair-12", "geometric"])
+        # one stream of eight budgets, hashed a chunk at a time
+        (_doc(mode="quenched", model=GEOMETRIC_SPEC, k=3, n_samples=150, n_cap=48000),
+         48000),
+    ], ids=["fair-8", "fair-12", "geometric", "quenched"])
     def test_symbols_in_flight_stay_within_one_batch(self, monkeypatch, doc, longest, workers):
-        # with _BATCH_ELEMS = 6000 the last two documents have streams longer
-        # than _BATCH_ELEMS / workers: a pool of `workers` threads would hold
-        # one such stream each at once
+        # with _BATCH_ELEMS = 6000 the last three documents have streams longer
+        # than _BATCH_ELEMS / workers, so those streams are taken in chunks:
+        # the symbols of all takes held at once stay within 6000, plus the
+        # k - 1 symbols that the first take of a chunked stream adds per row
         from poissonlab import experiments
 
-        real_draw, lock = experiments.draw, threading.Lock()
-        state = {"calls": 0, "flight": 0, "peak": 0, "longest": 0}
+        real_take, lock = SequenceGenerator.take, threading.Lock()
+        k = doc["k"]
+        state = {"calls": 0, "flight": 0, "rows": 0, "peak": 0, "over": 0, "longest": 0}
 
-        def release(size):
+        def release(size, rows):
             with lock:
                 state["flight"] -= size
+                state["rows"] -= rows
 
-        def counted(model, seeds, length):
+        def counted(gen, n):
             with lock:
                 state["calls"] += 1
                 words = state["calls"] == 1  # the words, held for the whole run
-            out = real_draw(model, seeds, length)
+            out = real_take(gen, n)
             if not words:
+                rows = len(gen.seeds)
                 with lock:
                     state["flight"] += out.size
+                    state["rows"] += rows
                     state["peak"] = max(state["peak"], state["flight"])
-                    state["longest"] = max(state["longest"], length)
-                weakref.finalize(out, release, out.size)
+                    state["over"] = max(state["over"],
+                                        state["flight"] - 6000 - (k - 1) * state["rows"])
+                    state["longest"] = max(state["longest"], gen.emitted)
+                weakref.finalize(out, release, out.size, rows)
                 time.sleep(0.002)  # let the other threads draw meanwhile
             return out
 
         monkeypatch.setattr(experiments, "_BATCH_ELEMS", 6000)
         monkeypatch.setattr(experiments, "_WORKERS", workers)
-        monkeypatch.setattr(experiments, "draw", counted)
-        run_annealed(parse_config(doc))
+        monkeypatch.setattr(SequenceGenerator, "take", counted)
+        execute(parse_config(doc), None)
         assert state["longest"] == longest
-        assert 0 < state["peak"] <= max(6000, state["longest"])
+        assert state["peak"] > 0 and state["over"] <= 0
         assert state["flight"] == 0
+
+
+# a fair word of length 3 has measure 1/8, so [1/3, 5/2) gives it positions
+# 3..19: with LOW_SETS, ranges of several lengths straddle the chunk edges of
+# widths 1..4
+CHUNK_SETS = [*LOW_SETS, [["1/3", "5/2", True, False]]]
+
+
+class TestChunkedCounts:
+    """Streams are taken and counted chunk by chunk (``_chunks``): per-word
+    counts equal the default run's at chunk widths 1, k - 1, k and k + 1."""
+
+    @staticmethod
+    def _counts(monkeypatch, doc, batch_elems):
+        from poissonlab import experiments
+
+        seen, report = [], experiments._genericity_report
+
+        def recorded(cfg, counts, truncated, replica):
+            seen.append([c.tolist() for c in counts] + [t.tolist() for t in truncated])
+            return report(cfg, counts, truncated, replica)
+
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "_genericity_report", recorded)
+            m.setattr(experiments, "_WORKERS", 1)  # the annealed width is _BATCH_ELEMS
+            if batch_elems is not None:
+                m.setattr(experiments, "_BATCH_ELEMS", batch_elems)
+            execute(parse_config(doc), None)
+        return seen
+
+    @pytest.mark.parametrize("mode", ["annealed", "quenched"])
+    @pytest.mark.parametrize("model_spec", GRID_MODELS.values(), ids=GRID_MODELS.keys())
+    def test_counts_do_not_depend_on_the_chunk_width(self, monkeypatch, mode, model_spec):
+        k = 3
+        doc = _doc(mode=mode, model=model_spec, k=k, n_samples=100, sets=CHUNK_SETS,
+                   n_cap=40, n_x_replicas=2)
+        expected = self._counts(monkeypatch, doc, None)
+        assert any(sum(map(sum, rep[:3])) for rep in expected)  # something is counted
+        for width in (1, k - 1, k, k + 1):
+            assert self._counts(monkeypatch, doc, width) == expected, width
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("width", [1, 3, 1000])
+    def test_blocks_hold_each_window_once(self, k, width):
+        from poissonlab.experiments import _chunks
+
+        model, seeds, length = model_from_spec(THREE_SPEC), derive_seed(3, np.arange(4)), 61
+        whole = draw(model, seeds, length)
+        starts = []
+        for offset, block in _chunks(SequenceGenerator(model, seeds), length, k, width):
+            assert np.array_equal(block, whole[:, offset: offset + block.shape[1]])
+            starts += range(offset, offset + block.shape[1] - k + 1)
+        assert starts == list(range(length - k + 1))
 
 
 class TestQuenched:
@@ -505,8 +568,17 @@ class TestQuenched:
         stream = np.ones(50, dtype=np.int64)
         stream[4:7] = stream[47:50] = word  # windows 5 and 48, the last one
         monkeypatch.setattr(experiments, "draw", lambda model, seeds, length:
-                            np.tile(word, (len(seeds), 1)) if length == 3
-                            else stream[None, :length])
+                            np.tile(word, (len(seeds), 1)))
+
+        class Stream:  # takes continue the stream above
+            def __init__(self, model, seed):
+                self.emitted = 0
+
+            def take(self, n):
+                self.emitted += n
+                return stream[self.emitted - n: self.emitted]
+
+        monkeypatch.setattr(experiments, "SequenceGenerator", Stream)
         cfg = parse_config(_doc(mode="quenched", model={"type": "gauss_cf"}, k=3,
                                 n_samples=100, n_cap=50))
         (sr,) = experiments._quenched_replica(cfg, 0).sets
@@ -678,6 +750,34 @@ class TestOracleMode:
         rep = run_oracle_suite(parse_config(_doc(mode="oracle", model=model)))
         row = {r.name: r for r in rep.rows}["variance_dual_path"]
         assert row.status == "PASS", row.detail
+
+    @pytest.mark.parametrize("model_spec", [
+        THREE_SPEC, {"type": "iid", "probs": ["1/2", "1/4", "1/4", "0"]}, CHAIN3_SPEC],
+        ids=["three", "zero-symbol", "chain3"])
+    def test_variance_row_visits_the_words_that_pass_the_guard_in_order(self, monkeypatch,
+                                                                       model_spec):
+        # i.i.d. models decide the guard per multiset of symbols; the words
+        # reached are those of the per-word rule, in enumeration order
+        from poissonlab import experiments
+        from poissonlab.words import enumerate_words
+
+        doc = _doc(mode="oracle", model=model_spec, sets=[[["0", "3", False, True]]])
+        cfg = parse_config(doc)
+        S, s = cfg.sets[0], cfg.model.alphabet_size
+        expected = [w for k_v in range(1, 5) for w in enumerate_words(s, k_v)
+                    if (mu := cylinder_prob_exact(cfg.model, w))
+                    and required_prefix_length(k_v, j_set(mu, S)) <= 22]
+        seen, brute = [], experiments.brute_force_distribution
+
+        def recorded(model, w, S):
+            seen.append(tuple(w))
+            return brute(model, w, S)
+
+        monkeypatch.setattr(experiments, "brute_force_distribution", recorded)
+        row = {r.name: r for r in run_oracle_suite(cfg).rows}["variance_dual_path"]
+        assert row.status == "PASS", row.detail
+        assert {len(w) for w in expected} >= {1, 2}
+        assert seen[:len(expected)] == expected  # the tv-decay row comes next
 
     def test_variance_row_with_no_fitting_word_is_skipped(self):
         # at k=4 every word's index set for S = (0, 30] needs a prefix past

@@ -445,6 +445,18 @@ class TestGenerators:
             parts = np.concatenate([gen.take(30), gen.take(50), gen.take(20)])
             assert np.array_equal(whole, parts)
 
+    # the chunk widths of a counting run: takes of one digit, of a few, and
+    # of one or two 2^16 pieces continue every CF stream bit for bit
+    @pytest.mark.parametrize("width,length", [(1, 300), (7, 3000), (1000, 30000),
+                                              (1 << 16, 3 * (1 << 17) + 5),
+                                              (1 << 17, 3 * (1 << 17) + 5)])
+    def test_cf_takes_of_any_width_continue_the_streams(self, width, length):
+        seeds = derive_seed(99, np.arange(3))
+        whole = SequenceGenerator(GaussCFModel(), seeds).take(length)
+        gen = SequenceGenerator(GaussCFModel(), seeds)
+        parts = [gen.take(min(width, length - at)) for at in range(0, length, width)]
+        assert np.array_equal(np.concatenate(parts, axis=1), whole)
+
     # a block of 7 uniforms makes take() cross its block boundaries, also
     # while the first ~20 digits still use the two-ratio law
     @pytest.mark.parametrize("block", [None, 7])

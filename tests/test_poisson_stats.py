@@ -4,13 +4,16 @@ scipy.stats.poisson is the independent oracle for pmf values; the Poisson
 samples come from the tests' own inverse-CDF sampler (``sampling.py``).
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from poissonlab.errors import InsufficientDataError
+from poissonlab.experiments import parse_config
 from poissonlab.poisson_stats import (fold_histogram, histogram_j_max,
                                       kallenberg_check, poisson_pmf,
                                       poisson_reference, tv_distance)
@@ -122,3 +125,29 @@ class TestKallenberg:
     def test_too_few_samples(self):
         with pytest.raises(InsufficientDataError):
             kallenberg_check(np.zeros(50, dtype=np.int64), 1.0, 0.0)
+
+
+# n_used of every set of the shipped genericity configs, from their reports
+# (whose hashes tests/test_benchmark_pins.py pins); a quenched config has it
+# per replica, and its gate is per replica
+SHIPPED_N_USED = {"annealed_fair": 50000, "quenched_fair": 50000, "quenched_gauss": 3273}
+
+
+@pytest.mark.parametrize("name,n_used", SHIPPED_N_USED.items())
+def test_null_tv_quantile_is_below_the_shipped_tolerance(name, n_used):
+    """Calibration of the TV gate: with n_used counts drawn from the exact
+    null Poisson(|S|), folded as a report folds them, the 99.9% quantile of
+    the TV is below the config's tolerance, so the gate rarely fails a
+    Poisson count law by sampling noise alone."""
+    path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+    cfg = parse_config(json.loads(path.read_text()))
+    rng = np.random.default_rng(20261019)
+    for S in cfg.sets:
+        lam = float(S.total_length)
+        ref = poisson_reference(lam, histogram_j_max(lam))
+        probs = np.array([ref[j] for j in range(len(ref))])
+        hists = rng.multinomial(n_used, probs / probs.sum(), size=5000)
+        tvs = 0.5 * np.abs(hists / n_used - probs).sum(axis=1)
+        emp = {j: c / n_used for j, c in enumerate(hists[0].tolist()) if c}
+        assert tvs[0] == pytest.approx(tv_distance(emp, ref), abs=1e-15)
+        assert np.quantile(tvs, 0.999) < cfg.tv_tolerance

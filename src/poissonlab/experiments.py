@@ -722,9 +722,12 @@ def run_oracle_suite(cfg: ExperimentConfig) -> OracleReport:
                     if s ** (k_p + lag) > 1 << 18:
                         continue
                     exact = exact_pair_prob(model, w, lag)
+                    # the words of length k + lag that spell w at 0 and at lag:
+                    # w's first lag symbols, any free middle, then w; below
+                    # lag = k there is no middle and the word must agree with w
                     brute = sum((cylinder_prob_exact(model, u)
-                                 for u in enumerate_words(s, k_p + lag)
-                                 if u[:k_p] == w and u[lag: lag + k_p] == w), Fraction(0))
+                                 for mid in enumerate_words(s, max(lag - k_p, 0))
+                                 if (u := w[:lag] + mid + w)[:k_p] == w), Fraction(0))
                     _require(exact == brute, f"w={w} lag={lag}: {exact} != {brute}")
                     checked += 1
         return f"{checked} (word, lag) pairs match enumeration exactly"
@@ -781,7 +784,7 @@ def run_oracle_suite(cfg: ExperimentConfig) -> OracleReport:
         return f"{decay}; fitted constant {fitted:.3f} <= 4; DP == enumeration at k=4"
 
     def majorant_check() -> str:
-        prof = mixing_profile(model)
+        prof = contraction_profile(model)
         vals = [(k_m, log_n_over_n_bound(k_m, S, prof)) for k_m in range(2, 40)]
         defined = [(k_m, b) for k_m, b in vals if b is not None]
         if not defined:

@@ -31,7 +31,7 @@ PREFIX_STATES_GUARD = 1 << 26
 ANNEALED_ENUM_GUARD = 1 << 20
 PERIOD_ENUM_GUARD = 1 << 24
 DP_WORK_GUARD = 1 << 21  # prefix length x automaton states x symbols
-_BLOCK_CODES = 1 << 20  # prefixes in the low block of the enumeration
+_BLOCK_CODES = 1 << 16  # prefixes in the low block of the enumeration
 
 
 def exact_expectation(model: Model, w: Sequence[int], S: IntervalUnion):
@@ -182,6 +182,15 @@ def _code(u: Sequence[int], s: int) -> int:
     return code
 
 
+def _sum_by_key(keys: list[np.ndarray], freqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the concatenated ``keys`` and, for each, the
+    sum of the ``freqs`` at its places."""
+    vals, where = np.unique(np.concatenate(keys), return_inverse=True)
+    summed = np.zeros(len(vals), dtype=np.int64)
+    np.add.at(summed, where, np.concatenate(freqs))
+    return vals, summed
+
+
 def brute_force_distribution(model: Model, w: Sequence[int],
                              S: IntervalUnion) -> dict[int, Fraction]:
     """Exact law of the count over J by enumerating every prefix.
@@ -191,15 +200,12 @@ def brute_force_distribution(model: Model, w: Sequence[int],
     counts, or first symbol and transition counts) so the rational
     arithmetic touches only distinct probability values.  Each prefix is a
     high part (the first L - b positions) followed by a low block of the
-    last b positions, b the largest with alphabet^b <= 2^20.  A low block
-    is coded by its symbols as base-alphabet digits, most significant
-    first, so the blocks that spell a word at given positions form a
-    strided view of the code range, and a window straddling the split
-    spells its tail in one contiguous slice of it.  The low block's inner
-    window counts and its statistics are built once; each high part then
-    adds its own constants, the straddling windows it completes and the
-    one pair across the split, and the prefixes are grouped with
-    ``np.unique``.
+    last b positions, b the largest with alphabet^b <= 2^16, so the block
+    stays cache-sized.  A low block is coded by its symbols as
+    base-alphabet digits, most significant first, so the blocks that spell
+    a word at given positions form a strided view of the code range, and a
+    window straddling the split spells its tail in one contiguous slice of
+    it.
 
     A prefix's key is ``stat * (j_cap + 1) + j``, with j its count over
     the ``j_cap`` positions of J and ``stat`` the sum of ``lead[first]``
@@ -208,12 +214,18 @@ def brute_force_distribution(model: Model, w: Sequence[int],
     ``lead[a] = (L + 1)^a``, so ``stat`` has one base-(L + 1) digit per
     symbol count; for a chain ``pair[a][c] = s * (L + 1)^(a * s + c)`` and
     ``lead[a] = a``, so ``stat`` is the first symbol plus s times one
-    base-(L + 1) digit per transition count.  The low block's ``stat`` is
-    scaled to its place once per call; a high part then makes one add of
-    it and the window counts, and one add of a constant per leading digit
-    of the low block, which holds the high part's own pairs, its first
-    symbol and the pair across the split.  Keys are int32 when every key
-    is below 2^31, else int64.
+    base-(L + 1) digit per transition count.  Keys are int32 when every
+    key is below 2^31, else int64.
+
+    The low block's part of the key, its scaled ``stat`` plus its inner
+    window counts, is built once per call.  The code range is cut at every
+    leading digit (row) and every straddling slice's edges; a high part
+    adds one constant to every code of such a segment (its own pairs, its
+    first symbol, the pair across the split and the straddling windows it
+    completes), so each segment is grouped with ``np.unique`` once per
+    call and a high part only shifts the few distinct group keys.  The
+    (key, weight) pairs are summed with ``np.unique`` and ``np.add.at``
+    whenever more than one block of them is pending.
     Guards: L <= 26 and alphabet^L <= 2^26; finite-alphabet rational
     models only.
     """
@@ -254,14 +266,22 @@ def brute_force_distribution(model: Model, w: Sequence[int],
     while b < L and s ** (b + 1) <= _BLOCK_CODES:
         b += 1
     h = L - b
+    # the low block's statistic is built by prepending one position at a time
+    # to the statistics of the positions after it, then scaled to its place;
+    # adding its inner window counts gives the block's fixed part of the key
+    step = j_cap + 1
+    weights = np.array(pair, dtype=kdt)
+    key_low = np.zeros(s ** min(b, 1), dtype=kdt)
+    for _ in range(b - 1):
+        key_low = (weights[:, :, None] + key_low.reshape(s, -1)).ravel()
+    key_low *= step
     # low block c holds at its position q the q-th most significant base-s
     # digit of c: the blocks spelling w from q are the column code(w) of the
     # (s^q, s^k, rest) view, and those spelling a tail of w from 0 one slice
-    counts_low = np.zeros(s**b, dtype=kdt)
     high_windows = []  # (f, slice of the blocks spelling w[h - f:])
     for f in (int(i) - 1 for i in starts):
         if f >= h:
-            counts_low.reshape(s ** (f - h), s**k, -1)[:, _code(w, s)] += 1
+            key_low.reshape(s ** (f - h), s**k, -1)[:, _code(w, s)] += 1
         else:
             # a window starting at 0-based position f < h counts when the high
             # part spells w[:h - f] from f and the low block the rest of w
@@ -270,35 +290,40 @@ def brute_force_distribution(model: Model, w: Sequence[int],
             code = _code(tail, s)
             high_windows.append((f, slice(code * width, (code + 1) * width)))
 
-    # the low block's statistic is built by prepending one position at a time
-    # to the statistics of the positions after it, then scaled to its place
-    step = j_cap + 1
-    weights = np.array(pair, dtype=kdt)
-    key_low = np.zeros(s ** min(b, 1), dtype=kdt)
-    for _ in range(b - 1):
-        key_low = (weights[:, :, None] + key_low.reshape(s, -1)).ravel()
-    key_low *= step
-    key = np.empty_like(key_low)
-    # one row of keys per leading digit of the low block; without a low
-    # block the single prefix is one row
-    rows = key.reshape(s, -1) if b else key[None]
+    # a high part adds one constant to every code of a segment: segments end
+    # at each leading digit's row (the whole block is one row without a low
+    # block) and at each straddling slice's edges, so each is grouped once
+    n_low = s**b
+    row = n_low // s if b else 1
+    edges = sorted({0, n_low, *range(row, n_low, row),
+                    *(e for _, hits in high_windows for e in (hits.start, hits.stop))})
+    segs = list(zip(edges, edges[1:]))
+    groups = [np.unique(key_low[lo:hi], return_counts=True) for lo, hi in segs]
+    group_keys = np.concatenate([g for g, _ in groups])
+    group_freqs = np.concatenate([f for _, f in groups])
+    group_seg = np.repeat(np.arange(len(segs)), [len(g) for g, _ in groups])
+    seg_row = np.array([lo // row for lo, _ in segs])
+    in_slice = [np.array([hits.start <= lo and hi <= hits.stop for lo, hi in segs], dtype=kdt)
+                for _, hits in high_windows]
 
-    agg: dict[int, int] = {}
+    keys, freqs, pending = [], [], 0
     for high in itertools.product(range(s), repeat=h):
-        counts = counts_low
-        for f, hits in high_windows:
-            if high[f: f + k] == w[: h - f]:
-                if counts is counts_low:
-                    counts = counts_low.copy()
-                counts[hits] += 1
-        np.add(key_low, counts, out=key)
+        # per leading digit a: the high part's own pairs, the pair across the
+        # split and the first symbol
         inner = sum(pair[a][c] for a, c in zip(high, high[1:]))
-        for a, row in enumerate(rows):
-            cross = pair[high[-1]][a] if h and b else 0
-            row += (inner + cross + lead[high[0] if h else a]) * step
-        vals, freqs = np.unique(key, return_counts=True)
-        for v, f in zip(vals.tolist(), freqs.tolist()):
-            agg[v] = agg.get(v, 0) + f
+        per_row = [(inner + (pair[high[-1]][a] if h and b else 0) + lead[high[0] if h else a])
+                   * step for a in range(s if b else 1)]
+        const = np.array(per_row, dtype=kdt)[seg_row]
+        for (f, _), inside in zip(high_windows, in_slice):
+            if high[f: f + k] == w[: h - f]:
+                const += inside
+        keys.append(group_keys + const[group_seg])
+        freqs.append(group_freqs)
+        pending += len(group_keys)
+        if pending > n_low:
+            vals, summed = _sum_by_key(keys, freqs)
+            keys, freqs, pending = [vals], [summed], 0
+    keys, freqs = _sum_by_key(keys, freqs)
 
     # integer weights over one common denominator: each probability is
     # scaled by the lcm of the denominators of its kind
@@ -311,7 +336,7 @@ def brute_force_distribution(model: Model, w: Sequence[int],
     scale = math.lcm(*(p.denominator for p in probs))
     powers = [[int(p * scale) ** n for n in range(L + 1)] for p in probs]
     totals: dict[int, int] = {}
-    for combined, f in agg.items():
+    for combined, f in zip(keys.tolist(), freqs.tolist()):
         key, j = divmod(combined, j_cap + 1)
         if markov:
             key, first = divmod(key, s)

@@ -291,27 +291,42 @@ class TestEnumerationAgainstLiteralScan:
 
 class TestEnumerationMemory:
     def test_traced_peak_stays_small(self):
-        # numpy reports its buffers to tracemalloc: int32 keys in one reused
-        # buffer keep this L = 21 law near 23 MB, where int64 keys rebuilt
-        # per high part reach 52 MB
-        tracemalloc.start()
-        try:
-            brute_force_distribution(CHAIN, (0, 0, 0, 1), UNIT)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 36e6
+        # numpy reports its buffers to tracemalloc: a low block of 2^16 codes,
+        # grouped once per call, keeps these L = 21 and L = 26 laws near 1.2
+        # and 3.1 MB, where a block of 2^20 codes sorted per high part reaches
+        # 23 MB
+        for w in ((0, 0, 0, 1), (0, 1, 1, 1)):
+            tracemalloc.start()
+            try:
+                brute_force_distribution(CHAIN, w, UNIT)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8e6, w
 
 
 class TestEnumerationBlockSplit:
     @pytest.mark.parametrize("model,w", [(CHAIN, (0, 0, 0, 1)), (CHAIN, (0, 1, 1)),
-                                         (TRIPLE, (1, 2, 2))],
-                             ids=["markov_L21", "markov_L20", "three_symbol_L14"])
+                                         (TRIPLE, (1, 2, 2)), (CHAIN, (0, 1, 1, 1)),
+                                         (CHAIN3, (0, 1))],
+                             ids=["markov_L21", "markov_L20", "three_symbol_L14",
+                                  "markov_L26", "chain3_L12"])
     def test_law_does_not_depend_on_the_block_size(self, model, w, monkeypatch):
-        # prefix lengths 21, 20 and 14: a block of 2^12 codes leaves 9, 8 and
-        # 7 positions to the high part, so many windows straddle the split
+        # prefix lengths 21, 20, 14, 26 and 12: a block of 2^12 codes leaves
+        # 9, 8, 7, 14 and 5 positions to the high part, so many windows
+        # straddle the split and slice edges fall inside the block's rows
         default = brute_force_distribution(model, w, UNIT)
         monkeypatch.setattr(oracles, "_BLOCK_CODES", 1 << 12)
+        assert brute_force_distribution(model, w, UNIT) == default
+
+    @pytest.mark.parametrize("model,w", [(CHAIN, (0, 1, 1)), (CHAIN3, (2, 2))],
+                             ids=["markov_L20", "chain3_L10"])
+    def test_block_of_8_matches_the_default(self, model, w, monkeypatch):
+        # a block of 8 codes holds 3 binary or 1 ternary positions, so the high
+        # part holds the rest and the split cuts most windows; the default
+        # block holds all of the L = 10 ternary prefix
+        default = brute_force_distribution(model, w, UNIT)
+        monkeypatch.setattr(oracles, "_BLOCK_CODES", 8)
         assert brute_force_distribution(model, w, UNIT) == default
 
 

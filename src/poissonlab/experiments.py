@@ -30,8 +30,9 @@ from .measures import (GaussCFModel, IidModel, MarkovModel, Model, SequenceGener
                        contraction_profile, cylinder_prob_exact, draw,
                        mixing_profile, model_from_spec, model_to_spec)
 from .mixing_concentration import (DELTA_NORM_MATRIX_CAP, MAX_LAG_CAP,
-                                   PHI2_EXACT_CAP, OccurrenceIndex, _check_range_cells,
-                                   _plan_words, _ranges_array, delta_matrix, delta_norm,
+                                   PHI2_EXACT_CAP, _SCAN_BLOCK, OccurrenceIndex,
+                                   _check_range_cells, _chunks, _plan_words,
+                                   _ranges_array, delta_matrix, delta_norm,
                                    delta_norm_bound, eta_coefficients,
                                    lipschitz_weights_phi1,
                                    lipschitz_weights_phi2, phi2_enumerable,
@@ -50,7 +51,7 @@ from .words import enumerate_words, periods
 
 MODES = ("annealed", "quenched", "oracle", "concentration", "mixing")
 SYMBOL_BUDGET = 2 * 10**9  # symbols one counting run may draw
-_BATCH_ELEMS = 1 << 21  # symbols in flight per counting run, per concentration batch
+_BATCH_ELEMS = 1 << 21  # symbols in flight per counting run
 # threads that draw and scan annealed batches: one per usable CPU, no setting
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -471,34 +472,6 @@ def _plan_members(plan_of: np.ndarray) -> list[np.ndarray]:
                     np.cumsum(np.bincount(plan_of))[:-1])
 
 
-def _chunks(gen: SequenceGenerator, length: int, k: int, width: int):
-    """The first ``length`` symbols of ``gen``'s streams as (offset, block)
-    pairs, in order, for counting the windows of length ``k`` chunk by chunk.
-
-    A block holds the symbols offset + 1 .. offset + width + k - 1 (at most
-    ``length``) of every stream, so the windows that start at offset + 1 ..
-    offset + width lie whole inside it, and every window of the streams
-    starts in exactly one block.  Its last k - 1 symbols are carried into
-    the next block, and each take draws only the ``width`` new symbols, so
-    ``take`` continues every stream as one take of ``length`` would.  A
-    block is overwritten by the next one: use it before asking for the next.
-    """
-    n_win = length - k + 1
-    first = gen.take(min(width, n_win) + k - 1)
-    if n_win <= width:
-        yield 0, first
-        return
-    block = np.empty(first.shape[:-1] + (width + k - 1,), first.dtype)
-    block[...] = first
-    del first  # only the block and one take's symbols are held
-    yield 0, block
-    for offset in range(width, n_win, width):
-        block[..., :k - 1] = block[..., width:]
-        new = min(width, n_win - offset)
-        block[..., k - 1: k - 1 + new] = gen.take(new)
-        yield offset, block[..., :k - 1 + new]
-
-
 # ---------------------------------------------------------------------------
 # annealed
 
@@ -831,11 +804,14 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     dn = delta_norm_bound(profile)
     denominator = dn**2 * weights(k, S, profile)[1]
 
+    seeds = derive_seed(cfg.seed, 1, np.arange(n))
+
     def streams(length: int):
+        # blocks of about _SCAN_BLOCK symbols: whole rows, or one row that
+        # the functional takes in chunks
         _check_budget(n * length)
-        step = max(1, _BATCH_ELEMS // max(length, 1))
-        return (draw(model, derive_seed(cfg.seed, 1, np.arange(lo, min(lo + step, n))),
-                     length) for lo in range(0, n, step))
+        rows = max(1, _SCAN_BLOCK // max(length, 1))
+        return (SequenceGenerator(model, seeds[lo: lo + rows]) for lo in range(0, n, rows))
 
     if cfg.functional == "phi1":
         values, complete = phi_k_S(model, streams, k, S, cfg.n_cap)

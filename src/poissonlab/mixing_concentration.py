@@ -18,8 +18,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, InternalCheckError, ResourceError, UnsupportedModelError
-from .measures import (GaussCFModel, IidModel, MarkovModel, MixingProfile, Model,
-                       cylinder_prob_guarded, gauss_cylinder_prob)
+from .measures import (_DRAW_BLOCK, GaussCFModel, IidModel, MarkovModel, MixingProfile,
+                       Model, SequenceGenerator, cylinder_prob_guarded, gauss_cylinder_prob)
 from .point_process import IndexSet, IntervalUnion, j_set, required_prefix_length
 from .words import enumerate_words
 
@@ -320,11 +320,62 @@ class OccurrenceIndex:
 # scanned functionals
 #
 # Both functionals read their streams through ``streams(length)``: a call
-# returns the symbol matrices (one row per stream, ``length`` columns) of
-# every stream in turn, so the caller decides how streams are drawn and
-# batched, and each functional asks for only the length it needs.
+# returns blocks of streams in turn, each a ``SequenceGenerator`` whose rows
+# are the streams or a matrix of streams already drawn (one per row,
+# ``length`` columns), so the caller decides how streams are drawn and
+# batched, and each functional asks for only the length it needs.  A
+# functional takes a block's symbols through ``_chunks``, at most about
+# _SCAN_BLOCK windows at a time.
 
-Streams = Callable[[int], Iterable[np.ndarray]]
+Streams = Callable[[int], Iterable["SequenceGenerator | np.ndarray"]]
+# windows of one scan chunk, and symbols of one block of streams: the sampler's draw block
+_SCAN_BLOCK = _DRAW_BLOCK
+_U = 2.0**-53  # unit roundoff of float64
+
+
+def _chunks(gen: SequenceGenerator, length: int, k: int, width: int):
+    """The first ``length`` symbols of ``gen``'s streams as (offset, block)
+    pairs, in order, for counting the windows of length ``k`` chunk by chunk.
+
+    A block holds the symbols offset + 1 .. offset + width + k - 1 (at most
+    ``length``) of every stream, so the windows that start at offset + 1 ..
+    offset + width lie whole inside it, and every window of the streams
+    starts in exactly one block.  Its last k - 1 symbols are carried into
+    the next block, and each take draws only the ``width`` new symbols, so
+    ``take`` continues every stream as one take of ``length`` would.  A
+    block is overwritten by the next one: use it before asking for the next.
+    """
+    n_win = length - k + 1
+    first = gen.take(min(width, n_win) + k - 1)
+    if n_win <= width:
+        yield 0, first
+        return
+    block = np.empty(first.shape[:-1] + (width + k - 1,), first.dtype)
+    block[...] = first
+    del first  # only the block and one take's symbols are held
+    yield 0, block
+    for offset in range(width, n_win, width):
+        block[..., :k - 1] = block[..., width:]
+        new = min(width, n_win - offset)
+        block[..., k - 1: k - 1 + new] = gen.take(new)
+        yield offset, block[..., :k - 1 + new]
+
+
+class _Drawn:
+    """A matrix of streams already drawn, one per row, read by ``take`` as
+    the generator of their seeds would give them."""
+
+    def __init__(self, rows: np.ndarray):
+        self.rows, self.seeds, self.emitted = rows, range(len(rows)), 0
+
+    def take(self, n: int) -> np.ndarray:
+        self.emitted += n
+        return self.rows[:, self.emitted - n: self.emitted]
+
+
+def _stream_blocks(blocks: Iterable) -> Iterable:
+    """Each block of ``streams(length)`` as a generator."""
+    return (_Drawn(b) if isinstance(b, np.ndarray) else b for b in blocks)
 
 
 def _positive_min_word_prob(model: Model, k: int) -> float:
@@ -337,9 +388,78 @@ def _positive_min_word_prob(model: Model, k: int) -> float:
     return 0.0  # unbounded alphabets: no positive lower bound
 
 
-def _window_log_mu(model: Model, k: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The function from a symbol array to the float log-measures of its
-    length-k windows, with the model's log tables computed once."""
+def _largest_log(model: Model) -> float:
+    """The largest |float log| of a positive probability in the model's
+    tables (i.i.d. symbols, or Markov stationary and transition entries)."""
+    if isinstance(model, MarkovModel):
+        floats = [*model._pi_floats, *(v for row in model._t_floats for v in row)]
+    else:
+        floats = model._floats
+    return max(abs(math.log(p)) for p in floats if p > 0)
+
+
+def _scan_reach(model: Model, k: int, sup: float, N_cap: int) -> int:
+    """The window starts i <= N_cap that phi_k_S scans: all N_cap, or with a
+    positive floor mu_min on a word's measure, the largest i with
+
+        i * mu_min * exp(-delta(i)) * (1 - (k + 8) u) <= sup S,
+
+    u = 2**-53 and delta(n) = u M ((n + k + 1)**2 + 3k), M = max(1, the
+    largest |float log| of the model's tables).  To first order in u,
+    delta(n) bounds the error of a scanned log-measure: each cumulative sum
+    up to symbol j is off by at most u M j (j + 1) / 2 through rounding, each
+    float log of a float probability by u (M + 1), and the difference of two
+    sums by u k M.  The (k + 8) u covers exp's error, the rounding of the
+    product i * mu, of the float mu_min (a k-th power of rounded floats) and
+    of this bound's own evaluation.  So past that i every float product
+    i * mu exceeds sup S, and no window lands in S.  Since delta grows with
+    the reach, the reach is the fixed point of the bound, met from below in a
+    step or two; it falls back to N_cap where delta is not small.
+    """
+    mu_min = _positive_min_word_prob(model, k)
+    if mu_min <= 0.0:
+        return N_cap
+    big_m = max(1.0, _largest_log(model))
+    # compared as floats: a subnormal mu_min takes the reach past any int
+    scale = sup / (mu_min * (1.0 - (k + 8) * _U))
+    n = 0
+    for _ in range(64):
+        m = float(n + k + 1)  # a float: past 1e154 its square is inf, not an error
+        delta = _U * big_m * (m * m + 3 * k)
+        if delta > 700.0 or (reach := scale * math.exp(delta)) >= N_cap:
+            break
+        if int(reach) <= n:
+            return n
+        n = int(reach)
+    return N_cap
+
+
+def _sums(terms: np.ndarray, carry: np.ndarray | None, at: int) -> np.ndarray:
+    """Sequential cumulative sums of ``terms`` along the last axis, each row
+    started at its entry of ``carry`` (0.0 without one) and led by it; a
+    given ``carry`` is set to the sums at column ``at``."""
+    cs = np.empty(terms.shape[:-1] + (terms.shape[-1] + 1,))
+    cs[..., 0] = 0.0 if carry is None else carry
+    cs[..., 1:] = terms
+    np.cumsum(cs, axis=-1, out=cs)
+    if carry is not None:
+        carry[...] = cs[..., at]
+    return cs
+
+
+def _window_log_mu(model: Model, k: int) -> Callable[..., np.ndarray]:
+    """The function from a symbol array to the float log-measures of the
+    length-k windows along its last axis, with the model's log tables
+    computed once.
+
+    A log-measure is the difference of two sequential cumulative sums of
+    per-symbol (i.i.d.) or per-transition (Markov) logs.  Given a ``carry``
+    (one float per row, 0.0 at each stream's start), the sums start there,
+    and the function sets it to the sum at the first window past the array's
+    own: the next chunk of the rows, led by this one's last k - 1 symbols,
+    then continues every partial sum as the same float as one sum over the
+    whole rows.  CF windows are measured one by one and need no carry.
+    """
     if isinstance(model, IidModel):
         if model.probs is not None:
             with np.errstate(divide="ignore"):  # a symbol of probability 0 never occurs
@@ -351,28 +471,32 @@ def _window_log_mu(model: Model, k: int) -> Callable[[np.ndarray], np.ndarray]:
             def per(x: np.ndarray) -> np.ndarray:
                 return head + x * step
 
-        def iid(x: np.ndarray) -> np.ndarray:
-            cs = np.concatenate([[0.0], np.cumsum(per(x))])
-            return cs[k:] - cs[:-k]
+        def iid(x: np.ndarray, carry: np.ndarray | None = None) -> np.ndarray:
+            n_win = x.shape[-1] - k + 1
+            cs = _sums(per(x), carry, n_win)
+            return cs[..., k:] - cs[..., :n_win]
         return iid
     if isinstance(model, MarkovModel):
         logpi = np.log(np.asarray(model._pi_floats))
         with np.errstate(divide="ignore"):
             logt = np.log(np.asarray(model._t_floats))
 
-        def markov(x: np.ndarray) -> np.ndarray:
-            n_win = len(x) - k + 1
-            cs = np.concatenate([[0.0], np.cumsum(logt[x[:-1], x[1:]])])
-            return logpi[x[:n_win]] + (cs[k - 1:] - cs[: n_win])
+        def markov(x: np.ndarray, carry: np.ndarray | None = None) -> np.ndarray:
+            n_win = x.shape[-1] - k + 1
+            # a window of one symbol has no transition, so with k = 1 the
+            # carry is never read and takes the last sum
+            cs = _sums(logt[x[..., :-1], x[..., 1:]], carry, min(n_win, x.shape[-1] - 1))
+            return logpi[x[..., :n_win]] + (cs[..., k - 1:] - cs[..., :n_win])
         return markov
 
-    def cf(x: np.ndarray) -> np.ndarray:
-        # the digit bounds _check_word puts on a CF word, checked once per stream
+    def cf(x: np.ndarray, carry: np.ndarray | None = None) -> np.ndarray:
+        # the digit bounds _check_word puts on a CF word, checked once per array
         if x.min() < 1 or x.max() >= GaussCFModel.DIGIT_CAP:
             raise ValueError("CF digits must lie in [1, 2**63)")
-        xs = x.tolist()
-        return np.array([math.log(gauss_cylinder_prob(xs[i: i + k]))
-                         for i in range(len(xs) - k + 1)])
+        n_win = x.shape[-1] - k + 1
+        return np.array([[math.log(gauss_cylinder_prob(xs[i: i + k])) for i in range(n_win)]
+                         for xs in x.reshape(-1, x.shape[-1]).tolist()]
+                        ).reshape(x.shape[:-1] + (n_win,))
     return cf
 
 
@@ -387,37 +511,43 @@ def phi_k_S(model: Model, streams: Streams, k: int, S: IntervalUnion,
     alone.  Window membership uses float products; classification within
     float rounding of an endpoint can go either way.
 
-    With a positive lower bound mu_min on a word's measure, the streams are
-    asked for ``n_scan + k - 1`` symbols, n_scan = min(N_cap, 2 sup S / mu_min);
-    otherwise for ``N_cap + k - 1``.  No window past that reach can land in
-    S, because a float log-measure (a difference of two cumulative sums k
-    steps apart) is off by far less than log 2.  The cumulative sums are
-    sequential, so the scanned windows have the full scan's float measures
-    and hits, and each value is the full scan's bit for bit.
+    The streams are asked for ``n_scan + k - 1`` symbols, n_scan the reach
+    of S (``_scan_reach``): with a positive lower bound mu_min on a word's
+    measure, the last start whose float product can still land in S under a
+    stated bound on the float error of a log-measure; otherwise N_cap.  A
+    block of streams is scanned about _SCAN_BLOCK windows at a time: the
+    log-measures of a chunk come from one cumulative sum along its rows,
+    carried from chunk to chunk, so every scanned window has the float
+    measure and hit of one scan over all N_cap windows.  Each row's hits are
+    summed once, in order, so each value is that full scan's bit for bit.
     """
     if N_cap < k:
         raise ConfigError("N_cap must be at least k")
     sup = float(S.sup)
     mu_min = _positive_min_word_prob(model, k)
     complete = sup == 0.0 or (mu_min > 0.0 and N_cap >= sup / mu_min)
-    # compared as floats: a subnormal mu_min takes the reach past any int
-    reach = 2.0 * sup / mu_min if mu_min > 0.0 else math.inf
-    n_scan = N_cap if reach >= N_cap else int(reach)
-    matrices = streams(n_scan + k - 1)  # first: the caller may refuse the length
+    length = _scan_reach(model, k, sup, N_cap) + k - 1
+    blocks = streams(length)  # first: the caller may refuse the length
     log_mu = _window_log_mu(model, k)
     bounds = [(float(iv.lo), float(iv.hi), iv.lo_closed, iv.hi_closed)
               for iv in S.intervals]
-    index = np.arange(1, n_scan + 1, dtype=np.float64)
     values = []
-    for xs in matrices:
-        for x in xs:
-            mu = np.exp(log_mu(x))
-            at = mu * index
-            hit = np.zeros(n_scan, dtype=bool)
+    for gen in _stream_blocks(blocks):
+        rows = len(gen.seeds)
+        carry, found = np.zeros(rows), []
+        for offset, x in _chunks(gen, length, k, max(1, _SCAN_BLOCK // rows)):
+            mu = np.exp(log_mu(x, carry))
+            at = mu * np.arange(offset + 1, offset + mu.shape[1] + 1, dtype=np.float64)
+            hit = np.zeros(at.shape, dtype=bool)
             for lo, hi, lo_closed, hi_closed in bounds:
                 hit |= ((at >= lo) if lo_closed else (at > lo)) \
                     & ((at <= hi) if hi_closed else (at < hi))
-            values.append(float(np.sum(mu[hit])))
+            # the hits of each row, in order: cut from the block's row-major hits
+            flat, ends = mu[hit], np.cumsum(hit.sum(axis=1)).tolist()
+            found.append([flat[a:b] for a, b in zip([0, *ends], ends)])
+        # one pairwise sum (np.sum's) over each row's hits, as the full scan takes it
+        values += [float(np.add.reduce(row[0] if len(row) == 1 else np.concatenate(row)))
+                   for row in zip(*found)]
     return np.array(values), complete
 
 
@@ -446,7 +576,8 @@ def phi_k_j_S(model: Model, streams: Streams, k: int, j: int, S: IntervalUnion,
     Exact enumeration over all words; it needs a finite alphabet with
     alphabet_size**k <= 2**16.  The words are planned once, before any
     stream is read, and the streams are asked for the longest prefix a plan
-    needs, at most x_cap; each stream is counted in one index lookup.  A
+    needs, at most x_cap; each stream is counted in one index lookup per
+    chunk of about _SCAN_BLOCK windows (``_chunks``).  A
     value is the exact mass of the fully countable words; words whose index
     set needs a prefix beyond x_cap are excluded, and their total mass is
     the truncated fraction.
@@ -469,17 +600,29 @@ def phi_k_j_S(model: Model, streams: Streams, k: int, j: int, S: IntervalUnion,
     zero_mass = 1 - sum(mass)  # words of measure zero count 0
     counted_words = counted[plan_of]
     _check_range_cells(len(words), js)
-    matrices = streams(use_len)  # before the ranges: the caller may refuse the length
+    blocks = streams(use_len)  # before the ranges: the caller may refuse the length
     ranges = _ranges_array([J.clipped(use_len - k + 1) for J in js])[plan_of]
+
+    def level_mass(counts: np.ndarray) -> float:
+        hits = np.bincount(plan_of[(counts == j) & counted_words], minlength=len(plans))
+        hit_mass = sum(J.mu_w * n for J, n in zip(js, hits.tolist()) if n)
+        return float(hit_mass + zero_mass if j == 0 else hit_mass)
+
     values = []
-    for xs in matrices:
-        for x in xs:
-            counts = np.zeros(len(words), dtype=np.int64)
-            if use_len >= k:
-                counts = OccurrenceIndex(x, k).count_in_ranges(words, ranges)
-            hits = np.bincount(plan_of[(counts == j) & counted_words], minlength=len(plans))
-            hit_mass = sum(J.mu_w * n for J, n in zip(js, hits.tolist()) if n)
-            if j == 0:
-                hit_mass += zero_mass
-            values.append(float(hit_mass))
+    for gen in _stream_blocks(blocks):
+        rows = len(gen.seeds)
+        if use_len < k:  # no window: every count is 0
+            values += [level_mass(np.zeros(len(words), dtype=np.int64))] * rows
+            continue
+        # each range is shifted to the chunk, and the index clips it to the
+        # chunk's windows
+        totals = [0] * rows
+        for offset, block in _chunks(gen, use_len, k, max(1, _SCAN_BLOCK // rows)):
+            last = offset + block.shape[1] == use_len
+            shifted = ranges - offset
+            for r, x in enumerate(block):
+                totals[r] = totals[r] + OccurrenceIndex(x, k).count_in_ranges(words, shifted)
+                if last:  # the row is counted: keep its mass, not its counts
+                    values.append(level_mass(totals[r]))
+                    totals[r] = None
     return np.array(values), float(truncated_mass)

@@ -214,8 +214,6 @@ def _last_index_float(bound: Fraction, mu: float, inclusive: bool,
     """
     if bound == 0:
         return 0  # i*mu > 0 = 0*mu for every i >= 1, exactly
-    import mpmath
-
     bf = float(bound)
     band = GUARD_REL * max(1.0, abs(bf))
 
@@ -229,6 +227,8 @@ def _last_index_float(bound: Fraction, mu: float, inclusive: bool,
 
     i = math.floor(bf / mu)
     if near(i):
+        import mpmath  # here: most words never come near an endpoint
+
         with mpmath.workdps(dps):
             q = mpmath.mpf(bound.numerator) / mpmath.mpf(bound.denominator)
             i = int(mpmath.floor(q / mu_high(dps)))

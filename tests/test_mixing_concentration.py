@@ -5,7 +5,9 @@ which pins every matrix entry exactly; weight norms are checked against a
 brute numeric series summed to 1e7 terms.
 """
 
+import dataclasses
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -366,8 +368,9 @@ class TestPhiScan:
         return asked
 
     def test_streams_are_asked_for_the_scanned_length_once(self):
-        # no window past 2 sup S / mu_min = 16 reaches (0, 1]: 16 + k - 1 symbols
-        assert self._asked(FAIR, (0, 1), 3) == [18]
+        # no window past the reach sup S / mu_min = 8 (up to the float-error
+        # bound of _scan_reach) reaches (0, 1]: 8 + k - 1 symbols
+        assert self._asked(FAIR, (0, 1), 3) == [10]
 
     def test_streams_without_a_measure_floor_are_asked_for_n_cap(self):
         # no positive lower bound on a word's measure: all N_cap + k - 1
@@ -376,8 +379,16 @@ class TestPhiScan:
 
 def _full_scan_log_mu(model, x, k):
     """Float log-measures of the length-k windows of ``x``."""
+    if isinstance(model, GaussCFModel):
+        return np.array([math.log(cylinder_prob(model, x[i: i + k].tolist()))
+                         for i in range(len(x) - k + 1)])
     if isinstance(model, IidModel):
-        cs = np.concatenate([[0.0], np.cumsum(np.log(np.asarray(model._floats))[x])])
+        if model.probs is None:
+            r = model._r_float
+            per = math.log1p(-r) + x * math.log(r)
+        else:
+            per = np.log(np.asarray(model._floats))[x]
+        cs = np.concatenate([[0.0], np.cumsum(per)])
         return cs[k:] - cs[:-k]
     n_win = len(x) - k + 1
     logpi = np.log(np.asarray(model._pi_floats))
@@ -387,20 +398,26 @@ def _full_scan_log_mu(model, x, k):
     return logpi[x[:n_win]] + (cs[k - 1:] - cs[: n_win])
 
 
+def _full_scan_hits(model, x, k, S, N_cap):
+    """The float measures of the first N_cap windows of ``x`` and whether
+    each lands in S (i * mu in S, i the 1-indexed start)."""
+    mu = np.exp(_full_scan_log_mu(model, x[: N_cap + k - 1].astype(np.int64), k))
+    at = mu * np.arange(1, N_cap + 1, dtype=np.float64)
+    hit = np.zeros(N_cap, dtype=bool)
+    for iv in S.intervals:
+        lo, hi = float(iv.lo), float(iv.hi)
+        hit |= (at >= lo if iv.lo_closed else at > lo) \
+            & (at <= hi if iv.hi_closed else at < hi)
+    return mu, hit
+
+
 def _full_scan(model, streams, k, S, N_cap):
     """Reference phi1: every stream scanned over all N_cap windows, one row
     at a time, whether or not a window can still reach S."""
-    index = np.arange(1, N_cap + 1, dtype=np.float64)
     values = []
     for xs in streams(N_cap + k - 1):
         for x in xs:
-            mu = np.exp(_full_scan_log_mu(model, x.astype(np.int64), k))
-            at = mu * index
-            hit = np.zeros(N_cap, dtype=bool)
-            for iv in S.intervals:
-                lo, hi = float(iv.lo), float(iv.hi)
-                hit |= (at >= lo if iv.lo_closed else at > lo) \
-                    & (at <= hi if iv.hi_closed else at < hi)
+            mu, hit = _full_scan_hits(model, x, k, S, N_cap)
             values.append(float(np.sum(mu[hit])))
     return np.array(values)
 
@@ -412,38 +429,92 @@ SCAN_MODELS = {
     "chain": CHAIN,
     "two_fifths": IidModel(probs=(Fraction(2, 5), Fraction(3, 5))),
 }
+# no positive floor on a word's measure: every window up to n_cap is scanned
+FLOORLESS_MODELS = {
+    "geometric": IidModel(tail_ratio=Fraction(1, 2)),
+    "gauss": GaussCFModel(),
+}
+FLOORLESS_CAP = 3000
 TWO_INTERVALS = IntervalUnion.from_spec([(0, Fraction(1, 4), False, True),
                                          (Fraction(1, 2), Fraction(3, 4), False, True)])
+SEEDS = (3, 14, 15, 92)
 
 
 @pytest.fixture(scope="module")
 def scan_rows():
     """Four generated streams per model, long enough for every n_cap below."""
-    return {name: np.stack([SequenceGenerator(model, sd).take(40010)
-                            for sd in (3, 14, 15, 92)])
-            for name, model in SCAN_MODELS.items()}
+    return {name: np.stack([SequenceGenerator(model, sd).take(
+                                40010 if name in SCAN_MODELS else FLOORLESS_CAP + 10)
+                            for sd in SEEDS])
+            for name, model in {**SCAN_MODELS, **FLOORLESS_MODELS}.items()}
 
 
 class TestPhiScanMatchesFullScan:
-    """phi_k_S stops at the reach of S; its values must be the full scan's,
-    bit for bit, over streams whose windows differ in measure."""
+    """phi_k_S stops at the reach of S and scans blocks of rows in column
+    chunks; its values must be the full scan's, bit for bit, over streams
+    whose windows differ in measure."""
 
-    @pytest.mark.parametrize("name", SCAN_MODELS)
+    @pytest.mark.parametrize("name", [*SCAN_MODELS, *FLOORLESS_MODELS])
     @pytest.mark.parametrize("S", [UNIT, TWO_INTERVALS], ids=["unit", "two_intervals"])
     @pytest.mark.parametrize("k", [3, 4, 6])
     def test_values_equal_the_full_scan(self, scan_rows, name, S, k):
-        model = SCAN_MODELS[name]
-        default = parse_config({"mode": "concentration", "model": model_to_spec(model),
-                                "k": k, "sets": [S.to_spec()], "n_samples": 200,
-                                "t_grid": [1.0]}).n_cap
         rows = scan_rows[name]
 
         def streams(length):
             return [rows[:, :length]]
 
-        for n_cap in (default, 5000, 40000):
+        if name in FLOORLESS_MODELS:
+            model, n_caps = FLOORLESS_MODELS[name], (FLOORLESS_CAP,)
+        else:
+            model = SCAN_MODELS[name]
+            default = parse_config({"mode": "concentration", "model": model_to_spec(model),
+                                    "k": k, "sets": [S.to_spec()], "n_samples": 200,
+                                    "t_grid": [1.0]}).n_cap
+            n_caps = (default, 5000, 40000)
+        for n_cap in n_caps:
             values, _ = phi_k_S(model, streams, k, S, n_cap)
             assert np.array_equal(values, _full_scan(model, streams, k, S, n_cap)), n_cap
+
+    # row blocks of 1, 3 and the run's default (_SCAN_BLOCK // length rows);
+    # chunks of 1, k - 1, k and k + 1 windows, and the default (whole rows)
+    @pytest.mark.parametrize("name", [*SCAN_MODELS, *FLOORLESS_MODELS])
+    @pytest.mark.parametrize("per_block", [1, 3, None], ids=["rows1", "rows3", "rows_default"])
+    @pytest.mark.parametrize("width", ["1", "k-1", "k", "k+1", None])
+    def test_blocks_and_chunks_equal_the_full_scan(self, scan_rows, monkeypatch,
+                                                   name, per_block, width):
+        from poissonlab import mixing_concentration
+
+        k, S = 3, TWO_INTERVALS
+        model = {**SCAN_MODELS, **FLOORLESS_MODELS}[name]
+        rows = scan_rows[name]
+        length = mixing_concentration._scan_reach(model, k, 0.75, FLOORLESS_CAP) + k - 1
+        step = per_block or max(1, mixing_concentration._SCAN_BLOCK // length)
+
+        def streams(asked):
+            assert asked == length
+            return [rows[lo: lo + step, :length] for lo in range(0, len(rows), step)]
+
+        if width is not None:  # a block of `step` rows is read this many windows at a time
+            w = {"1": 1, "k-1": k - 1, "k": k, "k+1": k + 1}[width]
+            monkeypatch.setattr(mixing_concentration, "_SCAN_BLOCK", w * step)
+        values, _ = phi_k_S(model, streams, k, S, FLOORLESS_CAP)
+        expected = _full_scan(model, lambda n: [rows[:, :n]], k, S, FLOORLESS_CAP)
+        assert np.array_equal(values, expected)
+
+    @pytest.mark.parametrize("name", SCAN_MODELS)
+    @pytest.mark.parametrize("S", [UNIT, TWO_INTERVALS], ids=["unit", "two_intervals"])
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_no_window_past_the_reach_lands_in_S(self, name, S, k):
+        # the windows between the reach and twice the reach, on streams
+        # long enough to hold them all
+        from poissonlab.mixing_concentration import _scan_reach
+
+        model = SCAN_MODELS[name]
+        reach = _scan_reach(model, k, float(S.sup), 10**9)
+        assert 0 < reach < 10**9
+        for x in SequenceGenerator(model, SEEDS[:2]).take(2 * reach + k - 1):
+            hit = _full_scan_hits(model, x, k, S, 2 * reach)[1]
+            assert hit[: reach].any() and not hit[reach:].any()
 
 
 class TestPhiJMass:
@@ -496,6 +567,18 @@ class TestPhiJMass:
         assert batched[0].tolist() == [values[0] for values, _ in single]
         assert {truncated for _, truncated in single} == {batched[1]}
         assert len(set(batched[0].tolist())) > 1  # the streams differ
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_rows_counted_in_chunks_equal_whole_rows(self, monkeypatch, width):
+        # chunks of 1, k - 1, k and k + 1 windows, k = 3
+        from poissonlab import mixing_concentration
+
+        streams = _generated(CHAIN, range(3), per_matrix=1)
+        whole = phi_k_j_S(CHAIN, streams, 3, 1, TWO_INTERVALS, 10**7)
+        monkeypatch.setattr(mixing_concentration, "_SCAN_BLOCK", width)
+        chunked = phi_k_j_S(CHAIN, streams, 3, 1, TWO_INTERVALS, 10**7)
+        assert chunked[0].tolist() == whole[0].tolist() and chunked[1] == whole[1]
+        assert len(set(whole[0].tolist())) > 1  # the streams differ
 
     def test_enumeration_cap_is_inclusive(self):
         assert phi2_enumerable(FAIR, 16)
@@ -553,7 +636,7 @@ class TestConcentrationExperiment:
         from poissonlab import experiments
         from poissonlab.rng import derive_seed
 
-        monkeypatch.setattr(experiments, "_BATCH_ELEMS", 3000)
+        monkeypatch.setattr(experiments, "_SCAN_BLOCK", 3000)
         cfg = parse_config(_concentration(model={"type": "markov", "transition": [
             ["9/10", "1/10"], ["1/5", "4/5"]]}, functional=functional, k=4, n_cap=400))
         streams = _generated(CHAIN, [derive_seed(13, 1, r) for r in range(200)])
@@ -563,6 +646,41 @@ class TestConcentrationExperiment:
             values, _ = phi_k_j_S(CHAIN, streams, 4, 0, UNIT, 400)
         rep = run_concentration(cfg)
         assert rep.mean == float(np.mean(values)) and rep.std == float(np.std(values))
+
+    def test_symbols_in_flight_stay_within_one_block(self, monkeypatch):
+        # the geometric model has no measure floor, so every window up to
+        # n_cap = 10^6 is scanned: each row is taken in chunks, and the
+        # symbols of all takes held at once stay within one block, plus the
+        # k - 1 symbols that the first take of a chunked row adds
+        from poissonlab.mixing_concentration import _SCAN_BLOCK
+
+        real_take, k = SequenceGenerator.take, 3
+        state = {"flight": 0, "rows": 0, "peak": 0, "over": 0, "longest": 0}
+
+        def release(size, rows):
+            state["flight"] -= size
+            state["rows"] -= rows
+
+        def counted(gen, n):
+            out = real_take(gen, n)
+            rows = len(gen.seeds)
+            state["flight"] += out.size
+            state["rows"] += rows
+            state["peak"] = max(state["peak"], state["flight"])
+            state["over"] = max(state["over"],
+                                state["flight"] - _SCAN_BLOCK - (k - 1) * state["rows"])
+            state["longest"] = max(state["longest"], gen.emitted)
+            weakref.finalize(out, release, out.size, rows)
+            return out
+
+        cfg = dataclasses.replace(parse_config(_concentration(
+            model={"type": "iid", "tail_ratio": "1/2"}, k=k, n_cap=10**6)), n_samples=3)
+        monkeypatch.setattr(SequenceGenerator, "take", counted)
+        rep = run_concentration(cfg)
+        assert not rep.complete and rep.n_cap == 10**6
+        assert state["longest"] == 10**6 + k - 1
+        assert state["peak"] > 0 and state["over"] <= 0
+        assert state["flight"] == 0
 
     @pytest.mark.parametrize("functional,k,weights", [
         ("phi1", 8, lipschitz_weights_phi1), ("phi2", 4, lipschitz_weights_phi2)])

@@ -5,6 +5,8 @@ combinatorial fact; it gets a large randomized exact check here.
 """
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -276,6 +278,21 @@ class TestJSet:
             S = IntervalUnion.from_spec(ivs)
             J = j_set(mu, S)
             assert abs(J.count - S.total_length / mu) <= S.m
+
+    def test_float_path_loads_mpmath_only_for_the_guard_band(self):
+        # a CF word whose products stay far from the endpoints of (0, 1] is
+        # decided in floats; one whose float quotient lands in the guard band
+        # needs mpmath (its endpoint 1 is an exact multiple of mu = 1/4)
+        code = ("import sys\n"
+                "from poissonlab.measures import GaussCFModel, cylinder_prob_guarded\n"
+                "from poissonlab.point_process import j_set, unit_interval\n"
+                "mu, high = cylinder_prob_guarded(GaussCFModel(), [3, 1, 4, 1, 5])\n"
+                "print(j_set(mu, unit_interval(), high).ranges, 'mpmath' in sys.modules)\n"
+                "j_set(0.25, unit_interval(), lambda dps: 0.25)\n"
+                "print('mpmath' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout.split("\n")
+        assert out[:2] == ["((1, 18390),) False", "True"]
 
 
 class TestCounting:

@@ -3,9 +3,9 @@
 Covers: exact per-lag mixing coefficients for Markov chains, the
 upper-triangular dependency matrix and its operator norm (power iteration
 plus the closed-form majorant), the closed-form norms of the Lipschitz
-weights, the word plans and the occurrence index that count many words in
-one stream, and the two scanned functionals phi_k_S and phi_k_j_S whose
-deviations the concentration mode checks against the analytic bound.
+weights, the word plans and the one chunked count of many words in fixed
+streams (``_count_words`` over an ``OccurrenceIndex``), and the two scanned
+functionals phi_k_S and phi_k_j_S that the concentration mode checks.
 """
 
 from __future__ import annotations
@@ -214,14 +214,6 @@ def _check_range_cells(n_words: int, js: Sequence[IndexSet]) -> None:
                             f"{RANGE_CELLS_CAP}; reduce n_samples or the intervals of S")
 
 
-def _ranges_array(js: Sequence[IndexSet]) -> np.ndarray:
-    """The (len(js), m, 2) array of each index set's ranges, padded with the
-    empty range (1, 0); the sets must be clipped to int64 indices."""
-    m = max((len(J.ranges) for J in js), default=0)
-    return np.array([list(J.ranges) + [(1, 0)] * (m - len(J.ranges)) for J in js],
-                    dtype=np.int64).reshape(len(js), m, 2)
-
-
 class OccurrenceIndex:
     """The length-k windows of a symbol array, hashed for word lookups.
 
@@ -376,6 +368,47 @@ class _Drawn:
 def _stream_blocks(blocks: Iterable) -> Iterable:
     """Each block of ``streams(length)`` as a generator."""
     return (_Drawn(b) if isinstance(b, np.ndarray) else b for b in blocks)
+
+
+def _count_words(blocks: Iterable, length: int, k: int, words: np.ndarray,
+                 plan_of: np.ndarray, plans: Sequence[_WordPlan], budget: int):
+    """Each row of ``words`` counted over its plan's index sets in the first
+    ``length`` symbols of every stream of ``blocks`` (as ``streams(length)``
+    gives them): one (sets, len(words)) int64 array per stream, in order.
+
+    The plans' ranges are clipped to ``length`` (so they fit int64) and padded
+    with (1, 0) once per call.  Each stream's chunk (``_chunks``, ``budget //
+    rows`` windows) is hashed once and every set counted over its ranges
+    shifted to the chunk; the index clips them to the chunk's windows.  With
+    ``length < k`` there is no window: every count is 0 and nothing is drawn.
+    """
+    def padded(js: Sequence[IndexSet]) -> np.ndarray:
+        rs = [[(a, min(b, length)) for a, b in J.ranges if a <= length] for J in js]
+        m = max(map(len, rs), default=0)
+        return np.array([r + [(1, 0)] * (m - len(r)) for r in rs],
+                        dtype=np.int64).reshape(len(rs), m, 2)
+
+    ranges = [padded(js) for js in zip(*(plan.js for plan in plans))]
+    shape = (len(ranges), len(words))
+    for gen in _stream_blocks(blocks):
+        rows = len(gen.seeds)
+        if length < k:
+            yield from (np.zeros(shape, dtype=np.int64) for _ in range(rows))
+            continue
+        totals = [None] * rows
+        for offset, block in _chunks(gen, length, k, max(1, budget // rows)):
+            shifted = [(rs - offset)[plan_of] for rs in ranges]
+            for r, x in enumerate(block.reshape(rows, -1)):
+                if offset == 0:
+                    totals[r] = np.zeros(shape, dtype=np.int64)
+                index = OccurrenceIndex(x, k)
+                for total, rs in zip(totals[r], shifted):
+                    total += index.count_in_ranges(words, rs)
+                del index  # its hashes go before the next stream or chunk
+                if offset + block.shape[-1] == length:  # the stream is counted
+                    yield totals[r]
+                    totals[r] = None  # one stream's counts at a time in a single chunk
+            del shifted  # before the next chunk is drawn
 
 
 def _positive_min_word_prob(model: Model, k: int) -> float:
@@ -576,9 +609,9 @@ def phi_k_j_S(model: Model, streams: Streams, k: int, j: int, S: IntervalUnion,
     Exact enumeration over all words; it needs a finite alphabet with
     alphabet_size**k <= 2**16.  The words are planned once, before any
     stream is read, and the streams are asked for the longest prefix a plan
-    needs, at most x_cap; each stream is counted in one index lookup per
-    chunk of about _SCAN_BLOCK windows (``_chunks``).  A
-    value is the exact mass of the fully countable words; words whose index
+    needs, at most x_cap.  Each stream is counted as the quenched runner
+    counts its x (``_count_words``), in chunks of about _SCAN_BLOCK windows.
+    A value is the exact mass of the fully countable words; words whose index
     set needs a prefix beyond x_cap are excluded, and their total mass is
     the truncated fraction.
     """
@@ -600,29 +633,10 @@ def phi_k_j_S(model: Model, streams: Streams, k: int, j: int, S: IntervalUnion,
     zero_mass = 1 - sum(mass)  # words of measure zero count 0
     counted_words = counted[plan_of]
     _check_range_cells(len(words), js)
-    blocks = streams(use_len)  # before the ranges: the caller may refuse the length
-    ranges = _ranges_array([J.clipped(use_len - k + 1) for J in js])[plan_of]
-
-    def level_mass(counts: np.ndarray) -> float:
+    blocks = streams(use_len)  # first: the caller may refuse the length
+    values = []
+    for (counts,) in _count_words(blocks, use_len, k, words, plan_of, plans, _SCAN_BLOCK):
         hits = np.bincount(plan_of[(counts == j) & counted_words], minlength=len(plans))
         hit_mass = sum(J.mu_w * n for J, n in zip(js, hits.tolist()) if n)
-        return float(hit_mass + zero_mass if j == 0 else hit_mass)
-
-    values = []
-    for gen in _stream_blocks(blocks):
-        rows = len(gen.seeds)
-        if use_len < k:  # no window: every count is 0
-            values += [level_mass(np.zeros(len(words), dtype=np.int64))] * rows
-            continue
-        # each range is shifted to the chunk, and the index clips it to the
-        # chunk's windows
-        totals = [0] * rows
-        for offset, block in _chunks(gen, use_len, k, max(1, _SCAN_BLOCK // rows)):
-            last = offset + block.shape[1] == use_len
-            shifted = ranges - offset
-            for r, x in enumerate(block):
-                totals[r] = totals[r] + OccurrenceIndex(x, k).count_in_ranges(words, shifted)
-                if last:  # the row is counted: keep its mass, not its counts
-                    values.append(level_mass(totals[r]))
-                    totals[r] = None
+        values.append(float(hit_mass + zero_mass if j == 0 else hit_mass))
     return np.array(values), float(truncated_mass)

@@ -179,11 +179,6 @@ class IndexSet:
             return np.empty(0, dtype=np.int64)
         return np.concatenate([np.arange(a, b + 1, dtype=np.int64) for a, b in self.ranges])
 
-    def clipped(self, max_i: int) -> "IndexSet":
-        """J intersected with [1, max_i] (same mu_w)."""
-        rs = tuple((a, min(b, max_i)) for a, b in self.ranges if a <= max_i)
-        return IndexSet(rs, sum(b - a + 1 for a, b in rs), self.mu_w)
-
 
 def _hp_below(i: int, bound: Fraction, mu_hp, inclusive: bool, dps: int) -> bool:
     """i*mu <= bound (inclusive) or i*mu < bound, with mu at ``dps`` digits.
@@ -298,13 +293,16 @@ def count_word_occurrences(x: np.ndarray, words: np.ndarray,
 
     ``x`` is a (rows, length) symbol matrix and ``words`` the (rows, k)
     matrix of the words sought, one per row; positions are 1-indexed window
-    starts, and the ranges must already be clipped so every window fits
-    inside a row.  Returns the per-row counts.
+    starts, and each range is clipped to the windows that fit inside a row,
+    so a range shifted to a block of the streams needs no clip of its own.
+    Returns the per-row counts.
     """
     k = words.shape[1]
+    n_win = x.shape[1] - k + 1
     total = np.zeros(len(x), dtype=np.int64)
     for a, b in ranges:
-        n = b - a + 1
+        a = max(a, 1)
+        n = min(b, n_win) - a + 1
         if n <= 0:
             continue
         acc = x[:, a - 1: a - 1 + n] == words[:, :1]

@@ -34,6 +34,7 @@ from poissonlab.mixing_concentration import OccurrenceIndex, _distinct_rows
 from poissonlab.point_process import j_set, required_prefix_length, unit_interval
 from poissonlab.poisson_stats import fold_histogram
 from poissonlab.rng import derive_seed
+from test_report_pins import report_hash
 
 FAIR_SPEC = {"type": "iid", "probs": ["1/2", "1/2"]}
 BIASED_SPEC = {"type": "iid", "probs": ["3/4", "1/4"]}
@@ -559,6 +560,29 @@ class TestQuenched:
                 assert sr.histogram == fold_histogram(c[~t], sr.j_max)
                 assert sr.truncated_histogram == fold_histogram(c[t], sr.j_max)
 
+    def test_no_window_draws_no_symbol_of_x(self, monkeypatch):
+        # S = (0, 1e-9] leaves every index set empty: every count is 0, none is
+        # truncated, and x is never taken, so the words are the only draws
+        taken = []
+        take = SequenceGenerator.take
+
+        def recorded(gen, n):
+            taken.append((gen.seeds.tolist(), n))
+            return take(gen, n)
+
+        monkeypatch.setattr(SequenceGenerator, "take", recorded)
+        cfg = parse_config(_doc(mode="quenched", k=3, n_samples=150, n_x_replicas=2,
+                                seed=0, sets=[[["0", "1/1000000000", False, True]]]))
+        _, res = execute(cfg, None)
+        for rep in res.replicas:
+            (sr,) = rep.sets
+            assert sr.n_used == 150 and sr.n_truncated == 0
+            assert sr.histogram == fold_histogram(np.zeros(150, dtype=np.int64), sr.j_max)
+        assert [n for _, n in taken] == [3, 3]  # one word draw per replica
+        x_seeds = {int(derive_seed(0, 3, r)) for r in range(2)}
+        assert not x_seeds & {s for seeds, _ in taken for s in seeds}
+        assert report_hash(res) == "8e745ec77d2609ff"
+
     def test_cf_word_past_int64_is_counted_over_the_clipped_stream(self, monkeypatch):
         from poissonlab import experiments
 
@@ -572,7 +596,7 @@ class TestQuenched:
 
         class Stream:  # takes continue the stream above
             def __init__(self, model, seed):
-                self.emitted = 0
+                self.seeds, self.emitted = [seed], 0
 
             def take(self, n):
                 self.emitted += n
@@ -787,6 +811,14 @@ class TestOracleMode:
         row = {r.name: r for r in rep.rows}["variance_dual_path"]
         assert (row.status, row.detail) == ("SKIP", "no word fit the enumeration guard")
         assert rep.passed
+
+    def test_pair_row_with_no_pair_within_the_guard_is_skipped(self):
+        # 65**3 > 2**18: no (word, lag) pair is enumerated, so the row reads SKIP
+        uniform = {"type": "iid", "probs": ["1/65"] * 65}
+        rep = run_oracle_suite(parse_config(_doc(mode="oracle", model=uniform, k=1)))
+        row = {r.name: r for r in rep.rows}["pair_probability_dual_path"]
+        assert (row.status, row.detail) == ("SKIP", "no (word, lag) pair has 65**(k + lag) "
+                                                    "<= 262144")
 
     def test_period_row_with_no_class_is_skipped(self):
         # at k=1 there is no period ell in 1..k-1 to check

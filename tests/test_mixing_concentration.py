@@ -338,13 +338,14 @@ class TestPhiScan:
         # per-window cylinder_prob, also for digits past 2**26 and 2**53
         from poissonlab.mixing_concentration import _window_log_mu
 
-        x = SequenceGenerator(GaussCFModel(), 77).take(300)
-        x[[5, 50, 51, 120, 299]] = [2**26 + 3, 2**53 + 1, 7, 2**62, 2**63 - 1]
-        for k in (1, 3, 5):
-            got = _window_log_mu(GaussCFModel(), k)(x)
-            want = [math.log(cylinder_prob(GaussCFModel(), x[i: i + k].tolist()))
-                    for i in range(len(x) - k + 1)]
-            assert got.tobytes() == np.array(want).tobytes()
+        for seed in (77, 0, 1, 2, 3):
+            x = SequenceGenerator(GaussCFModel(), seed).take(300)
+            x[[5, 50, 51, 120, 299]] = [2**26 + 3, 2**53 + 1, 7, 2**62, 2**63 - 1]
+            for k in (1, 3, 5):
+                got = _window_log_mu(GaussCFModel(), k)(x)
+                want = [math.log(cylinder_prob(GaussCFModel(), x[i: i + k].tolist()))
+                        for i in range(len(x) - k + 1)]
+                assert got.tobytes() == np.array(want).tobytes(), (seed, k)
         for bad in (0, -3):
             with pytest.raises(ValueError):
                 _window_log_mu(GaussCFModel(), 2)(np.array([1, 2, bad, 4]))

@@ -313,12 +313,14 @@ class TestCounting:
         assert count_word_occurrences(x, w, []).tolist() == [0, 0, 0]
 
     def test_count_word_occurrences_matches_literal_scan(self):
+        # the last two ranges start below 1 and end past the last window: the
+        # count clips them to windows 1..300
         rng = np.random.default_rng(4)
-        ranges = [(1, 50), (90, 300)]
+        ranges = [(1, 50), (90, 300), (-40, 7), (295, 10**30)]
         for k in (1, 3, 70):  # 70 binary symbols overflow an int64 window code
             x = rng.integers(0, 2, size=(6, 300 + k - 1), dtype=np.uint8)
             w = x[:, 10: 10 + k].copy()
-            want = [sum(1 for a, b in ranges for i in range(a, b + 1)
+            want = [sum(1 for a, b in ranges for i in range(max(a, 1), min(b, 300) + 1)
                         if tuple(row[i - 1: i - 1 + k]) == tuple(word))
                     for row, word in zip(x.tolist(), w.tolist())]
             assert count_word_occurrences(x, w, ranges).tolist() == want

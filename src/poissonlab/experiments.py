@@ -434,16 +434,16 @@ def _set_report(S: IntervalUnion, counts: np.ndarray, truncated: np.ndarray,
     )
 
 
-def _genericity_report(cfg: ExperimentConfig,
-                       counts_per_set: list[np.ndarray],
-                       truncated_per_set: list[np.ndarray],
+def _genericity_report(cfg: ExperimentConfig, counts: np.ndarray, truncated: np.ndarray,
                        replica_index: int | None) -> GenericityReport:
+    """The report of the (sets, n) counts and truncation flags, read row by
+    row, one row per target set."""
     prof = contraction_profile(cfg.model)
     sets = []
     overall_trunc = 0.0
-    for S, counts, truncated in zip(cfg.sets, counts_per_set, truncated_per_set):
+    for S, set_counts, set_truncated in zip(cfg.sets, counts, truncated):
         s_slack = S.m * prof.K * prof.rho**cfg.k
-        rep = _set_report(S, counts, truncated, s_slack)
+        rep = _set_report(S, set_counts, set_truncated, s_slack)
         overall_trunc = max(overall_trunc, rep.truncated_fraction)
         sets.append(rep)
     passed = all(_set_passed(r, cfg.tv_tolerance) for r in sets)
@@ -486,9 +486,9 @@ def run_annealed(cfg: ExperimentConfig) -> GenericityReport:
     streams (at least one), taken in chunks of at most about
     ``_BATCH_ELEMS // _WORKERS`` new symbols (``_chunks``), so at most about
     ``_BATCH_ELEMS`` symbols are in flight whatever the stream length.
-    Every stream is a function of its pair's seed, counts add over chunks and
-    are written back in batch order, so the report does not depend on the
-    CPU count or the chunk width.
+    Every stream is a function of its pair's seed, and a batch's (sets, rows)
+    counts add over chunks and are written back in one assignment, in batch
+    order, so the report does not depend on the CPU count or the chunk width.
     """
     from concurrent.futures import ThreadPoolExecutor  # here: keeps import time down
 
@@ -501,16 +501,13 @@ def run_annealed(cfg: ExperimentConfig) -> GenericityReport:
     lengths = [min(plan.need, cfg.n_cap) for plan in plans]
     _check_budget(sum(lengths[p] for p in plan_of.tolist()))
 
-    n_sets = len(cfg.sets)
-    counts = [np.zeros(n, dtype=np.int64) for _ in range(n_sets)]
-    truncated = [np.zeros(n, dtype=bool) for _ in range(n_sets)]
+    counts = np.zeros((len(cfg.sets), n), dtype=np.int64)
+    truncated = np.array([plan.cut(length) for plan, length in zip(plans, lengths)]).T[:, plan_of]
     per_thread = max(1, _BATCH_ELEMS // _WORKERS)
     batches = []  # (rows, length, index sets)
     for plan, length, members in zip(plans, lengths, _plan_members(plan_of)):
         if length == 0:  # every index set empty: counts stay 0, complete
             continue
-        for si, J in enumerate(plan.js):
-            truncated[si][members] = J.max_index() > length - k + 1
         step = max(1, per_thread // length)
         batches += [(members[lo: lo + step], length, plan.js)
                     for lo in range(0, len(members), step)]
@@ -518,18 +515,17 @@ def run_annealed(cfg: ExperimentConfig) -> GenericityReport:
     def count(batch):
         rows, length, js = batch
         sought = words[rows]
-        totals = [np.zeros(len(rows), dtype=np.int64) for _ in js]
+        totals = np.zeros((len(js), len(rows)), dtype=np.int64)
         gen = SequenceGenerator(model, derive_seed(cfg.seed, 2, rows))
-        for offset, block in _chunks(gen, length, k, max(1, per_thread // len(rows))):
+        for offset, block in _chunks(gen, length, k, per_thread):
             for total, J in zip(totals, js):  # the count clips each range to the block
                 total += count_word_occurrences(block, sought, [
                     (a - offset, b - offset) for a, b in J.ranges])
         return totals
 
     with ThreadPoolExecutor(_WORKERS) as pool:
-        for (rows, _, _), batch_counts in zip(batches, pool.map(count, batches)):
-            for si, c in enumerate(batch_counts):
-                counts[si][rows] = c
+        for (rows, _, _), slab in zip(batches, pool.map(count, batches)):
+            counts[:, rows] = slab
     return _genericity_report(cfg, counts, truncated, None)
 
 
@@ -563,8 +559,7 @@ def _quenched_replica(cfg: ExperimentConfig, r: int) -> GenericityReport:
     _check_range_cells(n, [J for plan in plans for J in plan.js])  # before x is drawn
     x_len = min(max(plan.need for plan in plans), cfg.n_cap)
     _check_budget(cfg.n_x_replicas * x_len)
-    truncated = [np.array([required_prefix_length(k, plan.js[si]) > x_len
-                           for plan in plans])[plan_of] for si in range(len(cfg.sets))]
+    truncated = np.array([plan.cut(x_len) for plan in plans]).T[:, plan_of]
     gen = SequenceGenerator(model, derive_seed(cfg.seed, 3, r))
     counts = next(_count_words([gen], x_len, k, words, plan_of, plans, _BATCH_ELEMS))
     return _genericity_report(cfg, counts, truncated, r)
@@ -649,8 +644,8 @@ def run_oracle_suite(cfg: ExperimentConfig) -> OracleReport:
             return guard[len(w), mu]
 
         checked = 0
-        for k_v in range(1, 5):
-            words = enumerate_words(s, k_v)  # refuses an alphabet past its guard
+        # every length's guard first: an alphabet past one refuses before any word is visited
+        for k_v, words in enumerate([enumerate_words(s, k_v) for k_v in range(1, 5)], 1):
             if isinstance(model, IidModel):
                 # an i.i.d. measure depends only on the sorted symbols: decide
                 # the guard once per multiset, and form only the words (in

@@ -142,14 +142,19 @@ class IidModel:
         (``rng.value_at``) draw: the number of ``_raw_thresholds`` at or below
         each value, or under ``tail_ratio`` the inverse CDF of the uniform
         ``(raw >> 11) * 2**-53``, settled against the float CDF 1 - r**(a+1)."""
-        if self.probs is None:
-            u, r = (raw >> np.uint64(11)) * 2.0**-53, self._r_float
-            a = np.maximum(np.floor(np.log1p(-u) / self._log_r), 0).astype(np.int64)
+        if self.probs is None:  # in place, over two float and two flag buffers
+            r, (u, t) = self._r_float, np.empty((2,) + raw.shape)
+            up, live = np.empty((2,) + raw.shape, dtype=bool)
+            np.multiply(np.right_shift(raw, 11, out=u.view(np.uint64)), 2.0**-53, out=u)
+            np.divide(np.log1p(np.negative(u, out=t), out=t), self._log_r, out=t)
+            out[...] = np.maximum(np.floor(t, out=t), 0, out=t)
             for _ in range(2):
-                a += u >= 1.0 - np.power(r, a + 1.0)
+                np.subtract(1.0, np.power(r, np.add(out, 1.0, out=t), out=t), out=t)
+                out += np.greater_equal(u, t, out=up)
             for _ in range(2):
-                a -= (a > 0) & (u < 1.0 - np.power(r, a.astype(np.float64)))
-            out[...] = a
+                t[...] = out
+                np.less(u, np.subtract(1.0, np.power(r, t, out=t), out=t), out=up)
+                out -= np.logical_and(np.greater(out, 0, out=live), up, out=up)
             return out
         if len(self._thresholds) == 0:
             out[...] = 0

@@ -167,10 +167,19 @@ def lipschitz_weights_phi2(k: int, S: IntervalUnion,
 
 @dataclass
 class _WordPlan:
-    """Index sets per target set for one word, plus the prefix demand."""
+    """Index sets per target set for one word, and the prefix each needs."""
 
     js: tuple[IndexSet, ...]
-    need: int
+    needs: tuple[int, ...]  # required_prefix_length of each index set
+
+    @property
+    def need(self) -> int:
+        return max(self.needs, default=0)
+
+    def cut(self, length: int) -> list[bool]:
+        """Whether each set is truncated: its index set needs more than
+        ``length`` symbols."""
+        return [need > length for need in self.needs]
 
 
 def _plan_words(model: Model, words: np.ndarray, sets: Sequence[IntervalUnion],
@@ -187,8 +196,7 @@ def _plan_words(model: Model, words: np.ndarray, sets: Sequence[IntervalUnion],
     for i in first:
         mu, high = cylinder_prob_guarded(model, words[i].tolist())
         js = tuple(j_set(mu, S, high) for S in sets)
-        plans.append(_WordPlan(js, max((required_prefix_length(k, J) for J in js),
-                                       default=0)))
+        plans.append(_WordPlan(js, tuple(required_prefix_length(k, J) for J in js)))
     return plan_of, plans
 
 
@@ -206,8 +214,8 @@ def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_range_cells(n_words: int, js: Sequence[IndexSet]) -> None:
-    """Refuse, before it is built, an (n_words, m, 2) ranges array past
-    RANGE_CELLS_CAP words x ranges, m the most ranges of one set in ``js``."""
+    """Refuse, before it is built, an (n_words, m, 2) ranges slab per set
+    past RANGE_CELLS_CAP words x ranges, m the most ranges of one set in ``js``."""
     m = max((len(J.ranges) for J in js), default=0)
     if n_words * m > RANGE_CELLS_CAP:
         raise ResourceError(f"{n_words} words x {m} index ranges is over the cap of "
@@ -283,22 +291,24 @@ class OccurrenceIndex:
     def count_in_ranges(self, words: np.ndarray, ranges: np.ndarray) -> np.ndarray:
         """Occurrences of each word at the 1-indexed starts in its ranges.
 
-        ``words`` is an (n, k) array, one word per row, and ``ranges`` the
-        (n, m, 2) array of each word's inclusive (a, b) pairs; a pair with
-        b < a is empty.  Returns the (n,) int64 array of counts.
+        ``words`` is an (n, k) array, one word per row, and ``ranges`` an
+        (..., n, m, 2) array of each word's inclusive (a, b) pairs, one
+        (n, m, 2) slab per target set; a pair with b < a is empty.  The words
+        are looked up once for every slab.  Returns the int64 counts, of shape
+        ``ranges.shape[:-2]``.
         """
         words = np.asarray(words, dtype=np.int64)
         if words.ndim != 2 or words.shape[1] != self.k:
             raise ValueError("words must be an (n, k) array")
-        if ranges.ndim != 3 or ranges.shape[0] != len(words) or ranges.shape[2] != 2:
-            raise ValueError("ranges must be an (n, m, 2) array")
+        if ranges.ndim < 3 or ranges.shape[-3] != len(words) or ranges.shape[-1] != 2:
+            raise ValueError("ranges must be an (..., n, m, 2) array")
         slot, keys = self._hits(words)
         n_win = len(self._hashes)
-        lo = np.clip(ranges[:, :, 0] - 1, 0, n_win)
-        hi = np.clip(ranges[:, :, 1], lo, n_win)
+        lo = np.clip(ranges[..., 0] - 1, 0, n_win)
+        hi = np.clip(ranges[..., 1], lo, n_win)
         base = (slot * n_win)[:, None]
         return (np.searchsorted(keys, base + hi)
-                - np.searchsorted(keys, base + lo)).sum(axis=1)
+                - np.searchsorted(keys, base + lo)).sum(axis=-1)
 
     def positions(self, w: Sequence[int]) -> np.ndarray:
         """1-indexed, ascending start positions of one word, exact."""
@@ -312,31 +322,33 @@ class OccurrenceIndex:
 # scanned functionals
 #
 # Both functionals read their streams through ``streams(length)``: a call
-# returns blocks of streams in turn, each a ``SequenceGenerator`` whose rows
-# are the streams or a matrix of streams already drawn (one per row,
-# ``length`` columns), so the caller decides how streams are drawn and
-# batched, and each functional asks for only the length it needs.  A
-# functional takes a block's symbols through ``_chunks``, at most about
-# _SCAN_BLOCK windows at a time.
+# returns blocks of streams in turn, each a ``SequenceGenerator`` (or an
+# object with its ``seeds`` and ``take``) whose rows are the streams, so the
+# caller decides how streams are drawn and batched, and each functional asks
+# for only the length it needs.  A functional takes a block's symbols through
+# ``_chunks``, at most about _SCAN_BLOCK windows at a time.
 
-Streams = Callable[[int], Iterable["SequenceGenerator | np.ndarray"]]
+Streams = Callable[[int], Iterable[SequenceGenerator]]
 # windows of one scan chunk, and symbols of one block of streams: the sampler's draw block
 _SCAN_BLOCK = _DRAW_BLOCK
 _U = 2.0**-53  # unit roundoff of float64
 
 
-def _chunks(gen: SequenceGenerator, length: int, k: int, width: int):
+def _chunks(gen: SequenceGenerator, length: int, k: int, budget: int):
     """The first ``length`` symbols of ``gen``'s streams as (offset, block)
     pairs, in order, for counting the windows of length ``k`` chunk by chunk.
 
-    A block holds the symbols offset + 1 .. offset + width + k - 1 (at most
-    ``length``) of every stream, so the windows that start at offset + 1 ..
-    offset + width lie whole inside it, and every window of the streams
-    starts in exactly one block.  Its last k - 1 symbols are carried into
-    the next block, and each take draws only the ``width`` new symbols, so
-    ``take`` continues every stream as one take of ``length`` would.  A
-    block is overwritten by the next one: use it before asking for the next.
+    A chunk is width = max(1, budget // rows) windows wide, rows the number
+    of ``gen``'s streams, so a block holds about ``budget`` new symbols: the
+    symbols offset + 1 .. offset + width + k - 1 (at most ``length``) of
+    every stream, so the windows that start at offset + 1 .. offset + width
+    lie whole inside it, and every window of the streams starts in exactly
+    one block.  Its last k - 1 symbols are carried into the next block, and
+    each take draws only the ``width`` new symbols, so ``take`` continues
+    every stream as one take of ``length`` would.  A block is overwritten by
+    the next one: use it before asking for the next.
     """
+    width = max(1, budget // len(gen.seeds))
     n_win = length - k + 1
     first = gen.take(min(width, n_win) + k - 1)
     if n_win <= width:
@@ -353,58 +365,40 @@ def _chunks(gen: SequenceGenerator, length: int, k: int, width: int):
         yield offset, block[..., :k - 1 + new]
 
 
-class _Drawn:
-    """A matrix of streams already drawn, one per row, read by ``take`` as
-    the generator of their seeds would give them."""
-
-    def __init__(self, rows: np.ndarray):
-        self.rows, self.seeds, self.emitted = rows, range(len(rows)), 0
-
-    def take(self, n: int) -> np.ndarray:
-        self.emitted += n
-        return self.rows[:, self.emitted - n: self.emitted]
-
-
-def _stream_blocks(blocks: Iterable) -> Iterable:
-    """Each block of ``streams(length)`` as a generator."""
-    return (_Drawn(b) if isinstance(b, np.ndarray) else b for b in blocks)
-
-
-def _count_words(blocks: Iterable, length: int, k: int, words: np.ndarray,
-                 plan_of: np.ndarray, plans: Sequence[_WordPlan], budget: int):
+def _count_words(blocks: Iterable[SequenceGenerator], length: int, k: int,
+                 words: np.ndarray, plan_of: np.ndarray, plans: Sequence[_WordPlan],
+                 budget: int):
     """Each row of ``words`` counted over its plan's index sets in the first
     ``length`` symbols of every stream of ``blocks`` (as ``streams(length)``
     gives them): one (sets, len(words)) int64 array per stream, in order.
 
-    The plans' ranges are clipped to ``length`` (so they fit int64) and padded
-    with (1, 0) once per call.  Each stream's chunk (``_chunks``, ``budget //
-    rows`` windows) is hashed once and every set counted over its ranges
-    shifted to the chunk; the index clips them to the chunk's windows.  With
-    ``length < k`` there is no window: every count is 0 and nothing is drawn.
+    The plans' ranges form one (sets, plans, m, 2) array per call, clipped to
+    ``length`` (so they fit int64) and padded with (1, 0) up to m, the most
+    ranges of one set.  Each stream's chunk (``_chunks`` of ``budget``) is
+    hashed once, and one lookup counts every set over the ranges, gathered
+    per word and shifted to the chunk; the index clips them to the chunk's
+    windows.  With ``length < k`` there is no window: every count is 0 and
+    nothing is drawn.
     """
-    def padded(js: Sequence[IndexSet]) -> np.ndarray:
-        rs = [[(a, min(b, length)) for a, b in J.ranges if a <= length] for J in js]
-        m = max(map(len, rs), default=0)
-        return np.array([r + [(1, 0)] * (m - len(r)) for r in rs],
-                        dtype=np.int64).reshape(len(rs), m, 2)
-
-    ranges = [padded(js) for js in zip(*(plan.js for plan in plans))]
-    shape = (len(ranges), len(words))
-    for gen in _stream_blocks(blocks):
+    clipped = [[[(a, min(b, length)) for a, b in J.ranges if a <= length] for J in js]
+           for js in zip(*(plan.js for plan in plans))]  # per set, per plan
+    m = max((len(rs) for per_set in clipped for rs in per_set), default=0)
+    ranges = np.array([[rs + [(1, 0)] * (m - len(rs)) for rs in per_set] for per_set in clipped],
+                      dtype=np.int64).reshape(len(clipped), len(plans), m, 2)
+    shape = (len(clipped), len(words))
+    for gen in blocks:
         rows = len(gen.seeds)
         if length < k:
             yield from (np.zeros(shape, dtype=np.int64) for _ in range(rows))
             continue
         totals = [None] * rows
-        for offset, block in _chunks(gen, length, k, max(1, budget // rows)):
-            shifted = [(rs - offset)[plan_of] for rs in ranges]
+        for offset, block in _chunks(gen, length, k, budget):
+            shifted = (ranges - offset)[:, plan_of]
             for r, x in enumerate(block.reshape(rows, -1)):
                 if offset == 0:
                     totals[r] = np.zeros(shape, dtype=np.int64)
-                index = OccurrenceIndex(x, k)
-                for total, rs in zip(totals[r], shifted):
-                    total += index.count_in_ranges(words, rs)
-                del index  # its hashes go before the next stream or chunk
+                # the index is a temporary: its hashes go before the next stream or chunk
+                totals[r] += OccurrenceIndex(x, k).count_in_ranges(words, shifted)
                 if offset + block.shape[-1] == length:  # the stream is counted
                     yield totals[r]
                     totals[r] = None  # one stream's counts at a time in a single chunk
@@ -565,10 +559,9 @@ def phi_k_S(model: Model, streams: Streams, k: int, S: IntervalUnion,
     bounds = [(float(iv.lo), float(iv.hi), iv.lo_closed, iv.hi_closed)
               for iv in S.intervals]
     values = []
-    for gen in _stream_blocks(blocks):
-        rows = len(gen.seeds)
-        carry, found = np.zeros(rows), []
-        for offset, x in _chunks(gen, length, k, max(1, _SCAN_BLOCK // rows)):
+    for gen in blocks:
+        carry, found = np.zeros(len(gen.seeds)), []
+        for offset, x in _chunks(gen, length, k, _SCAN_BLOCK):
             mu = np.exp(log_mu(x, carry))
             at = mu * np.arange(offset + 1, offset + mu.shape[1] + 1, dtype=np.float64)
             hit = np.zeros(at.shape, dtype=bool)
@@ -624,7 +617,7 @@ def phi_k_j_S(model: Model, streams: Streams, k: int, j: int, S: IntervalUnion,
     words = words[_has_measure(model, words)]
     plan_of, plans = _plan_words(model, words, [S], k)
     use_len = min(max((plan.need for plan in plans), default=0), x_cap)
-    counted = np.array([plan.need <= use_len for plan in plans], dtype=bool)
+    counted = ~np.array([plan.cut(use_len)[0] for plan in plans])
     js = [plan.js[0] for plan in plans]
     # exact mass of each plan's words: a plan's words share one measure
     sizes = np.bincount(plan_of, minlength=len(plans)).tolist()

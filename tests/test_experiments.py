@@ -490,10 +490,45 @@ class TestChunkedCounts:
         model, seeds, length = model_from_spec(THREE_SPEC), derive_seed(3, np.arange(4)), 61
         whole = draw(model, seeds, length)
         starts = []
-        for offset, block in _chunks(SequenceGenerator(model, seeds), length, k, width):
+        # a budget of `width` windows for each of the four streams
+        gen = SequenceGenerator(model, seeds)
+        for offset, block in _chunks(gen, length, k, width * len(seeds)):
             assert np.array_equal(block, whole[:, offset: offset + block.shape[1]])
             starts += range(offset, offset + block.shape[1] - k + 1)
         assert starts == list(range(length - k + 1))
+
+
+# a low set, the unit interval and a far set at k = 3: with n_cap 40 the far
+# set is truncated more than the low one
+AXIS_SETS = [[["0", "1/8", False, True]], [["0", "1", False, True]],
+             [["2", "4", True, False]]]
+
+
+class TestSetAxis:
+    """Every target set of a document is counted into one (sets, n) array,
+    and each set reads as in the document of that set alone.  The reports
+    differ only where the largest sup S enters (the n_cap floor warning and
+    the overall truncated fraction)."""
+
+    @pytest.mark.parametrize("mode", ["annealed", "quenched"])
+    @pytest.mark.parametrize("model_spec", [THREE_SPEC, GEOMETRIC_SPEC, CF_SPEC],
+                             ids=["finite", "geometric", "cf"])
+    @pytest.mark.parametrize("sets", [[AXIS_SETS[0], AXIS_SETS[2]], AXIS_SETS],
+                             ids=["two", "three"])
+    def test_each_set_reads_as_its_one_set_document(self, mode, model_spec, sets):
+        doc = _doc(mode=mode, model=model_spec, k=3, n_samples=200, n_cap=40,
+                   n_x_replicas=2, sets=sets)
+
+        def replicas(doc):
+            payload = execute(parse_config(doc), None)[1]
+            return payload.replicas if mode == "quenched" else (payload,)
+
+        reports = replicas(doc)
+        truncated = [sr.n_truncated for sr in reports[0].sets]
+        assert truncated[0] < truncated[-1]  # n_cap truncates the far set more
+        for i, spec in enumerate(sets):
+            alone = replicas({**doc, "sets": [spec]})
+            assert [rep.sets[i] for rep in reports] == [rep.sets[0] for rep in alone]
 
 
 class TestQuenched:
@@ -751,6 +786,21 @@ class TestOracleMode:
         assert "variance_dual_path" in names
         assert "count_law_tv_decay" in names
         assert all(row.status == "PASS" for row in rep.rows)
+
+    def test_variance_row_checks_every_guard_before_any_word(self, monkeypatch):
+        # 65**4 words are past the enumeration guard: the row reads SKIP
+        # without deciding the guard for any multiset of k_v = 1..3 symbols
+        from poissonlab import experiments
+
+        calls, multisets = [], experiments.combinations_with_replacement
+        monkeypatch.setattr(experiments, "combinations_with_replacement",
+                            lambda *a: calls.append(a) or multisets(*a))
+        cfg = parse_config(_doc(mode="oracle", k=3,
+                                model={"type": "iid", "probs": ["1/65"] * 65}))
+        rows = {row.name: row for row in run_oracle_suite(cfg).rows}
+        assert rows["variance_dual_path"] == experiments.OracleRow(
+            "variance_dual_path", "SKIP", "enumeration of 65**4 words exceeds guard 16777216")
+        assert calls == []
 
     def test_undefined_majorant_is_skipped(self):
         cfg = parse_config(_doc(mode="oracle", k=4, sets=[[["0", "1e-30", False, True]]]))

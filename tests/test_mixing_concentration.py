@@ -34,21 +34,35 @@ UNIT = unit_interval()
 GEO_LAGS = tuple(0.7**m for m in range(1, 31))
 
 
+class _Rows:
+    """A block of streams for the functionals from a matrix already drawn,
+    one stream per row, read by ``take`` as a generator of their seeds would
+    give them."""
+
+    def __init__(self, rows):
+        self.rows, self.seeds, self.emitted = rows, range(len(rows)), 0
+
+    def take(self, n):
+        self.emitted += n
+        return self.rows[:, self.emitted - n: self.emitted]
+
+
 def _tiled(pattern, rows=1):
     """``streams`` for the functionals: ``rows`` copies of ``pattern``
-    repeated to the asked length, in one matrix."""
+    repeated to the asked length, in one block."""
     def streams(length):
-        return [np.tile(np.resize(np.asarray(pattern, dtype=np.int64), length), (rows, 1))]
+        return [_Rows(np.tile(np.resize(np.asarray(pattern, dtype=np.int64), length),
+                              (rows, 1)))]
     return streams
 
 
 def _generated(model, seeds, per_matrix=None):
     """``streams`` for the functionals: one row per seed, from the model's
-    generator, ``per_matrix`` rows to a matrix (all in one by default)."""
+    generator, ``per_matrix`` rows to a block (all in one by default)."""
     def streams(length):
         rows = [SequenceGenerator(model, sd).take(length) for sd in seeds]
         step = per_matrix or len(rows)
-        return [np.stack(rows[lo: lo + step]) for lo in range(0, len(rows), step)]
+        return [_Rows(np.stack(rows[lo: lo + step])) for lo in range(0, len(rows), step)]
     return streams
 
 
@@ -293,6 +307,33 @@ class TestOccurrenceIndex:
         assert idx.count_in_ranges(np.zeros((0, k), dtype=np.int64),
                                    np.zeros((0, 1, 2), dtype=np.int64)).tolist() == []
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_stacked_sets_equal_one_call_per_set(self, k):
+        # (sets, n, m, 2) ranges: starts before, inside and past the stream,
+        # empty pairs (b < a), and rows padded with (1, 0) as the drivers pad them
+        rng = np.random.default_rng(40 + k)
+        x = rng.integers(0, 3, size=150)
+        n_win = len(x) - k + 1
+        idx = OccurrenceIndex(x, k)
+        words = np.concatenate([rng.integers(0, 3, size=(60, k)), x[None, :k],
+                                np.full((1, k), 5)])
+        lo = rng.integers(-10, n_win + 10, size=(4, len(words), 3))
+        ranges = np.stack([lo, lo + rng.integers(-3, 50, size=lo.shape)], axis=-1)
+        ranges[:, ::6] = (1, 0)
+        ranges[1, 1::4, 1:] = (1, 0)
+        ranges[2, :, :] = (n_win + 1, n_win + 9)  # every range past the last window
+        lookups, hits = [], idx._hits
+        idx._hits = lambda w: lookups.append(len(w)) or hits(w)
+        got = idx.count_in_ranges(words, ranges)
+        assert lookups == [len(words)]  # one lookup serves every set
+        assert got.dtype == np.int64 and got.shape == (4, len(words))
+        assert got.tolist() == [idx.count_in_ranges(words, slab).tolist() for slab in ranges]
+        assert got.tolist() == [[self._literal(x, k, w, [tuple(r) for r in rs])
+                                 for w, rs in zip(words, slab)] for slab in ranges]
+        assert not got[2].any() and got.any()
+        assert np.array_equal(idx.count_in_ranges(words, ranges.reshape(2, 2, -1, 3, 2)),
+                              got.reshape(2, 2, -1))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             OccurrenceIndex(np.array([0, 1]), 3)
@@ -416,8 +457,8 @@ def _full_scan(model, streams, k, S, N_cap):
     """Reference phi1: every stream scanned over all N_cap windows, one row
     at a time, whether or not a window can still reach S."""
     values = []
-    for xs in streams(N_cap + k - 1):
-        for x in xs:
+    for block in streams(N_cap + k - 1):
+        for x in block.take(N_cap + k - 1):
             mu, hit = _full_scan_hits(model, x, k, S, N_cap)
             values.append(float(np.sum(mu[hit])))
     return np.array(values)
@@ -462,7 +503,7 @@ class TestPhiScanMatchesFullScan:
         rows = scan_rows[name]
 
         def streams(length):
-            return [rows[:, :length]]
+            return [_Rows(rows[:, :length])]
 
         if name in FLOORLESS_MODELS:
             model, n_caps = FLOORLESS_MODELS[name], (FLOORLESS_CAP,)
@@ -493,13 +534,13 @@ class TestPhiScanMatchesFullScan:
 
         def streams(asked):
             assert asked == length
-            return [rows[lo: lo + step, :length] for lo in range(0, len(rows), step)]
+            return [_Rows(rows[lo: lo + step, :length]) for lo in range(0, len(rows), step)]
 
         if width is not None:  # a block of `step` rows is read this many windows at a time
             w = {"1": 1, "k-1": k - 1, "k": k, "k+1": k + 1}[width]
             monkeypatch.setattr(mixing_concentration, "_SCAN_BLOCK", w * step)
         values, _ = phi_k_S(model, streams, k, S, FLOORLESS_CAP)
-        expected = _full_scan(model, lambda n: [rows[:, :n]], k, S, FLOORLESS_CAP)
+        expected = _full_scan(model, lambda n: [_Rows(rows[:, :n])], k, S, FLOORLESS_CAP)
         assert np.array_equal(values, expected)
 
     @pytest.mark.parametrize("name", SCAN_MODELS)

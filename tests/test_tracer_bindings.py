@@ -53,3 +53,18 @@ def test_traced_execute_gives_the_untraced_report(tmp_path):
     assert spans["point_process.count_word_occurrences"]["calls"] > 0
     assert spans["measures.take"]["calls"] > 0  # every stream is drawn by take
     assert _report_text(traced) == _report_text(plain)
+
+
+def test_one_index_lookup_per_stream_chunk_for_every_set(monkeypatch):
+    # two target sets, two replicas, and streams taken in several chunks
+    monkeypatch.setattr(experiments, "_BATCH_ELEMS", 64)
+    cfg = parse_config({**DOC, "mode": "quenched", "n_x_replicas": 2, "n_cap": 400,
+                        "sets": [[["0", "1", False, True]], [["1", "3", True, False]]]})
+    _, plain = experiments.execute(cfg, None)
+    with _tracer().Tracer() as tracer:
+        _, traced = experiments.execute(cfg, None)
+    spans = tracer.summary()["spans"]
+    builds = spans["mixing_concentration.index.build"]["calls"]
+    assert builds > 2  # more than one chunk per replica
+    assert spans["mixing_concentration.index.lookup"]["calls"] == builds
+    assert _report_text(traced) == _report_text(plain)

@@ -38,8 +38,8 @@ from .mixing_concentration import (DELTA_NORM_MATRIX_CAP, MAX_LAG_CAP,
                                    lipschitz_weights_phi2, phi2_enumerable,
                                    phi_k_j_S, phi_k_S)
 from .oracles import (annealed_exact_expectation, brute_force_distribution,
-                      dp_count_distribution, exact_expectation,
-                      exact_pair_prob, exact_variance, log_n_over_n_bound,
+                      dp_count_distribution, exact_pair_prob, exact_variance,
+                      log_n_over_n_bound, measure_counts, measure_expectation,
                       period_class_measure)
 from .point_process import (IntervalUnion, count_word_occurrences, j_set,
                             required_prefix_length)
@@ -497,7 +497,7 @@ def run_annealed(cfg: ExperimentConfig) -> GenericityReport:
     model, k, n = cfg.model, cfg.k, cfg.n_samples
     _check_budget(n * k)
     words = draw(model, derive_seed(cfg.seed, 1, np.arange(n)), k)
-    plan_of, plans = _plan_words(model, words, cfg.sets, k)
+    plan_of, plans = _plan_words(model, words, cfg.sets, k, cfg.n_cap)
     lengths = [min(plan.need, cfg.n_cap) for plan in plans]
     _check_budget(sum(lengths[p] for p in plan_of.tolist()))
 
@@ -555,7 +555,7 @@ def run_quenched(cfg: ExperimentConfig) -> QuenchedResult:
 def _quenched_replica(cfg: ExperimentConfig, r: int) -> GenericityReport:
     model, k, n = cfg.model, cfg.k, cfg.n_samples
     words = draw(model, derive_seed(cfg.seed, 4, r, np.arange(n)), k)
-    plan_of, plans = _plan_words(model, words, cfg.sets, k)
+    plan_of, plans = _plan_words(model, words, cfg.sets, k, cfg.n_cap)
     _check_range_cells(n, [J for plan in plans for J in plan.js])  # before x is drawn
     x_len = min(max(plan.need for plan in plans), cfg.n_cap)
     _check_budget(cfg.n_x_replicas * x_len)
@@ -628,9 +628,8 @@ def run_oracle_suite(cfg: ExperimentConfig) -> OracleReport:
 
     def expectation_check() -> str:
         k_e = fit_k(1, 8, 1 << 12)
-        worst = max((abs(exact_expectation(model, w, S) - S.total_length) / mu
-                     for w in enumerate_words(s, k_e)
-                     if (mu := cylinder_prob_exact(model, w))), default=Fraction(0))
+        worst = max((abs(measure_expectation(mu, S) - S.total_length) / mu
+                     for mu in measure_counts(model, k_e)), default=Fraction(0))
         _require(worst <= S.m, f"sandwich ratio {float(worst):.3f} exceeds m={S.m}")
         return f"k={k_e}: max |E-|S||/mu = {float(worst):.6f} <= m = {S.m}"
 
@@ -690,11 +689,15 @@ def run_oracle_suite(cfg: ExperimentConfig) -> OracleReport:
     def period_check() -> str:
         k_c = fit_k(2, 10, 1 << 16)  # period classes ell = 1..k_c-1
         uniform = isinstance(model, IidModel) and len(set(model.probs)) == 1
+        dual = [Fraction(0)] * k_c  # dual[ell]: the measure of the words of period ell
+        for w in enumerate_words(s, k_c):
+            if ells := periods(w):
+                mu = cylinder_prob_exact(model, w)
+                for ell in ells:
+                    dual[ell] += mu
         for ell in range(1, k_c):
             mass = period_class_measure(model, k_c, ell)
-            dual = sum((cylinder_prob_exact(model, w) for w in enumerate_words(s, k_c)
-                        if ell in periods(w)), Fraction(0))
-            _require(mass == dual, f"ell={ell}: {mass} != {dual}")
+            _require(mass == dual[ell], f"ell={ell}: {mass} != {dual[ell]}")
             if uniform:
                 _require(mass == Fraction(1, s ** (k_c - ell)),
                          f"ell={ell}: uniform class mass {mass}")

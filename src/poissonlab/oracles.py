@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -42,6 +43,12 @@ def exact_expectation(model: Model, w: Sequence[int], S: IntervalUnion):
     satisfies | E - |S| | <= m * mu_w, which is checked.
     """
     mu, mu_high = cylinder_prob_guarded(model, as_word(w))
+    return measure_expectation(mu, S, mu_high)
+
+
+def measure_expectation(mu, S: IntervalUnion, mu_high=None):
+    """``exact_expectation`` of every word of measure ``mu`` (with ``mu_high``
+    as ``cylinder_prob_guarded`` gives it), with the same sandwich check."""
     if mu == 0:
         return Fraction(0)
     J = j_set(mu, S, mu_high)
@@ -462,8 +469,39 @@ def period_class_measure(model: Model, k: int, ell: int) -> Fraction:
     return total
 
 
+def measure_counts(model: Model, k: int) -> Counter:
+    """How many length-k words have each positive cylinder measure, as a
+    ``Counter`` {measure: words} (finite-alphabet rational models).
+
+    Built one position at a time over the distinct (last symbol, measure)
+    pairs (one pair per measure under an i.i.d. law), so its work and memory
+    grow with the distinct measures, not with alphabet**k; the measures are
+    the exact products ``cylinder_prob_exact`` forms.
+    """
+    if model.alphabet_size is None:
+        raise UnsupportedModelError("measure counts need a finite alphabet")
+    markov = isinstance(model, MarkovModel)
+    # the symbol laws a word's next symbol is drawn from, by its last symbol
+    # (-1 before the first)
+    laws = ({-1: model.pi, **dict(enumerate(model.transition))} if markov
+            else {-1: [model.symbol_prob(a) for a in range(model.alphabet_size)]})
+    level = Counter({(-1, Fraction(1)): 1})
+    for _ in range(k):
+        grown = Counter()
+        for (last, mu), n in level.items():
+            for a, p in enumerate(laws[last]):
+                if p:
+                    grown[a if markov else -1, mu * p] += n
+        level = grown
+    counts = Counter()
+    for (_, mu), n in level.items():
+        counts[mu] += n
+    return counts
+
+
 def annealed_exact_expectation(model: Model, k: int, S: IntervalUnion) -> Fraction:
-    """sum_w mu(w) * E_w over all length-k words (finite alphabet).
+    """sum_w mu(w) * E_w over all length-k words (finite alphabet), one
+    index set per distinct measure of ``measure_counts(model, k)``.
 
     Certifies |result - |S|| <= m * K * rho^k using the contraction profile.
     """
@@ -472,13 +510,8 @@ def annealed_exact_expectation(model: Model, k: int, S: IntervalUnion) -> Fracti
     s = model.alphabet_size
     if s**k > ANNEALED_ENUM_GUARD:
         raise ResourceError(f"{s}**{k} exceeds annealed guard {ANNEALED_ENUM_GUARD}")
-    total = Fraction(0)
-    for w in enumerate_words(s, k):
-        mu = cylinder_prob_exact(model, w)
-        if mu == 0:
-            continue
-        J = j_set(mu, S)
-        total += mu * (J.count * mu)
+    total = sum((n * mu * (j_set(mu, S).count * mu) for mu, n in measure_counts(model, k).items()),
+                Fraction(0))
     prof = contraction_profile(model)
     bound = S.m * prof.K * prof.rho**k
     if abs(float(total - S.total_length)) > bound * (1 + 1e-12) + 1e-15:

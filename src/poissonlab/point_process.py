@@ -197,15 +197,18 @@ def _hp_below(i: int, bound: Fraction, mu_hp, inclusive: bool, dps: int) -> bool
 
 
 def _last_index_float(bound: Fraction, mu: float, inclusive: bool,
-                      mu_high: Callable | None, dps: int) -> int:
-    """Largest i >= 0 with i*mu <= bound (inclusive) or < bound, float path.
+                      mu_high: Callable | None, dps: int, limit: int | None = None) -> int:
+    """Largest i >= 0 with i*mu <= bound (inclusive) or < bound, float path,
+    or ``limit + 1`` where that i is past ``limit``.
 
     Products within the guard band of the bound are re-decided at ``dps``
-    digits.  The search starts at the float quotient bound/mu; when that
-    start lies in the band (a tiny mu, whose float quotient can be off by
-    many indices, or a bound close to a multiple of mu) it starts at the
-    high-precision quotient instead, so it settles within a step or two
-    either way.
+    digits.  When the float product at ``limit + 1`` lies below the bound
+    and outside the band, every index up to it is below as well, and the
+    answer is ``limit + 1`` with no search.  The search starts at the float
+    quotient bound/mu; when that start lies in the band (a tiny mu, whose
+    float quotient can be off by many indices, or a bound close to a
+    multiple of mu) it starts at the high-precision quotient instead, so it
+    settles within a step or two either way.
     """
     if bound == 0:
         return 0  # i*mu > 0 = 0*mu for every i >= 1, exactly
@@ -220,6 +223,8 @@ def _last_index_float(bound: Fraction, mu: float, inclusive: bool,
             return _hp_below(i, bound, mu_high(dps), inclusive, dps)
         return i * mu <= bf if inclusive else i * mu < bf
 
+    if limit is not None and not near(limit + 1) and below(limit + 1):
+        return limit + 1
     i = math.floor(bf / mu)
     if near(i):
         import mpmath  # here: most words never come near an endpoint
@@ -231,10 +236,11 @@ def _last_index_float(bound: Fraction, mu: float, inclusive: bool,
         i += 1
     while i > 0 and not below(i):
         i -= 1
-    return i
+    return i if limit is None else min(i, limit + 1)
 
 
-def j_set(mu_w, S: IntervalUnion, mu_high: Callable | None = None) -> IndexSet:
+def j_set(mu_w, S: IntervalUnion, mu_high: Callable | None = None,
+          limit: int | None = None) -> IndexSet:
     """Index set J = {i >= 1 : i * mu_w in S}.
 
     ``mu_w`` may be an exact Rational (exact integer arithmetic throughout) or
@@ -242,6 +248,13 @@ def j_set(mu_w, S: IntervalUnion, mu_high: Callable | None = None) -> IndexSet:
     endpoint are re-decided at 50-digit precision (more when indices pass
     ~1e30) through ``mu_high``, a callable ``dps -> high-precision mu`` that
     is evaluated at most once.
+
+    With ``limit``, only the indices up to ``limit`` are wanted exactly, and
+    whether J has any past it: every range endpoint past ``limit`` is
+    lowered to ``limit + 1``, so a range that reaches past ``limit`` ends at
+    ``limit + 1`` and one wholly past it reads ``(limit + 1, limit + 1)``.
+    The float path then re-decides no upper-endpoint product past
+    ``limit + 1`` at high precision for a range that starts by ``limit + 1``.
     """
     if isinstance(mu_w, Rational) and not isinstance(mu_w, float):
         mu = Fraction(mu_w)
@@ -256,7 +269,7 @@ def j_set(mu_w, S: IntervalUnion, mu_high: Callable | None = None) -> IndexSet:
             a = max(a, 1)
             if b >= a:
                 ranges.append((a, b))
-        return IndexSet(tuple(ranges), sum(b - a + 1 for a, b in ranges), mu)
+        return _index_set(ranges, mu, limit)
 
     mu = float(mu_w)
     if not (mu > 0):
@@ -274,9 +287,18 @@ def j_set(mu_w, S: IntervalUnion, mu_high: Callable | None = None) -> IndexSet:
     for iv in S.intervals:
         # first index past lo is one beyond the last index at or below it
         a = _last_index_float(iv.lo, mu, not iv.lo_closed, mu_high, dps) + 1
-        b = _last_index_float(iv.hi, mu, iv.hi_closed, mu_high, dps)
+        b = _last_index_float(iv.hi, mu, iv.hi_closed, mu_high, dps,
+                              limit if limit is not None and a <= limit + 1 else None)
         if b >= a:
             ranges.append((a, b))
+    return _index_set(ranges, mu, limit)
+
+
+def _index_set(ranges: list[tuple[int, int]], mu, limit: int | None) -> IndexSet:
+    """The IndexSet of ``ranges``, each endpoint past ``limit`` lowered to
+    ``limit + 1``."""
+    if limit is not None:
+        ranges = [(min(a, limit + 1), min(b, limit + 1)) for a, b in ranges]
     return IndexSet(tuple(ranges), sum(b - a + 1 for a, b in ranges), mu)
 
 

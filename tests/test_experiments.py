@@ -802,6 +802,48 @@ class TestOracleMode:
             "variance_dual_path", "SKIP", "enumeration of 65**4 words exceeds guard 16777216")
         assert calls == []
 
+    def test_exact_rows_do_each_exact_step_once(self, monkeypatch):
+        # oracle_markov's document: the expectation and annealed rows decide
+        # one index set per distinct nonzero measure at k = 8 (42), and the
+        # period row finds the periods of each of the 2^8 words once
+        from poissonlab import experiments, oracles
+        from poissonlab.words import enumerate_words
+
+        cfg = parse_config({"mode": "oracle", "model": MARKOV_SPEC, "k": 8,
+                            "sets": [[["0", "1", False, True]]], "seed": 1})
+        distinct = {mu for w in enumerate_words(2, 8) if (mu := cylinder_prob_exact(cfg.model, w))}
+        assert len(distinct) == 42
+        rows_of = {"measure_expectation": "expectation", "annealed_exact_expectation": "annealed"}
+        j_calls, decide = [], oracles.j_set
+
+        def counted(*args, **kwargs):
+            caller = sys._getframe(1)
+            names = {caller.f_code.co_name, caller.f_back.f_code.co_name}
+            j_calls.extend(rows_of[name] for name in names & set(rows_of))
+            return decide(*args, **kwargs)
+
+        period_calls, periods = [], experiments.periods
+        monkeypatch.setattr(oracles, "j_set", counted)
+        monkeypatch.setattr(experiments, "periods",
+                            lambda w: period_calls.append(w) or periods(w))
+        rep = run_oracle_suite(cfg)
+        assert rep.passed
+        assert j_calls.count("expectation") == j_calls.count("annealed") == 42
+        assert sorted(period_calls) == list(enumerate_words(2, 8))
+        assert report_hash(rep) == "064eb0abc9cc5f95"  # configs/oracle_markov.json
+
+    @pytest.mark.parametrize("probs,detail", [
+        (["1/65"] * 65, "k=3: |sum - |S|| = 0.000e+00 <= 3.641e-06"),
+        ([f"{a + 1}/2145" for a in range(65)], "k=3: |sum - |S|| = 4.248e-06 <= 2.783e-05")],
+        ids=["uniform", "linear"])
+    def test_annealed_row_on_65_symbols(self, probs, detail):
+        # one index set per distinct measure: 65**3 words, one or few
+        # thousand measures; the row reads as when every word was visited
+        cfg = parse_config(_doc(mode="oracle", k=3, model={"type": "iid", "probs": probs}))
+        rows = {row.name: row for row in run_oracle_suite(cfg).rows}
+        assert (rows["annealed_expectation_identity"].status,
+                rows["annealed_expectation_identity"].detail) == ("PASS", detail)
+
     def test_undefined_majorant_is_skipped(self):
         cfg = parse_config(_doc(mode="oracle", k=4, sets=[[["0", "1e-30", False, True]]]))
         rep = run_oracle_suite(cfg)
@@ -900,6 +942,32 @@ class TestOracleMode:
         assert statuses["variance_dual_path"] == "SKIP"
         assert "PASS" in statuses.values()
         assert [row.detail for row in rep.rows[:5]] == ["needs a finite alphabet"] * 5
+
+
+def test_cf_and_exact_documents_never_import_mpmath():
+    # the Gauss CF quenched document with words past its n_cap, an oracle,
+    # a mixing and a concentration document: every report field is decided
+    # in floats or exact rationals
+    docs = [
+        {"mode": "quenched", "model": {"type": "gauss_cf"}, "k": 8,
+         "sets": [[["0", "1", False, True]]], "n_samples": 200, "n_x_replicas": 1,
+         "n_cap": 100000, "seed": 31416, "tv_tolerance": 0.08},
+        {"mode": "oracle", "model": MARKOV_SPEC, "k": 8,
+         "sets": [[["0", "1", False, True]]], "seed": 1},
+        {"mode": "mixing", "model": MARKOV_SPEC, "k": 8, "seed": 1,
+         "max_lag": 30, "truncations": [50, 100, 200]},
+        {"mode": "concentration", "model": FAIR_SPEC, "k": 10,
+         "sets": [[["0", "1", False, True]]], "n_samples": 2000, "seed": 77,
+         "functional": "phi1", "t_grid": [5.0, 10.0, 15.0, 20.0, 25.0, 30.0]},
+    ]
+    code = ("import json, sys\n"
+            "from poissonlab.experiments import execute, parse_config\n"
+            "for doc in json.loads(sys.argv[1]):\n"
+            "    execute(parse_config(doc), None)\n"
+            "print('mpmath' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(docs)], capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out == "False\n"
 
 
 class TestMixingMode:

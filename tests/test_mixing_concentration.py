@@ -223,6 +223,17 @@ class TestLipschitzWeights:
             with pytest.raises(ValueError):
                 weights(0, UNIT, mixing_profile(FAIR))
 
+    def test_float_hurwitz_zeta_matches_mpmath(self):
+        import mpmath
+
+        from poissonlab.mixing_concentration import _hurwitz_zeta
+
+        qs = [*range(1, 70), 0.5, 31.5, *(10**e for e in range(2, 19)),
+              *(3 * 10**e + 7 for e in range(1, 18))]
+        for q in qs:
+            want = mpmath.zeta(2, q)
+            assert abs(_hurwitz_zeta(2, q) - want) <= 1e-15 * want, q
+
     @pytest.mark.parametrize("k", [4, 8, 12])
     def test_contracting_chain_needs_the_max_k_one_majorant(self, k):
         # the shipped chain has K < 1; its weight norm is above the

@@ -7,6 +7,7 @@ prefixes of the required length and is therefore exact, not sampled.
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,8 @@ from poissonlab.oracles import (annealed_exact_expectation,
                                 brute_force_distribution,
                                 dp_count_distribution, exact_expectation,
                                 exact_pair_prob, exact_variance,
-                                log_n_over_n_bound, period_class_measure)
+                                log_n_over_n_bound, measure_counts,
+                                period_class_measure)
 from poissonlab.point_process import (IntervalUnion, j_set,
                                       required_prefix_length, unit_interval)
 from poissonlab.words import enumerate_words, ext, periods
@@ -36,8 +38,14 @@ UNIFORM_THREE = IidModel(probs=(Fraction(1, 3),) * 3)
 CHAIN3 = MarkovModel(transition=((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
                                  (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
                                  (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))))
+ZERO_SYMBOL = IidModel(probs=(Fraction(1, 2), Fraction(0), Fraction(1, 4), Fraction(1, 4)))
+FOUR = IidModel(probs=(Fraction(1, 10), Fraction(2, 10), Fraction(3, 10), Fraction(4, 10)))
+DEGENERATE_CHAIN = MarkovModel(transition=((Fraction(0), Fraction(1)),
+                                           (Fraction(1, 2), Fraction(1, 2))))
 UNIT = unit_interval()
 HALF = IntervalUnion.from_spec([(0, Fraction(1, 2), False, True)])
+SPLIT = IntervalUnion.from_spec([(0, Fraction(1, 3), True, False),
+                                 (Fraction(2, 3), 2, False, True)])
 
 
 def _enumerable(model, w, S=UNIT, limit=22):
@@ -429,6 +437,39 @@ class TestAnnealedExpectation:
     def test_guard(self):
         with pytest.raises(ResourceError):
             annealed_exact_expectation(FAIR, 40, UNIT)
+
+    @pytest.mark.parametrize("model", [FAIR, BIASED, TRIPLE, UNIFORM_THREE, ZERO_SYMBOL,
+                                       FOUR, CHAIN, CHAIN3])
+    def test_grouped_equals_enumerated(self, model):
+        # one index set per distinct measure, weighted by its words, against
+        # one per word
+        s = model.alphabet_size
+        for S in (UNIT, HALF, SPLIT):
+            for k in range(1, 7):
+                if s**k > 1 << 12:
+                    continue
+                enumerated = sum((mu * mu * j_set(mu, S).count for w in enumerate_words(s, k)
+                                  if (mu := cylinder_prob_exact(model, w))), Fraction(0))
+                assert annealed_exact_expectation(model, k, S) == enumerated, (k, S.label())
+
+
+class TestMeasureCounts:
+    @pytest.mark.parametrize("model", [FAIR, BIASED, TRIPLE, UNIFORM_THREE, ZERO_SYMBOL,
+                                       FOUR, CHAIN, CHAIN3, DEGENERATE_CHAIN])
+    def test_counts_the_measures_of_every_word(self, model):
+        s = model.alphabet_size
+        for k in range(1, 7):
+            want = Counter(mu for w in enumerate_words(s, k)
+                           if (mu := cylinder_prob_exact(model, w)))
+            assert measure_counts(model, k) == want
+
+    def test_uniform_law_has_one_measure(self):
+        assert measure_counts(IidModel(probs=(Fraction(1, 65),) * 65), 3) \
+            == Counter({Fraction(1, 65**3): 65**3})
+
+    def test_needs_a_finite_alphabet(self):
+        with pytest.raises(UnsupportedModelError):
+            measure_counts(GaussCFModel(), 2)
 
 
 class TestScanMajorant:

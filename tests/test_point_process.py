@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from poissonlab import point_process
 from poissonlab.errors import ResourceError
 from poissonlab.measures import (GaussCFModel, SequenceGenerator, cylinder_prob,
-                                 gauss_cylinder_prob_high)
+                                 cylinder_prob_guarded, draw, gauss_cylinder_prob_high)
 from poissonlab.point_process import (IntervalUnion, count_word_occurrences,
                                       j_set, parse_rational, required_prefix_length,
                                       unit_interval)
@@ -207,14 +207,14 @@ class TestJSet:
         last_index = point_process._last_index_float
         evaluations_at_zero = []
 
-        def spy(bound, mu, inclusive, mu_high, dps):
+        def spy(bound, mu, inclusive, mu_high, dps, limit=None):
             evaluations = []
 
             def counted(d):
                 evaluations.append(d)
                 return mu_high(d)
 
-            i = last_index(bound, mu, inclusive, None if mu_high is None else counted, dps)
+            i = last_index(bound, mu, inclusive, None if mu_high is None else counted, dps, limit)
             if bound == 0:
                 evaluations_at_zero.append(len(evaluations))
             return i
@@ -293,6 +293,92 @@ class TestJSet:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True).stdout.split("\n")
         assert out[:2] == ["((1, 18390),) False", "True"]
+
+
+def _cf_words(k, n, seed):
+    """n CF words of length k from ``draw``; every third has one digit moved
+    past 2^25 and every fifth one past 2^40."""
+    words = draw(GaussCFModel(), derive_seed(seed, k, np.arange(n)), k).tolist()
+    for i in range(0, n, 3):
+        words[i][i % k] = (1 << 25) + i
+    for i in range(0, n, 5):
+        words[i][(i + 1) % k] = (1 << 40) + i
+    return [tuple(w) for w in words]
+
+
+CAPPED_SETS = [unit_interval(),
+               IntervalUnion.from_spec([("1/2", "1", False, True)]),
+               IntervalUnion.from_spec([("0", "1/3", True, False), ("2/3", "2", False, True)])]
+
+
+class TestCappedJSet:
+    """``j_set(..., limit)``: the ranges up to ``limit`` and whether J has an
+    index past it, as the uncapped index set gives them."""
+
+    @staticmethod
+    def _seen_to(J, limit):
+        return [(a, min(b, limit)) for a, b in J.ranges if a <= limit]
+
+    def test_agrees_with_the_uncapped_set_near_every_endpoint(self):
+        model = GaussCFModel()
+        for k in range(1, 13):
+            for w in _cf_words(k, 12, 2026):
+                mu, high = cylinder_prob_guarded(model, w)
+                for S in CAPPED_SETS:
+                    J = j_set(mu, S, high)
+                    ends = {e for ab in J.ranges for e in ab} | {1, 10**5}
+                    for limit in {max(e + d, 0) for e in ends for d in (-1, 0, 1)}:
+                        capped = j_set(mu, S, high, limit)
+                        assert self._seen_to(capped, limit) == self._seen_to(J, limit)
+                        assert len(capped.ranges) == len(J.ranges)
+                        assert (capped.max_index() > limit) == (J.max_index() > limit)
+                        assert capped.max_index() <= limit + 1
+                        # cut(n_cap) of a plan: the prefix the set needs, past n_cap
+                        n_cap = limit + k - 1
+                        assert ((required_prefix_length(k, capped) > n_cap)
+                                == (required_prefix_length(k, J) > n_cap)), (w, S.label())
+
+    def test_no_high_precision_for_a_band_past_the_cap(self, monkeypatch):
+        decide = point_process._hp_below
+        decisions = []
+        monkeypatch.setattr(point_process, "_hp_below",
+                            lambda *a: decisions.append(a) or decide(*a))
+        model, k, n_cap = GaussCFModel(), 8, 100000
+        limit = n_cap - k + 1
+        band_words = 0
+        for w in draw(model, derive_seed(31416, 4, 0, np.arange(400)), k).tolist():
+            mu, high = cylinder_prob_guarded(model, w)
+            evaluations = []
+
+            def counted(dps, high=high):
+                evaluations.append(dps)
+                return high(dps)
+
+            J = j_set(mu, unit_interval(), counted)
+            if J.max_index() <= limit + 1:
+                continue
+            band_words += bool(evaluations)
+            evaluations.clear()
+            decisions.clear()
+            capped = j_set(mu, unit_interval(), counted, limit)
+            assert capped.ranges == ((1, limit + 1),)
+            assert evaluations == [] and decisions == []
+        assert band_words >= 5
+
+    def test_a_set_wholly_past_the_cap_stays_truncated(self):
+        from poissonlab.mixing_concentration import _plan_words
+
+        model, k = GaussCFModel(), 3
+        word = (40, 50, 60)
+        mu, high = cylinder_prob_guarded(model, word)
+        S = IntervalUnion.from_spec([("1/2", "1", False, True)])
+        (a, _), = j_set(mu, S, high).ranges
+        n_cap = a - 5 + k - 1  # J starts four window starts past the last one
+        limit = n_cap - k + 1
+        assert j_set(mu, S, high, limit).ranges == ((limit + 1, limit + 1),)
+        _, (plan,) = _plan_words(model, np.array([word]), [S], k, n_cap)
+        assert plan.cut(n_cap) == [True]
+        assert plan.need > n_cap
 
 
 class TestCounting:

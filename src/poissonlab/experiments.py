@@ -30,9 +30,8 @@ from .measures import (GaussCFModel, IidModel, MarkovModel, Model, SequenceGener
                        contraction_profile, cylinder_prob_exact, draw,
                        mixing_profile, model_from_spec, model_to_spec)
 from .mixing_concentration import (DELTA_NORM_MATRIX_CAP, MAX_LAG_CAP,
-                                   PHI2_EXACT_CAP, _SCAN_BLOCK, _check_range_cells,
-                                   _chunks, _count_words, _plan_words,
-                                   delta_matrix, delta_norm,
+                                   PHI2_EXACT_CAP, _SCAN_BLOCK, _chunks,
+                                   _count_words, _plan_words, delta_matrix, delta_norm,
                                    delta_norm_bound, eta_coefficients,
                                    lipschitz_weights_phi1,
                                    lipschitz_weights_phi2, phi2_enumerable,
@@ -127,10 +126,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
             S = IntervalUnion.from_spec(item)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"$.sets[{i}]: {exc}") from exc
-        # the Poisson reference has one entry per count up to j_max; the
-        # first test keeps float(|S|) in range
-        if S.total_length > HISTOGRAM_BINS_GUARD \
-                or histogram_j_max(float(S.total_length)) > HISTOGRAM_BINS_GUARD:
+        # the Poisson reference of a count histogram has one entry per count
+        # up to j_max; the first test keeps float(|S|) in range
+        if mode in ("annealed", "quenched", "oracle") and (
+                S.total_length > HISTOGRAM_BINS_GUARD
+                or histogram_j_max(float(S.total_length)) > HISTOGRAM_BINS_GUARD):
             raise ConfigError(
                 f"$.sets[{i}]: |S| is above {(HISTOGRAM_BINS_GUARD - 10) // 10}, so its "
                 f"count histogram would need more than {HISTOGRAM_BINS_GUARD} bins")
@@ -498,33 +498,31 @@ def run_annealed(cfg: ExperimentConfig) -> GenericityReport:
     _check_budget(n * k)
     words = draw(model, derive_seed(cfg.seed, 1, np.arange(n)), k)
     plan_of, plans = _plan_words(model, words, cfg.sets, k, cfg.n_cap)
-    lengths = [min(plan.need, cfg.n_cap) for plan in plans]
-    _check_budget(sum(lengths[p] for p in plan_of.tolist()))
+    _check_budget(sum(plans[p].length for p in plan_of.tolist()))
 
     counts = np.zeros((len(cfg.sets), n), dtype=np.int64)
-    truncated = np.array([plan.cut(length) for plan, length in zip(plans, lengths)]).T[:, plan_of]
+    truncated = np.array([plan.cut for plan in plans]).T[:, plan_of]
     per_thread = max(1, _BATCH_ELEMS // _WORKERS)
-    batches = []  # (rows, length, index sets)
-    for plan, length, members in zip(plans, lengths, _plan_members(plan_of)):
-        if length == 0:  # every index set empty: counts stay 0, complete
+    batches = []  # (rows, plan)
+    for plan, members in zip(plans, _plan_members(plan_of)):
+        if plan.length == 0:  # every index set empty: counts stay 0, complete
             continue
-        step = max(1, per_thread // length)
-        batches += [(members[lo: lo + step], length, plan.js)
-                    for lo in range(0, len(members), step)]
+        step = max(1, per_thread // plan.length)
+        batches += [(members[lo: lo + step], plan) for lo in range(0, len(members), step)]
 
     def count(batch):
-        rows, length, js = batch
+        rows, plan = batch
         sought = words[rows]
-        totals = np.zeros((len(js), len(rows)), dtype=np.int64)
+        totals = np.zeros((len(plan.js), len(rows)), dtype=np.int64)
         gen = SequenceGenerator(model, derive_seed(cfg.seed, 2, rows))
-        for offset, block in _chunks(gen, length, k, per_thread):
-            for total, J in zip(totals, js):  # the count clips each range to the block
+        for offset, block in _chunks(gen, plan.length, k, per_thread):
+            for total, J in zip(totals, plan.js):  # the count clips each range to the block
                 total += count_word_occurrences(block, sought, [
                     (a - offset, b - offset) for a, b in J.ranges])
         return totals
 
     with ThreadPoolExecutor(_WORKERS) as pool:
-        for (rows, _, _), slab in zip(batches, pool.map(count, batches)):
+        for (rows, _), slab in zip(batches, pool.map(count, batches)):
             counts[:, rows] = slab
     return _genericity_report(cfg, counts, truncated, None)
 
@@ -556,12 +554,13 @@ def _quenched_replica(cfg: ExperimentConfig, r: int) -> GenericityReport:
     model, k, n = cfg.model, cfg.k, cfg.n_samples
     words = draw(model, derive_seed(cfg.seed, 4, r, np.arange(n)), k)
     plan_of, plans = _plan_words(model, words, cfg.sets, k, cfg.n_cap)
-    _check_range_cells(n, [J for plan in plans for J in plan.js])  # before x is drawn
-    x_len = min(max(plan.need for plan in plans), cfg.n_cap)
-    _check_budget(cfg.n_x_replicas * x_len)
-    truncated = np.array([plan.cut(x_len) for plan in plans]).T[:, plan_of]
-    gen = SequenceGenerator(model, derive_seed(cfg.seed, 3, r))
-    counts = next(_count_words([gen], x_len, k, words, plan_of, plans, _BATCH_ELEMS))
+    truncated = np.array([plan.cut for plan in plans]).T[:, plan_of]
+
+    def stream(length: int):
+        _check_budget(cfg.n_x_replicas * length)
+        return [SequenceGenerator(model, derive_seed(cfg.seed, 3, r))]
+
+    counts = next(_count_words(stream, k, words, plan_of, plans, _BATCH_ELEMS))
     return _genericity_report(cfg, counts, truncated, r)
 
 

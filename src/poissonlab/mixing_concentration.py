@@ -179,19 +179,13 @@ def lipschitz_weights_phi2(k: int, S: IntervalUnion,
 
 @dataclass
 class _WordPlan:
-    """Index sets per target set for one word, and the prefix each needs."""
+    """One word's index set per target set, the stream length they need
+    (at most n_cap), and whether each set is truncated: its index set needs
+    more than n_cap symbols."""
 
     js: tuple[IndexSet, ...]
-    needs: tuple[int, ...]  # required_prefix_length of each index set
-
-    @property
-    def need(self) -> int:
-        return max(self.needs, default=0)
-
-    def cut(self, length: int) -> list[bool]:
-        """Whether each set is truncated: its index set needs more than
-        ``length`` symbols."""
-        return [need > length for need in self.needs]
+    length: int
+    cut: tuple[bool, ...]
 
 
 def _plan_words(model: Model, words: np.ndarray, sets: Sequence[IntervalUnion],
@@ -203,9 +197,9 @@ def _plan_words(model: Model, words: np.ndarray, sets: Sequence[IntervalUnion],
     model the measure depends only on the symbol counts, so words are keyed
     by their sorted symbols; otherwise by the word itself.  Each index set is
     decided up to the last window start that fits in ``n_cap`` symbols
-    (``j_set``'s ``limit``), past it only as far as ``cut(n_cap)`` needs:
-    so a CF word whose guard band lies past the cap costs no high-precision
-    decision.
+    (``j_set``'s ``limit``), past it only as far as the cut needs: so a CF
+    word whose guard band lies past the cap costs no high-precision
+    decision, and every range endpoint is at most n_cap - k + 2.
     """
     keys = np.sort(words, axis=1) if isinstance(model, IidModel) else words
     first, plan_of = _distinct_rows(keys)
@@ -213,7 +207,9 @@ def _plan_words(model: Model, words: np.ndarray, sets: Sequence[IntervalUnion],
     for i in first:
         mu, high = cylinder_prob_guarded(model, words[i].tolist())
         js = tuple(j_set(mu, S, high, n_cap - k + 1) for S in sets)
-        plans.append(_WordPlan(js, tuple(required_prefix_length(k, J) for J in js)))
+        needs = [required_prefix_length(k, J) for J in js]
+        plans.append(_WordPlan(js, min(max(needs, default=0), n_cap),
+                               tuple(need > n_cap for need in needs)))
     return plan_of, plans
 
 
@@ -382,27 +378,30 @@ def _chunks(gen: SequenceGenerator, length: int, k: int, budget: int):
         yield offset, block[..., :k - 1 + new]
 
 
-def _count_words(blocks: Iterable[SequenceGenerator], length: int, k: int,
-                 words: np.ndarray, plan_of: np.ndarray, plans: Sequence[_WordPlan],
-                 budget: int):
-    """Each row of ``words`` counted over its plan's index sets in the first
-    ``length`` symbols of every stream of ``blocks`` (as ``streams(length)``
-    gives them): one (sets, len(words)) int64 array per stream, in order.
+def _count_words(streams: Streams, k: int, words: np.ndarray, plan_of: np.ndarray,
+                 plans: Sequence[_WordPlan], budget: int):
+    """Each row of ``words`` counted over its plan's index sets in every
+    stream of ``streams(length)``, length the longest plan's: one
+    (sets, len(words)) int64 array per stream, in order.
 
-    The plans' ranges form one (sets, plans, m, 2) array per call, clipped to
-    ``length`` (so they fit int64) and padded with (1, 0) up to m, the most
-    ranges of one set.  Each stream's chunk (``_chunks`` of ``budget``) is
-    hashed once, and one lookup counts every set over the ranges, gathered
-    per word and shifted to the chunk; the index clips them to the chunk's
-    windows.  With ``length < k`` there is no window: every count is 0 and
-    nothing is drawn.
+    Before anything is drawn, the ranges are refused past RANGE_CELLS_CAP
+    (``_check_range_cells``) and then the streams are asked for, so the
+    caller may refuse the length.  The plans' ranges then form one
+    (sets, plans, m, 2) array, padded with (1, 0) up to m, the most ranges of
+    one set; every endpoint is at most n_cap - k + 2, so none is clipped.
+    Each stream's chunk (``_chunks`` of ``budget``) is hashed once, and one
+    lookup counts every set over the ranges, gathered per word and shifted
+    to the chunk; the index clips them to the chunk's windows.  With
+    ``length < k`` there is no window: every count is 0 and nothing is drawn.
     """
-    clipped = [[[(a, min(b, length)) for a, b in J.ranges if a <= length] for J in js]
-           for js in zip(*(plan.js for plan in plans))]  # per set, per plan
-    m = max((len(rs) for per_set in clipped for rs in per_set), default=0)
-    ranges = np.array([[rs + [(1, 0)] * (m - len(rs)) for rs in per_set] for per_set in clipped],
-                      dtype=np.int64).reshape(len(clipped), len(plans), m, 2)
-    shape = (len(clipped), len(words))
+    by_set = list(zip(*(plan.js for plan in plans)))  # per set, per plan
+    _check_range_cells(len(words), [J for js in by_set for J in js])
+    length = max((plan.length for plan in plans), default=0)
+    blocks = streams(length)
+    m = max((len(J.ranges) for js in by_set for J in js), default=0)
+    ranges = np.array([[[*J.ranges] + [(1, 0)] * (m - len(J.ranges)) for J in js]
+                       for js in by_set], dtype=np.int64).reshape(len(by_set), len(plans), m, 2)
+    shape = (len(by_set), len(words))
     for gen in blocks:
         rows = len(gen.seeds)
         if length < k:
@@ -538,8 +537,9 @@ def _window_log_mu(model: Model, k: int) -> Callable[..., np.ndarray]:
         if x.min() < 1 or x.max() >= GaussCFModel.DIGIT_CAP:
             raise ValueError("CF digits must lie in [1, 2**63)")
         n_win = x.shape[-1] - k + 1
-        return np.array([[math.log(gauss_cylinder_prob(xs[i: i + k])) for i in range(n_win)]
-                         for xs in x.reshape(-1, x.shape[-1]).tolist()]
+        # a measure that underflows to 0 takes log -inf: its window adds 0
+        return np.array([[math.log(p) if (p := gauss_cylinder_prob(xs[i: i + k])) else -math.inf
+                          for i in range(n_win)] for xs in x.reshape(-1, x.shape[-1]).tolist()]
                         ).reshape(x.shape[:-1] + (n_win,))
     return cf
 
@@ -633,20 +633,15 @@ def phi_k_j_S(model: Model, streams: Streams, k: int, j: int, S: IntervalUnion,
     words = np.array(list(enumerate_words(model.alphabet_size, k)), dtype=np.int64)
     words = words[_has_measure(model, words)]
     plan_of, plans = _plan_words(model, words, [S], k, x_cap)
-    use_len = min(max((plan.need for plan in plans), default=0), x_cap)
-    counted = ~np.array([plan.cut(use_len)[0] for plan in plans])
+    counted = ~np.array([plan.cut[0] for plan in plans])
     js = [plan.js[0] for plan in plans]
     # exact mass of each plan's words: a plan's words share one measure
     sizes = np.bincount(plan_of, minlength=len(plans)).tolist()
     mass = [J.mu_w * n for J, n in zip(js, sizes)]
     truncated_mass = sum((m for m, c in zip(mass, counted) if not c), Fraction(0))
-    zero_mass = 1 - sum(mass)  # words of measure zero count 0
     counted_words = counted[plan_of]
-    _check_range_cells(len(words), js)
-    blocks = streams(use_len)  # first: the caller may refuse the length
     values = []
-    for (counts,) in _count_words(blocks, use_len, k, words, plan_of, plans, _SCAN_BLOCK):
+    for (counts,) in _count_words(streams, k, words, plan_of, plans, _SCAN_BLOCK):
         hits = np.bincount(plan_of[(counts == j) & counted_words], minlength=len(plans))
-        hit_mass = sum(J.mu_w * n for J, n in zip(js, hits.tolist()) if n)
-        values.append(float(hit_mass + zero_mass if j == 0 else hit_mass))
+        values.append(float(sum(J.mu_w * n for J, n in zip(js, hits.tolist()) if n)))
     return np.array(values), float(truncated_mass)

@@ -272,13 +272,13 @@ def j_set(mu_w, S: IntervalUnion, mu_high: Callable | None = None,
         return _index_set(ranges, mu, limit)
 
     mu = float(mu_w)
-    if not (mu > 0):
+    if not (mu > 0 or (mu == 0.0 and mu_high is not None)):  # a guarded 0 underflowed
         raise ValueError("mu_w must be positive")
     try:
         top = math.floor(float(S.sup) / mu)
-    except OverflowError as exc:
-        raise ResourceError(f"index set of S = {S.label()} at mu = {mu:.3e} "
-                            "exceeds the float range") from exc
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ResourceError(f"index set of S = {S.label()}: the word's measure {mu:.3e} "
+                            "is below the float range; lower k") from exc
     # neighbouring indices near the top must stay apart at that precision
     dps = max(_HP_DPS, len(str(top)) + 20)
     if mu_high is not None:

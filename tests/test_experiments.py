@@ -169,6 +169,18 @@ class TestParseConfig:
             parse_config(_doc(mode=mode, n_samples=99))
         assert parse_config(_doc(mode=mode, n_samples=100)).n_samples == 100
 
+    def test_histogram_guard_only_where_a_histogram_is_folded(self):
+        # concentration mode folds no count histogram, so |S| past the
+        # histogram bound is no reason to refuse it
+        big = [[["0", "100001", False, True]]]
+        cfg = parse_config(_conc(k=1, sets=big, functional="phi1"))
+        assert cfg.sets[0].total_length == 100001
+        for mode in ("annealed", "quenched", "oracle"):
+            with pytest.raises(ConfigError) as err:
+                parse_config(_doc(mode=mode, k=1, sets=big))
+            assert str(err.value) == ("$.sets[0]: |S| is above 99999, so its count "
+                                      "histogram would need more than 1000000 bins")
+
     def test_low_cap_warns(self):
         cfg = parse_config(_doc(n_cap=8))
         assert any("n_cap" in w for w in cfg.warnings)
@@ -1272,6 +1284,16 @@ class TestCli:
                            capture_output=True, text=True, timeout=30)
         assert r.returncode == 2
         assert "error: $.sets[0]:" in r.stderr and "histogram" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("mode", ["annealed", "quenched"])
+    def test_underflowing_cf_word_measure_is_exit_two(self, tmp_path, mode):
+        # the float measure of a sampled 400-digit CF word is 0 or subnormal
+        doc = _doc(mode=mode, model=CF_SPEC, k=400, n_samples=100, n_cap=2000, seed=7)
+        r = self._run(mode, "--config", self._write(tmp_path / "c.json", doc))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: index set of S = (0, 1]: the word's measure ")
+        assert "is below the float range; lower k" in r.stderr
         assert "Traceback" not in r.stderr
 
     @pytest.mark.parametrize("sup,k", [(10**400, 5), (10**306, 5), (1, 1100)])

@@ -402,6 +402,20 @@ class TestPhiScan:
             with pytest.raises(ValueError):
                 _window_log_mu(GaussCFModel(), 2)(np.array([1, 2, bad, 4]))
 
+    def test_cf_window_of_underflowing_measure_adds_zero(self):
+        # 400 digits of 10 have a measure near 1e-800, a float 0: its log is
+        # -inf, the window adds 0, and 400 digits of 1 (about 1e-167) keep theirs
+        from poissonlab.mixing_concentration import _window_log_mu
+
+        x = np.array([[10] * 410, [1] * 410])
+        got = _window_log_mu(GaussCFModel(), 400)(x)
+        assert (got[0] == -math.inf).all()
+        want = [math.log(cylinder_prob(GaussCFModel(), x[1, i: i + 400].tolist()))
+                for i in range(11)]
+        assert got[1].tobytes() == np.array(want).tobytes()
+        values, complete = phi_k_S(GaussCFModel(), _tiled((10,)), 400, UNIT, 2000)
+        assert values.tolist() == [0.0] and not complete
+
     def test_random_stream_fair_value_is_set_size(self):
         # uniform measure: the scan telescopes to |S| once complete, up to
         # float rounding at the boundary index (at most one window of mass)

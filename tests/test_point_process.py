@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from poissonlab import point_process
 from poissonlab.errors import ResourceError
 from poissonlab.measures import (GaussCFModel, SequenceGenerator, cylinder_prob,
-                                 cylinder_prob_guarded, draw, gauss_cylinder_prob_high)
+                                 cylinder_prob_guarded, draw, gauss_cylinder_prob_high,
+                                 model_from_spec)
 from poissonlab.point_process import (IntervalUnion, count_word_occurrences,
                                       j_set, parse_rational, required_prefix_length,
                                       unit_interval)
@@ -377,8 +378,35 @@ class TestCappedJSet:
         limit = n_cap - k + 1
         assert j_set(mu, S, high, limit).ranges == ((limit + 1, limit + 1),)
         _, (plan,) = _plan_words(model, np.array([word]), [S], k, n_cap)
-        assert plan.cut(n_cap) == [True]
-        assert plan.need > n_cap
+        assert plan.cut == (True,)
+        assert plan.length == n_cap
+
+    def test_a_plan_carries_its_capped_length_and_cut(self):
+        from poissonlab.mixing_concentration import _plan_words
+
+        models = [model_from_spec({"type": "iid", "probs": ["1/2", "1/3", "1/6"]}),
+                  model_from_spec({"type": "iid", "tail_ratio": "1/2"}),
+                  model_from_spec({"type": "markov",
+                                   "transition": [["9/10", "1/10"], ["1/5", "4/5"]]}),
+                  GaussCFModel()]
+        checked, cuts = 0, set()
+        for model in models:
+            for k in range(1, 9):
+                if isinstance(model, GaussCFModel):
+                    words = _cf_words(k, 4, 2027)
+                else:
+                    words = draw(model, derive_seed(2027, k, np.arange(4)), k).tolist()
+                for w in words:
+                    mu, high = cylinder_prob_guarded(model, w)
+                    needs = [required_prefix_length(k, j_set(mu, S, high)) for S in CAPPED_SETS]
+                    for n_cap in {max(need + d, k) for need in needs for d in (-1, 0, 1)}:
+                        _, (plan,) = _plan_words(model, np.array([w]), CAPPED_SETS, k, n_cap)
+                        assert plan.length == min(max(needs), n_cap), (w, n_cap)
+                        assert plan.cut == tuple(need > n_cap for need in needs), (w, n_cap)
+                        assert all(e <= n_cap - k + 2 for J in plan.js for ab in J.ranges
+                                   for e in ab), (w, n_cap)
+                        checked, cuts = checked + 1, cuts | set(plan.cut)
+        assert checked >= 4 * 8 * 4 * 3 and cuts == {False, True}
 
 
 class TestCounting:

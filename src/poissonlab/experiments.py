@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import threading
 import time
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
@@ -485,7 +486,11 @@ def run_annealed(cfg: ExperimentConfig) -> GenericityReport:
     thread count.  A batch holds ``_BATCH_ELEMS // _WORKERS // length``
     streams (at least one), taken in chunks of at most about
     ``_BATCH_ELEMS // _WORKERS`` new symbols (``_chunks``), so at most about
-    ``_BATCH_ELEMS`` symbols are in flight whatever the stream length.
+    ``_BATCH_ELEMS`` symbols are in flight whatever the stream length.  Each
+    thread of the pool draws every batch it takes into one block of
+    ``_BATCH_ELEMS // _WORKERS + k - 1`` symbols, its own for the whole run,
+    which holds any batch's chunk; the threads take the batches in order as
+    they come free, so a run of costly batches is shared among them.
     Every stream is a function of its pair's seed, and a batch's (sets, rows)
     counts add over chunks and are written back in one assignment, in batch
     order, so the report does not depend on the CPU count or the chunk width.
@@ -510,14 +515,20 @@ def run_annealed(cfg: ExperimentConfig) -> GenericityReport:
         step = max(1, per_thread // plan.length)
         batches += [(members[lo: lo + step], plan) for lo in range(0, len(members), step)]
 
+    threads = threading.local()  # each pool thread's symbol block, kept for the run
+
     def count(batch):
         rows, plan = batch
+        if not hasattr(threads, "block"):
+            # any batch's chunk fits: whole streams of at most per_thread symbols in
+            # all, or per_thread windows of one stream and its k - 1 carried symbols
+            threads.block = np.empty(per_thread + k - 1, words.dtype)
         sought = words[rows]
         totals = np.zeros((len(plan.js), len(rows)), dtype=np.int64)
         gen = SequenceGenerator(model, derive_seed(cfg.seed, 2, rows))
-        for offset, block in _chunks(gen, plan.length, k, per_thread):
-            for total, J in zip(totals, plan.js):  # the count clips each range to the block
-                total += count_word_occurrences(block, sought, [
+        for offset, chunk in _chunks(gen, plan.length, k, per_thread, threads.block):
+            for total, J in zip(totals, plan.js):  # the count clips each range to the chunk
+                total += count_word_occurrences(chunk, sought, [
                     (a - offset, b - offset) for a, b in J.ranges])
         return totals
 

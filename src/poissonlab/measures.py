@@ -417,6 +417,9 @@ class SequenceGenerator:
         self._one = np.ndim(seed) == 0
         self.seeds = np.array([int(seed) & MASK64] if self._one else seed, dtype=np.uint64)
         m = len(self.seeds)
+        # the symbols' dtype: the narrowest unsigned one for a finite i.i.d. law, else int64
+        finite = isinstance(model, IidModel) and model.probs is not None
+        self.dtype = np.dtype(np.min_scalar_type(len(model.probs) - 1) if finite else np.int64)
         self.emitted = 0
         self._state = [-1] * m  # each Markov chain's last state; -1 before the first
         # CF: s = q_{n-1}/q_n and delta = (p_{n-1}+q_{n-1})/(p_n+q_n) - s for
@@ -424,18 +427,21 @@ class SequenceGenerator:
         self._s, self._delta = np.zeros(m), np.ones(m)
         self.restepped = 0  # CF: blocks of deep digits re-stepped (_deep_digits)
 
-    def take(self, n: int) -> np.ndarray:
+    def take(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
         """The next ``n`` symbols of every stream: 1-D for an int seed, else
-        one row per seed; the narrowest unsigned dtype for a finite i.i.d.
-        law, else int64.  Rows are drawn together in blocks of whole rows or
-        row pieces of about _TAKE_BLOCK uniforms (CF) or _DRAW_BLOCK values."""
+        one row per seed, of ``self.dtype``.  With ``out``, a (seeds, n)
+        array of that dtype (a view into a caller's block, say), they are
+        written there instead of to a new array.  Rows are drawn together in
+        blocks of whole rows or row pieces of about _TAKE_BLOCK uniforms (CF)
+        or _DRAW_BLOCK values."""
         if n < 0:
             raise ValueError("n must be nonnegative")
         model, seeds = self.model, self.seeds
-        finite = isinstance(model, IidModel) and model.probs is not None
         size = _TAKE_BLOCK if isinstance(model, GaussCFModel) else _DRAW_BLOCK
-        out = np.empty((len(seeds), n), dtype=np.min_scalar_type(len(model.probs) - 1)
-                       if finite else np.int64)
+        if out is None:
+            out = np.empty((len(seeds), n), dtype=self.dtype)
+        elif out.shape != (len(seeds), n) or out.dtype != self.dtype:
+            raise ValueError(f"out must be a {(len(seeds), n)} array of {self.dtype}")
         width = max(1, min(n, size))
         height = max(1, size // width)
         raw = np.empty((min(height, len(seeds)), width), dtype=np.uint64)

@@ -336,10 +336,10 @@ class OccurrenceIndex:
 #
 # Both functionals read their streams through ``streams(length)``: a call
 # returns blocks of streams in turn, each a ``SequenceGenerator`` (or an
-# object with its ``seeds`` and ``take``) whose rows are the streams, so the
-# caller decides how streams are drawn and batched, and each functional asks
-# for only the length it needs.  A functional takes a block's symbols through
-# ``_chunks``, at most about _SCAN_BLOCK windows at a time.
+# object with its ``seeds``, ``dtype`` and ``take(n, out)``) whose rows are the
+# streams, so the caller decides how streams are drawn and batched, and each
+# functional asks for only the length it needs.  A functional takes a block's
+# symbols through ``_chunks``, at most about _SCAN_BLOCK windows at a time.
 
 Streams = Callable[[int], Iterable[SequenceGenerator]]
 # windows of one scan chunk, and symbols of one block of streams: the sampler's draw block
@@ -347,35 +347,38 @@ _SCAN_BLOCK = _DRAW_BLOCK
 _U = 2.0**-53  # unit roundoff of float64
 
 
-def _chunks(gen: SequenceGenerator, length: int, k: int, budget: int):
+def _chunks(gen: SequenceGenerator, length: int, k: int, budget: int,
+            block: np.ndarray | None = None):
     """The first ``length`` symbols of ``gen``'s streams as (offset, block)
     pairs, in order, for counting the windows of length ``k`` chunk by chunk.
 
     A chunk is width = max(1, budget // rows) windows wide, rows the number
     of ``gen``'s streams, so a block holds about ``budget`` new symbols: the
-    symbols offset + 1 .. offset + width + k - 1 (at most ``length``) of
-    every stream, so the windows that start at offset + 1 .. offset + width
-    lie whole inside it, and every window of the streams starts in exactly
-    one block.  Its last k - 1 symbols are carried into the next block, and
-    each take draws only the ``width`` new symbols, so ``take`` continues
-    every stream as one take of ``length`` would.  A block is overwritten by
-    the next one: use it before asking for the next.
+    (rows, cols) symbols offset + 1 .. offset + cols (at most
+    ``length``) of every stream, cols at most width + k - 1, so the windows
+    that start at offset + 1 .. offset + width lie whole inside it, and every
+    window of the streams starts in exactly one block.  Its last k - 1
+    symbols are carried into the next block, and each take draws only the
+    ``width`` new symbols, straight into the block, so ``take`` continues
+    every stream as one take of ``length`` would.  The blocks are views of
+    ``block``, a 1-D array of ``gen.dtype`` with room for rows * (min(width,
+    length - k + 1) + k - 1) symbols, or of one allocated here: use each
+    block before asking for the next.
     """
-    width = max(1, budget // len(gen.seeds))
+    rows = len(gen.seeds)
+    width = max(1, budget // rows)
     n_win = length - k + 1
-    first = gen.take(min(width, n_win) + k - 1)
-    if n_win <= width:
-        yield 0, first
-        return
-    block = np.empty(first.shape[:-1] + (width + k - 1,), first.dtype)
-    block[...] = first
-    del first  # only the block and one take's symbols are held
+    cols = min(width, n_win) + k - 1
+    if block is None:
+        block = np.empty(rows * cols, gen.dtype)
+    block = block[:rows * cols].reshape(rows, cols)
+    gen.take(cols, out=block)
     yield 0, block
     for offset in range(width, n_win, width):
-        block[..., :k - 1] = block[..., width:]
+        block[:, :k - 1] = block[:, width:]
         new = min(width, n_win - offset)
-        block[..., k - 1: k - 1 + new] = gen.take(new)
-        yield offset, block[..., :k - 1 + new]
+        gen.take(new, out=block[:, k - 1: k - 1 + new])
+        yield offset, block[:, :k - 1 + new]
 
 
 def _count_words(streams: Streams, k: int, words: np.ndarray, plan_of: np.ndarray,
@@ -410,7 +413,7 @@ def _count_words(streams: Streams, k: int, words: np.ndarray, plan_of: np.ndarra
         totals = [None] * rows
         for offset, block in _chunks(gen, length, k, budget):
             shifted = (ranges - offset)[:, plan_of]
-            for r, x in enumerate(block.reshape(rows, -1)):
+            for r, x in enumerate(block):
                 if offset == 0:
                     totals[r] = np.zeros(shape, dtype=np.int64)
                 # the index is a temporary: its hashes go before the next stream or chunk
@@ -419,6 +422,7 @@ def _count_words(streams: Streams, k: int, words: np.ndarray, plan_of: np.ndarra
                     yield totals[r]
                     totals[r] = None  # one stream's counts at a time in a single chunk
             del shifted  # before the next chunk is drawn
+        del block, x  # before the next block of streams allocates its own
 
 
 def _positive_min_word_prob(model: Model, k: int) -> float:
@@ -591,6 +595,7 @@ def phi_k_S(model: Model, streams: Streams, k: int, S: IntervalUnion,
         # one pairwise sum (np.sum's) over each row's hits, as the full scan takes it
         values += [float(np.add.reduce(row[0] if len(row) == 1 else np.concatenate(row)))
                    for row in zip(*found)]
+        del x  # before the next block of streams allocates its own
     return np.array(values), complete
 
 

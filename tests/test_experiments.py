@@ -344,14 +344,18 @@ class TestAnnealed:
 # sets empty, so its plan needs no stream (length 0); words of measure in
 # (1/16, 1/8] have an empty second set only
 LOW_SETS = [[["0", "1/8", False, True]], [["1/32", "1/16", False, True]]]
-# (document, _BATCH_ELEMS): three times the longest stream, so a pool of up
-# to 3 threads runs whole and most plans span several batches; the last three
-# documents are truncated by n_cap
+# (document, _BATCH_ELEMS): for the first four, three times the longest
+# stream, so a pool of up to 3 threads runs whole and most plans span several
+# batches; the second to fourth documents are truncated by n_cap.  The fair
+# coin's streams (263 symbols) are longer than _BATCH_ELEMS, so each is
+# counted bit-parallel in chunks of 200, 100 or 66 windows, cut across the
+# 64-window words of the match bits
 THREAD_DOCS = [
     (_doc(model=THREE_SPEC, k=2, n_samples=150, sets=LOW_SETS), 15),
     (_doc(model=GEOMETRIC_SPEC, k=3, n_samples=150, sets=LOW_SETS, n_cap=30), 90),
     (_doc(model=MARKOV_SPEC, k=4, n_samples=150, sets=LOW_SETS, n_cap=12), 36),
     (_doc(model=CF_SPEC, k=2, n_samples=150, sets=LOW_SETS, n_cap=40), 120),
+    (_doc(k=8, n_samples=150), 200),
 ]
 
 
@@ -363,7 +367,7 @@ class TestAnnealedThreads:
     """The batches of an annealed run are drawn and scanned on a thread pool."""
 
     @pytest.mark.parametrize("doc,batch_elems", THREAD_DOCS,
-                             ids=["three", "geometric", "markov", "gauss"])
+                             ids=["three", "geometric", "markov", "gauss", "fair"])
     def test_report_does_not_depend_on_the_thread_count(self, monkeypatch, doc, batch_elems):
         from poissonlab import experiments
 
@@ -415,36 +419,45 @@ class TestAnnealedThreads:
     def test_symbols_in_flight_stay_within_one_batch(self, monkeypatch, doc, longest, workers):
         # with _BATCH_ELEMS = 6000 the last three documents have streams longer
         # than _BATCH_ELEMS / workers, so those streams are taken in chunks:
-        # the symbols of all takes held at once stay within 6000, plus the
-        # k - 1 symbols that the first take of a chunked stream adds per row
+        # the symbols of all blocks held at once stay within 6000, plus the
+        # k - 1 symbols per row that a chunk carries over.  A take into a
+        # caller's block (an annealed worker's, held for the whole run, or a
+        # quenched stream's) counts that block once, for as long as it lives.
         from poissonlab import experiments
 
         real_take, lock = SequenceGenerator.take, threading.Lock()
         k = doc["k"]
         state = {"calls": 0, "flight": 0, "rows": 0, "peak": 0, "over": 0, "longest": 0}
+        live = set()  # ids of the arrays counted and still alive
 
-        def release(size, rows):
+        def release(size, rows, key):
             with lock:
                 state["flight"] -= size
                 state["rows"] -= rows
+                live.discard(key)
 
-        def counted(gen, n):
+        def counted(gen, n, out=None):
             with lock:
                 state["calls"] += 1
                 words = state["calls"] == 1  # the words, held for the whole run
-            out = real_take(gen, n)
+            got = real_take(gen, n, out)
+            owner = got if got.base is None else got.base
             if not words:
                 rows = len(gen.seeds)
                 with lock:
-                    state["flight"] += out.size
-                    state["rows"] += rows
-                    state["peak"] = max(state["peak"], state["flight"])
-                    state["over"] = max(state["over"],
-                                        state["flight"] - 6000 - (k - 1) * state["rows"])
                     state["longest"] = max(state["longest"], gen.emitted)
-                weakref.finalize(out, release, out.size, rows)
+                    new = id(owner) not in live
+                    if new:
+                        live.add(id(owner))
+                        state["flight"] += owner.size
+                        state["rows"] += rows
+                        state["peak"] = max(state["peak"], state["flight"])
+                        state["over"] = max(state["over"],
+                                            state["flight"] - 6000 - (k - 1) * state["rows"])
+                if new:
+                    weakref.finalize(owner, release, owner.size, rows, id(owner))
                 time.sleep(0.002)  # let the other threads draw meanwhile
-            return out
+            return got
 
         monkeypatch.setattr(experiments, "_BATCH_ELEMS", 6000)
         monkeypatch.setattr(experiments, "_WORKERS", workers)
@@ -641,13 +654,17 @@ class TestQuenched:
         monkeypatch.setattr(experiments, "draw", lambda model, seeds, length:
                             np.tile(word, (len(seeds), 1)))
 
-        class Stream:  # takes continue the stream above
+        class Stream:  # takes continue the stream above, into ``out`` where given
             def __init__(self, model, seed):
-                self.seeds, self.emitted = [seed], 0
+                self.seeds, self.emitted, self.dtype = [seed], 0, stream.dtype
 
-            def take(self, n):
+            def take(self, n, out=None):
                 self.emitted += n
-                return stream[self.emitted - n: self.emitted]
+                x = stream[self.emitted - n: self.emitted]
+                if out is None:
+                    return x
+                out[...] = x
+                return out[0]
 
         monkeypatch.setattr(experiments, "SequenceGenerator", Stream)
         cfg = parse_config(_doc(mode="quenched", model={"type": "gauss_cf"}, k=3,

@@ -37,14 +37,18 @@ GEO_LAGS = tuple(0.7**m for m in range(1, 31))
 class _Rows:
     """A block of streams for the functionals from a matrix already drawn,
     one stream per row, read by ``take`` as a generator of their seeds would
-    give them."""
+    give them, into ``out`` where given."""
 
     def __init__(self, rows):
-        self.rows, self.seeds, self.emitted = rows, range(len(rows)), 0
+        self.rows, self.seeds, self.emitted, self.dtype = rows, range(len(rows)), 0, rows.dtype
 
-    def take(self, n):
+    def take(self, n, out=None):
         self.emitted += n
-        return self.rows[:, self.emitted - n: self.emitted]
+        x = self.rows[:, self.emitted - n: self.emitted]
+        if out is None:
+            return x
+        out[...] = x
+        return out
 
 
 def _tiled(pattern, rows=1):
@@ -718,27 +722,34 @@ class TestConcentrationExperiment:
         # the geometric model has no measure floor, so every window up to
         # n_cap = 10^6 is scanned: each row is taken in chunks, and the
         # symbols of all takes held at once stay within one block, plus the
-        # k - 1 symbols that the first take of a chunked row adds
+        # k - 1 symbols per row that a chunk carries over.  A take into a
+        # caller's block counts that block once, for as long as it lives.
         from poissonlab.mixing_concentration import _SCAN_BLOCK
 
         real_take, k = SequenceGenerator.take, 3
         state = {"flight": 0, "rows": 0, "peak": 0, "over": 0, "longest": 0}
+        live = set()  # ids of the arrays counted and still alive
 
-        def release(size, rows):
+        def release(size, rows, key):
             state["flight"] -= size
             state["rows"] -= rows
+            live.discard(key)
 
-        def counted(gen, n):
-            out = real_take(gen, n)
+        def counted(gen, n, out=None):
+            got = real_take(gen, n, out)
+            owner = got if got.base is None else got.base
+            state["longest"] = max(state["longest"], gen.emitted)
+            if id(owner) in live:
+                return got
             rows = len(gen.seeds)
-            state["flight"] += out.size
+            live.add(id(owner))
+            state["flight"] += owner.size
             state["rows"] += rows
             state["peak"] = max(state["peak"], state["flight"])
             state["over"] = max(state["over"],
                                 state["flight"] - _SCAN_BLOCK - (k - 1) * state["rows"])
-            state["longest"] = max(state["longest"], gen.emitted)
-            weakref.finalize(out, release, out.size, rows)
-            return out
+            weakref.finalize(owner, release, owner.size, rows, id(owner))
+            return got
 
         cfg = dataclasses.replace(parse_config(_concentration(
             model={"type": "iid", "tail_ratio": "1/2"}, k=k, n_cap=10**6)), n_samples=3)

@@ -427,17 +427,44 @@ class TestCounting:
         assert count_word_occurrences(x, w, []).tolist() == [0, 0, 0]
 
     def test_count_word_occurrences_matches_literal_scan(self):
-        # the last two ranges start below 1 and end past the last window: the
-        # count clips them to windows 1..300
+        # ranges (-40, 7) and (295, 10**30) start below 1 and end past the last
+        # window: the count clips them to windows 1..300; the single windows
+        # 64, 65 and 128 sit at the edges of the 64-window words that binary
+        # streams are matched in.  Binary streams (of the i.i.d. dtype uint8
+        # and the Markov dtype int64) are matched bit-parallel, the
+        # three-symbol ones by bytes; k = 63..130 shift across those words
         rng = np.random.default_rng(4)
-        ranges = [(1, 50), (90, 300), (-40, 7), (295, 10**30)]
-        for k in (1, 3, 70):  # 70 binary symbols overflow an int64 window code
-            x = rng.integers(0, 2, size=(6, 300 + k - 1), dtype=np.uint8)
-            w = x[:, 10: 10 + k].copy()
-            want = [sum(1 for a, b in ranges for i in range(max(a, 1), min(b, 300) + 1)
+        ranges = [(1, 50), (64, 64), (65, 65), (90, 300), (-40, 7), (128, 128),
+                  (295, 10**30)]
+
+        def literal(x, w, ranges):
+            k = w.shape[1]
+            return [sum(1 for a, b in ranges for i in range(max(a, 1), min(b, 300) + 1)
                         if tuple(row[i - 1: i - 1 + k]) == tuple(word))
                     for row, word in zip(x.tolist(), w.tolist())]
-            assert count_word_occurrences(x, w, ranges).tolist() == want
+
+        for k in (1, 3, 63, 64, 65, 70, 130):  # 70 binary symbols overflow an int64 code
+            for symbols in (2, 3):
+                for dtype in (np.uint8, np.int64):
+                    x = rng.integers(0, symbols, size=(6, 300 + k - 1)).astype(dtype)
+                    w = x[:, 10: 10 + k].copy()  # each row's word occurs at window 11
+                    want = literal(x, w, ranges)
+                    assert min(want) > 0
+                    assert count_word_occurrences(x, w, ranges).tolist() == want
+                    assert count_word_occurrences(x[:1], w[:1], ranges).tolist() == want[:1]
+                    for a in (1, 11, 64, 65, 300):  # one window
+                        assert count_word_occurrences(x, w, [(a, a)]).tolist() \
+                            == literal(x, w, [(a, a)])
+            # a symbol 2 in a binary stream's word: no window holds the word
+            x = rng.integers(0, 2, size=(3, 300 + k - 1), dtype=np.uint8)
+            w = x[:, 10: 10 + k].copy()
+            w[:, k // 2] = 2
+            assert count_word_occurrences(x, w, ranges).tolist() == [0, 0, 0]
+            # a symbol -1 is not binary either: it matches only itself
+            x = x.astype(np.int64)
+            x[:, 200] = -1
+            w = x[:, 200 - k // 2: 200 - k // 2 + k].copy()
+            assert count_word_occurrences(x, w, ranges).tolist() == literal(x, w, ranges)
 
     def test_materialization_guard(self):
         J = j_set(Fraction(1, 10**8), unit_interval())

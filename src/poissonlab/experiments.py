@@ -527,9 +527,9 @@ def run_annealed(cfg: ExperimentConfig) -> GenericityReport:
         totals = np.zeros((len(plan.js), len(rows)), dtype=np.int64)
         gen = SequenceGenerator(model, derive_seed(cfg.seed, 2, rows))
         for offset, chunk in _chunks(gen, plan.length, k, per_thread, threads.block):
-            for total, J in zip(totals, plan.js):  # the count clips each range to the chunk
-                total += count_word_occurrences(chunk, sought, [
-                    (a - offset, b - offset) for a, b in J.ranges])
+            # one match for every set; the count clips each range to the chunk
+            totals += count_word_occurrences(chunk, sought, [
+                [(a - offset, b - offset) for a, b in J.ranges] for J in plan.js])
         return totals
 
     with ThreadPoolExecutor(_WORKERS) as pool:
@@ -790,6 +790,12 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     functional's squared weight norm (``lipschitz_weights_phi1/phi2``: for
     phi1, 8 k^4 sup(S) max(K, 1)^2 rho^k), flagging any exceedance beyond
     three binomial standard errors where the bound is informative (< 1).
+
+    The streams come in blocks of about _SCAN_BLOCK symbols, and the symbol
+    budget is checked over all n_samples replicas when the functional asks
+    for its length, before anything is drawn.  Where every window has one
+    float measure, phi1 draws only the first block: every replica scans to
+    the same value.
     """
     if cfg.mode != "concentration":
         raise ConfigError("$.mode: run_concentration needs mode 'concentration'")

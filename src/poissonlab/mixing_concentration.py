@@ -494,6 +494,29 @@ def _sums(terms: np.ndarray, carry: np.ndarray | None, at: int) -> np.ndarray:
     return cs
 
 
+def _log_tables(model: Model) -> tuple[np.ndarray, ...]:
+    """The float log tables that a window's log-measure is summed from: the
+    per-symbol logs of a finite i.i.d. law, or a Markov chain's stationary
+    and transition logs, -inf where a probability is 0 (never drawn); none
+    for the geometric and CF laws."""
+    with np.errstate(divide="ignore"):
+        if isinstance(model, MarkovModel):
+            return np.log(np.asarray(model._pi_floats)), np.log(np.asarray(model._t_floats))
+        if isinstance(model, IidModel) and model.probs is not None:
+            return (np.log(np.asarray(model._floats)),)
+    return ()
+
+
+def _one_window_measure(model: Model) -> bool:
+    """Whether every finite entry of each of the model's float log tables
+    has one value: an i.i.d. law uniform on its support, or a chain whose
+    stationary logs and positive-transition logs are each one float.  Every
+    stream then sums the same floats, window by window, so it scans to the
+    same phi1 value as any other, bit for bit."""
+    tables = _log_tables(model)
+    return bool(tables) and all(np.unique(t[np.isfinite(t)]).size == 1 for t in tables)
+
+
 def _window_log_mu(model: Model, k: int) -> Callable[..., np.ndarray]:
     """The function from a symbol array to the float log-measures of the
     length-k windows along its last axis, with the model's log tables
@@ -507,10 +530,10 @@ def _window_log_mu(model: Model, k: int) -> Callable[..., np.ndarray]:
     then continues every partial sum as the same float as one sum over the
     whole rows.  CF windows are measured one by one and need no carry.
     """
+    tables = _log_tables(model)
     if isinstance(model, IidModel):
-        if model.probs is not None:
-            with np.errstate(divide="ignore"):  # a symbol of probability 0 never occurs
-                per = np.log(np.asarray(model._floats)).__getitem__
+        if tables:
+            per = tables[0].__getitem__
         else:
             r = model._r_float
             head, step = math.log1p(-r), math.log(r)
@@ -524,9 +547,7 @@ def _window_log_mu(model: Model, k: int) -> Callable[..., np.ndarray]:
             return cs[..., k:] - cs[..., :n_win]
         return iid
     if isinstance(model, MarkovModel):
-        logpi = np.log(np.asarray(model._pi_floats))
-        with np.errstate(divide="ignore"):
-            logt = np.log(np.asarray(model._t_floats))
+        logpi, logt = tables
 
         def markov(x: np.ndarray, carry: np.ndarray | None = None) -> np.ndarray:
             n_win = x.shape[-1] - k + 1
@@ -568,6 +589,12 @@ def phi_k_S(model: Model, streams: Streams, k: int, S: IntervalUnion,
     carried from chunk to chunk, so every scanned window has the float
     measure and hit of one scan over all N_cap windows.  Each row's hits are
     summed once, in order, so each value is that full scan's bit for bit.
+
+    Where every window has one float log-measure (``_one_window_measure``:
+    a finite i.i.d. law uniform on its support, or a chain with one
+    stationary log and one positive-transition log), every stream scans to
+    the same value: only the first block is drawn and scanned, and each
+    stream of a later block takes the first stream's value, with no take.
     """
     if N_cap < k:
         raise ConfigError("N_cap must be at least k")
@@ -579,8 +606,12 @@ def phi_k_S(model: Model, streams: Streams, k: int, S: IntervalUnion,
     log_mu = _window_log_mu(model, k)
     bounds = [(float(iv.lo), float(iv.hi), iv.lo_closed, iv.hi_closed)
               for iv in S.intervals]
+    same = _one_window_measure(model)
     values = []
     for gen in blocks:
+        if same and values:  # every stream scans to the first one's value
+            values += values[:1] * len(gen.seeds)
+            continue
         carry, found = np.zeros(len(gen.seeds)), []
         for offset, x in _chunks(gen, length, k, _SCAN_BLOCK):
             mu = np.exp(log_mu(x, carry))

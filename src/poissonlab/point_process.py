@@ -362,40 +362,55 @@ def _match_bits(x: np.ndarray, words: np.ndarray, n: int) -> np.ndarray:
 
 
 def count_word_occurrences(x: np.ndarray, words: np.ndarray,
-                           ranges: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Occurrences of each row's word in its stream over inclusive index ranges.
+                           ranges: Sequence[Sequence[tuple[int, int]]]) -> np.ndarray:
+    """Occurrences of each row's word in its stream over inclusive index
+    ranges, one list of ranges per target set.
 
     ``x`` is a (rows, length) symbol matrix and ``words`` the (rows, k)
     matrix of the words sought, one per row; positions are 1-indexed window
     starts, and each range is clipped to the windows that fit inside a row,
     so a range shifted to a block of the streams needs no clip of its own.
-    Returns the per-row counts.
+    Returns the (sets, rows) counts.
 
-    Where every symbol of ``x`` and of ``words`` is 0 or 1, the windows are
-    matched 64 at a time (``_match_bits``) and each range's set bits counted
-    under edge masks; otherwise ``k`` shifted equality masks are ANDed, so
+    The windows are matched once for every set.  Where every symbol of ``x``
+    and of ``words`` is 0 or 1, the windows from the first range's start to
+    the last one's end are matched 64 at a time (``_match_bits``) and each
+    range's set bits counted under edge masks; otherwise ``k`` shifted
+    equality masks are ANDed over each piece of the union of the ranges, so
     any alphabet and any ``k`` works.
     """
     k = words.shape[1]
     n_win = x.shape[1] - k + 1
-    spans = [(max(a, 1) - 1, min(b, n_win)) for a, b in ranges]  # 0-indexed starts [s, e)
-    spans = [(s, e) for s, e in spans if e > s]
-    total = np.zeros(len(x), dtype=np.int64)
-    if not spans:
+    # per set, the 0-indexed window starts [s, e) of each range that keeps a window
+    spans = [[(s, e) for a, b in rs if (e := min(b, n_win)) > (s := max(a, 1) - 1)]
+             for rs in ranges]
+    total = np.zeros((len(spans), len(x)), dtype=np.int64)
+    union = sorted(span for per_set in spans for span in per_set)
+    if not union:
         return total
     if _binary(words) and _binary(x):
-        first = min(s for s, _ in spans) // 64  # the hit words that cover every span
-        n = (max(e for _, e in spans) - 1) // 64 + 1 - first
+        first = union[0][0] // 64  # the hit words that cover every span
+        n = (max(e for _, e in union) - 1) // 64 + 1 - first
         hits = _match_bits(x[:, 64 * first: 64 * (first + n) + k - 1], words, n)
-        for s, e in spans:
-            part = hits[:, s // 64 - first: (e - 1) // 64 + 1 - first].copy()
-            part[:, 0] &= _ONES << np.uint64(s % 64)
-            part[:, -1] &= _ONES >> np.uint64(63 - (e - 1) % 64)
-            total += _popcount(part).sum(axis=1, dtype=np.int64)
+        for row, per_set in zip(total, spans):
+            for s, e in per_set:
+                part = hits[:, s // 64 - first: (e - 1) // 64 + 1 - first].copy()
+                part[:, 0] &= _ONES << np.uint64(s % 64)
+                part[:, -1] &= _ONES >> np.uint64(63 - (e - 1) % 64)
+                row += _popcount(part).sum(axis=1, dtype=np.int64)
         return total
-    for s, e in spans:
-        acc = x[:, s: e] == words[:, :1]
+    pieces = [list(union[0])]  # the union of the spans, as disjoint [s, e)
+    for s, e in union[1:]:
+        if s <= pieces[-1][1]:
+            pieces[-1][1] = max(pieces[-1][1], e)
+        else:
+            pieces.append([s, e])
+    for lo, hi in pieces:
+        acc = x[:, lo: hi] == words[:, :1]
         for j in range(1, k):
-            acc &= x[:, s + j: e + j] == words[:, j: j + 1]
-        total += np.count_nonzero(acc, axis=1)
+            acc &= x[:, lo + j: hi + j] == words[:, j: j + 1]
+        for row, per_set in zip(total, spans):
+            for s, e in per_set:
+                if lo <= s < hi:  # the span lies in this piece
+                    row += np.count_nonzero(acc[:, s - lo: e - lo], axis=1)
     return total

@@ -344,18 +344,22 @@ class TestAnnealed:
 # sets empty, so its plan needs no stream (length 0); words of measure in
 # (1/16, 1/8] have an empty second set only
 LOW_SETS = [[["0", "1/8", False, True]], [["1/32", "1/16", False, True]]]
+# (0, 1], (0, 1/2] and (1/2, 1]: one count per chunk serves all three
+HALF_SETS = [[["0", "1", False, True]], [["0", "1/2", False, True]],
+             [["1/2", "1", False, True]]]
 # (document, _BATCH_ELEMS): for the first four, three times the longest
 # stream, so a pool of up to 3 threads runs whole and most plans span several
 # batches; the second to fourth documents are truncated by n_cap.  The fair
 # coin's streams (263 symbols) are longer than _BATCH_ELEMS, so each is
 # counted bit-parallel in chunks of 200, 100 or 66 windows, cut across the
-# 64-window words of the match bits
+# 64-window words of the match bits, with one target set and with three
 THREAD_DOCS = [
     (_doc(model=THREE_SPEC, k=2, n_samples=150, sets=LOW_SETS), 15),
     (_doc(model=GEOMETRIC_SPEC, k=3, n_samples=150, sets=LOW_SETS, n_cap=30), 90),
     (_doc(model=MARKOV_SPEC, k=4, n_samples=150, sets=LOW_SETS, n_cap=12), 36),
     (_doc(model=CF_SPEC, k=2, n_samples=150, sets=LOW_SETS, n_cap=40), 120),
     (_doc(k=8, n_samples=150), 200),
+    (_doc(k=8, n_samples=150, sets=HALF_SETS), 200),
 ]
 
 
@@ -367,7 +371,8 @@ class TestAnnealedThreads:
     """The batches of an annealed run are drawn and scanned on a thread pool."""
 
     @pytest.mark.parametrize("doc,batch_elems", THREAD_DOCS,
-                             ids=["three", "geometric", "markov", "gauss", "fair"])
+                             ids=["three", "geometric", "markov", "gauss", "fair",
+                                  "fair-three-sets"])
     def test_report_does_not_depend_on_the_thread_count(self, monkeypatch, doc, batch_elems):
         from poissonlab import experiments
 
@@ -406,6 +411,31 @@ class TestAnnealedThreads:
             execute(parse_config(doc), None)
         assert info.value is err
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("doc,batch_elems", [THREAD_DOCS[0], THREAD_DOCS[-1]],
+                             ids=["three", "fair-three-sets"])
+    def test_one_count_per_chunk_serves_every_set(self, monkeypatch, doc, batch_elems):
+        from poissonlab import experiments
+
+        scan, chunks, calls = experiments.count_word_occurrences, experiments._chunks, []
+
+        def counted(x, words, ranges):
+            calls.append(len(ranges))
+            return scan(x, words, ranges)
+
+        def chunked(*args):
+            for chunk in chunks(*args):
+                calls.append("chunk")
+                yield chunk
+
+        monkeypatch.setattr(experiments, "_BATCH_ELEMS", batch_elems)
+        monkeypatch.setattr(experiments, "_WORKERS", 1)
+        monkeypatch.setattr(experiments, "count_word_occurrences", counted)
+        monkeypatch.setattr(experiments, "_chunks", chunked)
+        run_annealed(parse_config(doc))
+        # each chunk is followed by one count over all of the document's sets
+        assert calls.count("chunk") > 10
+        assert calls == ["chunk", len(doc["sets"])] * calls.count("chunk")
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("doc,longest", [

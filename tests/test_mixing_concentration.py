@@ -37,12 +37,14 @@ GEO_LAGS = tuple(0.7**m for m in range(1, 31))
 class _Rows:
     """A block of streams for the functionals from a matrix already drawn,
     one stream per row, read by ``take`` as a generator of their seeds would
-    give them, into ``out`` where given."""
+    give them, into ``out`` where given; ``takes`` records each take's n."""
 
     def __init__(self, rows):
         self.rows, self.seeds, self.emitted, self.dtype = rows, range(len(rows)), 0, rows.dtype
+        self.takes = []
 
     def take(self, n, out=None):
+        self.takes.append(n)
         self.emitted += n
         x = self.rows[:, self.emitted - n: self.emitted]
         if out is None:
@@ -458,7 +460,8 @@ def _full_scan_log_mu(model, x, k):
             r = model._r_float
             per = math.log1p(-r) + x * math.log(r)
         else:
-            per = np.log(np.asarray(model._floats))[x]
+            with np.errstate(divide="ignore"):  # a symbol of probability 0 is never drawn
+                per = np.log(np.asarray(model._floats))[x]
         cs = np.concatenate([[0.0], np.cumsum(per)])
         return cs[k:] - cs[:-k]
     n_win = len(x) - k + 1
@@ -499,7 +502,12 @@ SCAN_MODELS = {
     "triple": IidModel(probs=(Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))),
     "chain": CHAIN,
     "two_fifths": IidModel(probs=(Fraction(2, 5), Fraction(3, 5))),
+    # every window of these has one float measure: phi_k_S scans one block
+    "support_uniform": IidModel(probs=(Fraction(0), Fraction(1, 2), Fraction(1, 2))),
+    "triangle": MarkovModel(transition=tuple(
+        tuple(Fraction(0) if a == b else Fraction(1, 2) for b in range(3)) for a in range(3))),
 }
+ONE_MEASURE = ("fair", "support_uniform", "triangle")
 # no positive floor on a word's measure: every window up to n_cap is scanned
 FLOORLESS_MODELS = {
     "geometric": IidModel(tail_ratio=Fraction(1, 2)),
@@ -571,6 +579,37 @@ class TestPhiScanMatchesFullScan:
         values, _ = phi_k_S(model, streams, k, S, FLOORLESS_CAP)
         expected = _full_scan(model, lambda n: [_Rows(rows[:, :n])], k, S, FLOORLESS_CAP)
         assert np.array_equal(values, expected)
+
+    @pytest.mark.parametrize("name", [*ONE_MEASURE, "third"])
+    def test_one_measure_laws_read_only_the_first_block(self, scan_rows, name):
+        # blocks of 1, 2 and 1 streams; each block records its takes
+        k, S, model, rows = 3, TWO_INTERVALS, SCAN_MODELS[name], scan_rows[name]
+        blocks = []
+
+        def streams(length):
+            blocks[:] = [_Rows(rows[lo: hi, :length]) for lo, hi in ((0, 1), (1, 3), (3, 4))]
+            return blocks
+
+        values, _ = phi_k_S(model, streams, k, S, 5000)
+        read = [bool(block.takes) for block in blocks]
+        assert read == ([True, False, False] if name in ONE_MEASURE else [True] * 3)
+        assert np.array_equal(values, _full_scan(model, lambda n: [_Rows(rows[:, :n])],
+                                                 k, S, 5000))
+        assert (len(set(values.tolist())) == 1) == (name in ONE_MEASURE)
+
+    def test_one_window_measure(self):
+        from poissonlab.mixing_concentration import _one_window_measure
+
+        half = Fraction(1, 2)
+        assert [name for name, model in {**SCAN_MODELS, **FLOORLESS_MODELS}.items()
+                if _one_window_measure(model)] == list(ONE_MEASURE)
+        assert _one_window_measure(MarkovModel(transition=((half, half), (half, half))))
+        assert _one_window_measure(IidModel(probs=(Fraction(1, 3),) * 3))
+        # a uniform stationary law, but two transition logs
+        assert not _one_window_measure(MarkovModel(transition=(
+            (Fraction(1, 3), Fraction(2, 3)), (Fraction(2, 3), Fraction(1, 3)))))
+        assert not _one_window_measure(IidModel(probs=(Fraction(0), Fraction(1, 3),
+                                                       Fraction(2, 3))))
 
     @pytest.mark.parametrize("name", SCAN_MODELS)
     @pytest.mark.parametrize("S", [UNIT, TWO_INTERVALS], ids=["unit", "two_intervals"])

@@ -413,18 +413,23 @@ class TestCounting:
     def test_count_word_occurrences_basic(self):
         x = np.array([[0, 1, 0, 1, 1, 0, 1]], dtype=np.int64)
         w01, w11 = np.array([[0, 1]]), np.array([[1, 1]])
-        assert count_word_occurrences(x, w01, [(1, 6)]).tolist() == [3]
-        assert count_word_occurrences(x, w01, [(2, 3)]).tolist() == [1]
-        assert count_word_occurrences(x, w11, [(1, 6)]).tolist() == [1]
-        assert count_word_occurrences(x, w01, [(1, 2), (5, 6)]).tolist() == [2]
+        assert count_word_occurrences(x, w01, [[(1, 6)]]).tolist() == [[3]]
+        assert count_word_occurrences(x, w01, [[(2, 3)]]).tolist() == [[1]]
+        assert count_word_occurrences(x, w11, [[(1, 6)]]).tolist() == [[1]]
+        assert count_word_occurrences(x, w01, [[(1, 2), (5, 6)]]).tolist() == [[2]]
+        # one call, one row of counts per set
+        assert count_word_occurrences(x, w01, [[(1, 6)], [(2, 3)], [(1, 2), (5, 6)]]
+                                      ).tolist() == [[3], [1], [2]]
 
     def test_count_word_occurrences_rows(self):
         # each row is scanned for its own word
         x = np.array([[0, 1, 0, 1, 0], [1, 1, 1, 0, 1], [0, 1, 0, 1, 0]], dtype=np.uint8)
         w = np.array([[0, 1], [1, 1], [1, 0]], dtype=np.uint8)
-        assert count_word_occurrences(x, w, [(1, 4)]).tolist() == [2, 2, 2]
-        assert count_word_occurrences(x, w, [(2, 3)]).tolist() == [1, 1, 1]
-        assert count_word_occurrences(x, w, []).tolist() == [0, 0, 0]
+        assert count_word_occurrences(x, w, [[(1, 4)]]).tolist() == [[2, 2, 2]]
+        assert count_word_occurrences(x, w, [[(2, 3)]]).tolist() == [[1, 1, 1]]
+        assert count_word_occurrences(x, w, [[]]).tolist() == [[0, 0, 0]]
+        assert count_word_occurrences(x, w, [[], []]).tolist() == [[0, 0, 0]] * 2
+        assert count_word_occurrences(x, w, []).shape == (0, 3)
 
     def test_count_word_occurrences_matches_literal_scan(self):
         # ranges (-40, 7) and (295, 10**30) start below 1 and end past the last
@@ -432,16 +437,22 @@ class TestCounting:
         # 64, 65 and 128 sit at the edges of the 64-window words that binary
         # streams are matched in.  Binary streams (of the i.i.d. dtype uint8
         # and the Markov dtype int64) are matched bit-parallel, the
-        # three-symbol ones by bytes; k = 63..130 shift across those words
+        # three-symbol ones by bytes; k = 63..130 shift across those words.
+        # Several sets go in one call: one overlapping the first, one
+        # disjoint from it, one empty and one wholly past the windows
         rng = np.random.default_rng(4)
         ranges = [(1, 50), (64, 64), (65, 65), (90, 300), (-40, 7), (128, 128),
                   (295, 10**30)]
+        sets = [ranges, [(30, 120), (200, 200)], [(51, 63), (66, 89)], [], [(301, 400)]]
 
         def literal(x, w, ranges):
             k = w.shape[1]
             return [sum(1 for a, b in ranges for i in range(max(a, 1), min(b, 300) + 1)
                         if tuple(row[i - 1: i - 1 + k]) == tuple(word))
                     for row, word in zip(x.tolist(), w.tolist())]
+
+        def per_set(x, w, sets):
+            return [literal(x, w, rs) for rs in sets]
 
         for k in (1, 3, 63, 64, 65, 70, 130):  # 70 binary symbols overflow an int64 code
             for symbols in (2, 3):
@@ -450,21 +461,26 @@ class TestCounting:
                     w = x[:, 10: 10 + k].copy()  # each row's word occurs at window 11
                     want = literal(x, w, ranges)
                     assert min(want) > 0
-                    assert count_word_occurrences(x, w, ranges).tolist() == want
-                    assert count_word_occurrences(x[:1], w[:1], ranges).tolist() == want[:1]
+                    assert count_word_occurrences(x, w, [ranges]).tolist() == [want]
+                    assert count_word_occurrences(x[:1], w[:1], [ranges]).tolist() \
+                        == [want[:1]]
+                    assert count_word_occurrences(x, w, sets).tolist() == per_set(x, w, sets)
+                    for chosen in (sets[1:3], sets[2:], sets[::-1]):
+                        assert count_word_occurrences(x, w, chosen).tolist() \
+                            == per_set(x, w, chosen)
                     for a in (1, 11, 64, 65, 300):  # one window
-                        assert count_word_occurrences(x, w, [(a, a)]).tolist() \
-                            == literal(x, w, [(a, a)])
+                        assert count_word_occurrences(x, w, [[(a, a)]]).tolist() \
+                            == [literal(x, w, [(a, a)])]
             # a symbol 2 in a binary stream's word: no window holds the word
             x = rng.integers(0, 2, size=(3, 300 + k - 1), dtype=np.uint8)
             w = x[:, 10: 10 + k].copy()
             w[:, k // 2] = 2
-            assert count_word_occurrences(x, w, ranges).tolist() == [0, 0, 0]
+            assert count_word_occurrences(x, w, sets).tolist() == [[0, 0, 0]] * len(sets)
             # a symbol -1 is not binary either: it matches only itself
             x = x.astype(np.int64)
             x[:, 200] = -1
             w = x[:, 200 - k // 2: 200 - k // 2 + k].copy()
-            assert count_word_occurrences(x, w, ranges).tolist() == literal(x, w, ranges)
+            assert count_word_occurrences(x, w, sets).tolist() == per_set(x, w, sets)
 
     def test_materialization_guard(self):
         J = j_set(Fraction(1, 10**8), unit_interval())

@@ -372,12 +372,11 @@ def count_word_occurrences(x: np.ndarray, words: np.ndarray,
     so a range shifted to a block of the streams needs no clip of its own.
     Returns the (sets, rows) counts.
 
-    The windows are matched once for every set.  Where every symbol of ``x``
-    and of ``words`` is 0 or 1, the windows from the first range's start to
-    the last one's end are matched 64 at a time (``_match_bits``) and each
-    range's set bits counted under edge masks; otherwise ``k`` shifted
-    equality masks are ANDed over each piece of the union of the ranges, so
-    any alphabet and any ``k`` works.
+    Where every symbol of ``x`` and of ``words`` is 0 or 1, the windows from
+    the first range's start to the last one's end, over all sets, are
+    matched once 64 at a time (``_match_bits``) and each range's set bits
+    counted under edge masks; otherwise ``k`` shifted equality masks are
+    ANDed over each range of each set, so any alphabet and any ``k`` works.
     """
     k = words.shape[1]
     n_win = x.shape[1] - k + 1
@@ -385,12 +384,12 @@ def count_word_occurrences(x: np.ndarray, words: np.ndarray,
     spans = [[(s, e) for a, b in rs if (e := min(b, n_win)) > (s := max(a, 1) - 1)]
              for rs in ranges]
     total = np.zeros((len(spans), len(x)), dtype=np.int64)
-    union = sorted(span for per_set in spans for span in per_set)
-    if not union:
+    every = [span for per_set in spans for span in per_set]
+    if not every:
         return total
     if _binary(words) and _binary(x):
-        first = union[0][0] // 64  # the hit words that cover every span
-        n = (max(e for _, e in union) - 1) // 64 + 1 - first
+        first = min(s for s, _ in every) // 64  # the hit words that cover every span
+        n = (max(e for _, e in every) - 1) // 64 + 1 - first
         hits = _match_bits(x[:, 64 * first: 64 * (first + n) + k - 1], words, n)
         for row, per_set in zip(total, spans):
             for s, e in per_set:
@@ -399,18 +398,10 @@ def count_word_occurrences(x: np.ndarray, words: np.ndarray,
                 part[:, -1] &= _ONES >> np.uint64(63 - (e - 1) % 64)
                 row += _popcount(part).sum(axis=1, dtype=np.int64)
         return total
-    pieces = [list(union[0])]  # the union of the spans, as disjoint [s, e)
-    for s, e in union[1:]:
-        if s <= pieces[-1][1]:
-            pieces[-1][1] = max(pieces[-1][1], e)
-        else:
-            pieces.append([s, e])
-    for lo, hi in pieces:
-        acc = x[:, lo: hi] == words[:, :1]
-        for j in range(1, k):
-            acc &= x[:, lo + j: hi + j] == words[:, j: j + 1]
-        for row, per_set in zip(total, spans):
-            for s, e in per_set:
-                if lo <= s < hi:  # the span lies in this piece
-                    row += np.count_nonzero(acc[:, s - lo: e - lo], axis=1)
+    for row, per_set in zip(total, spans):
+        for s, e in per_set:
+            acc = x[:, s: e] == words[:, :1]
+            for j in range(1, k):
+                acc &= x[:, s + j: e + j] == words[:, j: j + 1]
+            row += np.count_nonzero(acc, axis=1)
     return total

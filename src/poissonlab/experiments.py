@@ -32,9 +32,9 @@ from .measures import (GaussCFModel, IidModel, MarkovModel, Model, SequenceGener
                        mixing_profile, model_from_spec, model_to_spec)
 from .mixing_concentration import (DELTA_NORM_MATRIX_CAP, MAX_LAG_CAP,
                                    PHI2_EXACT_CAP, _SCAN_BLOCK, _chunks,
-                                   _count_words, _plan_words, delta_matrix, delta_norm,
-                                   delta_norm_bound, eta_coefficients,
-                                   lipschitz_weights_phi1,
+                                   _count_words, _one_window_measure, _plan_words,
+                                   delta_matrix, delta_norm, delta_norm_bound,
+                                   eta_coefficients, lipschitz_weights_phi1,
                                    lipschitz_weights_phi2, phi2_enumerable,
                                    phi_k_j_S, phi_k_S)
 from .oracles import (annealed_exact_expectation, brute_force_distribution,
@@ -793,9 +793,10 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
 
     The streams come in blocks of about _SCAN_BLOCK symbols, and the symbol
     budget is checked over all n_samples replicas when the functional asks
-    for its length, before anything is drawn.  Where every window has one
-    float measure, phi1 draws only the first block: every replica scans to
-    the same value.
+    for its length, before anything is drawn.  Where every stream sums the
+    same floats in the same order (``_one_window_measure``), every replica
+    scans to the same phi1 value: only replica 0 is drawn and scanned, and
+    its value is repeated n_samples times.
     """
     if cfg.mode != "concentration":
         raise ConfigError("$.mode: run_concentration needs mode 'concentration'")
@@ -805,17 +806,21 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     dn = delta_norm_bound(profile)
     denominator = dn**2 * weights(k, S, profile)[1]
 
-    seeds = derive_seed(cfg.seed, 1, np.arange(n))
+    one = cfg.functional == "phi1" and _one_window_measure(model)
+    seeds = derive_seed(cfg.seed, 1, np.arange(1 if one else n))
 
     def streams(length: int):
         # blocks of about _SCAN_BLOCK symbols: whole rows, or one row that
         # the functional takes in chunks
         _check_budget(n * length)
         rows = max(1, _SCAN_BLOCK // max(length, 1))
-        return (SequenceGenerator(model, seeds[lo: lo + rows]) for lo in range(0, n, rows))
+        return (SequenceGenerator(model, seeds[lo: lo + rows])
+                for lo in range(0, len(seeds), rows))
 
     if cfg.functional == "phi1":
         values, complete = phi_k_S(model, streams, k, S, cfg.n_cap)
+        if one:  # replica 0's value stands for every replica
+            values = np.repeat(values, n)
     else:
         values, truncated = phi_k_j_S(model, streams, k, cfg.j, S, cfg.n_cap)
         complete = truncated == 0.0

@@ -88,15 +88,15 @@ def delta_norm(delta: np.ndarray) -> float:
         raise ValueError("need a square matrix")
     n = delta.shape[0]
     gram = delta.T @ delta
-    v = np.full(n, 1.0 / math.sqrt(n))
+    w = gram @ np.full(n, 1.0 / math.sqrt(n))
     lam = 0.0
     for _ in range(10**5):
-        w = gram @ v
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             return 0.0
         v = w / norm
-        new_lam = float(v @ (gram @ v))
+        w = gram @ v  # the next step's product
+        new_lam = float(v @ w)
         if abs(new_lam - lam) <= 1e-10 * max(new_lam, 1e-300):
             return math.sqrt(new_lam)
         lam = new_lam
@@ -193,13 +193,13 @@ def _plan_words(model: Model, words: np.ndarray, sets: Sequence[IntervalUnion],
     """Each word's plan index and the distinct plans, for streams of at most
     ``n_cap`` symbols.
 
-    Words with equal cylinder measures share one plan.  Under an i.i.d.
-    model the measure depends only on the symbol counts, so words are keyed
-    by their sorted symbols; otherwise by the word itself.  Each index set is
-    decided up to the last window start that fits in ``n_cap`` symbols
-    (``j_set``'s ``limit``), past it only as far as the cut needs: so a CF
-    word whose guard band lies past the cap costs no high-precision
-    decision, and every range endpoint is at most n_cap - k + 2.
+    Words with equal keys share one plan.  Under an i.i.d. model the
+    measure depends only on the symbol counts, so a word's key is its sorted
+    symbols; otherwise the word itself.  Each index set is decided up to the
+    last window start that fits in ``n_cap`` symbols (``j_set``'s
+    ``limit``), past it only as far as the cut needs: so a CF word whose
+    guard band lies past the cap costs no high-precision decision, and every
+    range endpoint is at most n_cap - k + 2.
     """
     keys = np.sort(words, axis=1) if isinstance(model, IidModel) else words
     first, plan_of = _distinct_rows(keys)
@@ -511,10 +511,10 @@ def _one_window_measure(model: Model) -> bool:
     """Whether every finite entry of each of the model's float log tables
     has one value: an i.i.d. law uniform on its support, or a chain whose
     stationary logs and positive-transition logs are each one float.  Every
-    stream then sums the same floats, window by window, so it scans to the
+    stream then sums the same floats in the same order, so it scans to the
     same phi1 value as any other, bit for bit."""
-    tables = _log_tables(model)
-    return bool(tables) and all(np.unique(t[np.isfinite(t)]).size == 1 for t in tables)
+    tables = [t[np.isfinite(t)] for t in _log_tables(model)]
+    return bool(tables) and all(t.min() == t.max() for t in tables)
 
 
 def _window_log_mu(model: Model, k: int) -> Callable[..., np.ndarray]:
@@ -589,12 +589,6 @@ def phi_k_S(model: Model, streams: Streams, k: int, S: IntervalUnion,
     carried from chunk to chunk, so every scanned window has the float
     measure and hit of one scan over all N_cap windows.  Each row's hits are
     summed once, in order, so each value is that full scan's bit for bit.
-
-    Where every window has one float log-measure (``_one_window_measure``:
-    a finite i.i.d. law uniform on its support, or a chain with one
-    stationary log and one positive-transition log), every stream scans to
-    the same value: only the first block is drawn and scanned, and each
-    stream of a later block takes the first stream's value, with no take.
     """
     if N_cap < k:
         raise ConfigError("N_cap must be at least k")
@@ -606,12 +600,8 @@ def phi_k_S(model: Model, streams: Streams, k: int, S: IntervalUnion,
     log_mu = _window_log_mu(model, k)
     bounds = [(float(iv.lo), float(iv.hi), iv.lo_closed, iv.hi_closed)
               for iv in S.intervals]
-    same = _one_window_measure(model)
     values = []
     for gen in blocks:
-        if same and values:  # every stream scans to the first one's value
-            values += values[:1] * len(gen.seeds)
-            continue
         carry, found = np.zeros(len(gen.seeds)), []
         for offset, x in _chunks(gen, length, k, _SCAN_BLOCK):
             mu = np.exp(log_mu(x, carry))

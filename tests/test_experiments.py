@@ -1006,7 +1006,7 @@ class TestOracleMode:
 def test_cf_and_exact_documents_never_import_mpmath():
     # the Gauss CF quenched document with words past its n_cap, an oracle,
     # a mixing and a concentration document: every report field is decided
-    # in floats or exact rationals
+    # in floats or exact rationals, and running them imports no module at all
     docs = [
         {"mode": "quenched", "model": {"type": "gauss_cf"}, "k": 8,
          "sets": [[["0", "1", False, True]]], "n_samples": 200, "n_x_replicas": 1,
@@ -1021,12 +1021,14 @@ def test_cf_and_exact_documents_never_import_mpmath():
     ]
     code = ("import json, sys\n"
             "from poissonlab.experiments import execute, parse_config\n"
-            "for doc in json.loads(sys.argv[1]):\n"
-            "    execute(parse_config(doc), None)\n"
-            "print('mpmath' in sys.modules)\n")
+            "cfgs = [parse_config(doc) for doc in json.loads(sys.argv[1])]\n"
+            "before = set(sys.modules)\n"
+            "for cfg in cfgs:\n"
+            "    execute(cfg, None)\n"
+            "print('mpmath' in sys.modules, sorted(set(sys.modules) - before))\n")
     out = subprocess.run([sys.executable, "-c", code, json.dumps(docs)], capture_output=True,
                          text=True, check=True, timeout=120).stdout
-    assert out == "False\n"
+    assert out == "False []\n"
 
 
 class TestMixingMode:

@@ -37,14 +37,12 @@ GEO_LAGS = tuple(0.7**m for m in range(1, 31))
 class _Rows:
     """A block of streams for the functionals from a matrix already drawn,
     one stream per row, read by ``take`` as a generator of their seeds would
-    give them, into ``out`` where given; ``takes`` records each take's n."""
+    give them, into ``out`` where given."""
 
     def __init__(self, rows):
         self.rows, self.seeds, self.emitted, self.dtype = rows, range(len(rows)), 0, rows.dtype
-        self.takes = []
 
     def take(self, n, out=None):
-        self.takes.append(n)
         self.emitted += n
         x = self.rows[:, self.emitted - n: self.emitted]
         if out is None:
@@ -502,7 +500,7 @@ SCAN_MODELS = {
     "triple": IidModel(probs=(Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))),
     "chain": CHAIN,
     "two_fifths": IidModel(probs=(Fraction(2, 5), Fraction(3, 5))),
-    # every window of these has one float measure: phi_k_S scans one block
+    # every stream of these sums the same floats: a phi1 run draws one replica
     "support_uniform": IidModel(probs=(Fraction(0), Fraction(1, 2), Fraction(1, 2))),
     "triangle": MarkovModel(transition=tuple(
         tuple(Fraction(0) if a == b else Fraction(1, 2) for b in range(3)) for a in range(3))),
@@ -579,23 +577,6 @@ class TestPhiScanMatchesFullScan:
         values, _ = phi_k_S(model, streams, k, S, FLOORLESS_CAP)
         expected = _full_scan(model, lambda n: [_Rows(rows[:, :n])], k, S, FLOORLESS_CAP)
         assert np.array_equal(values, expected)
-
-    @pytest.mark.parametrize("name", [*ONE_MEASURE, "third"])
-    def test_one_measure_laws_read_only_the_first_block(self, scan_rows, name):
-        # blocks of 1, 2 and 1 streams; each block records its takes
-        k, S, model, rows = 3, TWO_INTERVALS, SCAN_MODELS[name], scan_rows[name]
-        blocks = []
-
-        def streams(length):
-            blocks[:] = [_Rows(rows[lo: hi, :length]) for lo, hi in ((0, 1), (1, 3), (3, 4))]
-            return blocks
-
-        values, _ = phi_k_S(model, streams, k, S, 5000)
-        read = [bool(block.takes) for block in blocks]
-        assert read == ([True, False, False] if name in ONE_MEASURE else [True] * 3)
-        assert np.array_equal(values, _full_scan(model, lambda n: [_Rows(rows[:, :n])],
-                                                 k, S, 5000))
-        assert (len(set(values.tolist())) == 1) == (name in ONE_MEASURE)
 
     def test_one_window_measure(self):
         from poissonlab.mixing_concentration import _one_window_measure
@@ -756,6 +737,29 @@ class TestConcentrationExperiment:
             values, _ = phi_k_j_S(CHAIN, streams, 4, 0, UNIT, 400)
         rep = run_concentration(cfg)
         assert rep.mean == float(np.mean(values)) and rep.std == float(np.std(values))
+
+    @pytest.mark.parametrize("name", [*ONE_MEASURE, "third"])
+    def test_one_measure_laws_draw_only_replica_0(self, name, monkeypatch):
+        # every replica of a one-measure law scans to one phi1 value: the
+        # run draws replica 0 alone, in its own block, and repeats its value
+        from poissonlab import experiments
+        from poissonlab.rng import derive_seed
+
+        model, drawn = SCAN_MODELS[name], []
+
+        def spy(law, seeds):
+            drawn.extend(seeds.tolist())
+            return SequenceGenerator(law, seeds)
+
+        monkeypatch.setattr(experiments, "SequenceGenerator", spy)
+        monkeypatch.setattr(experiments, "_SCAN_BLOCK", 800)  # several blocks of streams
+        rep = run_concentration(parse_config(_concentration(
+            model=model_to_spec(model), k=3, sets=[TWO_INTERVALS.to_spec()], n_cap=5000)))
+        seeds = derive_seed(13, 1, np.arange(200))
+        assert drawn == (seeds[:1] if name in ONE_MEASURE else seeds).tolist()
+        values, _ = phi_k_S(model, _generated(model, list(seeds)), 3, TWO_INTERVALS, 5000)
+        assert rep.mean == float(np.mean(values)) and rep.std == float(np.std(values))
+        assert (len(set(values.tolist())) == 1) == (name in ONE_MEASURE)
 
     def test_symbols_in_flight_stay_within_one_block(self, monkeypatch):
         # the geometric model has no measure floor, so every window up to

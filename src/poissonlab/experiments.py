@@ -725,12 +725,16 @@ def run_oracle_suite(cfg: ExperimentConfig) -> OracleReport:
             raise UnsupportedModelError("count-law decay uses the iid DP path")
         prof = contraction_profile(model)
         lam = float(S.total_length)
+        # the two smallest symbols of positive probability (a law has two, or
+        # it is degenerate): a word with a null symbol has measure 0 and the
+        # point mass at 0 as its count law
+        a, b = [sym for sym, p in enumerate(model.probs) if p][:2]
         ref_tv = []
         for k_d in (4, 8, 12):
             # aperiodic word: periodic words are the non-generic exceptions
             # (their counts clump into a compound limit), so decay needs an
             # overlap-free representative
-            w = (0,) * (k_d - 1) + (1,)
+            w = (a,) * (k_d - 1) + (b,)
             dist = dp_count_distribution(model, w, S)
             jm = histogram_j_max(lam)
             folded: dict[int, float] = {}
@@ -742,7 +746,7 @@ def run_oracle_suite(cfg: ExperimentConfig) -> OracleReport:
             _require(t2 <= t1 + 1e-12, f"TV rose from k={k1} ({t1:.3e}) to k={k2} ({t2:.3e})")
         fitted = max(tv / (k_d * prof.rho**k_d) for k_d, tv in ref_tv)
         _require(fitted <= 4.0, f"fitted decay constant {fitted:.3f} > 4")
-        w4 = (0, 0, 0, 1)
+        w4 = (a, a, a, b)
         bf = brute_force_distribution(model, w4, S)
         dp = dp_count_distribution(model, w4, S)
         for jj in set(bf) | set(dp):

@@ -47,8 +47,7 @@ _LN2 = math.log(2.0)
 # CF digits are drawn from the one-ratio law once |delta| is below this
 # (_cf_digits)
 _DEEP_DELTA = 1e-17
-_TAKE_BLOCK = 1 << 20  # raw values per raw_block call of SequenceGenerator.take, CF
-_DRAW_BLOCK = 1 << 16  # the same for every other model
+_DRAW_BLOCK = 1 << 16  # raw values per raw_block call of SequenceGenerator.take
 # the deep CF digits are stepped in blocks of _DEEP_BLOCK, each started
 # _DEEP_WARMUP digits early (_deep_digits)
 _DEEP_BLOCK = 64
@@ -432,18 +431,16 @@ class SequenceGenerator:
         one row per seed, of ``self.dtype``.  With ``out``, a (seeds, n)
         array of that dtype (a view into a caller's block, say), they are
         written there instead of to a new array.  Rows are drawn together in
-        blocks of whole rows or row pieces of about _TAKE_BLOCK uniforms (CF)
-        or _DRAW_BLOCK values."""
+        blocks of whole rows or row pieces of about _DRAW_BLOCK values."""
         if n < 0:
             raise ValueError("n must be nonnegative")
         model, seeds = self.model, self.seeds
-        size = _TAKE_BLOCK if isinstance(model, GaussCFModel) else _DRAW_BLOCK
         if out is None:
             out = np.empty((len(seeds), n), dtype=self.dtype)
         elif out.shape != (len(seeds), n) or out.dtype != self.dtype:
             raise ValueError(f"out must be a {(len(seeds), n)} array of {self.dtype}")
-        width = max(1, min(n, size))
-        height = max(1, size // width)
+        width = max(1, min(n, _DRAW_BLOCK))
+        height = max(1, _DRAW_BLOCK // width)
         raw = np.empty((min(height, len(seeds)), width), dtype=np.uint64)
         scratch = np.empty_like(raw)
         for c0 in range(0, n, width):

@@ -364,10 +364,12 @@ def brute_force_distribution(model: Model, w: Sequence[int],
 # automaton DP for lengths enumeration cannot reach
 
 
-def _kmp_automaton(w, alphabet: int) -> tuple[np.ndarray, int]:
-    """The KMP transition table of ``w`` over symbols 0..alphabet-1 (state =
-    matched prefix length, k on a full match) and the state a match falls
-    back to."""
+def _kmp_automaton(w, probs) -> tuple[np.ndarray, int]:
+    """The transfer matrix of the KMP automaton of ``w`` (state = matched
+    prefix length, k on a full match) under the i.i.d. symbol law
+    ``probs``: ``step[nxt, state]`` is the probability of moving from
+    ``state`` < k to ``nxt``, so row k holds the probabilities of completing
+    w; and the state a completed match falls back to."""
     k = len(w)
     fail = [0] * k
     t = 0
@@ -377,21 +379,26 @@ def _kmp_automaton(w, alphabet: int) -> tuple[np.ndarray, int]:
         if w[i] == w[t]:
             t += 1
         fail[i] = t
-    delta = np.zeros((k, alphabet), dtype=np.int64)
+    step = np.zeros((k + 1, k))
     for state in range(k):
-        for a in range(alphabet):
+        for a, p in enumerate(probs):
             t = state
             while t and w[t] != a:
                 t = fail[t - 1]
-            delta[state, a] = t + 1 if w[t] == a else 0
-    return delta, fail[k - 1]
+            step[t + 1 if w[t] == a else 0, state] += p
+    return step, fail[k - 1]
 
 
 def dp_count_distribution(model: IidModel, w: Sequence[int],
                           S: IntervalUnion) -> dict[int, float]:
     """Exact (up to float rounding) law of the count over J via automaton DP.
 
-    Scales linearly in the prefix length, so it reaches regimes the
+    ``dp[state, c]`` is the probability of the KMP automaton state (matched
+    prefix length) with c counted occurrences so far.  Each prefix position
+    is one product with the automaton's transfer matrix (``_kmp_automaton``):
+    the mass that completes w (row k of the product) falls back to one
+    state, one count up when the window ending there starts in J.  So the
+    work is linear in the prefix length, and the DP reaches regimes the
     enumeration oracle cannot; cross-validated against
     ``brute_force_distribution`` where both run.  Finite iid models only.
     Counts above the cap lam + 12 sqrt(lam + 1) + 20 are folded into the
@@ -416,35 +423,21 @@ def dp_count_distribution(model: IidModel, w: Sequence[int],
                             f"exceeds guard {DP_WORK_GUARD}")
     lam = J.count * float(mu)
     cap = min(J.count, int(math.ceil(lam + 12.0 * math.sqrt(lam + 1.0))) + 20)
-    probs = model._floats
-    delta, reduce_state = _kmp_automaton(w, s)
+    step, back = _kmp_automaton(w, model._floats)
     counted = np.zeros(L + 1, dtype=bool)
     for a, b in J.ranges:
         counted[a: b + 1] = True
 
-    # dp[state, c] = P(automaton state, c counted occurrences so far)
-    dp = np.zeros((k, cap + 2), dtype=np.float64)
+    dp = np.zeros((k, cap + 2))
     dp[0, 0] = 1.0
     for t in range(1, L + 1):
-        new = np.zeros_like(dp)
-        start = t - k + 1
-        scores = start >= 1 and counted[start]
-        for state in range(k):
-            row = dp[state]
-            if not row.any():
-                continue
-            for a in range(s):
-                nxt = delta[state, a]
-                pa = probs[a]
-                if nxt == k:
-                    if scores:
-                        new[reduce_state, 1:] += pa * row[:-1]
-                        new[reduce_state, cap + 1] += pa * row[cap + 1]
-                    else:
-                        new[reduce_state] += pa * row
-                else:
-                    new[nxt] += pa * row
-        dp = new
+        moved = step @ dp
+        dp, hit = moved[:k], moved[k]
+        if t >= k and counted[t - k + 1]:  # the window ending at t starts in J
+            dp[back, 1:] += hit[:-1]
+            dp[back, cap + 1] += hit[cap + 1]
+        else:
+            dp[back] += hit
     mass = dp.sum(axis=0)
     return {j: float(mass[j]) for j in range(cap + 2) if mass[j] > 0.0}
 

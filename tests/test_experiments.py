@@ -297,6 +297,29 @@ class TestAnnealed:
         assert rep.sets[0].n_truncated == 0
         assert rep.sets[0].n_used == 150
 
+    def test_histogram_is_within_noise_of_the_exact_annealed_law(self):
+        # the exact annealed law at k = 5 is the mean of the 32 words' count
+        # laws; its multinomial null at n_used tells sampling noise from a
+        # sampler or counter fault, which a gate against Poisson(1) cannot:
+        # the run is nearer the exact law than the null's 99.9% quantile and
+        # farther than that from Poisson(1)
+        from poissonlab.oracles import dp_count_distribution
+        from poissonlab.poisson_stats import tv_distance
+        from poissonlab.words import enumerate_words
+
+        cfg = parse_config(_doc(k=5, n_samples=20_000, seed=20260816))
+        sr = run_annealed(cfg).sets[0]
+        exact = np.zeros(sr.j_max + 2)
+        for w in enumerate_words(2, 5):
+            for j, p in dp_count_distribution(cfg.model, w, cfg.sets[0]).items():
+                exact[min(j, sr.j_max + 1)] += p / 32
+        draws = np.random.default_rng(0).multinomial(sr.n_used, exact, size=10_000)
+        null = 0.5 * np.abs(draws / sr.n_used - exact).sum(axis=1)
+        quantile = np.quantile(null, 0.999)
+        empirical = {j: c / sr.n_used for j, c in sr.histogram.items()}
+        assert tv_distance(empirical, dict(enumerate(exact))) <= quantile
+        assert tv_distance(empirical, sr.poisson) > quantile
+
     def test_markov_generic_path(self):
         # rho = 0.9 converges slowly in k, so the systematic distance at
         # k = 6 is about 0.14 with the full index coverage; this exercises
@@ -1228,6 +1251,24 @@ class TestCli:
         assert statuses["expectation_sandwich"].startswith("SKIP")
         assert statuses["period_class_dual_path"].startswith("SKIP")
         assert statuses["count_law_tv_decay"].startswith("SKIP")
+
+    @pytest.mark.parametrize("probs", [["0", "1/2", "1/2"], ["1/2", "0", "1/2"]],
+                             ids=["null-first", "null-second"])
+    def test_tv_decay_row_steps_over_a_null_symbol(self, tmp_path, capsys, probs):
+        # the decay word is spelled by the two smallest symbols of positive
+        # probability, so these laws read the fair coin's row, not the count
+        # law of a word of measure 0
+        from poissonlab import cli
+
+        details = []
+        for name, spec in (("fair", FAIR_SPEC), ("null", {"type": "iid", "probs": probs})):
+            doc = _doc(mode="oracle", k=6, model=spec, sets=[[["0", "1/4", False, True]]])
+            assert cli.main(["oracle", "--config", self._write(tmp_path / f"{name}.json", doc)]) == 0
+            rows = dict(line.strip().split(": ", 1) for line in
+                        capsys.readouterr().out.splitlines()[1:-1])
+            details.append(rows["count_law_tv_decay"])
+        assert details[0].startswith("PASS")
+        assert details[1] == details[0]
 
     @pytest.mark.parametrize("text", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
                              ids=["not-utf8", "deeply-nested"])

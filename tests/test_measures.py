@@ -277,11 +277,11 @@ class TestBlockedCFSampler:
 
     def test_uneven_takes_across_the_head_and_the_pass_boundary(self):
         # pieces that end inside the ~20-digit head, just past it, and on
-        # either side of take()'s 2**20-uniform pass
-        n = 2 * measures._TAKE_BLOCK + 100
+        # either side of take()'s 2**16-uniform block
+        n = 2 * measures._DRAW_BLOCK + 100
         whole = SequenceGenerator(GaussCFModel(), 99).take(n)
         gen = SequenceGenerator(GaussCFModel(), 99)
-        sizes = [3, 14, 9, 1, measures._TAKE_BLOCK - 30, 1, 2, measures._TAKE_BLOCK]
+        sizes = [3, 14, 9, 1, measures._DRAW_BLOCK - 30, 1, 2, measures._DRAW_BLOCK]
         parts = [gen.take(m) for m in sizes + [n - sum(sizes)]]
         assert np.array_equal(np.concatenate(parts), whole)
         assert gen.emitted == n
@@ -462,7 +462,7 @@ class TestGenerators:
     @pytest.mark.parametrize("block", [None, 7])
     def test_cf_take_equals_single_takes(self, block, monkeypatch):
         if block is not None:
-            monkeypatch.setattr(measures, "_TAKE_BLOCK", block)
+            monkeypatch.setattr(measures, "_DRAW_BLOCK", block)
         bulk = SequenceGenerator(GaussCFModel(), 2718)
         scalar = SequenceGenerator(GaussCFModel(), 2718)
         taken = np.concatenate([bulk.take(11), bulk.take(289)])
@@ -493,7 +493,6 @@ class TestGenerators:
         whole = SequenceGenerator(model, seeds).take(n)
         assert np.array_equal(whole, rows)
         monkeypatch.setattr(measures, "_DRAW_BLOCK", 5)
-        monkeypatch.setattr(measures, "_TAKE_BLOCK", 5)
         gen = SequenceGenerator(model, seeds)
         parts = [gen.take(m) for m in (3, 14, 1, n - 18)]
         assert all(part.shape == (7, m) for part, m in zip(parts, (3, 14, 1, n - 18)))

@@ -340,12 +340,18 @@ class TestEnumerationBlockSplit:
 
 class TestDpDistribution:
     def test_agrees_with_enumeration(self):
-        # the THREE words leave symbols out, which the automaton steps over too
-        for model, w in [(FAIR, (1, 1)), (FAIR, (0, 1, 0)), (FAIR, (1, 1, 1, 1)),
-                         (BIASED, (1, 1)), (BIASED, (0, 1, 0)),
-                         (THREE, (0, 1)), (THREE, (1, 1)), (THREE, (0, 0))]:
-            brute = brute_force_distribution(model, w, UNIT)
-            dp = dp_count_distribution(model, w, UNIT)
+        # the THREE words leave symbols out, which the automaton steps over
+        # too; the two intervals leave a gap of uncounted windows inside J
+        two = IntervalUnion.from_spec([(Fraction(1, 3), 1, True, True),
+                                       (2, Fraction(5, 2), False, False)])
+        for S, (model, w) in itertools.product((UNIT, two), [
+                (FAIR, (1, 1)), (FAIR, (0, 1, 0)), (FAIR, (1, 1, 1, 1)),
+                (BIASED, (1, 1)), (BIASED, (0, 1, 0)),
+                (THREE, (0, 1)), (THREE, (1, 1)), (THREE, (0, 0))]):
+            if not _enumerable(model, w, S):
+                continue
+            brute = brute_force_distribution(model, w, S)
+            dp = dp_count_distribution(model, w, S)
             for j in set(brute) | set(dp):
                 assert dp.get(j, 0.0) == pytest.approx(
                     float(brute.get(j, Fraction(0))), abs=1e-12)

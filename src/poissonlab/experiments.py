@@ -28,7 +28,7 @@ import numpy as np
 from .errors import (ConfigError, InsufficientDataError, ResourceError,
                      UnsupportedModelError)
 from .measures import (GaussCFModel, IidModel, MarkovModel, Model, SequenceGenerator,
-                       contraction_profile, cylinder_prob_exact, draw,
+                       contraction_profile, cylinder_prob_exact, draw, draw_buffers,
                        mixing_profile, model_from_spec, model_to_spec)
 from .mixing_concentration import (DELTA_NORM_MATRIX_CAP, MAX_LAG_CAP,
                                    PHI2_EXACT_CAP, _SCAN_BLOCK, _chunks,
@@ -488,9 +488,11 @@ def run_annealed(cfg: ExperimentConfig) -> GenericityReport:
     ``_BATCH_ELEMS // _WORKERS`` new symbols (``_chunks``), so at most about
     ``_BATCH_ELEMS`` symbols are in flight whatever the stream length.  Each
     thread of the pool draws every batch it takes into one block of
-    ``_BATCH_ELEMS // _WORKERS + k - 1`` symbols, its own for the whole run,
-    which holds any batch's chunk; the threads take the batches in order as
-    they come free, so a run of costly batches is shared among them.
+    ``_BATCH_ELEMS // _WORKERS + k - 1`` symbols, which holds any batch's
+    chunk, through one pair of raw and scratch buffers (``take``'s
+    ``buffers``); both are its own for the whole run, so no take allocates.
+    The threads take the batches in order as they come free, so a run of
+    costly batches is shared among them.
     Every stream is a function of its pair's seed, and a batch's (sets, rows)
     counts add over chunks and are written back in one assignment, in batch
     order, so the report does not depend on the CPU count or the chunk width.
@@ -515,7 +517,7 @@ def run_annealed(cfg: ExperimentConfig) -> GenericityReport:
         step = max(1, per_thread // plan.length)
         batches += [(members[lo: lo + step], plan) for lo in range(0, len(members), step)]
 
-    threads = threading.local()  # each pool thread's symbol block, kept for the run
+    threads = threading.local()  # each pool thread's symbol block and draw buffers
 
     def count(batch):
         rows, plan = batch
@@ -523,10 +525,12 @@ def run_annealed(cfg: ExperimentConfig) -> GenericityReport:
             # any batch's chunk fits: whole streams of at most per_thread symbols in
             # all, or per_thread windows of one stream and its k - 1 carried symbols
             threads.block = np.empty(per_thread + k - 1, words.dtype)
+            threads.buffers = draw_buffers(len(threads.block))
         sought = words[rows]
         totals = np.zeros((len(plan.js), len(rows)), dtype=np.int64)
         gen = SequenceGenerator(model, derive_seed(cfg.seed, 2, rows))
-        for offset, chunk in _chunks(gen, plan.length, k, per_thread, threads.block):
+        for offset, chunk in _chunks(gen, plan.length, k, per_thread, threads.block,
+                                     threads.buffers):
             # one match for every set; the count clips each range to the chunk
             totals += count_word_occurrences(chunk, sought, [
                 [(a - offset, b - offset) for a, b in J.ranges] for J in plan.js])

@@ -136,24 +136,28 @@ class IidModel:
             return self.probs[a]
         return (1 - self.tail_ratio) * self.tail_ratio**a
 
-    def symbols(self, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def symbols(self, raw: np.ndarray, out: np.ndarray,
+                scratch: np.ndarray | None = None) -> np.ndarray:
         """Fill ``out`` with the symbols that the raw stream values ``raw``
         (``rng.value_at``) draw: the number of ``_raw_thresholds`` at or below
         each value, or under ``tail_ratio`` the inverse CDF of the uniform
-        ``(raw >> 11) * 2**-53``, settled against the float CDF 1 - r**(a+1)."""
-        if self.probs is None:  # in place, over two float and two flag buffers
-            r, (u, t) = self._r_float, np.empty((2,) + raw.shape)
-            up, live = np.empty((2,) + raw.shape, dtype=bool)
-            np.multiply(np.right_shift(raw, 11, out=u.view(np.uint64)), 2.0**-53, out=u)
+        ``(raw >> 11) * 2**-53``, settled against the float CDF 1 - r**(a+1).
+        The tail law overwrites ``raw`` with its uniforms and works in
+        ``scratch``, a uint64 array of raw's shape (allocated when not given)."""
+        if self.probs is None:  # in place, over raw, scratch and one flag buffer
+            r = self._r_float
+            u, t = raw.view(np.float64), (np.empty_like(raw) if scratch is None
+                                          else scratch).view(np.float64)
+            up = np.empty(raw.shape, dtype=bool)
+            np.multiply(np.right_shift(raw, 11, out=raw), 2.0**-53, out=u)
             np.divide(np.log1p(np.negative(u, out=t), out=t), self._log_r, out=t)
             out[...] = np.maximum(np.floor(t, out=t), 0, out=t)
             for _ in range(2):
                 np.subtract(1.0, np.power(r, np.add(out, 1.0, out=t), out=t), out=t)
                 out += np.greater_equal(u, t, out=up)
-            for _ in range(2):
+            for _ in range(2):  # none steps down from 0: u < 1 - r**0 = 0 never holds
                 t[...] = out
-                np.less(u, np.subtract(1.0, np.power(r, t, out=t), out=t), out=up)
-                out -= np.logical_and(np.greater(out, 0, out=live), up, out=up)
+                out -= np.less(u, np.subtract(1.0, np.power(r, t, out=t), out=t), out=up)
             return out
         if len(self._thresholds) == 0:
             out[...] = 0
@@ -402,6 +406,12 @@ def cylinder_prob_guarded(model: Model, w: Sequence[int]) -> tuple[object, Calla
 # sequence generation
 
 
+def draw_buffers(symbols: int) -> np.ndarray:
+    """A raw and scratch pair for ``SequenceGenerator.take``'s ``buffers``
+    that serves every take of at most ``symbols`` symbols in all."""
+    return np.empty((2, min(_DRAW_BLOCK, symbols)), dtype=np.uint64)
+
+
 class SequenceGenerator:
     """Deterministic sampler of a model's stationary symbol streams, one per
     seed of ``seed`` (an int or an array).  Pure function of (model, seed):
@@ -419,6 +429,13 @@ class SequenceGenerator:
         # the symbols' dtype: the narrowest unsigned one for a finite i.i.d. law, else int64
         finite = isinstance(model, IidModel) and model.probs is not None
         self.dtype = np.dtype(np.min_scalar_type(len(model.probs) - 1) if finite else np.int64)
+        # a finite law whose every threshold is a multiple of 2**33 (each
+        # cumulative probability a multiple of 2**-31) reads only the bits
+        # that the mix's last step keeps, so its draw leaves that step out;
+        # the tail and CF laws read raw >> 11 and keep it
+        laws = ([model._thresholds] if finite else
+                model._thresholds if isinstance(model, MarkovModel) else None)
+        self._full_mix = laws is None or any(int(t) % (1 << 33) for law in laws for t in law)
         self.emitted = 0
         self._state = [-1] * m  # each Markov chain's last state; -1 before the first
         # CF: s = q_{n-1}/q_n and delta = (p_{n-1}+q_{n-1})/(p_n+q_n) - s for
@@ -426,12 +443,22 @@ class SequenceGenerator:
         self._s, self._delta = np.zeros(m), np.ones(m)
         self.restepped = 0  # CF: blocks of deep digits re-stepped (_deep_digits)
 
-    def take(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    def take(self, n: int, out: np.ndarray | None = None,
+             buffers: np.ndarray | None = None) -> np.ndarray:
         """The next ``n`` symbols of every stream: 1-D for an int seed, else
         one row per seed, of ``self.dtype``.  With ``out``, a (seeds, n)
         array of that dtype (a view into a caller's block, say), they are
         written there instead of to a new array.  Rows are drawn together in
-        blocks of whole rows or row pieces of about _DRAW_BLOCK values."""
+        blocks of whole rows or row pieces of about _DRAW_BLOCK values.
+
+        Each block's raw values and the mixing's temporaries go to the two
+        rows of ``buffers`` (``draw_buffers(seeds * n)`` or larger), which a
+        caller drawing many takes holds next to its symbol block; without
+        it the pair is allocated for this take.  With it a finite law's take
+        allocates nothing but its counter offsets.  A finite law whose
+        thresholds are all multiples of 2**33 leaves out the mix's last step
+        (``rng.raw_block``, ``full``): it reads no bit that step changes.
+        """
         if n < 0:
             raise ValueError("n must be nonnegative")
         model, seeds = self.model, self.seeds
@@ -441,25 +468,31 @@ class SequenceGenerator:
             raise ValueError(f"out must be a {(len(seeds), n)} array of {self.dtype}")
         width = max(1, min(n, _DRAW_BLOCK))
         height = max(1, _DRAW_BLOCK // width)
-        raw = np.empty((min(height, len(seeds)), width), dtype=np.uint64)
-        scratch = np.empty_like(raw)
+        size = min(height, len(seeds)) * min(n, width)
+        if buffers is None:
+            buffers = draw_buffers(size)
+        elif buffers.dtype != np.uint64 or buffers.ndim != 2 or len(buffers) != 2 \
+                or buffers.shape[1] < size:
+            raise ValueError(f"buffers must be a (2, >= {size}) uint64 array")
+        raw, scratch = (b[:size].reshape(-1, width) for b in buffers)
         for c0 in range(0, n, width):
             cols = min(width, n - c0)
             steps = counter_steps(self.emitted + c0, cols)
             for r0 in range(0, len(seeds), height):
                 rows = slice(r0, r0 + height)
                 block = out[rows, c0:c0 + cols]
-                values = raw_block(seeds[rows], self.emitted + c0, cols,
-                                   raw[:len(block), :cols], scratch[:len(block), :cols], steps)
+                values, tmp = raw[:len(block), :cols], scratch[:len(block), :cols]
+                raw_block(seeds[rows], self.emitted + c0, cols, values, tmp, steps,
+                          full=self._full_mix)
                 if isinstance(model, IidModel):
-                    model.symbols(values, block)
+                    model.symbols(values, block, tmp)
                 elif isinstance(model, MarkovModel):
                     for r, row in enumerate(values.tolist(), r0):
                         block[r - r0] = states = _markov_states(
                             model._thresholds, self._state[r], row)
                         self._state[r] = states[-1]
                 else:  # the uniforms of rng.uniform_block, over the scratch buffer
-                    us = scratch[:len(block), :cols].view(float)
+                    us = tmp.view(float)
                     np.multiply(np.right_shift(values, 11, out=values), 2.0**-53, out=us)
                     self.restepped += _cf_digits(self._s[rows], self._delta[rows], us, block)
         self.emitted += n

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, InternalCheckError, ResourceError, UnsupportedModelError
 from .measures import (_DRAW_BLOCK, GaussCFModel, IidModel, MarkovModel, MixingProfile,
-                       Model, SequenceGenerator, cylinder_prob_guarded, gauss_cylinder_prob)
+                       Model, SequenceGenerator, cylinder_prob_guarded, draw_buffers,
+                       gauss_cylinder_prob)
 from .point_process import IndexSet, IntervalUnion, j_set, required_prefix_length
 from .words import enumerate_words
 
@@ -336,10 +337,11 @@ class OccurrenceIndex:
 #
 # Both functionals read their streams through ``streams(length)``: a call
 # returns blocks of streams in turn, each a ``SequenceGenerator`` (or an
-# object with its ``seeds``, ``dtype`` and ``take(n, out)``) whose rows are the
-# streams, so the caller decides how streams are drawn and batched, and each
-# functional asks for only the length it needs.  A functional takes a block's
-# symbols through ``_chunks``, at most about _SCAN_BLOCK windows at a time.
+# object with its ``seeds``, ``dtype`` and ``take(n, out, buffers)``) whose
+# rows are the streams, so the caller decides how streams are drawn and
+# batched, and each functional asks for only the length it needs.  A
+# functional takes a block's symbols through ``_chunks``, at most about
+# _SCAN_BLOCK windows at a time.
 
 Streams = Callable[[int], Iterable[SequenceGenerator]]
 # windows of one scan chunk, and symbols of one block of streams: the sampler's draw block
@@ -348,7 +350,7 @@ _U = 2.0**-53  # unit roundoff of float64
 
 
 def _chunks(gen: SequenceGenerator, length: int, k: int, budget: int,
-            block: np.ndarray | None = None):
+            block: np.ndarray | None = None, buffers: np.ndarray | None = None):
     """The first ``length`` symbols of ``gen``'s streams as (offset, block)
     pairs, in order, for counting the windows of length ``k`` chunk by chunk.
 
@@ -363,7 +365,10 @@ def _chunks(gen: SequenceGenerator, length: int, k: int, budget: int,
     every stream as one take of ``length`` would.  The blocks are views of
     ``block``, a 1-D array of ``gen.dtype`` with room for rows * (min(width,
     length - k + 1) + k - 1) symbols, or of one allocated here: use each
-    block before asking for the next.
+    block before asking for the next.  Every take draws through
+    ``buffers``, take's raw and scratch pair (``draw_buffers`` of at least
+    rows * cols symbols), or through one allocated here with the block, so
+    no take allocates its own.
     """
     rows = len(gen.seeds)
     width = max(1, budget // rows)
@@ -371,13 +376,15 @@ def _chunks(gen: SequenceGenerator, length: int, k: int, budget: int,
     cols = min(width, n_win) + k - 1
     if block is None:
         block = np.empty(rows * cols, gen.dtype)
+    if buffers is None:
+        buffers = draw_buffers(rows * cols)
     block = block[:rows * cols].reshape(rows, cols)
-    gen.take(cols, out=block)
+    gen.take(cols, block, buffers)
     yield 0, block
     for offset in range(width, n_win, width):
         block[:, :k - 1] = block[:, width:]
         new = min(width, n_win - offset)
-        gen.take(new, out=block[:, k - 1: k - 1 + new])
+        gen.take(new, block[:, k - 1: k - 1 + new], buffers)
         yield offset, block[:, :k - 1 + new]
 
 

@@ -17,6 +17,10 @@ never collide with the root stream by construction of the counter offsets.
 
 ``raw_block``, ``uniform_block`` and ``derive_seed`` also take arrays of
 seeds or labels and then compute every stream in one numpy expression.
+``raw_block`` writes into buffers its caller holds, when given, and with
+``full=False`` leaves out the finalizer's last step ``z ^= z >> 31``, which
+keeps bits 33-63: such values equal ``value_at`` only in those bits, which
+are all that a draw by thresholds that are multiples of 2**33 reads.
 """
 
 from __future__ import annotations
@@ -79,29 +83,33 @@ def _as_u64(seed) -> np.ndarray:
     return np.asarray(seed, dtype=np.uint64)
 
 
-def _mix_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+def _mix_inplace(z: np.ndarray, tmp: np.ndarray, full: bool = True) -> np.ndarray:
     """``mix64`` of every element of the uint64 array ``z``, in place;
-    ``tmp`` is scratch space of the same shape."""
+    ``tmp`` is scratch space of the same shape.  With ``full=False`` the last
+    step ``z ^= z >> 31`` is left out: bits 33-63 are already mix64's."""
     np.right_shift(z, _U64(30), out=tmp)
     z ^= tmp
     z *= _U64(0xBF58476D1CE4E5B9)
     np.right_shift(z, _U64(27), out=tmp)
     z ^= tmp
     z *= _U64(0x94D049BB133111EB)
-    np.right_shift(z, _U64(31), out=tmp)
-    z ^= tmp
+    if full:
+        np.right_shift(z, _U64(31), out=tmp)
+        z ^= tmp
     return z
 
 
 def counter_steps(start: int, count: int) -> np.ndarray:
     """The uint64 offsets (i + 1) * GOLDEN mod 2**64 of the indices
     start..start+count-1, which ``raw_block`` adds to a seed."""
-    return np.arange(start + 1, start + count + 1, dtype=np.uint64) * _U64(GOLDEN)
+    steps = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    steps *= _U64(GOLDEN)
+    return steps
 
 
 def raw_block(seed, start: int, count: int, out: np.ndarray | None = None,
-              scratch: np.ndarray | None = None, steps: np.ndarray | None = None
-              ) -> np.ndarray:
+              scratch: np.ndarray | None = None, steps: np.ndarray | None = None,
+              full: bool = True) -> np.ndarray:
     """Vectorized ``value_at`` for indices start..start+count-1 (uint64).
 
     ``seed`` may be an array of seeds; the result then has shape
@@ -109,11 +117,12 @@ def raw_block(seed, start: int, count: int, out: np.ndarray | None = None,
     when given, are uint64 arrays of that shape to write the result and the
     mixing's temporaries to (``out`` is then the result), and ``steps`` is
     ``counter_steps(start, count)``, for a caller that draws many seeds at
-    the same indices.
+    the same indices.  With ``full=False`` the values equal ``value_at``
+    only in bits 33-63 (``_mix_inplace``).
     """
     steps = counter_steps(start, count) if steps is None else steps
     z = np.add(_as_u64(seed)[..., None], steps, out=out)
-    return _mix_inplace(z, np.empty_like(z) if scratch is None else scratch)
+    return _mix_inplace(z, np.empty_like(z) if scratch is None else scratch, full)
 
 
 def uniform_block(seed, start: int, count: int) -> np.ndarray:

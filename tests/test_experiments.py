@@ -489,11 +489,11 @@ class TestAnnealedThreads:
                 state["rows"] -= rows
                 live.discard(key)
 
-        def counted(gen, n, out=None):
+        def counted(gen, n, out=None, buffers=None):
             with lock:
                 state["calls"] += 1
                 words = state["calls"] == 1  # the words, held for the whole run
-            got = real_take(gen, n, out)
+            got = real_take(gen, n, out, buffers)
             owner = got if got.base is None else got.base
             if not words:
                 rows = len(gen.seeds)
@@ -711,7 +711,7 @@ class TestQuenched:
             def __init__(self, model, seed):
                 self.seeds, self.emitted, self.dtype = [seed], 0, stream.dtype
 
-            def take(self, n, out=None):
+            def take(self, n, out=None, buffers=None):
                 self.emitted += n
                 x = stream[self.emitted - n: self.emitted]
                 if out is None:

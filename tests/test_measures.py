@@ -8,6 +8,7 @@ hand-computed eigenstructure of the default two-state chain.
 import hashlib
 import math
 import re
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -20,13 +21,15 @@ from poissonlab.errors import UnsupportedModelError
 from poissonlab.measures import (GaussCFModel, IidModel, MarkovModel,
                                  SequenceGenerator, cf_continuants,
                                  contraction_profile, cylinder_prob,
-                                 cylinder_prob_exact, gauss_cylinder_prob_high,
-                                 markov_ratio_bounds, mixing_profile,
+                                 cylinder_prob_exact, draw_buffers,
+                                 gauss_cylinder_prob_high, markov_ratio_bounds, mixing_profile,
                                  model_from_spec, model_to_spec)
-from poissonlab.rng import derive_seed, uniform_block
+from poissonlab.rng import derive_seed, uniform_block, value_at
 
 FAIR = IidModel(probs=(Fraction(1, 2), Fraction(1, 2)))
 BIASED = IidModel(probs=(Fraction(3, 4), Fraction(1, 4)))
+THIRDS = IidModel(probs=("1/2", "1/3", "1/6"))
+TAIL = IidModel(tail_ratio="1/2")
 CHAIN = MarkovModel(transition=((Fraction(9, 10), Fraction(1, 10)),
                                 (Fraction(1, 5), Fraction(4, 5))))
 
@@ -439,11 +442,20 @@ class TestGenerators:
             assert not np.array_equal(a, c)
 
     def test_take_is_chunk_invariant(self):
-        for model in (FAIR, BIASED, CHAIN, GaussCFModel()):
+        # and through a held raw/scratch pair, over uneven widths across the
+        # _DRAW_BLOCK edge
+        widths = (1, 5, (1 << 16) - 1, (1 << 16) + 3)
+        for model in (FAIR, BIASED, THIRDS, TAIL, CHAIN, GaussCFModel()):
             whole = SequenceGenerator(model, 7).take(100)
             gen = SequenceGenerator(model, 7)
             parts = np.concatenate([gen.take(30), gen.take(50), gen.take(20)])
             assert np.array_equal(whole, parts)
+            whole = SequenceGenerator(model, 7).take(sum(widths))
+            gen, buffers = SequenceGenerator(model, 7), np.empty((2, 1 << 16), np.uint64)
+            parts = np.concatenate([gen.take(m, buffers=buffers) for m in widths])
+            assert np.array_equal(whole, parts)
+        with pytest.raises(ValueError, match="buffers"):
+            SequenceGenerator(FAIR, 7).take(10, buffers=np.empty((2, 9), np.uint64))
 
     # the chunk widths of a counting run: takes of one digit, of a few, and
     # of one or two 2^16 pieces continue every CF stream bit for bit
@@ -485,13 +497,20 @@ class TestGenerators:
 
     # blocks of 5 make every take cross row and column blocks, and the CF
     # pieces end inside the ~20-digit head of each row and past it
-    @pytest.mark.parametrize("model", [BIASED, IidModel(tail_ratio="1/2"), CHAIN,
-                                       GaussCFModel()], ids=["iid", "tail", "chain", "gauss"])
+    # and through a held raw/scratch pair, over uneven widths across the
+    # _DRAW_BLOCK edge: blocks of 13107 whole rows, then of one row piece
+    @pytest.mark.parametrize("model", [BIASED, TAIL, CHAIN, GaussCFModel(), FAIR, THIRDS],
+                             ids=["iid", "tail", "chain", "gauss", "fair", "thirds"])
     def test_batched_takes_continue(self, model, monkeypatch):
         seeds, n = derive_seed(6, np.arange(7)), 100
         rows = np.stack([SequenceGenerator(model, sd).take(n) for sd in seeds.tolist()])
         whole = SequenceGenerator(model, seeds).take(n)
         assert np.array_equal(whole, rows)
+        widths = (1, 5, (1 << 16) - 1, (1 << 16) + 3)
+        gen, buffers = SequenceGenerator(model, seeds), np.empty((2, 1 << 16), np.uint64)
+        held = [gen.take(m, buffers=buffers) for m in widths]
+        assert np.array_equal(np.concatenate(held, axis=1),
+                              SequenceGenerator(model, seeds).take(sum(widths)))
         monkeypatch.setattr(measures, "_DRAW_BLOCK", 5)
         gen = SequenceGenerator(model, seeds)
         parts = [gen.take(m) for m in (3, 14, 1, n - 18)]
@@ -499,6 +518,53 @@ class TestGenerators:
         assert np.array_equal(np.concatenate(parts, axis=1), whole)
         assert np.array_equal(SequenceGenerator(model, seeds).take(n), whole)
         assert gen.emitted == n
+
+    # a law whose every threshold is a multiple of 2**33 (each cumulative
+    # probability a multiple of 2**-31) is drawn without the mix's last step;
+    # every take row is still value_at read by the thresholds, value for value.
+    # A chain needs it of pi too: [[1/2, 1/2], [1/4, 3/4]] has pi = (1/3, 2/3)
+    @pytest.mark.parametrize("model,full", [
+        (FAIR, False),
+        (IidModel(probs=("1/2", "1/4", "1/4")), False),
+        (IidModel(probs=("1/8",) * 8), False),
+        (IidModel(probs=(Fraction(1, 2**31), 1 - Fraction(1, 2**31))), False),
+        (MarkovModel((("7/8", "1/8"), ("3/8", "5/8"))), False),
+        (IidModel(probs=(Fraction(1, 2**32), 1 - Fraction(1, 2**32))), True),
+        (MarkovModel((("1/2", "1/2"), ("1/4", "3/4"))), True),
+        (THIRDS, True),
+        (CHAIN, True),
+    ], ids=["fair", "quarters", "eighths", "2^-31", "dyadic-chain", "2^-32",
+            "dyadic-rows", "thirds", "chain"])
+    def test_partial_mix_draws_the_scalar_rule(self, model, full):
+        gen = SequenceGenerator(model, derive_seed(4, np.arange(5)))
+        assert gen._full_mix == full
+        chain = isinstance(model, MarkovModel)
+        first, rest = gen.take(70), gen.take(2000)
+        for seed, row in zip(gen.seeds.tolist(), np.concatenate([first, rest], axis=1)):
+            state, expected = -1, []
+            for i in range(len(row)):
+                raw = value_at(seed, i)
+                if chain:
+                    state = bisect_right(model._thresholds[state], raw)
+                    expected.append(state)
+                else:
+                    expected.append(sum(raw >= t for t in model._thresholds.tolist()))
+            assert row.tolist() == expected
+
+    def test_held_take_allocates_nothing_per_block(self):
+        # a fair-coin annealed batch drawn into its held block through its
+        # held buffers: what is left is the counter offsets of one piece
+        gen = SequenceGenerator(FAIR, derive_seed(3, 2, np.arange(63)))
+        block = np.empty((63, 16397), gen.dtype)
+        buffers = draw_buffers(block.size)
+        gen.take(16397, block, buffers)
+        tracemalloc.start()
+        try:
+            gen.take(16397, block, buffers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300_000
 
     # below 1/2 a cumulative value can have bits under 2**-53 (1/3, 1/10)
     @pytest.mark.parametrize("probs", [("1/2", "1/2"), ("1/2", "1/2", "0"),

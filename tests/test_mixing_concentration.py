@@ -42,7 +42,7 @@ class _Rows:
     def __init__(self, rows):
         self.rows, self.seeds, self.emitted, self.dtype = rows, range(len(rows)), 0, rows.dtype
 
-    def take(self, n, out=None):
+    def take(self, n, out=None, buffers=None):
         self.emitted += n
         x = self.rows[:, self.emitted - n: self.emitted]
         if out is None:
@@ -778,8 +778,8 @@ class TestConcentrationExperiment:
             state["rows"] -= rows
             live.discard(key)
 
-        def counted(gen, n, out=None):
-            got = real_take(gen, n, out)
+        def counted(gen, n, out=None, buffers=None):
+            got = real_take(gen, n, out, buffers)
             owner = got if got.base is None else got.base
             state["longest"] = max(state["longest"], gen.emitted)
             if id(owner) in live:

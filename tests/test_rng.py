@@ -7,7 +7,7 @@ import numpy as np
 
 import pytest
 
-from poissonlab.rng import (derive_seed, mix64, raw_block, uniform_at,
+from poissonlab.rng import (_mix_inplace, derive_seed, mix64, raw_block, uniform_at,
                             uniform_block, value_at)
 
 DATA = Path(__file__).parent / "data"
@@ -106,3 +106,16 @@ def test_derive_seed_arrays_match_scalar():
     with pytest.raises(ValueError):
         derive_seed(9, np.array([0, -1]))
 
+
+def test_partial_mix_keeps_the_top_bits():
+    # the last step z ^= z >> 31 changes only bits 0-32, so a draw that reads
+    # bits 33-63 alone may leave it out
+    z = np.random.default_rng(8).integers(0, 2**64, 4096, dtype=np.uint64)
+    z = np.concatenate([z, np.array([0, 1, 2**33 - 1, 2**33, 2**63, 2**64 - 1], np.uint64)])
+    part = _mix_inplace(z.copy(), np.empty_like(z), full=False)
+    assert [int(v) >> 33 for v in part] == [mix64(int(v)) >> 33 for v in z]
+    full = _mix_inplace(z.copy(), np.empty_like(z))
+    assert [int(v) for v in full] == [mix64(v) for v in z.tolist()]
+    blk = raw_block(np.array(SEEDS, dtype=np.uint64), 77, 40, full=False)
+    assert [[int(v) >> 33 for v in row] for row in blk] \
+        == [[value_at(seed, 77 + i) >> 33 for i in range(40)] for seed in SEEDS]

@@ -1,5 +1,20 @@
 """Simulation and verification laboratory for Poisson statistics of block
-occurrences in symbolic sequences (i.i.d., Markov, continued-fraction)."""
+occurrences in symbolic sequences (i.i.d., Markov, continued-fraction).
+
+Importing the package runs BLAS on one thread, so the annealed thread pool
+is the one parallel layer: unless the caller set ``OPENBLAS_NUM_THREADS``,
+``MKL_NUM_THREADS`` or ``OMP_NUM_THREADS``, it sets the first two to 1.
+numpy reads them when it loads, so this holds where poissonlab is imported
+first; there OpenBLAS starts no worker thread to busy-wait beside the lab's
+work.  Reports are the same bits on any BLAS thread count.
+"""
+
+import os
+
+if not {"OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+        "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ.update(OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+del os
 
 from .errors import (ConfigError, InsufficientDataError, InternalCheckError,
                      ResourceError, UnsupportedModelError)

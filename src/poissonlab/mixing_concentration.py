@@ -442,16 +442,6 @@ def _positive_min_word_prob(model: Model, k: int) -> float:
     return 0.0  # unbounded alphabets: no positive lower bound
 
 
-def _largest_log(model: Model) -> float:
-    """The largest |float log| of a positive probability in the model's
-    tables (i.i.d. symbols, or Markov stationary and transition entries)."""
-    if isinstance(model, MarkovModel):
-        floats = [*model._pi_floats, *(v for row in model._t_floats for v in row)]
-    else:
-        floats = model._floats
-    return max(abs(math.log(p)) for p in floats if p > 0)
-
-
 def _scan_reach(model: Model, k: int, sup: float, N_cap: int) -> int:
     """The window starts i <= N_cap that phi_k_S scans: all N_cap, or with a
     positive floor mu_min on a word's measure, the largest i with
@@ -459,7 +449,7 @@ def _scan_reach(model: Model, k: int, sup: float, N_cap: int) -> int:
         i * mu_min * exp(-delta(i)) * (1 - (k + 8) u) <= sup S,
 
     u = 2**-53 and delta(n) = u M ((n + k + 1)**2 + 3k), M = max(1, the
-    largest |float log| of the model's tables).  To first order in u,
+    largest |finite entry| of ``_log_tables``).  To first order in u,
     delta(n) bounds the error of a scanned log-measure: each cumulative sum
     up to symbol j is off by at most u M j (j + 1) / 2 through rounding, each
     float log of a float probability by u (M + 1), and the difference of two
@@ -473,7 +463,7 @@ def _scan_reach(model: Model, k: int, sup: float, N_cap: int) -> int:
     mu_min = _positive_min_word_prob(model, k)
     if mu_min <= 0.0:
         return N_cap
-    big_m = max(1.0, _largest_log(model))
+    big_m = max(1.0, *(float(np.abs(t[np.isfinite(t)]).max()) for t in _log_tables(model)))
     # compared as floats: a subnormal mu_min takes the reach past any int
     scale = sup / (mu_min * (1.0 - (k + 8) * _U))
     n = 0

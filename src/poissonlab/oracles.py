@@ -116,9 +116,10 @@ def exact_variance(model: Model, w: Sequence[int], S: IntervalUnion) -> Variance
     """Exact variance of the count over J via per-lag pair counting.
 
     The double sum over J^2 collapses to one term per lag; lags below |w|
-    contribute only at periods of w, lags >= |w| use the pair formula with
-    the Markov bridge replaced by its stationary limit once the exact
-    deviation falls below 1e-17.
+    contribute only at periods of w.  Every pair at a lag >= |w| gets the
+    stationary term mu^2; a Markov chain adds mu^2 D^m(w_k, w_1) / pi(w_1)
+    per pair, with D = P - 1 pi and m = lag - |w| + 1, walking one lag at a
+    time until max |D^m / pi| falls below 1e-17 (D^m decays to 0).
     """
     w = as_word(w)
     k = len(w)
@@ -147,31 +148,17 @@ def exact_variance(model: Model, w: Sequence[int], S: IntervalUnion) -> Variance
         if npairs:
             e2 += 2.0 * npairs * float(exact_pair_prob(model, w, lag))
 
-    total_pairs = n * (n - 1) // 2
-    far_pairs = total_pairs - sum(per_lag_near.values())
-    max_lag = J.max_index() - J.min_index()
-
-    if isinstance(model, IidModel):
-        e3 = 2.0 * far_pairs * muf * muf
-    else:
-        # walk the bridge P^m(w_k, w_1)/pi(w_1) until it is stationary
-        pi_w1 = float(model.pi[w[0]])
-        P = model._t_floats
+    far_pairs = n * (n - 1) // 2 - sum(per_lag_near.values())
+    e3 = 2.0 * far_pairs * muf * muf
+    if isinstance(model, MarkovModel):
         pi_f = model._pi_floats
-        power = P.copy()
-        e3 = 0.0
-        close_pairs = 0
-        lag = k
-        while lag <= max_lag:
-            dev = float(np.max(np.abs(power / pi_f[None, :] - 1.0)))
-            npairs = _npairs_at_lag(J.ranges, lag)
-            e3 += 2.0 * npairs * muf * muf * float(power[w[-1], w[0]]) / pi_w1
-            close_pairs += npairs
-            if dev <= 1e-17:
+        weight = 2.0 * muf * muf / float(pi_f[w[0]])
+        step = dev = model._t_floats - pi_f
+        for lag in range(k, J.max_index() - J.min_index() + 1):
+            e3 += weight * _npairs_at_lag(J.ranges, lag) * float(step[w[-1], w[0]])
+            if float(np.max(np.abs(step / pi_f))) <= 1e-17:
                 break
-            power = power @ P
-            lag += 1
-        e3 += 2.0 * (far_pairs - close_pairs) * muf * muf
+            step = step @ dev
 
     variance = e1 + e2 + e3 - expectation**2
     return VarianceBreakdown(expectation, e1, e2, e3, variance, n)

@@ -9,6 +9,7 @@ the batched counting has an independent witness.
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -319,6 +320,30 @@ class TestAnnealed:
         empirical = {j: c / sr.n_used for j, c in sr.histogram.items()}
         assert tv_distance(empirical, dict(enumerate(exact))) <= quantile
         assert tv_distance(empirical, sr.poisson) > quantile
+
+    def test_markov_moments_are_within_noise_of_the_exact_moments(self):
+        # the annealed count's exact mean and variance mix the 64 words'
+        # exact moments by the words' measures: E = sum mu E_w and
+        # V = sum mu (Var_w + E_w^2) - E^2; a chain sampler or counter fault
+        # moves the run's moments past five standard errors of them
+        from poissonlab.oracles import exact_variance
+        from poissonlab.words import enumerate_words
+
+        cfg = parse_config(_doc(model=MARKOV_SPEC, k=6, n_samples=20_000,
+                                n_cap=10**6, seed=20261022))
+        sr = run_annealed(cfg).sets[0]
+        assert sr.n_truncated == 0
+        mean, var, n = sr.empirical_mean, sr.empirical_variance, sr.n_used
+        E = V = 0.0
+        for w in enumerate_words(2, 6):
+            mu = float(cylinder_prob_exact(cfg.model, w))
+            vb = exact_variance(cfg.model, w, cfg.sets[0])
+            E += mu * vb.expectation
+            V += mu * (vb.variance + vb.expectation ** 2)
+        V -= E * E
+        m4 = sum(c * (j - mean) ** 4 for j, c in sr.histogram.items()) / n
+        assert abs(mean - E) <= 5 * math.sqrt(V / n)
+        assert abs(var - V) <= 5 * math.sqrt((m4 - var ** 2) / n)
 
     def test_markov_generic_path(self):
         # rho = 0.9 converges slowly in k, so the systematic distance at

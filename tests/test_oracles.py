@@ -170,11 +170,48 @@ class TestExactVariance:
         assert worst == pytest.approx(1.9876, abs=2e-4)
         assert worst <= 4.0
 
+    def test_chain_walk_stops_when_the_deviation_decays(self, monkeypatch):
+        # the far-lag walk over D^m = (P - 1 pi)^m stops once max |D^m / pi|
+        # is below 1e-17, a few hundred lags in, not at the end of J's span
+        calls = [0]
+        npairs = oracles._npairs_at_lag
+
+        def counted(ranges, lag):
+            calls[0] += 1
+            return npairs(ranges, lag)
+
+        monkeypatch.setattr(oracles, "_npairs_at_lag", counted)
+        vb = exact_variance(CHAIN, (0, 1, 0, 1, 0, 1), UNIT)
+        assert vb.j_count == 37_500
+        assert calls[0] <= 200
+
+    @pytest.mark.parametrize("model,w", [
+        (CHAIN, (1, 0, 0, 1, 1, 1, 1)),
+        (CHAIN3, (0, 0, 1, 0, 2)),
+        # P^2 = 1 pi exactly, so D^2 = 0: the walk stops at the second far lag
+        (MarkovModel(transition=((Fraction(1, 2), Fraction(1, 2), Fraction(0)),
+                                 (Fraction(1, 6), Fraction(1, 6), Fraction(2, 3)),
+                                 (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)))),
+         (1, 2, 2, 0, 1)),
+    ], ids=["chain", "chain3", "square-rank-one"])
+    def test_chain_matches_the_exact_sum_over_every_lag(self, model, w):
+        # n mu + 2 sum over every lag of J's span of npairs * exact pair
+        # probability - (n mu)^2, in Fractions with no stop
+        mu = cylinder_prob_exact(model, w)
+        J = j_set(mu, UNIT)
+        n = J.count
+        second = sum((oracles._npairs_at_lag(J.ranges, lag) * exact_pair_prob(model, w, lag)
+                      for lag in range(1, J.max_index() - J.min_index() + 1)), Fraction(0))
+        exact = n * mu + 2 * second - (n * mu) ** 2
+        vb = exact_variance(model, w, UNIT)
+        assert vb.j_count == n
+        assert vb.variance == pytest.approx(float(exact), rel=1e-12)
+
 
 class TestRankOneChain:
     """A chain whose rows all equal pi is the i.i.d. law pi: every exact
-    oracle must agree on the two.  Its bridge P^m/pi - 1 is 0 from the first
-    far lag, so the variance takes the stationary exit of its lag walk."""
+    oracle must agree on the two.  Its deviation D = P - 1 pi is 0, so the
+    variance's far-lag walk stops at the first far lag."""
 
     CHAIN = MarkovModel(transition=((Fraction(1, 3), Fraction(2, 3)),) * 2)
     WORDS = [w for k in range(1, 4) for w in enumerate_words(2, k)]

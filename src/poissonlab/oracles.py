@@ -4,7 +4,7 @@ Everything here is deliberately separate from the Monte Carlo machinery:
 closed-form expectations, per-lag pair decompositions of the second moment,
 exhaustive prefix enumeration with exact rational probabilities, an exact
 automaton DP for occurrence-count laws at lengths enumeration cannot reach,
-and enumeration identities for period classes.  Results are Fractions
+and the closed-form measures of period classes.  Results are Fractions
 whenever the model is rational.
 """
 
@@ -24,13 +24,12 @@ from .measures import (GaussCFModel, IidModel, MarkovModel, MixingProfile, Model
                        contraction_profile, cylinder_prob_exact,
                        cylinder_prob_guarded)
 from .point_process import IntervalUnion, j_set, required_prefix_length
-from .words import as_word, enumerate_words, ext, overlap_merge, periods
+from .words import as_word, overlap_merge, periods
 
 J_COUNT_GUARD = 10**7
 PREFIX_LEN_GUARD = 26
 PREFIX_STATES_GUARD = 1 << 26
 ANNEALED_ENUM_GUARD = 1 << 20
-PERIOD_ENUM_GUARD = 1 << 24
 DP_WORK_GUARD = 1 << 21  # prefix length x automaton states x symbols
 _BLOCK_CODES = 1 << 16  # prefixes in the low block of the enumeration
 
@@ -434,19 +433,24 @@ def dp_count_distribution(model: IidModel, w: Sequence[int],
 
 
 def period_class_measure(model: Model, k: int, ell: int) -> Fraction:
-    """Total measure of length-k words having period ell, by enumerating the
-    alphabet^ell generating prefixes and extending periodically."""
+    """Total measure of length-k words having period ell, in closed form: such a
+    word is its first ell symbols v extended periodically, so its k - 1 steps are
+    v's cyclic ones, v_i -> v_(i+1 mod ell) taken c_i = #{j <= k-2 : j = i mod ell}
+    times, and the class measure is sum_a pi(a) (A_0 ... A_(ell-1))(a, a), with A_i
+    the entrywise c_i-th power of the transition matrix (an i.i.d. law in every row)."""
     if not 1 <= ell < k:
         raise ValueError("need 1 <= ell < k")
     if model.alphabet_size is None:
         raise UnsupportedModelError("period classes need a finite alphabet")
     s = model.alphabet_size
-    if s**k > PERIOD_ENUM_GUARD:
-        raise ResourceError(f"{s}**{k} exceeds period-class guard {PERIOD_ENUM_GUARD}")
-    total = Fraction(0)
-    for v in enumerate_words(s, ell):
-        total += cylinder_prob_exact(model, ext(v, k))
-    return total
+    pi, P = ((model.pi, model.transition) if isinstance(model, MarkovModel)
+             else (model.probs, (model.probs,) * s))
+    M = [[pi[a] * (a == b) for b in range(s)] for a in range(s)]  # diag(pi) A_0 ... A_(i-1)
+    for i in range(ell):
+        c = len(range(i, k - 1, ell))
+        A = [[p**c for p in row] for row in P]
+        M = [[sum(M[a][t] * A[t][b] for t in range(s)) for b in range(s)] for a in range(s)]
+    return sum(M[a][a] for a in range(s))
 
 
 def measure_counts(model: Model, k: int) -> Counter:

@@ -7,6 +7,7 @@ the batched counting has an independent witness.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -894,18 +895,39 @@ class TestOracleMode:
         assert "count_law_tv_decay" in names
         assert all(row.status == "PASS" for row in rep.rows)
 
+    # row -> (the oracle it checks, that oracle's value made wrong from its arguments)
+    WRONG = {
+        "variance_dual_path": ("exact_variance", lambda vb, model, w, S:
+                               dataclasses.replace(vb, variance=vb.variance + 1e-6)),
+        "period_class_dual_path": ("period_class_measure", lambda mass, model, k, ell:
+                                   mass + Fraction(1, 2**k)),
+        "count_law_tv_decay": ("dp_count_distribution", lambda dist, model, w, S:
+                               {**dist, 0: dist[0] - 1e-3, 1: dist.get(1, 0.0) + 1e-3}),
+    }
+
+    @pytest.mark.parametrize("row", sorted(WRONG))
+    def test_wrong_oracle_turns_its_row_to_fail(self, monkeypatch, row):
+        from poissonlab import oracle_suite
+
+        name, skew = self.WRONG[row]
+        right = getattr(oracle_suite, name)
+        monkeypatch.setattr(oracle_suite, name, lambda *args: skew(right(*args), *args))
+        rep = run_oracle_suite(parse_config(_doc(mode="oracle")))
+        assert {r.name: r.status for r in rep.rows if r.status == "FAIL"} == {row: "FAIL"}
+        assert not rep.passed
+
     def test_variance_row_checks_every_guard_before_any_word(self, monkeypatch):
         # 65**4 words are past the enumeration guard: the row reads SKIP
         # without deciding the guard for any multiset of k_v = 1..3 symbols
-        from poissonlab import experiments
+        from poissonlab import oracle_suite
 
-        calls, multisets = [], experiments.combinations_with_replacement
-        monkeypatch.setattr(experiments, "combinations_with_replacement",
+        calls, multisets = [], oracle_suite.combinations_with_replacement
+        monkeypatch.setattr(oracle_suite, "combinations_with_replacement",
                             lambda *a: calls.append(a) or multisets(*a))
         cfg = parse_config(_doc(mode="oracle", k=3,
                                 model={"type": "iid", "probs": ["1/65"] * 65}))
         rows = {row.name: row for row in run_oracle_suite(cfg).rows}
-        assert rows["variance_dual_path"] == experiments.OracleRow(
+        assert rows["variance_dual_path"] == oracle_suite.OracleRow(
             "variance_dual_path", "SKIP", "enumeration of 65**4 words exceeds guard 16777216")
         assert calls == []
 
@@ -913,7 +935,7 @@ class TestOracleMode:
         # oracle_markov's document: the expectation and annealed rows decide
         # one index set per distinct nonzero measure at k = 8 (42), and the
         # period row finds the periods of each of the 2^8 words once
-        from poissonlab import experiments, oracles
+        from poissonlab import oracle_suite, oracles
         from poissonlab.words import enumerate_words
 
         cfg = parse_config({"mode": "oracle", "model": MARKOV_SPEC, "k": 8,
@@ -929,9 +951,9 @@ class TestOracleMode:
             j_calls.extend(rows_of[name] for name in names & set(rows_of))
             return decide(*args, **kwargs)
 
-        period_calls, periods = [], experiments.periods
+        period_calls, periods = [], oracle_suite.periods
         monkeypatch.setattr(oracles, "j_set", counted)
-        monkeypatch.setattr(experiments, "periods",
+        monkeypatch.setattr(oracle_suite, "periods",
                             lambda w: period_calls.append(w) or periods(w))
         rep = run_oracle_suite(cfg)
         assert rep.passed
@@ -981,7 +1003,7 @@ class TestOracleMode:
                                                                        model_spec):
         # i.i.d. models decide the guard per multiset of symbols; the words
         # reached are those of the per-word rule, in enumeration order
-        from poissonlab import experiments
+        from poissonlab import oracle_suite
         from poissonlab.words import enumerate_words
 
         doc = _doc(mode="oracle", model=model_spec, sets=[[["0", "3", False, True]]])
@@ -990,13 +1012,13 @@ class TestOracleMode:
         expected = [w for k_v in range(1, 5) for w in enumerate_words(s, k_v)
                     if (mu := cylinder_prob_exact(cfg.model, w))
                     and required_prefix_length(k_v, j_set(mu, S)) <= 22]
-        seen, brute = [], experiments.brute_force_distribution
+        seen, brute = [], oracle_suite.brute_force_distribution
 
         def recorded(model, w, S):
             seen.append(tuple(w))
             return brute(model, w, S)
 
-        monkeypatch.setattr(experiments, "brute_force_distribution", recorded)
+        monkeypatch.setattr(oracle_suite, "brute_force_distribution", recorded)
         row = {r.name: r for r in run_oracle_suite(cfg).rows}["variance_dual_path"]
         assert row.status == "PASS", row.detail
         assert {len(w) for w in expected} >= {1, 2}
@@ -1453,8 +1475,8 @@ class TestCli:
         cfg_path = self._write(tmp_path / "c.json", _doc(mode="oracle", model=MARKOV_SPEC, k=4))
         script = ("import sys\n"
                   "from fractions import Fraction\n"
-                  "from poissonlab import cli, experiments\n"
-                  "experiments.exact_pair_prob = lambda model, w, lag: Fraction(0)\n"
+                  "from poissonlab import cli, oracle_suite\n"
+                  "oracle_suite.exact_pair_prob = lambda model, w, lag: Fraction(0)\n"
                   "sys.exit(cli.main(['oracle', '--config', sys.argv[1]]))\n")
         r = subprocess.run([sys.executable, "-O", "-c", script, cfg_path],
                            capture_output=True, text=True, timeout=60)

@@ -1,23 +1,32 @@
 """Lint: the exact oracles stay independent of the Monte Carlo paths.
 
 ``oracles.py`` is the reference that the samplers and counters are checked
-against, so it must not reach them: it imports only the package's exact
-building blocks, and never names the stream sampler or the occurrence
-counter.
+against, and ``oracle_suite.py`` holds the rows that check it, so neither may
+reach them: each imports only the package's exact building blocks, and never
+names the stream sampler, the occurrence counters or the scan functionals.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import poissonlab
 
-ORACLES = Path(poissonlab.__file__).parent / "oracles.py"
-ALLOWED_MODULES = {"errors", "measures", "point_process", "words"}
-MONTE_CARLO_NAMES = {"SequenceGenerator", "draw", "count_word_occurrences"}
+PACKAGE = Path(poissonlab.__file__).parent
+# module -> (the package modules it may import, those it must import)
+ALLOWED_MODULES = {
+    "oracles": ({"errors", "measures", "point_process", "words"},
+                {"measures", "point_process"}),
+    "oracle_suite": ({"errors", "measures", "oracles", "point_process", "poisson_stats",
+                      "words"}, {"oracles"}),
+}
+MONTE_CARLO_NAMES = {"SequenceGenerator", "draw", "count_word_occurrences", "_count_words",
+                     "OccurrenceIndex", "phi_k_S", "phi_k_j_S"}
 
 
-def _tree():
-    return ast.parse(ORACLES.read_text(encoding="utf-8"))
+def _tree(module):
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
 
 
 def _package_imports(tree):
@@ -42,16 +51,27 @@ def _package_imports(tree):
     return found
 
 
-def test_oracles_import_only_the_exact_modules():
-    imports = _package_imports(_tree())
-    assert {module for module, _ in imports} >= {"measures", "point_process"}
-    assert {module for module, _ in imports} <= ALLOWED_MODULES
-
-
-def test_oracles_never_name_the_sampler_or_the_counter():
-    tree = _tree()
+def _monte_carlo_names(tree):
+    """The Monte Carlo names that ``tree`` imports or uses."""
     imported = set().union(*(names for _, names in _package_imports(tree)))
     used = ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
             | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
-    assert imported & MONTE_CARLO_NAMES == set()
-    assert used & MONTE_CARLO_NAMES == set()
+    return (imported | used) & MONTE_CARLO_NAMES
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED_MODULES))
+def test_imports_only_the_exact_modules(module):
+    allowed, needed = ALLOWED_MODULES[module]
+    imported = {name for name, _ in _package_imports(_tree(module))}
+    assert needed <= imported <= allowed
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED_MODULES))
+def test_never_names_the_sampler_or_the_counters(module):
+    assert _monte_carlo_names(_tree(module)) == set()
+
+
+def test_the_checker_flags_an_import_of_draw():
+    tree = ast.parse("from .measures import IidModel, draw\n")
+    assert _package_imports(tree) == [("measures", {"IidModel", "draw"})]
+    assert _monte_carlo_names(tree) == {"draw"}

@@ -436,6 +436,7 @@ class TestPeriodClasses:
         assert period_class_measure(FAIR, 5, 2) == Fraction(1, 8)
         assert period_class_measure(FAIR, 5, 1) == Fraction(1, 16)
         assert period_class_measure(FAIR, 2, 1) == Fraction(1, 2)
+        assert period_class_measure(FAIR, 40, 39) == Fraction(1, 2)  # 2^39 generator words, past any enumeration
 
     def test_uniform_closed_form(self):
         # uniform base s: measure of the period-ell class is s^(ell-k)
@@ -445,12 +446,13 @@ class TestPeriodClasses:
                     == Fraction(1, 2**(k - ell))
 
     def test_matches_direct_enumeration(self):
-        for model in (BIASED, CHAIN):
+        # ZERO_SYMBOL has a symbol of probability 0, DEGENERATE_CHAIN a zero transition
+        for model in (BIASED, CHAIN, THREE, ZERO_SYMBOL, CHAIN3, DEGENERATE_CHAIN):
             for k in (3, 5):
                 for ell in range(1, k):
                     direct = sum(
                         (cylinder_prob_exact(model, w)
-                         for w in enumerate_words(2, k) if ell in periods(w)),
+                         for w in enumerate_words(model.alphabet_size, k) if ell in periods(w)),
                         Fraction(0))
                     assert period_class_measure(model, k, ell) == direct
 

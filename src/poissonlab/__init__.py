@@ -25,18 +25,18 @@ from .experiments import (ConcentrationReport, ExperimentConfig,
                           run_mixing, run_oracle_suite, run_quenched)
 from .measures import (GaussCFModel, IidModel, MarkovModel, SequenceGenerator,
                        contraction_profile, cylinder_prob,
-                       cylinder_prob_exact, mixing_profile, model_from_spec,
-                       model_to_spec)
-from .mixing_concentration import (OccurrenceIndex, delta_matrix, delta_norm,
-                                   delta_norm_bound, eta_coefficients,
-                                   lipschitz_weights_phi1,
-                                   lipschitz_weights_phi2, phi_k_S, phi_k_j_S)
+                       cylinder_prob_exact, model_from_spec, model_to_spec)
+from .mixing_concentration import (OccurrenceIndex, count_word_occurrences,
+                                   delta_matrix, delta_norm, delta_norm_bound,
+                                   eta_coefficients, lipschitz_weights_phi1,
+                                   lipschitz_weights_phi2, mixing_profile,
+                                   phi_k_S, phi_k_j_S)
 from .oracles import (VarianceBreakdown, annealed_exact_expectation,
                       brute_force_distribution, dp_count_distribution,
                       exact_expectation, exact_pair_prob, exact_variance,
                       log_n_over_n_bound, period_class_measure)
-from .point_process import (IndexSet, IntervalUnion, count_word_occurrences,
-                            j_set, required_prefix_length, unit_interval)
+from .point_process import (IndexSet, IntervalUnion, j_set,
+                            required_prefix_length, unit_interval)
 from .poisson_stats import (fold_histogram, histogram_j_max, kallenberg_check,
                             poisson_pmf, poisson_reference, tv_distance)
 from .rng import derive_seed, uniform_at, uniform_block
@@ -54,19 +54,19 @@ __all__ = [
     # measures
     "GaussCFModel", "IidModel", "MarkovModel", "SequenceGenerator",
     "contraction_profile", "cylinder_prob", "cylinder_prob_exact",
-    "mixing_profile", "model_from_spec", "model_to_spec",
+    "model_from_spec", "model_to_spec",
     # mixing_concentration
-    "OccurrenceIndex", "delta_matrix", "delta_norm",
+    "OccurrenceIndex", "count_word_occurrences", "delta_matrix", "delta_norm",
     "delta_norm_bound", "eta_coefficients", "lipschitz_weights_phi1",
-    "lipschitz_weights_phi2", "phi_k_S", "phi_k_j_S",
+    "lipschitz_weights_phi2", "mixing_profile", "phi_k_S", "phi_k_j_S",
     # oracles
     "VarianceBreakdown", "annealed_exact_expectation",
     "brute_force_distribution", "dp_count_distribution", "exact_expectation",
     "exact_pair_prob", "exact_variance", "log_n_over_n_bound",
     "period_class_measure",
     # point_process
-    "IndexSet", "IntervalUnion", "count_word_occurrences", "j_set",
-    "required_prefix_length", "unit_interval",
+    "IndexSet", "IntervalUnion", "j_set", "required_prefix_length",
+    "unit_interval",
     # poisson_stats
     "fold_histogram", "histogram_j_max", "kallenberg_check", "poisson_pmf",
     "poisson_reference", "tv_distance",

@@ -24,17 +24,15 @@ import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, ResourceError
 from .measures import (GaussCFModel, IidModel, MarkovModel, Model, SequenceGenerator,
-                       contraction_profile, draw, draw_buffers, mixing_profile,
-                       model_from_spec, model_to_spec)
-from .mixing_concentration import (DELTA_NORM_MATRIX_CAP, MAX_LAG_CAP,
-                                   PHI2_EXACT_CAP, _SCAN_BLOCK, _chunks,
-                                   _count_words, _one_window_measure, _plan_words,
-                                   delta_matrix, delta_norm, delta_norm_bound,
-                                   eta_coefficients, lipschitz_weights_phi1,
-                                   lipschitz_weights_phi2, phi2_enumerable,
+                       contraction_profile, draw, draw_buffers, model_from_spec, model_to_spec)
+from .mixing_concentration import (DELTA_NORM_MATRIX_CAP, MAX_LAG_CAP, PHI2_EXACT_CAP, _SCAN_BLOCK,
+                                   _chunks, _count_words, _one_window_measure, _plan_words,
+                                   count_word_occurrences, delta_matrix, delta_norm,
+                                   delta_norm_bound, eta_coefficients, lipschitz_weights_phi1,
+                                   lipschitz_weights_phi2, mixing_profile, phi2_enumerable,
                                    phi_k_j_S, phi_k_S)
 from .oracle_suite import OracleRow, oracle_rows
-from .point_process import IntervalUnion, count_word_occurrences
+from .point_process import IntervalUnion
 from .poisson_stats import (KALLENBERG_MIN_SAMPLES, fold_histogram, histogram_j_max,
                             kallenberg_check, poisson_reference, tv_distance)
 from .rng import derive_seed

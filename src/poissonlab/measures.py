@@ -22,13 +22,13 @@ never iterates the expanding Gauss map).  After a head of about 20 digits the CF
 law needs only + - * /, ceil and comparisons, and those digits are stepped
 in numpy over coupled blocks: each block starts early from a fixed state and
 is kept only where it meets the previous block's state bit for bit, so the
-digits are the sequential ones.
+digits are the sequential ones.  ``contraction_profile`` gives the cylinder
+decay (rho, K); ``mixing_concentration.mixing_profile`` adds (T, sigma, R).
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,8 +52,6 @@ _DRAW_BLOCK = 1 << 16  # raw values per raw_block call of SequenceGenerator.take
 # _DEEP_WARMUP digits early (_deep_digits)
 _DEEP_BLOCK = 64
 _DEEP_WARMUP = 64
-# lags m = 1..50 of the Markov psi-mixing certificate (mixing_profile)
-_PSI_LAGS = 50
 
 
 def _finite_law(values, what: str) -> tuple[Fraction, ...]:
@@ -261,9 +259,9 @@ def _frac_matmul(A, B):
 class GaussCFModel:
     """Continued-fraction digit process under the invariant Gauss density.
 
-    The model takes no parameters.  Its psi-mixing pair (T, sigma) is not
-    derived here: ``mixing_profile`` reads the assumed certificate below and
-    tags it ASSUMED, and ``model_to_spec`` records it in every CF report.
+    The model takes no parameters.  ``mixing_concentration.mixing_profile``
+    reads the assumed psi-mixing pair (T, sigma) below and tags it ASSUMED,
+    and ``model_to_spec`` records it in every CF report.
     """
 
     PSI_T: ClassVar[float] = 1.0
@@ -683,56 +681,3 @@ def contraction_profile(model: Model) -> MixingProfile:
             raise ValueError("degenerate model: a symbol has probability 1")
         K = 1.0
     return MixingProfile(rho=rho, K=K, provenance=(("K", "EXACT"), ("rho", "EXACT")))
-
-
-def markov_ratio_bounds(model: MarkovModel) -> list[tuple[Fraction, Fraction]]:
-    """The smallest and largest exact psi ratio P^m(a,b)/pi(b) over (a, b), for
-    each lag m = 1..50; each ratio matrix is formed once."""
-    s = model.alphabet_size
-    bounds = []
-    for power in map(model.matrix_power, range(1, _PSI_LAGS + 1)):
-        ratios = [power[a][b] / model.pi[b] for a in range(s) for b in range(s)]
-        bounds.append((min(ratios), max(ratios)))
-    return bounds
-
-
-def mixing_profile(model: Model) -> MixingProfile:
-    """Every mixing constant of a model, each tagged with its provenance: the
-    contraction pair (rho, K) of ``contraction_profile``, the exponential
-    psi-mixing certificate (T, sigma) and the distortion bound R."""
-    c = contraction_profile(model)
-    if isinstance(model, IidModel):
-        # independence: the ratio is identically 1; sigma = 0 is the sentinel
-        T, sigma, R = 1.0, 0.0, 1.0
-        tags = (("R", "EXACT"), ("T", "EXACT"), ("sigma", "EXACT"))
-    elif isinstance(model, MarkovModel):
-        mags = sorted(abs(complex(e)) for e in np.linalg.eigvals(model._t_floats))
-        sigma = min(mags[-2], 1.0 - 1e-15)
-        bounds = markov_ratio_bounds(model)
-        # dev(m) = max_ab |P^m(a,b)/pi(b) - 1|
-        table = [max(hi - 1, 1 - lo) for lo, hi in bounds]
-        if sigma <= 0.0:
-            T = 1.0 if all(d == 0 for d in table) else float("inf")
-        else:
-            # a lag with no deviation adds nothing, and T = 1 when none deviates;
-            # where sigma**m underflows the float range the ratio is taken exactly
-            T = max((float(d) / sigma**m if sigma**m >= sys.float_info.min
-                     else float(d / Fraction(sigma)**m)
-                     for m, d in enumerate(table, start=1) if d), default=1.0)
-        R = max(1.0, *(float(hi) for _, hi in bounds))
-        tags = (("R", "ESTIMATED"), ("T", "ESTIMATED"), ("sigma", "DERIVED"))
-    else:
-        # CF model: the certificate is assumed, the distortion estimated
-        T, sigma, R = GaussCFModel.PSI_T, GaussCFModel.PSI_SIGMA, _gauss_distortion_estimate()
-        tags = (("R", "ESTIMATED"), ("T", "ASSUMED"), ("sigma", "ASSUMED"))
-    return MixingProfile(T=T, sigma=sigma, rho=c.rho, K=c.K, R=R,
-                         provenance=tuple(sorted(c.provenance + tags)))
-
-
-def _gauss_distortion_estimate() -> float:
-    """max mu(uv) / (mu(u) mu(v)) over the words u, v of one or two digits
-    in 1..8."""
-    from itertools import product
-
-    mu = {w: gauss_cylinder_prob(w) for L in (1, 2) for w in product(range(1, 9), repeat=L)}
-    return max(1.0, *(gauss_cylinder_prob(u + v) / (mu[u] * mu[v]) for u in mu for v in mu))

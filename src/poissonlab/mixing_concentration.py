@@ -1,16 +1,17 @@
-"""Mixing coefficients, the dependency matrix, and concentration machinery.
+"""The psi-mixing certificate, the occurrence counters, and concentration.
 
-Covers: exact per-lag mixing coefficients for Markov chains, the
-upper-triangular dependency matrix and its operator norm (power iteration
-plus the closed-form majorant), the closed-form norms of the Lipschitz
-weights, the word plans and the one chunked count of many words in fixed
-streams (``_count_words`` over an ``OccurrenceIndex``), and the two scanned
+Covers: the psi-mixing certificate (T, sigma, R) of ``mixing_profile``, the
+exact per-lag coefficients of Markov chains, the dependency matrix and its
+norm (power iteration and the closed-form majorant), the Lipschitz weights'
+norms, the word plans, the annealed kernel ``count_word_occurrences``, the
+quenched count ``_count_words`` over an ``OccurrenceIndex``, and the scanned
 functionals phi_k_S and phi_k_j_S that the concentration mode checks.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -19,13 +20,15 @@ import numpy as np
 
 from .errors import ConfigError, InternalCheckError, ResourceError, UnsupportedModelError
 from .measures import (_DRAW_BLOCK, GaussCFModel, IidModel, MarkovModel, MixingProfile,
-                       Model, SequenceGenerator, cylinder_prob_guarded, draw_buffers,
-                       gauss_cylinder_prob)
+                       Model, SequenceGenerator, contraction_profile, cylinder_prob_guarded,
+                       draw_buffers, gauss_cylinder_prob)
 from .point_process import IndexSet, IntervalUnion, j_set, required_prefix_length
 from .words import enumerate_words
 
 DELTA_NORM_MATRIX_CAP = 2000
 MAX_LAG_CAP = 1000  # exact rational powers grow by about a digit per lag
+# lags m = 1..50 of the Markov psi-mixing certificate (mixing_profile)
+_PSI_LAGS = 50
 PHI2_EXACT_CAP = 1 << 16
 RANGE_CELLS_CAP = 1 << 22  # words x index ranges of one count_in_ranges call
 HASH_MULT = np.uint64(0x9E3779B97F4A7C15) | np.uint64(1)
@@ -33,7 +36,60 @@ MARK_BITS = 22  # most top hash bits a lookup marks: a 4 MB table (OccurrenceInd
 
 
 # ---------------------------------------------------------------------------
-# mixing coefficients and the dependency matrix
+# the psi-mixing certificate, mixing coefficients and the dependency matrix
+
+
+def markov_ratio_bounds(model: MarkovModel) -> list[tuple[Fraction, Fraction]]:
+    """The smallest and largest exact psi ratio P^m(a,b)/pi(b) over (a, b), for
+    each lag m = 1..50; each ratio matrix is formed once."""
+    s = model.alphabet_size
+    bounds = []
+    for power in map(model.matrix_power, range(1, _PSI_LAGS + 1)):
+        ratios = [power[a][b] / model.pi[b] for a in range(s) for b in range(s)]
+        bounds.append((min(ratios), max(ratios)))
+    return bounds
+
+
+def mixing_profile(model: Model) -> MixingProfile:
+    """Every mixing constant of a model, each tagged with its provenance: the
+    contraction pair (rho, K) of ``contraction_profile``, the exponential
+    psi-mixing certificate (T, sigma) and the distortion bound R."""
+    c = contraction_profile(model)
+    if isinstance(model, IidModel):
+        # independence: the ratio is identically 1; sigma = 0 is the sentinel
+        T, sigma, R = 1.0, 0.0, 1.0
+        tags = (("R", "EXACT"), ("T", "EXACT"), ("sigma", "EXACT"))
+    elif isinstance(model, MarkovModel):
+        mags = sorted(abs(complex(e)) for e in np.linalg.eigvals(model._t_floats))
+        sigma = min(mags[-2], 1.0 - 1e-15)
+        bounds = markov_ratio_bounds(model)
+        # dev(m) = max_ab |P^m(a,b)/pi(b) - 1|
+        table = [max(hi - 1, 1 - lo) for lo, hi in bounds]
+        if sigma <= 0.0:
+            T = 1.0 if all(d == 0 for d in table) else float("inf")
+        else:
+            # a lag with no deviation adds nothing, and T = 1 when none deviates;
+            # where sigma**m underflows the float range the ratio is taken exactly
+            T = max((float(d) / sigma**m if sigma**m >= sys.float_info.min
+                     else float(d / Fraction(sigma)**m)
+                     for m, d in enumerate(table, start=1) if d), default=1.0)
+        R = max(1.0, *(float(hi) for _, hi in bounds))
+        tags = (("R", "ESTIMATED"), ("T", "ESTIMATED"), ("sigma", "DERIVED"))
+    else:
+        # CF model: the certificate is assumed, the distortion estimated
+        T, sigma, R = GaussCFModel.PSI_T, GaussCFModel.PSI_SIGMA, _gauss_distortion_estimate()
+        tags = (("R", "ESTIMATED"), ("T", "ASSUMED"), ("sigma", "ASSUMED"))
+    return MixingProfile(T=T, sigma=sigma, rho=c.rho, K=c.K, R=R,
+                         provenance=tuple(sorted(c.provenance + tags)))
+
+
+def _gauss_distortion_estimate() -> float:
+    """max mu(uv) / (mu(u) mu(v)) over the words u, v of one or two digits
+    in 1..8."""
+    from itertools import product
+
+    mu = {w: gauss_cylinder_prob(w) for L in (1, 2) for w in product(range(1, 9), repeat=L)}
+    return max(1.0, *(gauss_cylinder_prob(u + v) / (mu[u] * mu[v]) for u in mu for v in mu))
 
 
 def _extend_lags(lags: Sequence[float], need: int) -> np.ndarray:
@@ -175,7 +231,7 @@ def lipschitz_weights_phi2(k: int, S: IntervalUnion,
 
 
 # ---------------------------------------------------------------------------
-# word plans and the occurrence index
+# word plans and the two occurrence counters: the annealed kernel and the index
 
 
 @dataclass
@@ -330,6 +386,104 @@ class OccurrenceIndex:
         if word.shape != (self.k,):
             raise ValueError("positions takes one word of length k")
         return self._hits(word[None])[1] + 1
+
+
+_ONES = np.uint64(2**64 - 1)
+_SWAR = [np.uint64(v) for v in (0x5555555555555555, 0x3333333333333333,
+                                0x0F0F0F0F0F0F0F0F, 0x0101010101010101)]
+
+
+def _binary(a: np.ndarray) -> bool:
+    """Whether every entry of the integer array ``a`` is 0 or 1 (a negative
+    entry read unsigned is above 1)."""
+    return a.size == 0 or int(a.view(f"u{a.itemsize}").max()) <= 1
+
+
+def _popcount(v: np.ndarray) -> np.ndarray:
+    """The set bits of each uint64 of ``v`` (overwritten), by SWAR: np.bitwise_count
+    needs numpy 2."""
+    m1, m2, m4, h01 = _SWAR
+    v -= (v >> np.uint64(1)) & m1
+    v[...] = (v & m2) + ((v >> np.uint64(2)) & m2)
+    v += v >> np.uint64(4)
+    v &= m4
+    v *= h01
+    v >>= np.uint64(56)
+    return v
+
+
+def _match_bits(x: np.ndarray, words: np.ndarray, n: int) -> np.ndarray:
+    """Bit-parallel (Shift-And) matches of each row's binary word in its
+    binary stream: a (rows, n) uint64 array whose bit b of word i says
+    whether the window that starts at symbol 64 * i + b (0-indexed) holds
+    the word.  Each row is packed 64 symbols a word, little-endian
+    ('<u8', the same on any host) and zero-padded; the matches are the AND
+    over j < k of the packed row shifted down by j, each flipped where w_j is
+    0.  Bits of windows that do not fit in a row are not meaningful."""
+    k = words.shape[1]
+    packed = np.zeros((len(x), 8 * (n + (k - 1) // 64 + 1)), dtype=np.uint8)
+    packed[:, :-(-x.shape[1] // 8)] = np.packbits(x.astype(np.uint8, copy=False),
+                                                   axis=1, bitorder="little")
+    bits = packed.view("<u8")
+    flips = np.where(words == 0, _ONES, np.uint64(0))
+    hits = np.full((len(x), n), _ONES)
+    low, high = np.empty_like(hits), np.empty_like(hits)
+    for j in range(k):
+        q, r = j // 64, np.uint64(j % 64)
+        if r:
+            np.right_shift(bits[:, q: q + n], r, out=low)
+            low |= np.left_shift(bits[:, q + 1: q + 1 + n], np.uint64(64) - r, out=high)
+            low ^= flips[:, j: j + 1]
+        else:
+            np.bitwise_xor(bits[:, q: q + n], flips[:, j: j + 1], out=low)
+        hits &= low
+    return hits
+
+
+def count_word_occurrences(x: np.ndarray, words: np.ndarray,
+                           ranges: Sequence[Sequence[tuple[int, int]]]) -> np.ndarray:
+    """Occurrences of each row's word in its stream over inclusive index
+    ranges, one list of ranges per target set.
+
+    ``x`` is a (rows, length) symbol matrix and ``words`` the (rows, k)
+    matrix of the words sought, one per row; positions are 1-indexed window
+    starts, and each range is clipped to the windows that fit inside a row,
+    so a range shifted to a block of the streams needs no clip of its own.
+    Returns the (sets, rows) counts.
+
+    Where every symbol of ``x`` and of ``words`` is 0 or 1, the windows from
+    the first range's start to the last one's end, over all sets, are
+    matched once 64 at a time (``_match_bits``) and each range's set bits
+    counted under edge masks; otherwise ``k`` shifted equality masks are
+    ANDed over each range of each set, so any alphabet and any ``k`` works.
+    """
+    k = words.shape[1]
+    n_win = x.shape[1] - k + 1
+    # per set, the 0-indexed window starts [s, e) of each range that keeps a window
+    spans = [[(s, e) for a, b in rs if (e := min(b, n_win)) > (s := max(a, 1) - 1)]
+             for rs in ranges]
+    total = np.zeros((len(spans), len(x)), dtype=np.int64)
+    every = [span for per_set in spans for span in per_set]
+    if not every:
+        return total
+    if _binary(words) and _binary(x):
+        first = min(s for s, _ in every) // 64  # the hit words that cover every span
+        n = (max(e for _, e in every) - 1) // 64 + 1 - first
+        hits = _match_bits(x[:, 64 * first: 64 * (first + n) + k - 1], words, n)
+        for row, per_set in zip(total, spans):
+            for s, e in per_set:
+                part = hits[:, s // 64 - first: (e - 1) // 64 + 1 - first].copy()
+                part[:, 0] &= _ONES << np.uint64(s % 64)
+                part[:, -1] &= _ONES >> np.uint64(63 - (e - 1) % 64)
+                row += _popcount(part).sum(axis=1, dtype=np.int64)
+        return total
+    for row, per_set in zip(total, spans):
+        for s, e in per_set:
+            acc = x[:, s: e] == words[:, :1]
+            for j in range(1, k):
+                acc &= x[:, s + j: e + j] == words[:, j: j + 1]
+            row += np.count_nonzero(acc, axis=1)
+    return total
 
 
 # ---------------------------------------------------------------------------

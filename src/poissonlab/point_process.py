@@ -1,13 +1,13 @@
-"""Target sets on the positive axis and rescaled-index occurrence counting.
+"""Target sets on the positive axis and their rescaled index sets: exact math.
 
 An interval union S collects finitely many bounded intervals with rational
 endpoints and explicit closedness.  For a word measure mu_w the index set
 
     J = { i >= 1 : i * mu_w in S }
 
-selects the sequence positions whose rescaled index lands in S; counting
-occurrences of the word at those positions is the point-process statistic
-studied by the experiment runners.
+selects the sequence positions whose rescaled index lands in S; the count of
+the word's occurrences there is the point-process statistic, which the
+counters of ``mixing_concentration`` take from sampled streams.
 
 J is kept as a short list of integer ranges (one per interval of S), never
 materialized unless small, so index sets of size ~1e7 stay cheap.
@@ -308,100 +308,3 @@ def required_prefix_length(word_len: int, J: IndexSet) -> int:
         return 0
     return J.max_index() + word_len - 1
 
-
-_ONES = np.uint64(2**64 - 1)
-_SWAR = [np.uint64(v) for v in (0x5555555555555555, 0x3333333333333333,
-                                0x0F0F0F0F0F0F0F0F, 0x0101010101010101)]
-
-
-def _binary(a: np.ndarray) -> bool:
-    """Whether every entry of the integer array ``a`` is 0 or 1 (a negative
-    entry read unsigned is above 1)."""
-    return a.size == 0 or int(a.view(f"u{a.itemsize}").max()) <= 1
-
-
-def _popcount(v: np.ndarray) -> np.ndarray:
-    """The set bits of each uint64 of ``v`` (overwritten), by SWAR: np.bitwise_count
-    needs numpy 2."""
-    m1, m2, m4, h01 = _SWAR
-    v -= (v >> np.uint64(1)) & m1
-    v[...] = (v & m2) + ((v >> np.uint64(2)) & m2)
-    v += v >> np.uint64(4)
-    v &= m4
-    v *= h01
-    v >>= np.uint64(56)
-    return v
-
-
-def _match_bits(x: np.ndarray, words: np.ndarray, n: int) -> np.ndarray:
-    """Bit-parallel (Shift-And) matches of each row's binary word in its
-    binary stream: a (rows, n) uint64 array whose bit b of word i says
-    whether the window that starts at symbol 64 * i + b (0-indexed) holds
-    the word.  Each row is packed 64 symbols a word, little-endian
-    ('<u8', the same on any host) and zero-padded; the matches are the AND
-    over j < k of the packed row shifted down by j, each flipped where w_j is
-    0.  Bits of windows that do not fit in a row are not meaningful."""
-    k = words.shape[1]
-    packed = np.zeros((len(x), 8 * (n + (k - 1) // 64 + 1)), dtype=np.uint8)
-    packed[:, :-(-x.shape[1] // 8)] = np.packbits(x.astype(np.uint8, copy=False),
-                                                   axis=1, bitorder="little")
-    bits = packed.view("<u8")
-    flips = np.where(words == 0, _ONES, np.uint64(0))
-    hits = np.full((len(x), n), _ONES)
-    low, high = np.empty_like(hits), np.empty_like(hits)
-    for j in range(k):
-        q, r = j // 64, np.uint64(j % 64)
-        if r:
-            np.right_shift(bits[:, q: q + n], r, out=low)
-            low |= np.left_shift(bits[:, q + 1: q + 1 + n], np.uint64(64) - r, out=high)
-            low ^= flips[:, j: j + 1]
-        else:
-            np.bitwise_xor(bits[:, q: q + n], flips[:, j: j + 1], out=low)
-        hits &= low
-    return hits
-
-
-def count_word_occurrences(x: np.ndarray, words: np.ndarray,
-                           ranges: Sequence[Sequence[tuple[int, int]]]) -> np.ndarray:
-    """Occurrences of each row's word in its stream over inclusive index
-    ranges, one list of ranges per target set.
-
-    ``x`` is a (rows, length) symbol matrix and ``words`` the (rows, k)
-    matrix of the words sought, one per row; positions are 1-indexed window
-    starts, and each range is clipped to the windows that fit inside a row,
-    so a range shifted to a block of the streams needs no clip of its own.
-    Returns the (sets, rows) counts.
-
-    Where every symbol of ``x`` and of ``words`` is 0 or 1, the windows from
-    the first range's start to the last one's end, over all sets, are
-    matched once 64 at a time (``_match_bits``) and each range's set bits
-    counted under edge masks; otherwise ``k`` shifted equality masks are
-    ANDed over each range of each set, so any alphabet and any ``k`` works.
-    """
-    k = words.shape[1]
-    n_win = x.shape[1] - k + 1
-    # per set, the 0-indexed window starts [s, e) of each range that keeps a window
-    spans = [[(s, e) for a, b in rs if (e := min(b, n_win)) > (s := max(a, 1) - 1)]
-             for rs in ranges]
-    total = np.zeros((len(spans), len(x)), dtype=np.int64)
-    every = [span for per_set in spans for span in per_set]
-    if not every:
-        return total
-    if _binary(words) and _binary(x):
-        first = min(s for s, _ in every) // 64  # the hit words that cover every span
-        n = (max(e for _, e in every) - 1) // 64 + 1 - first
-        hits = _match_bits(x[:, 64 * first: 64 * (first + n) + k - 1], words, n)
-        for row, per_set in zip(total, spans):
-            for s, e in per_set:
-                part = hits[:, s // 64 - first: (e - 1) // 64 + 1 - first].copy()
-                part[:, 0] &= _ONES << np.uint64(s % 64)
-                part[:, -1] &= _ONES >> np.uint64(63 - (e - 1) % 64)
-                row += _popcount(part).sum(axis=1, dtype=np.int64)
-        return total
-    for row, per_set in zip(total, spans):
-        for s, e in per_set:
-            acc = x[:, s: e] == words[:, :1]
-            for j in range(1, k):
-                acc &= x[:, s + j: e + j] == words[:, j: j + 1]
-            row += np.count_nonzero(acc, axis=1)
-    return total

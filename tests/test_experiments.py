@@ -346,6 +346,32 @@ class TestAnnealed:
         assert abs(mean - E) <= 5 * math.sqrt(V / n)
         assert abs(var - V) <= 5 * math.sqrt((m4 - var ** 2) / n)
 
+    def test_three_symbol_sets_are_within_noise_of_the_exact_annealed_law(self):
+        # the byte path (a third symbol), two sets, a set with lo > 0 and a
+        # gap: each set's exact annealed law mixes the 81 words' DP laws by
+        # their measures, and each histogram is nearer it than the 99.9%
+        # quantile of its multinomial null
+        from poissonlab.oracles import dp_count_distribution
+        from poissonlab.poisson_stats import tv_distance
+        from poissonlab.words import enumerate_words
+
+        sets = [[["0", "1/2", False, True]],
+                [["1/2", "1", False, True], ["2", "3", True, True]]]
+        cfg = parse_config(_doc(model=THREE_SPEC, k=4, sets=sets, n_cap=10**6,
+                                n_samples=20_000, seed=20261023))
+        rng = np.random.default_rng(0)
+        for S, sr in zip(cfg.sets, run_annealed(cfg).sets):
+            assert sr.n_truncated == 0
+            exact = np.zeros(sr.j_max + 2)
+            for w in enumerate_words(3, 4):
+                mu = float(cylinder_prob_exact(cfg.model, w))
+                for j, p in dp_count_distribution(cfg.model, w, S).items():
+                    exact[min(j, sr.j_max + 1)] += mu * p
+            draws = rng.multinomial(sr.n_used, exact, size=10_000)
+            null = 0.5 * np.abs(draws / sr.n_used - exact).sum(axis=1)
+            empirical = {j: c / sr.n_used for j, c in sr.histogram.items()}
+            assert tv_distance(empirical, dict(enumerate(exact))) <= np.quantile(null, 0.999)
+
     def test_markov_generic_path(self):
         # rho = 0.9 converges slowly in k, so the systematic distance at
         # k = 6 is about 0.14 with the full index coverage; this exercises
@@ -661,6 +687,30 @@ class TestQuenched:
         assert res.replicas[0].sets[0].histogram \
             != res.replicas[1].sets[0].histogram
 
+    def test_histogram_is_within_noise_of_the_exact_per_x_law(self):
+        # given replica 0's stream x, a word's count is a function of the
+        # word, so the exact law of the quenched count is the fair coin's
+        # mixture over all 256 words of their literal counts in x; the run is
+        # nearer it than its multinomial null's 99.9% quantile.  A gate
+        # against Poisson(1) reads x's own finite-k distance as well (TV
+        # 0.096 here), so it cannot tell that distance from a fault
+        from poissonlab.poisson_stats import tv_distance
+        from poissonlab.words import enumerate_words
+
+        cfg = parse_config(_doc(mode="quenched", k=8, n_samples=20_000,
+                                n_x_replicas=1, seed=20261023))
+        sr = run_quenched(cfg).replicas[0].sets[0]
+        assert sr.n_truncated == 0
+        S, k, law = cfg.sets[0], cfg.k, np.zeros(sr.j_max + 2)
+        x = SequenceGenerator(cfg.model, derive_seed(cfg.seed, 3, 0)).take(cfg.n_cap).tolist()
+        for w in enumerate_words(2, k):
+            J = j_set(cylinder_prob_exact(cfg.model, w), S)
+            n = sum(tuple(x[i - 1: i - 1 + k]) == w for a, b in J.ranges for i in range(a, b + 1))
+            law[min(n, sr.j_max + 1)] += 1 / 2**k
+        draws = np.random.default_rng(0).multinomial(sr.n_used, law, size=10_000)
+        null = 0.5 * np.abs(draws / sr.n_used - law).sum(axis=1)
+        empirical = {j: c / sr.n_used for j, c in sr.histogram.items()}
+        assert tv_distance(empirical, dict(enumerate(law))) <= np.quantile(null, 0.999)
 
     @staticmethod
     def _reference_counts(cfg, r):

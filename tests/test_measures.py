@@ -22,8 +22,8 @@ from poissonlab.measures import (GaussCFModel, IidModel, MarkovModel,
                                  SequenceGenerator, cf_continuants,
                                  contraction_profile, cylinder_prob,
                                  cylinder_prob_exact, draw_buffers,
-                                 gauss_cylinder_prob_high, markov_ratio_bounds, mixing_profile,
-                                 model_from_spec, model_to_spec)
+                                 gauss_cylinder_prob_high, model_from_spec, model_to_spec)
+from poissonlab.mixing_concentration import markov_ratio_bounds, mixing_profile
 from poissonlab.rng import derive_seed, uniform_block, value_at
 
 FAIR = IidModel(probs=(Fraction(1, 2), Fraction(1, 2)))

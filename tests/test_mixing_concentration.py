@@ -16,13 +16,14 @@ import pytest
 from poissonlab.errors import ConfigError, UnsupportedModelError
 from poissonlab.measures import (GaussCFModel, IidModel, MarkovModel,
                                  MixingProfile, SequenceGenerator, cylinder_prob,
-                                 mixing_profile, model_to_spec)
+                                 model_to_spec)
 from poissonlab.experiments import parse_config, run_concentration
 from poissonlab.mixing_concentration import (OccurrenceIndex, delta_matrix, delta_norm,
                                              delta_norm_bound,
                                              eta_coefficients,
                                              lipschitz_weights_phi1,
                                              lipschitz_weights_phi2,
+                                             mixing_profile,
                                              phi2_enumerable, phi_k_S,
                                              phi_k_j_S)
 from poissonlab.point_process import IntervalUnion, unit_interval

@@ -4,6 +4,7 @@
 against, and ``oracle_suite.py`` holds the rows that check it, so neither may
 reach them: each imports only the package's exact building blocks, and never
 names the stream sampler, the occurrence counters or the scan functionals.
+``point_process.py``, one of those blocks, may not even define them.
 """
 
 import ast
@@ -69,6 +70,16 @@ def test_imports_only_the_exact_modules(module):
 @pytest.mark.parametrize("module", sorted(ALLOWED_MODULES))
 def test_never_names_the_sampler_or_the_counters(module):
     assert _monte_carlo_names(_tree(module)) == set()
+
+
+def test_point_process_defines_and_names_no_monte_carlo_name():
+    # The index sets are exact math that the oracles import, so the counters
+    # live beside the code that draws the streams.  ``measures`` is exempt:
+    # the benchmark's tracer reads ``measures.SequenceGenerator`` by name.
+    tree = _tree("point_process")
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    assert (_monte_carlo_names(tree) | defined & MONTE_CARLO_NAMES) == set()
 
 
 def test_the_checker_flags_an_import_of_draw():

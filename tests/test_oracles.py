@@ -15,8 +15,8 @@ import pytest
 from poissonlab import oracles
 from poissonlab.errors import ResourceError, UnsupportedModelError
 from poissonlab.measures import (GaussCFModel, IidModel, MarkovModel,
-                                 contraction_profile, cylinder_prob_exact,
-                                 mixing_profile)
+                                 contraction_profile, cylinder_prob_exact)
+from poissonlab.mixing_concentration import mixing_profile
 from poissonlab.oracles import (annealed_exact_expectation,
                                 brute_force_distribution,
                                 dp_count_distribution, exact_expectation,

@@ -19,9 +19,9 @@ from poissonlab.errors import ResourceError
 from poissonlab.measures import (GaussCFModel, SequenceGenerator, cylinder_prob,
                                  cylinder_prob_guarded, draw, gauss_cylinder_prob_high,
                                  model_from_spec)
-from poissonlab.point_process import (IntervalUnion, count_word_occurrences,
-                                      j_set, parse_rational, required_prefix_length,
-                                      unit_interval)
+from poissonlab.mixing_concentration import count_word_occurrences
+from poissonlab.point_process import (IntervalUnion, j_set, parse_rational,
+                                      required_prefix_length, unit_interval)
 from poissonlab.rng import derive_seed
 
 
